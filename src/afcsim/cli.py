@@ -31,14 +31,12 @@ from .propagation import (
     comb_response,
     extract_train,
     gaussian_spectrum,
-    peak_in_window,
-    propagate,
-    spectrum_to_signal,
+    transmit,
 )
 from .protocols import single_pass, two_pass_interfere
 from .reproduce import TARGETS, run_target
 from .sweeps import SweepAxis, SweepKind, SweepRequest, sweep
-from .train import harmonic_train, lorentzian_train, series_coefficients_square
+from .train import closed_train
 
 __all__ = ["ConfigError", "RunConfig", "canonical_config", "main", "parse_config"]
 
@@ -189,19 +187,6 @@ def _grid(config: RunConfig) -> FrequencyGrid:
     return FrequencyGrid(config.span_factor * config.sigma, config.samples)
 
 
-def _closed_train(config: RunConfig, k_max: int):
-    shape = CombShape(config.shape)
-    if shape is CombShape.SQUARE:
-        return series_coefficients_square(
-            config.d_p, config.finesse, k_max, gamma_over_nu0=config.gamma
-        )
-    if shape is CombShape.HARMONIC:
-        return harmonic_train(config.d_p, k_max, gamma_over_nu0=config.gamma)
-    return lorentzian_train(
-        config.d_p, config.finesse, k_max, gamma_over_nu0=config.gamma
-    )
-
-
 def cmd_spectrum(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
@@ -247,15 +232,7 @@ def cmd_transfer(
 
 def _propagated(config: RunConfig):
     comb = _comb(config)
-    pulse = PulseSpec(sigma=config.sigma)
     grid = _grid(config)
-    spectrum = gaussian_spectrum(pulse, grid)
-    reference_signal = spectrum_to_signal(spectrum, grid, config.oversample)
-    amp, _ = peak_in_window(
-        reference_signal,
-        reference_signal.times[0],
-        reference_signal.times[-1] + reference_signal.dt,
-    )
     transfer = build_transfer(
         comb,
         MediumSpec(config.d_p),
@@ -263,8 +240,9 @@ def _propagated(config: RunConfig):
         TransferModel(config.model),
         config.harmonics,
     )
-    signal = propagate(spectrum, transfer, config.oversample)
-    return comb, signal, abs(amp) ** 2
+    spectrum = gaussian_spectrum(PulseSpec(sigma=config.sigma), grid)
+    _, signal, reference = transmit(spectrum, transfer, config.oversample)
+    return comb, signal, reference
 
 
 def cmd_propagate(
@@ -289,7 +267,7 @@ def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
     train = extract_train(
         signal, comb.delay_time, config.k_max, reference_intensity=reference
     )
-    closed = _closed_train(config, config.k_max)
+    closed = closed_train(comb, MediumSpec(config.d_p), config.k_max)
     header: tuple[str, ...] = (
         "k",
         "intensity",

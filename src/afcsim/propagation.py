@@ -20,7 +20,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -28,6 +27,8 @@ from .combs import CombShape, CombSpec, MediumSpec
 from . import susceptibility as sus
 
 __all__ = [
+    "DEFAULT_SPAN_FACTOR",
+    "DEFAULT_SAMPLES",
     "TransferModel",
     "FrequencyGrid",
     "PulseSpec",
@@ -41,9 +42,15 @@ __all__ = [
     "spectrum_to_signal",
     "signal_to_spectrum",
     "propagate",
+    "transmit",
     "peak_in_window",
     "extract_train",
 ]
+
+
+# Library grid defaults: half-span in pulse widths, and sample count.
+DEFAULT_SPAN_FACTOR = 6.0
+DEFAULT_SAMPLES = 2**15
 
 
 class TransferModel(str, enum.Enum):
@@ -105,7 +112,7 @@ class FrequencyGrid:
     """Symmetric detuning grid ``(k - samples/2) * spacing``."""
 
     half_span: float
-    samples: int = 2**14
+    samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self) -> None:
         if self.half_span <= 0.0:
@@ -119,8 +126,8 @@ class FrequencyGrid:
     def for_pulse(
         cls,
         pulse: "PulseSpec",
-        span_factor: float = 4.0,
-        samples: int = 2**14,
+        span_factor: float = DEFAULT_SPAN_FACTOR,
+        samples: int = DEFAULT_SAMPLES,
     ) -> "FrequencyGrid":
         return cls(span_factor * pulse.sigma, samples)
 
@@ -176,22 +183,10 @@ class TimeSignal:
 
 @dataclass
 class TransferFunction:
-    """Transfer samples on a grid plus the closure that produced them.
-
-    ``response`` evaluates the same model at arbitrary detunings, which
-    multi-segment protocols need when they re-enter the spectral domain
-    on a finer (padded) grid.
-    """
+    """Transfer samples ``H(nu)`` on a detuning grid."""
 
     grid: FrequencyGrid
     values: np.ndarray
-    response: Callable[[np.ndarray], np.ndarray]
-    comb: CombSpec
-    medium: MediumSpec
-    model: TransferModel
-
-    def __call__(self, nu: np.ndarray | float) -> np.ndarray:
-        return self.response(nu)
 
 
 def transfer_exponent(packed: np.ndarray, d_p: float) -> np.ndarray:
@@ -206,21 +201,24 @@ def build_transfer(
     model: TransferModel = TransferModel.BROADENED,
     harmonics: int | None = 2000,
 ) -> TransferFunction:
-    model = TransferModel(model)
+    """Sample the transfer of a comb on a grid.
 
-    def response(nu: np.ndarray | float) -> np.ndarray:
-        return transfer_exponent(
-            comb_response(comb, nu, model, harmonics), medium.d_p
+    Raises ``ValueError`` if any sample is non-finite: one such sample
+    would spread through every FFT that follows.
+    """
+    nu = grid.points()
+    with np.errstate(invalid="ignore"):
+        values = transfer_exponent(
+            comb_response(comb, nu, TransferModel(model), harmonics), medium.d_p
         )
-
-    return TransferFunction(
-        grid=grid,
-        values=response(grid.points()),
-        response=response,
-        comb=comb,
-        medium=medium,
-        model=model,
-    )
+    bad = ~np.isfinite(values)
+    if bad.any():
+        raise ValueError(
+            f"transfer is non-finite at {int(bad.sum())} grid samples, first at "
+            f"detuning {nu[np.argmax(bad)]:.6g}: a sample sits on a sharp "
+            "tooth edge; change finesse, samples or span_factor, or use gamma > 0"
+        )
+    return TransferFunction(grid=grid, values=values)
 
 
 def gaussian_spectrum(pulse: PulseSpec, grid: FrequencyGrid) -> np.ndarray:
@@ -289,6 +287,27 @@ def propagate(
 ) -> TimeSignal:
     """Apply the transfer on its grid and return the output signal."""
     return spectrum_to_signal(spectrum * transfer.values, transfer.grid, oversample)
+
+
+def transmit(
+    spectrum: np.ndarray,
+    transfer: TransferFunction,
+    oversample: int = 16,
+    reference_window: tuple[float, float] | None = None,
+) -> tuple[TimeSignal, TimeSignal, float]:
+    """Send an input spectrum through the medium.
+
+    Returns the input signal, the output signal and the input peak
+    intensity inside ``reference_window`` (the whole time window by
+    default).  Simulated intensities are quoted relative to that peak,
+    so grid truncation cancels.
+    """
+    incoming = spectrum_to_signal(spectrum, transfer.grid, oversample)
+    if reference_window is None:
+        reference_window = (incoming.times[0], incoming.times[-1] + incoming.dt)
+    amplitude, _ = peak_in_window(incoming, *reference_window)
+    outgoing = propagate(spectrum, transfer, oversample)
+    return incoming, outgoing, abs(amplitude) ** 2
 
 
 @dataclass(frozen=True)
@@ -371,13 +390,21 @@ def extract_train(
     Window ``k`` is ``[k * period - w, k * period + w)`` with
     ``w = window_fraction * period``.  Intensities are peak field
     intensities divided by ``reference_intensity`` when given (the
-    simulated input peak, so grid truncation cancels).
+    simulated input peak, so grid truncation cancels).  Echo ``k_max``
+    must arrive inside the time window; past its end it would alias to
+    negative times.
     """
     if period <= 0.0:
         raise ValueError(f"period must be positive, got {period}")
     if not 0.0 < window_fraction <= 0.5:
         raise ValueError(
             f"window_fraction must lie in (0, 0.5], got {window_fraction}"
+        )
+    end = signal.times[-1] + signal.dt
+    if k_max * period >= end:
+        raise ValueError(
+            f"time window ends at {end / period:.3g} T, too short for echo "
+            f"k_max = {k_max}; raise samples, lower span_factor or lower k_max"
         )
     ref = 1.0 if reference_intensity is None else reference_intensity
     entries = []

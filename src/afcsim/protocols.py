@@ -26,9 +26,9 @@ from .propagation import (
     extract_train,
     gaussian_spectrum,
     peak_in_window,
-    propagate,
     signal_to_spectrum,
     spectrum_to_signal,
+    transmit,
 )
 from .train import first_echo_intensity, prompt_attenuation
 
@@ -42,10 +42,6 @@ __all__ = [
     "timebin_spectrum",
 ]
 
-_DEFAULT_SPAN_FACTOR = 6.0
-_DEFAULT_SAMPLES = 2**15
-
-
 @dataclass(frozen=True)
 class ProtocolResult:
     """Closed-form and simulated figures of merit for one protocol run."""
@@ -55,20 +51,6 @@ class ProtocolResult:
     train: PulseTrain | None
     prompt_intensity: float | None
     energies: dict[str, float] | None
-
-
-def _default_grid(pulse: PulseSpec) -> FrequencyGrid:
-    return FrequencyGrid.for_pulse(pulse, _DEFAULT_SPAN_FACTOR, _DEFAULT_SAMPLES)
-
-
-def _input_signal(
-    pulse: PulseSpec, grid: FrequencyGrid, oversample: int
-) -> tuple[TimeSignal, float]:
-    signal = spectrum_to_signal(gaussian_spectrum(pulse, grid), grid, oversample)
-    amplitude, _ = peak_in_window(
-        signal, signal.times[0], signal.times[-1] + signal.dt
-    )
-    return signal, abs(amplitude) ** 2
 
 
 def single_pass(
@@ -87,16 +69,17 @@ def single_pass(
 
     The closed-form efficiency is the periodic-comb expression; the
     simulation uses the requested transfer model on a grid defaulting
-    to six spectral widths at 2^15 samples.
+    to :meth:`FrequencyGrid.for_pulse`.
     """
     closed = first_echo_intensity(comb, medium)
     if not simulate:
         return ProtocolResult(closed, None, None, None, None)
     pulse = pulse or PulseSpec(sigma=5.0 * comb.nu0)
-    grid = grid or _default_grid(pulse)
+    grid = grid or FrequencyGrid.for_pulse(pulse)
     transfer = build_transfer(comb, medium, grid, model, harmonics)
-    reference_signal, reference = _input_signal(pulse, grid, oversample)
-    output = propagate(gaussian_spectrum(pulse, grid), transfer, oversample)
+    incoming, output, reference = transmit(
+        gaussian_spectrum(pulse, grid), transfer, oversample
+    )
     train = extract_train(
         output,
         comb.delay_time,
@@ -104,7 +87,7 @@ def single_pass(
         reference_intensity=reference,
     )
     energies = {
-        "input": reference_signal.energy(),
+        "input": incoming.energy(),
         "transmitted": output.energy(),
     }
     return ProtocolResult(
@@ -125,21 +108,24 @@ def _second_pass(
 ) -> TimeSignal:
     """Send the windowed part of a signal through the medium again.
 
-    Works on the padded grid the first pass produced, so the output
-    lands on the identical time axis and fields can be superposed
-    sample by sample.
+    The forward transform of the padded first-pass signal has the grid
+    spacing, so its central ``grid.samples`` points are exactly the
+    transfer grid.  The second pass is band-limited to that band: the
+    rest is leakage from the hard time window and is dropped.  The
+    output lands on the identical time axis, so fields can be
+    superposed sample by sample.
     """
     lo, hi = window
     mask = (first.times >= lo) & (first.times < hi)
-    windowed = TimeSignal(times=first.times, values=first.values * mask)
-    nu, spectrum = signal_to_spectrum(windowed)
-    spectrum = spectrum * transfer.response(nu)
-    if mismatch_time != 0.0 or mismatch_phase != 0.0:
-        spectrum = spectrum * np.exp(1j * (nu * mismatch_time + mismatch_phase))
-    padded_grid = FrequencyGrid(
-        half_span=-float(nu[0]), samples=nu.size
+    _, padded = signal_to_spectrum(
+        TimeSignal(times=first.times, values=first.values * mask)
     )
-    return spectrum_to_signal(spectrum, padded_grid, oversample=1)
+    grid = transfer.grid
+    left = (padded.size - grid.samples) // 2
+    band = padded[left : left + grid.samples] * transfer.values
+    if mismatch_time != 0.0 or mismatch_phase != 0.0:
+        band = band * np.exp(1j * (grid.points() * mismatch_time + mismatch_phase))
+    return spectrum_to_signal(band, grid, padded.size // grid.samples)
 
 
 def two_pass_interfere(
@@ -169,10 +155,11 @@ def two_pass_interfere(
     if not simulate:
         return ProtocolResult(closed, None, None, None, None)
     pulse = pulse or PulseSpec(sigma=5.0 * comb.nu0)
-    grid = grid or _default_grid(pulse)
+    grid = grid or FrequencyGrid.for_pulse(pulse)
     transfer = build_transfer(comb, medium, grid, model, harmonics)
-    _, reference = _input_signal(pulse, grid, oversample)
-    first = propagate(gaussian_spectrum(pulse, grid), transfer, oversample)
+    incoming, first, reference = transmit(
+        gaussian_spectrum(pulse, grid), transfer, oversample
+    )
     half = 0.5 * comb.delay_time
     center = pulse.center
     second = _second_pass(
@@ -187,7 +174,7 @@ def two_pass_interfere(
     amplitude, _ = peak_in_window(combined, *echo_window)
     simulated = abs(amplitude) ** 2 / reference
     energies = {
-        "input": reference,
+        "input": incoming.energy(),
         "echo_window": combined.energy(*echo_window),
     }
     return ProtocolResult(

@@ -21,14 +21,12 @@ from .output import TRACE_HEADER, trace_rows, write_csv
 from .propagation import (
     FrequencyGrid,
     PulseSpec,
-    TimeSignal,
     TransferModel,
     build_transfer,
     extract_train,
     gaussian_spectrum,
     peak_in_window,
-    propagate,
-    spectrum_to_signal,
+    transmit,
 )
 from .protocols import TimeBinQubit, single_pass, timebin_spectrum, two_pass_interfere
 from .susceptibility import (
@@ -74,30 +72,6 @@ class TargetReport:
 def _midgrid(lo: float, hi: float, n: int) -> np.ndarray:
     """Uniform grid of cell midpoints; never lands on tooth edges."""
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
-
-
-_SIM_SAMPLES = 2**15
-_SIM_SPAN = 6.0
-_SIM_OVERSAMPLE = 16
-
-
-def _simulate(
-    comb: CombSpec,
-    medium: MediumSpec,
-    model: TransferModel,
-    harmonics: int | None,
-    sigma: float = 5.0,
-) -> tuple[TimeSignal, float]:
-    """Propagate the standard probe pulse; return output and input peak."""
-    pulse = PulseSpec(sigma=sigma)
-    grid = FrequencyGrid.for_pulse(pulse, _SIM_SPAN, _SIM_SAMPLES)
-    spectrum = gaussian_spectrum(pulse, grid)
-    reference = spectrum_to_signal(spectrum, grid, _SIM_OVERSAMPLE)
-    amp, _ = peak_in_window(
-        reference, reference.times[0], reference.times[-1] + reference.dt
-    )
-    transfer = build_transfer(comb, medium, grid, model, harmonics)
-    return propagate(spectrum, transfer, _SIM_OVERSAMPLE), abs(amp) ** 2
 
 
 def _comb_profiles(out_dir: Path) -> TargetReport:
@@ -280,8 +254,10 @@ def _echo_train(
                 CombShape.SQUARE, finesse, pair_count=40, gamma=gamma
             )
             model, harmonics = TransferModel.BROADENED, None
-        medium = MediumSpec(d_p)
-        signal, reference = _simulate(comb, medium, model, harmonics)
+        pulse = PulseSpec(sigma=5.0)
+        grid = FrequencyGrid.for_pulse(pulse)
+        transfer = build_transfer(comb, MediumSpec(d_p), grid, model, harmonics)
+        _, signal, reference = transmit(gaussian_spectrum(pulse, grid), transfer)
         train = extract_train(
             signal, comb.delay_time, 3, reference_intensity=reference
         )
@@ -356,15 +332,16 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
     medium = MediumSpec(10.0)
     period = comb.delay_time
     qubit = TimeBinQubit(c1=0.8, c2=0.6, tau=0.4 * period, phi=0.7)
-    grid = FrequencyGrid(_SIM_SPAN * qubit.sigma, _SIM_SAMPLES)
-    spectrum = timebin_spectrum(qubit, grid)
-    reference = spectrum_to_signal(spectrum, grid, _SIM_OVERSAMPLE)
-    ref_amp, _ = peak_in_window(reference, -0.5 * qubit.tau, 0.5 * qubit.tau)
+    grid = FrequencyGrid.for_pulse(PulseSpec(sigma=qubit.sigma))
     transfer = build_transfer(
         comb, medium, grid, TransferModel.IDEAL, harmonics=None
     )
-    signal = propagate(spectrum, transfer, _SIM_OVERSAMPLE)
     half = 0.5 * qubit.tau
+    # The early input bin's peak is the reference, so c1 cancels and
+    # the normalised recall compares directly with the echo efficiency.
+    _, signal, reference = transmit(
+        timebin_spectrum(qubit, grid), transfer, reference_window=(-half, half)
+    )
     bins = {}
     for label, center in (
         ("prompt_early", 0.0),
@@ -377,7 +354,7 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
     write_csv(
         trace_path,
         TRACE_HEADER,
-        trace_rows(signal, period, abs(ref_amp) ** 2, -0.5, 2.0),
+        trace_rows(signal, period, reference, -0.5, 2.0),
     )
     bins_path = out_dir / "timebin-pair-bins.csv"
     write_csv(
@@ -392,9 +369,7 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
     late, _ = bins["delayed_late"]
     ratio = abs(early) / abs(late)
     phase = float(np.angle(late / early))
-    # ref_amp is the early input bin's peak, so c1 cancels and the
-    # normalised recall compares directly with the echo efficiency.
-    recalled = abs(early) ** 2 / abs(ref_amp) ** 2
+    recalled = abs(early) ** 2 / reference
     closed = first_echo_intensity(comb, medium)
     checks = (
         Check("delayed amplitude ratio", ratio, abs(qubit.c1) / abs(qubit.c2), 1.5e-3),
@@ -423,11 +398,8 @@ def _efficiency_point(
         comb = CombSpec.from_finesse(
             CombShape.SQUARE, finesse, pair_count=40, gamma=0.005
         )
-        medium = MediumSpec(d_p)
-        pulse = PulseSpec(sigma=5.0)
-        grid = FrequencyGrid.for_pulse(pulse, _SIM_SPAN, _SIM_SAMPLES)
         runner = two_pass_interfere if two_pass else single_pass
-        result = runner(comb, medium, pulse=pulse, grid=grid)
+        result = runner(comb, MediumSpec(d_p))
         path = out_dir / f"{name}.csv"
         write_csv(
             path,

@@ -10,14 +10,20 @@ from typing import Callable
 import numpy as np
 
 from .combs import CombShape, CombSpec, MediumSpec
-from .propagation import FrequencyGrid, PulseSpec, TransferModel
+from .propagation import (
+    DEFAULT_SAMPLES,
+    DEFAULT_SPAN_FACTOR,
+    FrequencyGrid,
+    PulseSpec,
+    TransferModel,
+)
 from .protocols import single_pass, two_pass_interfere
 from .train import (
+    closed_train,
     first_echo_intensity,
     ideal_limit_intensity,
     optimal_depth,
     prompt_attenuation,
-    series_coefficients_square,
 )
 
 __all__ = [
@@ -116,8 +122,8 @@ class SweepRequest:
     model: TransferModel = TransferModel.BROADENED
     harmonics: int | None = 2000
     sigma: float = 5.0
-    span_factor: float = 6.0
-    samples: int = 2**15
+    span_factor: float = DEFAULT_SPAN_FACTOR
+    samples: int = DEFAULT_SAMPLES
     oversample: int = 16
 
 
@@ -184,14 +190,7 @@ def _simulated_efficiency(request: SweepRequest, value: float) -> float:
 def _echo_intensities(request: SweepRequest, value: float) -> tuple[float, ...]:
     """Closed-form intensities of echoes 1..k_max at this sweep point."""
     comb, medium = _combination(request, value)
-    if comb.shape is not CombShape.SQUARE:
-        return ()
-    coeffs = series_coefficients_square(
-        medium.d_p,
-        comb.finesse,
-        request.k_max,
-        gamma_over_nu0=comb.gamma / comb.nu0,
-    )
+    coeffs = closed_train(comb, medium, request.k_max)
     return tuple(float(coeffs.intensity(k)) for k in range(1, request.k_max + 1))
 
 
@@ -215,7 +214,11 @@ def sweep(request: SweepRequest) -> SweepResult:
             rows.append(SweepRow(float(value), math.nan, (), f"failed: {exc}"))
     ok = [r for r in rows if r.status == "ok"]
     if not ok:
-        raise ValueError("every sweep point failed")
+        first = rows[0]
+        raise ValueError(
+            f"every sweep point failed; at {request.axis.name} = "
+            f"{first.value:.6g}: {first.status.removeprefix('failed: ')}"
+        )
     best = max(ok, key=lambda r: r.efficiency)
     best_value, best_efficiency = best.value, best.efficiency
     refined = False

@@ -33,6 +33,7 @@ __all__ = [
     "series_coefficients_square",
     "harmonic_train",
     "lorentzian_train",
+    "closed_train",
     "coefficients_numeric",
     "broadened_A_coefficients",
 ]
@@ -208,6 +209,20 @@ def lorentzian_train(
         prompt_factor=math.exp(-0.25 * math.pi * d_p / finesse),
         values=a,
         provenance=Provenance.CLOSED,
+    )
+
+
+def closed_train(comb: CombSpec, medium: MediumSpec, k_max: int) -> TrainCoefficients:
+    """Exact train of the periodic comb, dispatched on the tooth shape."""
+    gamma_over_nu0 = comb.gamma / comb.nu0
+    if comb.shape is CombShape.SQUARE:
+        return series_coefficients_square(
+            medium.d_p, comb.finesse, k_max, gamma_over_nu0=gamma_over_nu0
+        )
+    if comb.shape is CombShape.HARMONIC:
+        return harmonic_train(medium.d_p, k_max, gamma_over_nu0=gamma_over_nu0)
+    return lorentzian_train(
+        medium.d_p, comb.finesse, k_max, gamma_over_nu0=gamma_over_nu0
     )
 
 

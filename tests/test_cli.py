@@ -195,6 +195,23 @@ class TestErrorPaths:
         assert main(["--config", str(path), "config"]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_tooth_edge_sample_exits_one(self, tmp_path, capsys):
+        # the default grid puts a sample on the finesse-4 edge at 1.25
+        path = _write_config(tmp_path, "finesse = 4.0\n")
+        assert main(["--config", str(path), "--out", str(tmp_path), "train"]) == 1
+        err = capsys.readouterr().err
+        assert "transfer is non-finite" in err
+        for setting in ("finesse", "samples", "span_factor", "gamma > 0"):
+            assert setting in err
+        assert not (tmp_path / "train.csv").exists()
+
+    def test_short_time_window_exits_one(self, tmp_path, capsys):
+        path = _write_config(tmp_path, "samples = 256\nk_max = 8\n")
+        assert main(["--config", str(path), "--out", str(tmp_path), "train"]) == 1
+        err = capsys.readouterr().err
+        assert "too short for echo k_max = 8" in err
+        assert "samples" in err and "span_factor" in err
+
     def test_out_directory_is_created(self, tmp_path):
         nested = tmp_path / "a" / "b"
         assert main(["--out", str(nested), "spectrum"]) == 0

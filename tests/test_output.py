@@ -12,7 +12,7 @@ class TestFormatValue:
         assert format_value(False) == "false"
 
     def test_floats_round_trip(self):
-        for value in (0.1, 1.0 / 3.0, 2.5e-17):
+        for value in (0.1, 1.0 / 3.0, 2.5e-17, np.float64(0.1)):
             assert float(format_value(value)) == value
 
     def test_other_types_pass_through(self):

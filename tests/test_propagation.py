@@ -180,8 +180,15 @@ class TestTransfer:
         comb = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005)
         grid = FrequencyGrid(half_span=4.0, samples=64)
         transfer = build_transfer(comb, MediumSpec(d_p=10.0), grid)
-        np.testing.assert_array_equal(transfer.values, transfer(grid.points()))
-        np.testing.assert_array_equal(transfer.values, transfer.response(grid.points()))
+        expected = transfer_exponent(comb_response(comb, grid.points()), 10.0)
+        np.testing.assert_array_equal(transfer.values, expected)
+
+    def test_build_transfer_rejects_tooth_edge_sample(self):
+        # spacing 1/8 puts samples on the edges at 1 +- 0.25
+        comb = CombSpec.from_finesse(CombShape.SQUARE, 4.0)
+        grid = FrequencyGrid(half_span=4.0, samples=64)
+        with pytest.raises(ValueError, match="sharp tooth edge.*gamma > 0"):
+            build_transfer(comb, MediumSpec(d_p=10.0), grid)
 
     def test_propagate_applies_transfer(self):
         pulse = PulseSpec(sigma=5.0)

@@ -84,6 +84,10 @@ class TestTwoPass:
             result.closed_efficiency, rel=2e-3
         )
 
+    def test_echo_window_energy_below_input(self):
+        energies = _run_two_pass().energies
+        assert 0.0 < energies["echo_window"] < energies["input"]
+
     def test_phase_flip_turns_bright_port_dark(self):
         # a pi phase on the recycled path flips (1 + C0) to (1 - C0)
         result = _run_two_pass(mismatch_phase=math.pi)

@@ -87,12 +87,29 @@ class TestDepthSweep:
         )
         assert result.best_value == pytest.approx(4.0, abs=1e-4)
         assert result.best_efficiency == pytest.approx(math.exp(-2.0), abs=1e-9)
-        # echo breakdown is only tabulated for square teeth
-        assert result.rows[0].intensities == ()
+        # Poisson train: i2 / i1 = (d_p / 8)^2 at every depth
+        for row in result.rows:
+            i1, i2, _ = row.intensities
+            assert i2 == pytest.approx(i1 * (row.value / 8.0) ** 2, rel=1e-12)
 
-    def test_square_rows_carry_echo_intensities(self):
+    @pytest.mark.parametrize(
+        ("shape", "finesse"),
+        [
+            (CombShape.SQUARE, 5.0),
+            (CombShape.LORENTZIAN, 5.0),
+            (CombShape.HARMONIC, 2.0),
+        ],
+        ids=["square", "lorentzian", "harmonic"],
+    )
+    def test_rows_carry_echo_intensities(self, shape, finesse):
         result = sweep(
-            SweepRequest(axis=SweepAxis("d_p", 8.0, 12.0, 3), k_max=3, refine=False)
+            SweepRequest(
+                axis=SweepAxis("d_p", 8.0, 12.0, 3),
+                shape=shape,
+                finesse=finesse,
+                k_max=3,
+                refine=False,
+            )
         )
         row = result.rows[1]
         assert row.value == 10.0
@@ -126,6 +143,23 @@ class TestFinesseAndGammaSweeps:
         assert result.rows[1].status == "ok"
         assert result.best_value == 2.0
 
+    def test_tooth_edge_rows_fail(self):
+        # spacing 40/4096 puts a grid sample on the finesse-4 tooth edge
+        # at 1.25, where the unbroadened finite square comb is infinite
+        result = sweep(
+            SweepRequest(
+                axis=SweepAxis("finesse", 4.0, 5.0, 2),
+                simulate=True,
+                samples=2**12,
+                span_factor=4.0,
+            )
+        )
+        bad, good = result.rows
+        assert bad.status.startswith("failed: transfer is non-finite")
+        assert math.isnan(bad.efficiency)
+        assert good.status == "ok"
+        assert result.best_value == 5.0
+
     def test_all_failed_raises(self):
         # the unbroadened square model rejects every gamma > 0
         request = SweepRequest(
@@ -134,7 +168,9 @@ class TestFinesseAndGammaSweeps:
             model=TransferModel.IDEAL,
             samples=2**12,
         )
-        with pytest.raises(ValueError, match="every sweep point failed"):
+        with pytest.raises(
+            ValueError, match="every sweep point failed; at gamma = 0.001: ideal"
+        ):
             sweep(request)
 
 
