@@ -28,6 +28,7 @@ from .propagation import (
     PulseSpec,
     TransferModel,
     build_transfer,
+    check_time_window,
     comb_response,
     extract_train,
     gaussian_spectrum,
@@ -88,6 +89,13 @@ def _cast_bool(raw: str) -> bool:
     raise ValueError(f"expected true or false, got {raw!r}")
 
 
+def _cast_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _cast_choice(options: tuple[str, ...]) -> Callable[[str], str]:
     def cast(raw: str) -> str:
         if raw not in options:
@@ -108,24 +116,24 @@ def _cast_harmonics(raw: str) -> int | None:
 
 _CASTERS: dict[str, Callable[[str], object]] = {
     "shape": _cast_choice(tuple(s.value for s in CombShape)),
-    "finesse": float,
-    "d_p": float,
-    "gamma": float,
+    "finesse": _cast_float,
+    "d_p": _cast_float,
+    "gamma": _cast_float,
     "pair_count": int,
-    "sigma": float,
+    "sigma": _cast_float,
     "samples": int,
-    "span_factor": float,
+    "span_factor": _cast_float,
     "oversample": int,
     "model": _cast_choice(tuple(m.value for m in TransferModel)),
     "harmonics": _cast_harmonics,
     "k_max": int,
     "passes": int,
-    "mismatch_time": float,
-    "mismatch_phase": float,
+    "mismatch_time": _cast_float,
+    "mismatch_phase": _cast_float,
     "simulate": _cast_bool,
     "sweep_parameter": _cast_choice(("d_p", "finesse", "gamma")),
-    "sweep_start": float,
-    "sweep_stop": float,
+    "sweep_start": _cast_float,
+    "sweep_stop": _cast_float,
     "sweep_steps": int,
     "sweep_scale": _cast_choice(("linear", "log")),
     "sweep_protocol": _cast_choice(tuple(k.value for k in SweepKind)),
@@ -138,7 +146,8 @@ def parse_config(text: str) -> RunConfig:
     """Parse ``key = value`` lines into a :class:`RunConfig`.
 
     Unknown and duplicate keys are rejected with their line number, as
-    are malformed values; ``#`` starts a comment anywhere on a line.
+    are malformed values (non-finite floats included); ``#`` starts a
+    comment anywhere on a line.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -249,6 +258,7 @@ def cmd_propagate(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
     comb, signal, reference = _propagated(config)
+    check_time_window(signal, comb.delay_time, config.k_max)
     rows = trace_rows(
         signal, comb.delay_time, reference, -1.0, config.k_max + 1.0
     )

@@ -10,8 +10,9 @@ fixed here once and for all:
 * a pulse stored at ``t = 0`` is re-emitted in echoes at ``t = k * T``
   with ``T = pi / nu0`` (angular-frequency detunings throughout).
 
-Frequencies are normalised to ``nu0`` unless a :class:`UnitScale` is
-used to convert to laboratory units.
+``nu0`` is the unit of frequency, not a parameter: detunings are in
+units of ``nu0``, so the period is 2 and ``T = pi``.  Only
+:class:`UnitScale` converts to laboratory units.
 """
 
 from __future__ import annotations
@@ -52,40 +53,36 @@ class CombSpec:
     ----------
     shape:
         Peak profile.
-    nu0:
-        Half the comb period; peaks sit at odd multiples of this.
     half_width:
-        Half-width of a single peak: the half-duration ``delta`` of a
-        square tooth, or the HWHM ``Gamma`` of a Lorentzian tooth.
+        Half-width of a single peak, in ``(0, 1]``: the half-duration
+        ``delta`` of a square tooth, or the HWHM ``Gamma`` of a
+        Lorentzian tooth.
         Ignored for the harmonic shape, whose width is fixed by its
         period.
     pair_count:
-        Peaks extend over ``(2k + 1) * nu0`` for ``k = -pair_count - 1
-        .. pair_count``, i.e. ``pair_count + 1`` peaks on each side.
+        Peaks sit at ``2k + 1`` for ``k = -pair_count - 1 .. pair_count``,
+        i.e. ``pair_count + 1`` peaks on each side.
     gamma:
         Homogeneous HWHM broadening each tooth by a Lorentzian of this
         half-width.  Zero means an ideal (unbroadened) comb.
     """
 
     shape: CombShape
-    nu0: float = 1.0
     half_width: float = 0.2
     pair_count: int = 9
     gamma: float = 0.0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shape", CombShape(self.shape))
-        if self.nu0 <= 0.0:
-            raise ValueError(f"nu0 must be positive, got {self.nu0}")
         if self.pair_count < 0:
             raise ValueError(f"pair_count must be >= 0, got {self.pair_count}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
         if self.shape is CombShape.HARMONIC:
-            object.__setattr__(self, "half_width", self.nu0 / HARMONIC_FINESSE)
-        elif not 0.0 < self.half_width <= self.nu0:
+            object.__setattr__(self, "half_width", 1.0 / HARMONIC_FINESSE)
+        elif not 0.0 < self.half_width <= 1.0:
             raise ValueError(
-                f"half_width must lie in (0, nu0], got {self.half_width}"
+                f"half_width must lie in (0, 1], got {self.half_width}"
             )
 
     @classmethod
@@ -94,7 +91,6 @@ class CombSpec:
         shape: CombShape | str,
         finesse: float,
         *,
-        nu0: float = 1.0,
         pair_count: int = 9,
         gamma: float = 0.0,
     ) -> "CombSpec":
@@ -108,11 +104,10 @@ class CombSpec:
                     "harmonic combs have fixed finesse "
                     f"{HARMONIC_FINESSE}, got {finesse}"
                 )
-            return cls(shape, nu0=nu0, pair_count=pair_count, gamma=gamma)
+            return cls(shape, pair_count=pair_count, gamma=gamma)
         return cls(
             shape,
-            nu0=nu0,
-            half_width=nu0 / finesse,
+            half_width=1.0 / finesse,
             pair_count=pair_count,
             gamma=gamma,
         )
@@ -120,16 +115,17 @@ class CombSpec:
     @property
     def finesse(self) -> float:
         """Period-to-width ratio ``nu0 / half_width``."""
-        return self.nu0 / self.half_width
+        return 1.0 / self.half_width
 
     @property
     def period(self) -> float:
-        return 2.0 * self.nu0
+        """Comb period ``2 nu0``."""
+        return 2.0
 
     @property
     def delay_time(self) -> float:
         """Echo spacing ``T = pi / nu0``."""
-        return math.pi / self.nu0
+        return math.pi
 
     @property
     def peak_count(self) -> int:
@@ -188,10 +184,10 @@ class UnitScale:
         return time_s * 2.0 * self.nu0_hz
 
 
-def odd_peak_centers(nu0: float, pair_count: int) -> np.ndarray:
-    """Tooth centres ``(2k + 1) * nu0`` for ``k = -pair_count - 1 .. pair_count``."""
-    k = np.arange(-pair_count - 1, pair_count + 1)
-    return (2 * k + 1) * nu0
+def odd_peak_centers(pair_count: int) -> np.ndarray:
+    """Tooth centres ``2k + 1`` for ``k = -pair_count - 1 .. pair_count``."""
+    k = np.arange(-pair_count - 1, pair_count + 1, dtype=float)
+    return 2 * k + 1
 
 
 def population_difference(comb: CombSpec, delta: np.ndarray | float) -> np.ndarray:
@@ -202,14 +198,14 @@ def population_difference(comb: CombSpec, delta: np.ndarray | float) -> np.ndarr
     functions of ``[c - half_width, c + half_width]`` (edges included);
     Lorentzian teeth are ``1 / (1 + ((delta - c) / half_width)^2)``;
     harmonic teeth add up to the raised cosine
-    ``(1 - cos(pi * delta / nu0)) / 2`` exactly, which is what this
-    returns for that shape (its window centres fall at even multiples
-    of ``nu0``, matching the layout convention).
+    ``(1 - cos(pi * delta)) / 2`` exactly, which is what this returns
+    for that shape (its window centres fall at even detunings, matching
+    the layout convention).
     """
     delta = np.asarray(delta, dtype=float)
     if comb.shape is CombShape.HARMONIC:
-        return 0.5 * (1.0 - np.cos(np.pi * delta / comb.nu0))
-    centers = odd_peak_centers(comb.nu0, comb.pair_count)
+        return 0.5 * (1.0 - np.cos(np.pi * delta))
+    centers = odd_peak_centers(comb.pair_count)
     offsets = delta[..., np.newaxis] - centers
     if comb.shape is CombShape.SQUARE:
         inside = np.abs(offsets) <= comb.half_width

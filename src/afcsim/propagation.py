@@ -44,6 +44,7 @@ __all__ = [
     "propagate",
     "transmit",
     "peak_in_window",
+    "check_time_window",
     "extract_train",
 ]
 
@@ -81,29 +82,21 @@ def comb_response(
     if comb.shape is CombShape.HARMONIC:
         if model is TransferModel.IDEAL_FINITE:
             raise ValueError("harmonic combs are inherently periodic")
-        return sus.harmonic_comb_response(nu, nu0=comb.nu0, gamma=comb.gamma)
+        return sus.harmonic_comb_response(nu, gamma=comb.gamma)
     if comb.shape is CombShape.LORENTZIAN:
         if model is TransferModel.IDEAL_FINITE:
             raise ValueError("no finite-comb form for Lorentzian teeth")
         return sus.lorentzian_comb_response(
-            nu, 1.0 / comb.finesse, nu0=comb.nu0, gamma=comb.gamma
+            nu, 1.0 / comb.finesse, gamma=comb.gamma
         )
     if model is TransferModel.IDEAL:
         if comb.gamma != 0.0:
             raise ValueError("ideal square model has no broadening; use BROADENED")
-        return sus.chi_square_series(
-            nu, 1.0 / comb.finesse, harmonics, nu0=comb.nu0
-        )
+        return sus.chi_square_series(nu, 1.0 / comb.finesse, harmonics)
     if model is TransferModel.IDEAL_FINITE or comb.gamma == 0.0:
-        return sus.chi_square_exact(
-            nu, 1.0 / comb.finesse, comb.pair_count, nu0=comb.nu0
-        )
+        return sus.chi_square_exact(nu, 1.0 / comb.finesse, comb.pair_count)
     return sus.epsilon_broadened(
-        nu,
-        comb.half_width,
-        nu0=comb.nu0,
-        gamma=comb.gamma,
-        pair_count=comb.pair_count,
+        nu, comb.half_width, gamma=comb.gamma, pair_count=comb.pair_count
     )
 
 
@@ -376,40 +369,42 @@ def peak_in_window(
     return complex(amplitude), float(signal.times[j] + offset * signal.dt)
 
 
-def extract_train(
-    signal: TimeSignal,
-    period: float,
-    k_max: int,
-    *,
-    k_min: int = 0,
-    window_fraction: float = 0.5,
-    reference_intensity: float | None = None,
-) -> PulseTrain:
-    """Read the pulse train off a propagated signal.
+def check_time_window(signal: TimeSignal, period: float, k_max: int) -> None:
+    """Raise ``ValueError`` unless echo ``k_max`` arrives inside the window.
 
-    Window ``k`` is ``[k * period - w, k * period + w)`` with
-    ``w = window_fraction * period``.  Intensities are peak field
-    intensities divided by ``reference_intensity`` when given (the
-    simulated input peak, so grid truncation cancels).  Echo ``k_max``
-    must arrive inside the time window; past its end it would alias to
-    negative times.
+    An echo past the end of the time window would alias to negative
+    times.
     """
     if period <= 0.0:
         raise ValueError(f"period must be positive, got {period}")
-    if not 0.0 < window_fraction <= 0.5:
-        raise ValueError(
-            f"window_fraction must lie in (0, 0.5], got {window_fraction}"
-        )
     end = signal.times[-1] + signal.dt
     if k_max * period >= end:
         raise ValueError(
             f"time window ends at {end / period:.3g} T, too short for echo "
             f"k_max = {k_max}; raise samples, lower span_factor or lower k_max"
         )
+
+
+def extract_train(
+    signal: TimeSignal,
+    period: float,
+    k_max: int,
+    *,
+    reference_intensity: float | None = None,
+) -> PulseTrain:
+    """Read echoes ``0 .. k_max`` off a propagated signal.
+
+    Window ``k`` is ``[k * period - w, k * period + w)`` with
+    ``w = 0.5 * period``.  Intensities are peak field intensities
+    divided by ``reference_intensity`` when given (the simulated input
+    peak, so grid truncation cancels).  Echo ``k_max`` must arrive
+    inside the time window (see :func:`check_time_window`).
+    """
+    check_time_window(signal, period, k_max)
     ref = 1.0 if reference_intensity is None else reference_intensity
     entries = []
-    w = window_fraction * period
-    for k in range(k_min, k_max + 1):
+    w = 0.5 * period
+    for k in range(k_max + 1):
         center = k * period
         amplitude, arrival = peak_in_window(signal, center - w, center + w)
         entries.append(

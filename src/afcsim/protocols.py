@@ -74,7 +74,7 @@ def single_pass(
     closed = first_echo_intensity(comb, medium)
     if not simulate:
         return ProtocolResult(closed, None, None, None, None)
-    pulse = pulse or PulseSpec(sigma=5.0 * comb.nu0)
+    pulse = pulse or PulseSpec()
     grid = grid or FrequencyGrid.for_pulse(pulse)
     transfer = build_transfer(comb, medium, grid, model, harmonics)
     incoming, output, reference = transmit(
@@ -154,7 +154,7 @@ def two_pass_interfere(
     closed = first_echo_intensity(comb, medium) * (1.0 + c0) ** 2
     if not simulate:
         return ProtocolResult(closed, None, None, None, None)
-    pulse = pulse or PulseSpec(sigma=5.0 * comb.nu0)
+    pulse = pulse or PulseSpec()
     grid = grid or FrequencyGrid.for_pulse(pulse)
     transfer = build_transfer(comb, medium, grid, model, harmonics)
     incoming, first, reference = transmit(

@@ -7,8 +7,8 @@ propagation layer unpacks them into the one-sided transfer exponent
 ``absorption - 1j * dispersion`` (see :mod:`afcsim.propagation`), which
 is what multiplies the field.
 
-Detunings are angular and normalised so that tooth centres sit at odd
-multiples of ``nu0`` (window-centred layout, see :mod:`afcsim.combs`).
+Detunings are angular and in units of ``nu0``, so tooth centres sit at
+odd integers (window-centred layout, see :mod:`afcsim.combs`).
 
 Absorption is normalised to unit tooth height: a monochromatic field at
 a tooth centre of an ideal comb decays as ``exp(-d_p / 2)`` in field
@@ -43,7 +43,7 @@ def square_harmonic_weights(inv_finesse: float, harmonics: int) -> np.ndarray:
 
     The infinite comb of unit-height square teeth with duty cycle
     ``inv_finesse`` has absorption
-    ``chi'' = inv_finesse + sum_k c_k cos(k pi nu / nu0)`` with
+    ``chi'' = inv_finesse + sum_k c_k cos(k pi nu)`` with
 
         c_k = (2 / pi) (-1)^k sin(k pi inv_finesse) / k.
 
@@ -57,8 +57,6 @@ def chi_square_series(
     nu: np.ndarray | float,
     inv_finesse: float,
     harmonics: int | None = 2000,
-    *,
-    nu0: float = 1.0,
 ) -> np.ndarray:
     """Response of the infinite (periodic) square comb.
 
@@ -74,7 +72,7 @@ def chi_square_series(
     if not 0.0 < inv_finesse < 1.0:
         raise ValueError(f"inv_finesse must lie in (0, 1), got {inv_finesse}")
     nu = np.asarray(nu, dtype=float)
-    phase = np.pi * nu / nu0
+    phase = np.pi * nu
     if harmonics is None:
         # Resummation of sum_k c_k x^k / with x on the unit circle; the
         # branch of log never wraps because |arg| stays below pi/2.
@@ -101,24 +99,19 @@ def chi_square_exact(
     nu: np.ndarray | float,
     inv_finesse: float,
     pair_count: int = 9,
-    *,
-    nu0: float = 1.0,
 ) -> np.ndarray:
     """Unbroadened finite square comb: indicator absorption, log dispersion.
 
     Absorption is 1 inside teeth, 0 outside and exactly 1/2 on edges.
     Dispersion diverges logarithmically at edges (returned as ``inf``).
     """
-    return epsilon_broadened(
-        nu, inv_finesse * nu0, nu0=nu0, gamma=0.0, pair_count=pair_count
-    )
+    return epsilon_broadened(nu, inv_finesse, gamma=0.0, pair_count=pair_count)
 
 
 def epsilon_broadened(
     nu: np.ndarray | float,
     delta: float,
     *,
-    nu0: float = 1.0,
     gamma: float = 0.01,
     pair_count: int = 9,
 ) -> np.ndarray:
@@ -136,7 +129,7 @@ def epsilon_broadened(
         raise ValueError(f"delta must be positive, got {delta}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    centers = odd_peak_centers(nu0, pair_count)
+    centers = odd_peak_centers(pair_count)
     up = nu[..., np.newaxis] - centers + delta
     lo = nu[..., np.newaxis] - centers - delta
     if gamma == 0.0:
@@ -156,39 +149,35 @@ def epsilon_broadened(
 
 
 def epsilon_window_center(
-    delta: float, *, nu0: float = 1.0, gamma: float = 0.01, pair_count: int = 9
+    delta: float, *, gamma: float = 0.01, pair_count: int = 9
 ) -> float:
     """Residual absorption at the centre of a transparency window."""
     return float(
-        epsilon_broadened(
-            0.0, delta, nu0=nu0, gamma=gamma, pair_count=pair_count
-        ).real
+        epsilon_broadened(0.0, delta, gamma=gamma, pair_count=pair_count).real
     )
 
 
 def epsilon_peak_center(
-    delta: float, *, nu0: float = 1.0, gamma: float = 0.01, pair_count: int = 9
+    delta: float, *, gamma: float = 0.01, pair_count: int = 9
 ) -> float:
     """Absorption at the centre of the first tooth."""
     return float(
-        epsilon_broadened(
-            nu0, delta, nu0=nu0, gamma=gamma, pair_count=pair_count
-        ).real
+        epsilon_broadened(1.0, delta, gamma=gamma, pair_count=pair_count).real
     )
 
 
 def harmonic_comb_response(
-    nu: np.ndarray | float, *, nu0: float = 1.0, gamma: float = 0.0
+    nu: np.ndarray | float, *, gamma: float = 0.0
 ) -> np.ndarray:
     """Periodic raised-cosine comb, optionally broadened.
 
     The profile has a single harmonic, so broadening only damps it:
-    ``chi'' - 1j chi' = 1/2 + (q / 2) exp(1j pi nu / nu0)`` with
-    ``q = exp(-pi gamma / nu0)``.
+    ``chi'' - 1j chi' = 1/2 + (q / 2) exp(1j pi nu)`` with
+    ``q = exp(-pi gamma)``.
     """
     nu = np.asarray(nu, dtype=float)
-    q = np.exp(-np.pi * gamma / nu0)
-    onesided = 0.5 - 0.5 * q * np.exp(1j * np.pi * nu / nu0)
+    q = np.exp(-np.pi * gamma)
+    onesided = 0.5 - 0.5 * q * np.exp(1j * np.pi * nu)
     return np.conj(onesided)
 
 
@@ -196,25 +185,24 @@ def lorentzian_comb_response(
     nu: np.ndarray | float,
     inv_finesse: float,
     *,
-    nu0: float = 1.0,
     gamma: float = 0.0,
 ) -> np.ndarray:
-    """Periodic comb of Lorentzian teeth of HWHM ``inv_finesse * nu0``.
+    """Periodic comb of Lorentzian teeth of HWHM ``inv_finesse``.
 
     The periodised Lorentzian sums to a closed form; extra homogeneous
     broadening ``gamma`` just adds to the tooth width inside the decay
-    factor ``q = exp(-pi (Gamma + gamma) / nu0)``:
+    factor ``q = exp(-pi (Gamma + gamma))``:
 
         chi'' - 1j chi' = (pi / (2 F)) (1 - q x) / (1 + q x),
-        x = exp(1j pi nu / nu0).
+        x = exp(1j pi nu).
 
     Normalised to unit tooth height at ``gamma = 0``.
     """
     if not 0.0 < inv_finesse:
         raise ValueError(f"inv_finesse must be positive, got {inv_finesse}")
     nu = np.asarray(nu, dtype=float)
-    q = np.exp(-np.pi * (inv_finesse * nu0 + gamma) / nu0)
-    x = np.exp(1j * np.pi * nu / nu0)
+    q = np.exp(-np.pi * (inv_finesse + gamma))
+    x = np.exp(1j * np.pi * nu)
     onesided = (np.pi / 2.0) * inv_finesse * (1.0 - q * x) / (1.0 + q * x)
     return np.conj(onesided)
 
@@ -245,7 +233,7 @@ def lorentzian_convolution(
         if gamma is None:
             gamma = comb.gamma
         if support is None:
-            support = (2 * comb.pair_count + 1) * comb.nu0 + comb.half_width
+            support = (2 * comb.pair_count + 1) + comb.half_width
             if comb.shape is not CombShape.SQUARE:
                 # Slow tails: pad until the profile is negligible.
                 support += 40.0 * comb.half_width

@@ -85,7 +85,7 @@ def _decay_factor(comb: CombSpec) -> float:
     gamma = comb.gamma
     if comb.shape is CombShape.LORENTZIAN:
         gamma = gamma + comb.half_width
-    return math.exp(-math.pi * gamma / comb.nu0)
+    return math.exp(-math.pi * gamma)
 
 
 def prompt_attenuation(comb: CombSpec, medium: MediumSpec) -> float:
@@ -214,15 +214,14 @@ def lorentzian_train(
 
 def closed_train(comb: CombSpec, medium: MediumSpec, k_max: int) -> TrainCoefficients:
     """Exact train of the periodic comb, dispatched on the tooth shape."""
-    gamma_over_nu0 = comb.gamma / comb.nu0
     if comb.shape is CombShape.SQUARE:
         return series_coefficients_square(
-            medium.d_p, comb.finesse, k_max, gamma_over_nu0=gamma_over_nu0
+            medium.d_p, comb.finesse, k_max, gamma_over_nu0=comb.gamma
         )
     if comb.shape is CombShape.HARMONIC:
-        return harmonic_train(medium.d_p, k_max, gamma_over_nu0=gamma_over_nu0)
+        return harmonic_train(medium.d_p, k_max, gamma_over_nu0=comb.gamma)
     return lorentzian_train(
-        medium.d_p, comb.finesse, k_max, gamma_over_nu0=gamma_over_nu0
+        medium.d_p, comb.finesse, k_max, gamma_over_nu0=comb.gamma
     )
 
 
@@ -266,7 +265,7 @@ def coefficients_numeric(
         exponent = -0.5 * medium.d_p / comb.finesse + p * np.fft.ifft(g)
         h = np.exp(exponent)
     else:
-        nu = theta * comb.nu0 / math.pi
+        nu = theta / math.pi
         h = transfer_exponent(
             comb_response(comb, nu, model, harmonics), medium.d_p
         )
@@ -300,39 +299,35 @@ class BroadenedCoefficients:
 def broadened_A_coefficients(
     delta: float,
     *,
-    nu0: float = 1.0,
     gamma: float = 0.01,
     pair_count: int = 9,
 ) -> BroadenedCoefficients:
-    """Integrate the broadened response over one central period."""
+    """Integrate the broadened response over the central period ``[-1, 1]``."""
 
     def packed(nu: float) -> complex:
         return complex(
-            epsilon_broadened(
-                nu, delta, nu0=nu0, gamma=gamma, pair_count=pair_count
-            )
+            epsilon_broadened(nu, delta, gamma=gamma, pair_count=pair_count)
         )
 
-    breaks = [-nu0 + delta, nu0 - delta]
-    omega = math.pi / nu0
+    breaks = [-1.0 + delta, 1.0 - delta]
 
     def integrate(f) -> float:
         return quad(
-            f, -nu0, nu0, points=breaks, limit=200, epsabs=1e-13, epsrel=1e-12
+            f, -1.0, 1.0, points=breaks, limit=200, epsabs=1e-13, epsrel=1e-12
         )[0]
 
-    a0 = integrate(lambda nu: packed(nu).real) / (2.0 * nu0)
+    a0 = integrate(lambda nu: packed(nu).real) / 2.0
     a1_absorption = -integrate(
-        lambda nu: packed(nu).real * math.cos(omega * nu)
-    ) / nu0
+        lambda nu: packed(nu).real * math.cos(math.pi * nu)
+    )
     a1_full = -integrate(
         lambda nu: (
-            packed(nu).real * math.cos(omega * nu)
-            - packed(nu).imag * math.sin(omega * nu)
+            packed(nu).real * math.cos(math.pi * nu)
+            - packed(nu).imag * math.sin(math.pi * nu)
         )
-    ) / (2.0 * nu0)
-    a1_closed = (2.0 / math.pi) * math.sin(math.pi * delta / nu0) * math.exp(
-        -math.pi * gamma / nu0
+    ) / 2.0
+    a1_closed = (2.0 / math.pi) * math.sin(math.pi * delta) * math.exp(
+        -math.pi * gamma
     )
     return BroadenedCoefficients(
         a0=a0,

@@ -1,11 +1,17 @@
 """Command-line interface: config file handling, subcommands, exit codes."""
 
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afcsim.cli import ConfigError, RunConfig, canonical_config, main, parse_config
+from afcsim.combs import CombShape
+from afcsim.propagation import TransferModel
 from afcsim.reproduce import TARGETS, Check, TargetReport
+from afcsim.sweeps import SweepKind
 
 FAST_SIM = """
 # small grid, broadened comb wide enough to cover it
@@ -52,11 +58,56 @@ class TestParseConfig:
             ("harmonics = 0", "line 1: bad value for harmonics"),
             ("samples = many", "line 1: bad value for samples"),
             ("\n\nmodel = exact", "line 3: bad value for model"),
+            ("d_p = nan", "line 1: bad value for d_p"),
+            ("finesse = inf", "line 1: bad value for finesse"),
         ],
     )
     def test_rejects_with_line_numbers(self, text, fragment):
         with pytest.raises(ConfigError, match=fragment.replace("(", "[(]")):
             parse_config(text)
+
+
+# One strategy per RunConfig field; choice fields draw from their options.
+_FIELD_VALUES = {
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "int": st.integers(-(2**40), 2**40),
+    "bool": st.booleans(),
+    "int | None": st.none() | st.integers(1, 2**40),
+}
+_CHOICES = {
+    "shape": [s.value for s in CombShape],
+    "model": [m.value for m in TransferModel],
+    "sweep_parameter": ["d_p", "finesse", "gamma"],
+    "sweep_scale": ["linear", "log"],
+    "sweep_protocol": [k.value for k in SweepKind],
+}
+_FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
+
+
+def _field_strategy(field):
+    if field.type == "str":
+        return st.sampled_from(_CHOICES[field.name])
+    return _FIELD_VALUES[field.type]
+
+
+class TestConfigProperties:
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.fixed_dictionaries(
+            {f.name: _field_strategy(f) for f in fields(RunConfig)}
+        ).map(lambda values: RunConfig(**values))
+    )
+    def test_canonical_form_round_trips(self, config):
+        assert parse_config(canonical_config(config)) == config
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.sampled_from(_FLOAT_KEYS),
+        st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity", "1e999"]),
+    )
+    def test_rejects_non_finite_floats(self, key, raw):
+        with pytest.raises(ConfigError, match=f"line 1: bad value for {key}:"):
+            parse_config(f"{key} = {raw}")
 
 
 class TestConfigCommand:
@@ -205,12 +256,15 @@ class TestErrorPaths:
             assert setting in err
         assert not (tmp_path / "train.csv").exists()
 
-    def test_short_time_window_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "propagate"])
+    def test_short_time_window_exits_one(self, tmp_path, capsys, command):
+        # echo 8 lies past the 6.4 T window and would alias to negative times
         path = _write_config(tmp_path, "samples = 256\nk_max = 8\n")
-        assert main(["--config", str(path), "--out", str(tmp_path), "train"]) == 1
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
         err = capsys.readouterr().err
         assert "too short for echo k_max = 8" in err
         assert "samples" in err and "span_factor" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_out_directory_is_created(self, tmp_path):
         nested = tmp_path / "a" / "b"

@@ -16,10 +16,10 @@ from afcsim import (
 
 class TestCombSpec:
     def test_layout_properties(self):
-        comb = CombSpec(CombShape.SQUARE, nu0=2.0, half_width=0.4, pair_count=9)
+        comb = CombSpec(CombShape.SQUARE, half_width=0.2, pair_count=9)
         assert comb.finesse == pytest.approx(5.0)
-        assert comb.period == pytest.approx(4.0)
-        assert comb.delay_time == pytest.approx(math.pi / 2.0)
+        assert comb.period == 2.0
+        assert comb.delay_time == math.pi
         assert comb.peak_count == 20
 
     def test_from_finesse_square(self):
@@ -41,8 +41,6 @@ class TestCombSpec:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(nu0=0.0),
-            dict(nu0=-1.0),
             dict(half_width=0.0),
             dict(half_width=1.5),
             dict(pair_count=-1),
@@ -86,11 +84,8 @@ class TestUnitScale:
 
 class TestLayout:
     def test_odd_peak_centers(self):
-        centers = odd_peak_centers(1.0, 2)
+        centers = odd_peak_centers(2)
         assert centers.tolist() == [-5.0, -3.0, -1.0, 1.0, 3.0, 5.0]
-
-    def test_centers_scale_with_nu0(self):
-        assert odd_peak_centers(2.0, 0).tolist() == [-2.0, 2.0]
 
 
 class TestPopulationDifference:
@@ -109,9 +104,9 @@ class TestPopulationDifference:
         )
 
     def test_harmonic_is_raised_cosine(self):
-        comb = CombSpec(CombShape.HARMONIC, nu0=2.0)
+        comb = CombSpec(CombShape.HARMONIC)
         delta = np.linspace(-5.0, 5.0, 101)
-        expected = 0.5 * (1.0 - np.cos(np.pi * delta / 2.0))
+        expected = 0.5 * (1.0 - np.cos(np.pi * delta))
         assert population_difference(comb, delta) == pytest.approx(expected)
 
     def test_lorentzian_peak_and_tails(self):

@@ -270,11 +270,6 @@ class TestPeakReadout:
         with pytest.raises(KeyError):
             train.entry(7)
 
-    def test_k_min_skips_prompt(self):
-        signal = self._gaussian_train([1.0, 0.5], [0.0, 0.0], period=3.0)
-        train = extract_train(signal, 3.0, 1, k_min=1)
-        assert [e.index for e in train.entries] == [1]
-
     def test_empty_window_raises(self):
         signal = self._gaussian_train([1.0], [0.0], period=3.0)
         with pytest.raises(ValueError):
@@ -284,5 +279,3 @@ class TestPeakReadout:
         signal = self._gaussian_train([1.0], [0.0], period=3.0)
         with pytest.raises(ValueError):
             extract_train(signal, 0.0, 1)
-        with pytest.raises(ValueError):
-            extract_train(signal, 3.0, 1, window_fraction=0.6)
