@@ -258,7 +258,7 @@ def cmd_propagate(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
     comb, signal, reference = _propagated(config)
-    check_time_window(signal, comb.delay_time, config.k_max)
+    check_time_window(signal, comb.delay_time, config.k_max, trace=True)
     rows = trace_rows(
         signal, comb.delay_time, reference, -1.0, config.k_max + 1.0
     )
@@ -270,6 +270,18 @@ def cmd_propagate(
     count = write_csv(path, header, rows)
     print(f"wrote {path} ({count} rows)")
     return 0
+
+
+def _relative_error(value: float, closed: float) -> tuple[float | str, str]:
+    """CSV cell and printed form of ``value / closed - 1``.
+
+    A closed value of zero (``d_p = 0``) has no relative error: the cell
+    is left empty and ``n/a`` is printed.
+    """
+    if closed > 0.0:
+        rel = value / closed - 1.0
+        return rel, f"{rel:+.2e}"
+    return "", "n/a"
 
 
 def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
@@ -288,11 +300,7 @@ def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
     rows = []
     for entry in train.entries:
         reference_value = closed.intensity(entry.index)
-        rel = (
-            entry.intensity / reference_value - 1.0
-            if reference_value > 0.0
-            else math.nan
-        )
+        rel, rel_text = _relative_error(entry.intensity, reference_value)
         row: tuple[object, ...] = (
             entry.index,
             entry.intensity,
@@ -305,7 +313,7 @@ def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
         rows.append(row)
         print(
             f"k={entry.index} intensity={entry.intensity:.6f} "
-            f"closed={reference_value:.6f} rel={rel:+.2e}"
+            f"closed={reference_value:.6f} rel={rel_text}"
         )
     if scale is not None:
         header += ("arrival_s",)
@@ -344,10 +352,10 @@ def cmd_protocol(
         result = single_pass(comb, medium, k_max=config.k_max, **kwargs)
         label = "first-echo"
     simulated = result.simulated_efficiency
-    rel = (
-        simulated / result.closed_efficiency - 1.0
-        if simulated is not None and result.closed_efficiency > 0.0
-        else math.nan
+    rel, rel_text = (
+        (math.nan, "")
+        if simulated is None
+        else _relative_error(simulated, result.closed_efficiency)
     )
     path = out_dir / "protocol.csv"
     write_csv(
@@ -380,7 +388,7 @@ def cmd_protocol(
     else:
         print(
             f"{label}: closed={result.closed_efficiency:.6f} "
-            f"simulated={simulated:.6f} rel={rel:+.2e}"
+            f"simulated={simulated:.6f} rel={rel_text}"
         )
     print(f"wrote {path} (1 rows)")
     return 0

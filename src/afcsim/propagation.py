@@ -369,19 +369,29 @@ def peak_in_window(
     return complex(amplitude), float(signal.times[j] + offset * signal.dt)
 
 
-def check_time_window(signal: TimeSignal, period: float, k_max: int) -> None:
+def check_time_window(
+    signal: TimeSignal, period: float, k_max: int, *, trace: bool = False
+) -> None:
     """Raise ``ValueError`` unless echo ``k_max`` arrives inside the window.
 
     An echo past the end of the time window would alias to negative
-    times.
+    times.  With ``trace`` the window must also hold the whole period
+    after echo ``k_max``, so that a trace over ``[-1, k_max + 1)``
+    periods is not cut short.
     """
     if period <= 0.0:
         raise ValueError(f"period must be positive, got {period}")
     end = signal.times[-1] + signal.dt
+    advice = "raise samples, lower span_factor or lower k_max"
     if k_max * period >= end:
         raise ValueError(
             f"time window ends at {end / period:.3g} T, too short for echo "
-            f"k_max = {k_max}; raise samples, lower span_factor or lower k_max"
+            f"k_max = {k_max}; {advice}"
+        )
+    if trace and (k_max + 1) * period > end:
+        raise ValueError(
+            f"time window ends at {end / period:.3g} T, too short for the "
+            f"trace to k_max + 1 = {k_max + 1} T; {advice}"
         )
 
 

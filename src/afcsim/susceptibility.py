@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .combs import CombSpec, CombShape, odd_peak_centers, population_difference
 
@@ -243,6 +242,11 @@ def lorentzian_convolution(
             raise ValueError("callable profiles need explicit gamma and support")
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    # scipy is imported here, not at module level: nothing else in the
+    # package needs it, and importing scipy.integrate at package import
+    # would more than double the start-up time of every command-line run.
+    from scipy.integrate import quad
+
     scalar = np.ndim(nu) == 0
     nu = np.atleast_1d(np.asarray(nu, dtype=float))
     out = np.empty(nu.shape, dtype=complex)

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .combs import CombShape, CombSpec, MediumSpec
 from .propagation import TransferModel, comb_response, transfer_exponent
@@ -303,6 +302,9 @@ def broadened_A_coefficients(
     pair_count: int = 9,
 ) -> BroadenedCoefficients:
     """Integrate the broadened response over the central period ``[-1, 1]``."""
+    # Imported on first use to keep scipy out of the package import
+    # (see lorentzian_convolution).
+    from scipy.integrate import quad
 
     def packed(nu: float) -> complex:
         return complex(

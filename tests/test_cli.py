@@ -175,6 +175,26 @@ class TestSubcommands:
         assert "two-pass:" in out
         assert "rel=" in out
 
+    @pytest.mark.parametrize(
+        ("command", "expected"),
+        # only the prompt (k = 0) of the train has a closed value above 0
+        [("train", ["0.0", "", "", ""]), ("protocol", [""])],
+        ids=["train", "protocol"],
+    )
+    def test_zero_depth_leaves_rel_error_empty(
+        self, tmp_path, capsys, command, expected
+    ):
+        path = _write_config(tmp_path, FAST_SIM + "d_p = 0.0\n")
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 0
+        out = capsys.readouterr().out
+        assert "rel=n/a" in out
+        assert "nan" not in out
+        text = (tmp_path / f"{command}.csv").read_text()
+        assert "nan" not in text
+        lines = text.splitlines()
+        column = lines[0].split(",").index("rel_error")
+        assert [line.split(",")[column] for line in lines[1:]] == expected
+
     def test_protocol_rejects_bad_passes(self, tmp_path, capsys):
         path = _write_config(tmp_path, "passes = 3\nsimulate = false\n")
         assert main(["--config", str(path), "--out", str(tmp_path), "protocol"]) == 1
@@ -264,6 +284,17 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "too short for echo k_max = 8" in err
         assert "samples" in err and "span_factor" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_short_trace_window_exits_one(self, tmp_path, capsys):
+        # echo 6 fits in the 6.4 T window, but the trace runs to 7 T
+        path = _write_config(tmp_path, "samples = 256\nk_max = 6\n")
+        assert main(["--config", str(path), "--out", str(tmp_path), "propagate"]) == 1
+        err = capsys.readouterr().err
+        assert "time window ends at 6.4 T" in err
+        assert "trace to k_max + 1 = 7 T" in err
+        for setting in ("samples", "span_factor", "k_max"):
+            assert setting in err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_out_directory_is_created(self, tmp_path):

@@ -1,0 +1,58 @@
+"""Start-up cost: importing the package and running the CLI load no scipy.
+
+scipy.integrate is imported only inside the two quadrature checks,
+``susceptibility.lorentzian_convolution`` and
+``train.broadened_A_coefficients``.  The checks run in a fresh
+interpreter, since the test process itself may have imported scipy.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import afcsim
+
+CHILD = """
+import json, math, sys
+
+states = {}
+import afcsim, afcsim.cli
+states["after_import"] = "scipy" in sys.modules
+states["train_exit"] = afcsim.cli.main(
+    ["--config", sys.argv[1], "--out", sys.argv[2], "train"]
+)
+states["after_train"] = "scipy" in sys.modules
+from afcsim.train import broadened_A_coefficients
+coefficients = broadened_A_coefficients(0.2)
+states["finite"] = all(
+    math.isfinite(v)
+    for v in (coefficients.a0, coefficients.a1_absorption, coefficients.a1_full)
+)
+states["after_quadrature"] = "scipy" in sys.modules
+print(json.dumps(states))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("samples = 2048\n")
+    src = str(Path(afcsim.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, str(config), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    states = json.loads(done.stdout.splitlines()[-1])
+    assert states["after_import"] is False
+    assert states["train_exit"] == 0
+    assert states["after_train"] is False
+    assert (tmp_path / "train.csv").exists()
+    # the quadrature path still imports scipy on first use and works
+    assert states["finite"] is True
+    assert states["after_quadrature"] is True
