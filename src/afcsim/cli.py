@@ -301,15 +301,17 @@ def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
     for entry in train.entries:
         reference_value = closed.intensity(entry.index)
         rel, rel_text = _relative_error(entry.intensity, reference_value)
+        # A window without an echo has no arrival: its cells stay empty.
+        arrival = "" if entry.arrival is None else entry.arrival / comb.delay_time
         row: tuple[object, ...] = (
             entry.index,
             entry.intensity,
             reference_value,
             rel,
-            entry.arrival / comb.delay_time,
+            arrival,
         )
         if scale is not None:
-            row += (scale.time_s(entry.arrival / comb.delay_time),)
+            row += ("" if entry.arrival is None else scale.time_s(arrival),)
         rows.append(row)
         print(
             f"k={entry.index} intensity={entry.intensity:.6f} "

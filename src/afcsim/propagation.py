@@ -305,10 +305,13 @@ def transmit(
 
 @dataclass(frozen=True)
 class TrainEntry:
+    """Echo ``index`` of a train; ``arrival`` is None when its window
+    holds no echo (see :func:`extract_train`)."""
+
     index: int
     amplitude: complex
     intensity: float
-    arrival: float
+    arrival: float | None
 
 
 @dataclass
@@ -350,11 +353,19 @@ def peak_in_window(
     the complex amplitude is read off a second-order Lagrange fit of
     the field at the same offset, which keeps the phase.
     """
+    return _interpolated_peak(signal, _largest(signal, lo, hi))
+
+
+def _largest(signal: TimeSignal, lo: float, hi: float) -> int:
+    """Index of the largest ``|field|`` in ``[lo, hi)``."""
     idx = np.nonzero((signal.times >= lo) & (signal.times < hi))[0]
     if idx.size == 0:
         raise ValueError(f"window [{lo}, {hi}) contains no samples")
+    return int(idx[np.argmax(np.abs(signal.values[idx]))])
+
+
+def _interpolated_peak(signal: TimeSignal, j: int) -> tuple[complex, float]:
     values = signal.values
-    j = idx[np.argmax(np.abs(values[idx]))]
     j = min(max(j, 1), values.size - 2)
     i_m, i_0, i_p = (np.abs(values[j + s]) ** 2 for s in (-1, 0, 1))
     denom = i_m - 2.0 * i_0 + i_p
@@ -407,16 +418,26 @@ def extract_train(
     Window ``k`` is ``[k * period - w, k * period + w)`` with
     ``w = 0.5 * period``.  Intensities are peak field intensities
     divided by ``reference_intensity`` when given (the simulated input
-    peak, so grid truncation cancels).  Echo ``k_max`` must arrive
-    inside the time window (see :func:`check_time_window`).
+    peak, so grid truncation cancels).  A window holds an echo only if
+    its largest ``|field|`` is a peak: larger than all of ``|field|``
+    within ``w / 2`` beyond either edge, and not on the window's first
+    or last sample.  Otherwise it holds only the flank or ringing of a
+    neighbour, and its entry has intensity 0 and no arrival.  Echo
+    ``k_max`` must arrive inside the time window (see
+    :func:`check_time_window`).
     """
     check_time_window(signal, period, k_max)
     ref = 1.0 if reference_intensity is None else reference_intensity
     entries = []
     w = 0.5 * period
+    times = signal.times
     for k in range(k_max + 1):
-        center = k * period
-        amplitude, arrival = peak_in_window(signal, center - w, center + w)
+        lo, hi = k * period - w, k * period + w
+        j = _largest(signal, lo - 0.5 * w, hi + 0.5 * w)
+        if not (0 < j < times.size - 1 and times[j - 1] >= lo and times[j + 1] < hi):
+            entries.append(TrainEntry(k, 0j, 0.0, None))
+            continue
+        amplitude, arrival = _interpolated_peak(signal, j)
         entries.append(
             TrainEntry(
                 index=k,

@@ -279,7 +279,7 @@ def _echo_train(
                     e.index,
                     e.intensity,
                     closed.intensity(e.index),
-                    e.arrival / comb.delay_time,
+                    "" if e.arrival is None else e.arrival / comb.delay_time,
                 )
                 for e in train.entries
             ),

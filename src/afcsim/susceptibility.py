@@ -66,6 +66,11 @@ def chi_square_series(
     form: the absorption is then exactly 0 or 1 (1/2 on edges) and the
     dispersion is the exact logarithmic profile, divergent at edges.
 
+    A 1-d, ascending ``nu`` that is uniform to rounding is summed as a
+    chirp-z transform, in O(L log L) time for L = N + harmonics; it
+    agrees with term-by-term summation to about 1e-11.  Scalars and
+    other grids are summed term by term.
+
     Returns ``absorption + 1j * dispersion``.
     """
     if not 0.0 < inv_finesse < 1.0:
@@ -85,6 +90,9 @@ def chi_square_series(
     if harmonics < 1:
         raise ValueError(f"harmonics must be >= 1 or None, got {harmonics}")
     weights = square_harmonic_weights(inv_finesse, harmonics)
+    step = _uniform_step(nu)
+    if step is not None:
+        return _series_chirp_z(nu[0], step, nu.size, inv_finesse, weights)
     xbar = np.exp(-1j * phase)
     power = np.ones_like(xbar)
     acc = np.full(nu.shape, inv_finesse, dtype=complex)
@@ -92,6 +100,45 @@ def chi_square_series(
         power = power * xbar
         acc += c_k * power
     return acc
+
+
+def _uniform_step(nu: np.ndarray) -> float | None:
+    """Step of a 1-d ascending grid that is uniform to rounding, else None."""
+    if nu.ndim != 1 or nu.size < 2:
+        return None
+    step = (nu[-1] - nu[0]) / (nu.size - 1)
+    deviation = np.abs(nu - (nu[0] + step * np.arange(nu.size))).max()
+    if step > 0.0 and deviation <= 4.0 * np.finfo(float).eps * np.abs(nu).max():
+        return float(step)
+    return None
+
+
+def _series_chirp_z(
+    start: float, step: float, points: int, mean: float, weights: np.ndarray
+) -> np.ndarray:
+    """``mean + sum_k c_k exp(-1j pi k nu_j)`` on ``nu_j = start + j step``.
+
+    A chirp-z transform by Bluestein's algorithm: with
+    ``k j = (k^2 + j^2 - (k - j)^2) / 2`` the sum over ``k`` becomes a
+    convolution with the chirp ``w(m) = exp(-1j pi step m^2 / 2)``,
+    done with three FFTs.  The chirp has period ``4 / step`` in ``m^2``;
+    reducing ``m^2`` by it before ``exp`` keeps every phase below 2 pi,
+    so its rounding error no longer grows as ``m^2`` (about 1e-9 rad at
+    2^16 points).  The rounding of the period itself only shifts
+    ``step`` by about 1e-16 relative, the same for every chirp factor.
+    """
+    coeffs = np.concatenate(([mean], weights))
+    terms = coeffs.size
+    size = 1 << (points + terms - 2).bit_length()
+    m = np.arange(max(points, terms), dtype=float)
+    chirp = np.exp(-0.5j * np.pi * step * np.mod(m * m, 4.0 / step))
+    series = np.zeros(size, dtype=complex)
+    series[:terms] = coeffs * np.exp(-1j * np.pi * start * m[:terms]) * chirp[:terms]
+    kernel = np.zeros(size, dtype=complex)
+    kernel[:points] = np.conj(chirp[:points])
+    kernel[size - terms + 1 :] = np.conj(chirp[terms - 1 : 0 : -1])
+    convolved = np.fft.ifft(np.fft.fft(series) * np.fft.fft(kernel))
+    return chirp[:points] * convolved[:points]
 
 
 def chi_square_exact(
@@ -105,6 +152,12 @@ def chi_square_exact(
     Dispersion diverges logarithmically at edges (returned as ``inf``).
     """
     return epsilon_broadened(nu, inv_finesse, gamma=0.0, pair_count=pair_count)
+
+
+# Detunings per block of the finite comb: the (block, teeth) broadcast
+# stays in cache and memory stays O(N), while each row is summed exactly
+# as a single broadcast would sum it.
+_COMB_BLOCK = 1024
 
 
 def epsilon_broadened(
@@ -129,6 +182,20 @@ def epsilon_broadened(
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     centers = odd_peak_centers(pair_count)
+    if nu.size <= _COMB_BLOCK:
+        return _finite_comb(nu, delta, gamma, centers)
+    flat = nu.ravel()
+    packed = np.empty(flat.size, dtype=complex)
+    for start in range(0, flat.size, _COMB_BLOCK):
+        stop = start + _COMB_BLOCK
+        packed[start:stop] = _finite_comb(flat[start:stop], delta, gamma, centers)
+    return packed.reshape(nu.shape)
+
+
+def _finite_comb(
+    nu: np.ndarray, delta: float, gamma: float, centers: np.ndarray
+) -> np.ndarray:
+    """Packed response of the finite comb, one broadcast over all teeth."""
     up = nu[..., np.newaxis] - centers + delta
     lo = nu[..., np.newaxis] - centers - delta
     if gamma == 0.0:

@@ -250,9 +250,10 @@ def coefficients_numeric(
         and model is TransferModel.IDEAL
         and harmonics is not None
     ):
-        # Evaluating a long harmonic series point by point is the slow
-        # path; synthesising it with one inverse DFT is exact on this
-        # grid because the series length stays below the resolution.
+        # On this period grid the series is one inverse DFT, with no
+        # chirp needed (chi_square_series uses a chirp-z transform on
+        # other uniform grids); it is exact because the series length
+        # stays below the resolution.
         if harmonics >= p:
             raise ValueError("harmonics must be below resolution")
         weights = square_harmonic_weights(1.0 / comb.finesse, harmonics)

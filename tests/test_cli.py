@@ -195,6 +195,26 @@ class TestSubcommands:
         column = lines[0].split(",").index("rel_error")
         assert [line.split(",")[column] for line in lines[1:]] == expected
 
+    @pytest.mark.parametrize("command", ["train", "protocol"])
+    def test_zero_depth_reports_no_echo(self, tmp_path, capsys, command):
+        # Without a comb the probe's ringing still reaches about 1.5e-6
+        # just past T/2; no window k >= 1 holds an echo.
+        path = _write_config(
+            tmp_path, "samples = 4096\noversample = 8\nk_max = 3\nd_p = 0.0\n"
+        )
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 0
+        out = capsys.readouterr().out
+        lines = (tmp_path / f"{command}.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+        if command == "train":
+            assert rows[0]["intensity"] == "1.0"
+            echoes = [(r["intensity"], r["arrival_over_T"]) for r in rows[1:]]
+            assert echoes == [("0.0", "")] * 3
+        else:
+            assert "simulated=0.000000" in out
+            assert rows[0]["simulated_efficiency"] == "0.0"
+
     def test_protocol_rejects_bad_passes(self, tmp_path, capsys):
         path = _write_config(tmp_path, "passes = 3\nsimulate = false\n")
         assert main(["--config", str(path), "--out", str(tmp_path), "protocol"]) == 1

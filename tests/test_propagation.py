@@ -190,6 +190,13 @@ class TestTransfer:
         with pytest.raises(ValueError, match="sharp tooth edge.*gamma > 0"):
             build_transfer(comb, MediumSpec(d_p=10.0), grid)
 
+    def test_build_transfer_rejects_tooth_edge_sample_on_long_grid(self):
+        # 2^14 samples, spacing 1/2048: evaluated in blocks, still non-finite
+        comb = CombSpec.from_finesse(CombShape.SQUARE, 4.0)
+        grid = FrequencyGrid(half_span=4.0, samples=2**14)
+        with pytest.raises(ValueError, match="non-finite at 8 grid samples"):
+            build_transfer(comb, MediumSpec(d_p=10.0), grid)
+
     def test_propagate_applies_transfer(self):
         pulse = PulseSpec(sigma=5.0)
         grid = FrequencyGrid.for_pulse(pulse, span_factor=6.0, samples=2**10)

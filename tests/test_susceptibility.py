@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,23 @@ from afcsim import (
     lorentzian_convolution,
     square_harmonic_weights,
 )
+from afcsim.susceptibility import _COMB_BLOCK
 
 
 def midgrid(lo, hi, n):
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
+def loop_series(nu, inv_finesse, harmonics):
+    """Term-by-term sum, as chi_square_series does it off uniform grids."""
+    nu = np.asarray(nu, dtype=float)
+    xbar = np.exp(-1j * (np.pi * nu))
+    power = np.ones_like(xbar)
+    acc = np.full(nu.shape, inv_finesse, dtype=complex)
+    for c_k in square_harmonic_weights(inv_finesse, harmonics):
+        power = power * xbar
+        acc += c_k * power
+    return acc
 
 
 class TestSquareSeries:
@@ -63,6 +77,39 @@ class TestSquareSeries:
         a = chi_square_series(nu, 0.25, harmonics=None)
         b = chi_square_series(nu + 2.0, 0.25, harmonics=None)
         assert np.max(np.abs(a - b)) < 1e-12
+
+    @pytest.mark.parametrize(
+        ("points", "harmonics"),
+        [(2**10, 500), (2**10, 2000), (2**16, 500), (2**16, 2000), (2**10, 3000)],
+    )
+    def test_chirp_z_matches_direct_sum(self, points, harmonics):
+        # the grid of FrequencyGrid(30.0, points); 3000 harmonics on 1024
+        # points is the case of more harmonics than points
+        nu = (np.arange(points) - points // 2) * (60.0 / points)
+        packed = chi_square_series(nu, 0.2, harmonics)
+        # a direct sum on at most 1024 of the points keeps the matrix small
+        rng = np.random.default_rng(0)
+        rows = rng.choice(points, min(points, 1024), replace=False)
+        k = np.arange(1, harmonics + 1)
+        direct = 0.2 + np.exp(-1j * np.pi * np.outer(nu[rows], k)) @ (
+            square_harmonic_weights(0.2, harmonics)
+        )
+        assert np.max(np.abs(packed[rows] - direct)) < 1e-10
+
+    @pytest.mark.parametrize(
+        "nu",
+        [
+            0.37,
+            np.array([1.0]),
+            np.sort(np.random.default_rng(1).uniform(-3.0, 3.0, 300)),
+            midgrid(-3.0, 3.0, 300)[::-1],
+            midgrid(-3.0, 3.0, 300).reshape(20, 15),
+        ],
+        ids=["scalar", "one-point", "non-uniform", "descending", "2-d"],
+    )
+    def test_other_grids_keep_the_term_by_term_sum(self, nu):
+        packed = chi_square_series(nu, 0.2, harmonics=500)
+        assert np.array_equal(packed, loop_series(nu, 0.2, 500))
 
     def test_rejects_bad_duty_cycle(self):
         with pytest.raises(ValueError):
@@ -122,6 +169,35 @@ class TestBroadened:
         closed = epsilon_broadened(nu, 0.1, gamma=0.02, pair_count=3)
         numeric = lorentzian_convolution(comb, nu)
         assert np.max(np.abs(closed - numeric)) < 1e-8
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    @pytest.mark.parametrize("pair_count", [9, 40])
+    def test_blocks_match_single_block_calls(self, gamma, pair_count):
+        # spacing 1/256 puts samples on the tooth edges at odd +- 0.25
+        nu = (np.arange(3 * _COMB_BLOCK + 100) - 1600) / 256.0
+        whole = epsilon_broadened(nu, 0.25, gamma=gamma, pair_count=pair_count)
+        blocks = np.concatenate(
+            [
+                epsilon_broadened(
+                    nu[i : i + _COMB_BLOCK], 0.25, gamma=gamma, pair_count=pair_count
+                )
+                for i in range(0, nu.size, _COMB_BLOCK)
+            ]
+        )
+        assert np.array_equal(whole, blocks)
+        assert np.isinf(whole.imag).any() == (gamma == 0.0)
+
+    def test_long_grid_memory_is_linear(self):
+        points = 2**18
+        nu = (np.arange(points) - points // 2) * (60.0 / points)
+        tracemalloc.start()
+        try:
+            epsilon_broadened(nu, 0.1, gamma=0.01, pair_count=40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one (points, 82 teeth) broadcast would need about 2 kB per point
+        assert peak < 64 * points
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
