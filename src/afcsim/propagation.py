@@ -380,6 +380,23 @@ def _interpolated_peak(signal: TimeSignal, j: int) -> tuple[complex, float]:
     return complex(amplitude), float(signal.times[j] + offset * signal.dt)
 
 
+def _echo_peak(
+    signal: TimeSignal, lo: float, hi: float, margin: float
+) -> tuple[complex, float] | None:
+    """Sub-sample peak of the echo in ``[lo, hi)``, or None if there is none.
+
+    The window holds an echo only if its largest ``|field|`` is a peak:
+    larger than all of ``|field|`` within ``margin`` beyond either edge,
+    and not on the window's first or last sample.  Otherwise it holds
+    only the flank or ringing of a neighbour.
+    """
+    times = signal.times
+    j = _largest(signal, lo - margin, hi + margin)
+    if not (0 < j < times.size - 1 and times[j - 1] >= lo and times[j + 1] < hi):
+        return None
+    return _interpolated_peak(signal, j)
+
+
 def check_time_window(
     signal: TimeSignal, period: float, k_max: int, *, trace: bool = False
 ) -> None:
@@ -419,25 +436,20 @@ def extract_train(
     ``w = 0.5 * period``.  Intensities are peak field intensities
     divided by ``reference_intensity`` when given (the simulated input
     peak, so grid truncation cancels).  A window holds an echo only if
-    its largest ``|field|`` is a peak: larger than all of ``|field|``
-    within ``w / 2`` beyond either edge, and not on the window's first
-    or last sample.  Otherwise it holds only the flank or ringing of a
-    neighbour, and its entry has intensity 0 and no arrival.  Echo
-    ``k_max`` must arrive inside the time window (see
-    :func:`check_time_window`).
+    :func:`_echo_peak` finds one with a margin of ``w / 2``; otherwise
+    its entry has intensity 0 and no arrival.  Echo ``k_max`` must
+    arrive inside the time window (see :func:`check_time_window`).
     """
     check_time_window(signal, period, k_max)
     ref = 1.0 if reference_intensity is None else reference_intensity
     entries = []
     w = 0.5 * period
-    times = signal.times
     for k in range(k_max + 1):
-        lo, hi = k * period - w, k * period + w
-        j = _largest(signal, lo - 0.5 * w, hi + 0.5 * w)
-        if not (0 < j < times.size - 1 and times[j - 1] >= lo and times[j + 1] < hi):
+        peak = _echo_peak(signal, k * period - w, k * period + w, 0.5 * w)
+        if peak is None:
             entries.append(TrainEntry(k, 0j, 0.0, None))
             continue
-        amplitude, arrival = _interpolated_peak(signal, j)
+        amplitude, arrival = peak
         entries.append(
             TrainEntry(
                 index=k,

@@ -22,10 +22,10 @@ from .propagation import (
     TimeSignal,
     TransferFunction,
     TransferModel,
+    _echo_peak,
     build_transfer,
     extract_train,
     gaussian_spectrum,
-    peak_in_window,
     signal_to_spectrum,
     spectrum_to_signal,
     transmit,
@@ -49,7 +49,6 @@ class ProtocolResult:
     closed_efficiency: float
     simulated_efficiency: float | None
     train: PulseTrain | None
-    prompt_intensity: float | None
     energies: dict[str, float] | None
 
 
@@ -73,7 +72,7 @@ def single_pass(
     """
     closed = first_echo_intensity(comb, medium)
     if not simulate:
-        return ProtocolResult(closed, None, None, None, None)
+        return ProtocolResult(closed, None, None, None)
     pulse = pulse or PulseSpec()
     grid = grid or FrequencyGrid.for_pulse(pulse)
     transfer = build_transfer(comb, medium, grid, model, harmonics)
@@ -94,7 +93,6 @@ def single_pass(
         closed_efficiency=closed,
         simulated_efficiency=train.intensity(1),
         train=train,
-        prompt_intensity=train.intensity(0),
         energies=energies,
     )
 
@@ -148,12 +146,20 @@ def two_pass_interfere(
     recalled intensity to ``I1 (1 + C0)^2``.  The closed form is quoted
     for matched paths; ``mismatch_time`` (a delay on the recycled path)
     and ``mismatch_phase`` affect only the simulation, letting the
-    interference be detuned on purpose.
+    interference be detuned on purpose.  The recalled echo is read with
+    the empty-window rule of :func:`afcsim.propagation.extract_train`,
+    so a window without an echo gives a simulated efficiency of 0.
+
+    The two fields add at unit weight, so the recall can exceed 1: for
+    unbroadened square teeth the optimum over ``d_p`` of
+    ``I1 (1 + C0)^2`` passes 1 at ``F = 6.2561`` (``d_p = 9.486``) and
+    rises with ``F`` towards a supremum of 1.08847, reached at
+    ``d_p / F = 1.5162``.
     """
     c0 = prompt_attenuation(comb, medium)
     closed = first_echo_intensity(comb, medium) * (1.0 + c0) ** 2
     if not simulate:
-        return ProtocolResult(closed, None, None, None, None)
+        return ProtocolResult(closed, None, None, None)
     pulse = pulse or PulseSpec()
     grid = grid or FrequencyGrid.for_pulse(pulse)
     transfer = build_transfer(comb, medium, grid, model, harmonics)
@@ -171,8 +177,8 @@ def two_pass_interfere(
     )
     combined = TimeSignal(times=first.times, values=first.values + second.values)
     echo_window = (center + half, center + 3.0 * half)
-    amplitude, _ = peak_in_window(combined, *echo_window)
-    simulated = abs(amplitude) ** 2 / reference
+    peak = _echo_peak(combined, *echo_window, 0.5 * half)
+    simulated = 0.0 if peak is None else abs(peak[0]) ** 2 / reference
     energies = {
         "input": incoming.energy(),
         "echo_window": combined.energy(*echo_window),
@@ -181,7 +187,6 @@ def two_pass_interfere(
         closed_efficiency=closed,
         simulated_efficiency=simulated,
         train=None,
-        prompt_intensity=None,
         energies=energies,
     )
 
@@ -249,7 +254,9 @@ def timebin_transform(
     Both bins see the same comb, so the delayed pair keeps the input
     amplitude ratio and relative phase exactly; the protocol changes
     only the overall recalled fraction (``C1^2``, or
-    ``C1^2 (1 + C0)^2`` when the prompt is recycled in a second pass).
+    ``C1^2 (1 + C0)^2`` when the prompt is recycled in a second pass;
+    like :func:`two_pass_interfere`, that factor exceeds 1 for square
+    teeth above ``F = 6.2561`` near the optimal depth).
     """
     if passes not in (1, 2):
         raise ValueError(f"passes must be 1 or 2, got {passes}")

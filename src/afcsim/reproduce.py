@@ -36,12 +36,7 @@ from .susceptibility import (
     epsilon_window_center,
 )
 from .sweeps import optimal_curve
-from .train import (
-    broadened_A_coefficients,
-    first_echo_intensity,
-    harmonic_train,
-    series_coefficients_square,
-)
+from .train import broadened_A_coefficients, closed_train, first_echo_intensity
 
 __all__ = ["Check", "TargetReport", "TARGETS", "run_target"]
 
@@ -261,9 +256,7 @@ def _echo_train(
         train = extract_train(
             signal, comb.delay_time, 3, reference_intensity=reference
         )
-        closed = series_coefficients_square(
-            d_p, finesse, 3, gamma_over_nu0=gamma
-        )
+        closed = closed_train(comb, MediumSpec(d_p), 3)
         trace_path = out_dir / f"{name}.csv"
         write_csv(
             trace_path,
@@ -308,9 +301,10 @@ def _echo_train(
 
 def _depth_scan_closed(out_dir: Path) -> TargetReport:
     depths = np.arange(0.5, 50.001, 0.5)
+    comb = CombSpec.from_finesse(CombShape.SQUARE, 5.0)
     rows = []
     for d in depths:
-        coeffs = series_coefficients_square(float(d), 5.0, 3)
+        coeffs = closed_train(comb, MediumSpec(float(d)), 3)
         rows.append((float(d),) + tuple(coeffs.intensity(k) for k in (1, 2, 3)))
     path = out_dir / "depth-scan.csv"
     write_csv(path, ("d_p", "i1", "i2", "i3"), rows)
@@ -438,7 +432,8 @@ def _efficiency_point(
 
 
 def _harmonic_poisson(out_dir: Path) -> TargetReport:
-    train = harmonic_train(4.0, 12)
+    comb = CombSpec(CombShape.HARMONIC)
+    train = closed_train(comb, MediumSpec(4.0), 12)
     path = out_dir / "harmonic-comb-train.csv"
     write_csv(
         path,
@@ -453,7 +448,7 @@ def _harmonic_poisson(out_dir: Path) -> TargetReport:
         abs(train.values[k] - rate**k / math.factorial(k))
         for k in range(train.k_max + 1)
     )
-    full = harmonic_train(4.0, 60)
+    full = closed_train(comb, MediumSpec(4.0), 60)
     amplitude_sum = float(full.prompt_factor.real * full.values.sum())
     checks = (
         Check("first-echo intensity at depth 4", train.intensity(1), math.exp(-2.0), 1e-4),

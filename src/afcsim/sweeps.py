@@ -18,13 +18,7 @@ from .propagation import (
     TransferModel,
 )
 from .protocols import single_pass, two_pass_interfere
-from .train import (
-    closed_train,
-    first_echo_intensity,
-    ideal_limit_intensity,
-    optimal_depth,
-    prompt_attenuation,
-)
+from .train import closed_train, ideal_limit_intensity, optimal_depth
 
 __all__ = [
     "SweepKind",
@@ -160,29 +154,31 @@ def _combination(request: SweepRequest, value: float) -> tuple[CombSpec, MediumS
     return comb, MediumSpec(params["d_p"])
 
 
-def _closed_efficiency(request: SweepRequest, value: float) -> float:
-    comb, medium = _combination(request, value)
-    eff = first_echo_intensity(comb, medium)
-    if request.kind is SweepKind.TWO_PASS:
-        eff *= (1.0 + prompt_attenuation(comb, medium)) ** 2
-    return eff
+def _efficiency(request: SweepRequest, value: float, simulate: bool) -> float:
+    """Recall efficiency at one sweep point, simulated or in closed form.
 
-
-def _simulated_efficiency(request: SweepRequest, value: float) -> float:
+    The pulse and grid are built only for a simulation, so a closed
+    sweep accepts any ``samples`` and ``span_factor``.
+    """
     comb, medium = _combination(request, value)
-    pulse = PulseSpec(sigma=request.sigma)
-    grid = FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples)
-    kwargs = dict(
-        pulse=pulse,
-        grid=grid,
-        model=request.model,
-        harmonics=request.harmonics,
-        oversample=request.oversample,
-    )
+    kwargs = {}
+    if simulate:
+        pulse = PulseSpec(sigma=request.sigma)
+        kwargs = dict(
+            pulse=pulse,
+            grid=FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples),
+            model=request.model,
+            harmonics=request.harmonics,
+            oversample=request.oversample,
+        )
     if request.kind is SweepKind.TWO_PASS:
-        result = two_pass_interfere(comb, medium, **kwargs)
+        result = two_pass_interfere(comb, medium, simulate=simulate, **kwargs)
     else:
-        result = single_pass(comb, medium, k_max=request.k_max, **kwargs)
+        result = single_pass(
+            comb, medium, k_max=request.k_max, simulate=simulate, **kwargs
+        )
+    if not simulate:
+        return result.closed_efficiency
     assert result.simulated_efficiency is not None
     return result.simulated_efficiency
 
@@ -203,11 +199,10 @@ def sweep(request: SweepRequest) -> SweepResult:
     runs a golden-section search on the closed form (simulation values
     are too expensive to bracket tightly and follow the same trend).
     """
-    evaluate = _simulated_efficiency if request.simulate else _closed_efficiency
     rows = []
     for value in request.axis.values():
         try:
-            efficiency = evaluate(request, float(value))
+            efficiency = _efficiency(request, float(value), request.simulate)
             intensities = _echo_intensities(request, float(value))
             rows.append(SweepRow(float(value), efficiency, intensities, "ok"))
         except (ValueError, ZeroDivisionError) as exc:
@@ -228,7 +223,7 @@ def sweep(request: SweepRequest) -> SweepResult:
         if 0 < i < len(ok) - 1:
             lo, hi = values[i - 1], values[i + 1]
             best_value, best_efficiency = golden_section_max(
-                lambda v: _closed_efficiency(request, v), lo, hi
+                lambda v: _efficiency(request, v, False), lo, hi
             )
             refined = True
     return SweepResult(

@@ -10,18 +10,17 @@ period of ``H`` onto its Fourier modes.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .combs import CombShape, CombSpec, MediumSpec
 from .propagation import TransferModel, comb_response, transfer_exponent
-from .susceptibility import epsilon_broadened, square_harmonic_weights
+from .susceptibility import epsilon_broadened
 
 __all__ = [
-    "Provenance",
     "TrainCoefficients",
     "BroadenedCoefficients",
     "prompt_attenuation",
@@ -29,18 +28,10 @@ __all__ = [
     "first_echo_intensity",
     "optimal_depth",
     "ideal_limit_intensity",
-    "series_coefficients_square",
-    "harmonic_train",
-    "lorentzian_train",
     "closed_train",
     "coefficients_numeric",
     "broadened_A_coefficients",
 ]
-
-
-class Provenance(str, enum.Enum):
-    CLOSED = "closed-form"
-    NUMERIC = "numeric-projection"
 
 
 @dataclass(frozen=True)
@@ -54,7 +45,6 @@ class TrainCoefficients:
 
     prompt_factor: complex
     values: np.ndarray
-    provenance: Provenance
 
     def amplitude(self, k: int) -> complex:
         return complex(self.prompt_factor * self.values[k])
@@ -70,39 +60,48 @@ class TrainCoefficients:
         return self.values.size - 1
 
 
-def _mean_response(comb: CombSpec) -> float:
-    """Period-average of the one-sided response, i.e. the A0 coefficient."""
-    if comb.shape is CombShape.SQUARE:
-        return 1.0 / comb.finesse
-    if comb.shape is CombShape.HARMONIC:
-        return 0.5
-    return math.pi / (2.0 * comb.finesse)
+def _closed_form(comb: CombSpec) -> tuple[float, float, Callable[[float, int], float]]:
+    """The per-shape table behind every closed form in this module.
 
+    Returns the period-average ``A0`` of the one-sided response, the
+    per-delay dephasing ``q`` of the first harmonic, and the law
+    ``w(d_p, k)`` of the exponent coefficients ``b_k = w(d_p, k) q^k``:
 
-def _decay_factor(comb: CombSpec) -> float:
-    """Per-delay dephasing ``q`` of the first harmonic."""
-    gamma = comb.gamma
+    * Lorentzian: ``A0 = pi / (2F)``, ``q = exp(-pi (gamma + 1/F))``,
+      ``b_k = -(pi d_p / (2F)) (-q)^k``;
+    * harmonic (raised cosine): ``A0 = 1/2``, ``q = exp(-pi gamma)``,
+      ``b_1 = d_p q / 4`` and no higher terms, so the train is Poisson;
+    * square: ``A0 = 1/F``, ``q = exp(-pi gamma)``,
+      ``b_k = -(d_p / (k pi)) (-1)^k sin(k pi / F) q^k``.
+
+    Broadening enters only through ``q``.  The law is plain ``math``,
+    so the scalar figures below cost a few microseconds.
+    """
+    finesse = comb.finesse
     if comb.shape is CombShape.LORENTZIAN:
-        gamma = gamma + comb.half_width
-    return math.exp(-math.pi * gamma)
+        q = math.exp(-math.pi * (comb.gamma + comb.half_width))
+        return math.pi / (2.0 * finesse), q, lambda d_p, k: (
+            -(math.pi * d_p / (2.0 * finesse)) * (-1.0) ** k
+        )
+    q = math.exp(-math.pi * comb.gamma)
+    if comb.shape is CombShape.HARMONIC:
+        return 0.5, q, lambda d_p, k: 0.25 * d_p if k == 1 else 0.0
+    inv = 1.0 / finesse
+    # -d_p / 2 times the cosine weight c_k of square_harmonic_weights
+    return inv, q, lambda d_p, k: -0.5 * d_p * (
+        (2.0 / math.pi) * (-1.0) ** k * math.sin(k * math.pi * inv) / k
+    )
 
 
 def prompt_attenuation(comb: CombSpec, medium: MediumSpec) -> float:
     """Field attenuation ``C0 = exp(-A0 d_p / 2)`` of the prompt pulse."""
-    return math.exp(-0.5 * _mean_response(comb) * medium.d_p)
+    return math.exp(-0.5 * _closed_form(comb)[0] * medium.d_p)
 
 
 def first_echo_amplitude(comb: CombSpec, medium: MediumSpec) -> float:
-    """Field amplitude ``C1 = a1 C0`` of the first re-emission."""
-    d_p = medium.d_p
-    q = _decay_factor(comb)
-    if comb.shape is CombShape.SQUARE:
-        a1 = (d_p / math.pi) * math.sin(math.pi / comb.finesse) * q
-    elif comb.shape is CombShape.HARMONIC:
-        a1 = 0.25 * d_p * q
-    else:
-        a1 = (math.pi * d_p / (2.0 * comb.finesse)) * q
-    return a1 * prompt_attenuation(comb, medium)
+    """Field amplitude ``C1 = a1 C0 = b_1 C0`` of the first re-emission."""
+    _, q, law = _closed_form(comb)
+    return law(medium.d_p, 1) * q * prompt_attenuation(comb, medium)
 
 
 def first_echo_intensity(comb: CombSpec, medium: MediumSpec) -> float:
@@ -112,7 +111,7 @@ def first_echo_intensity(comb: CombSpec, medium: MediumSpec) -> float:
 
 def optimal_depth(comb: CombSpec) -> float:
     """Depth maximising the first echo: ``2 / A0`` for any tooth shape."""
-    return 2.0 / _mean_response(comb)
+    return 2.0 / _closed_form(comb)[0]
 
 
 def ideal_limit_intensity(finesse: float) -> float:
@@ -123,9 +122,8 @@ def ideal_limit_intensity(finesse: float) -> float:
     """
     if finesse <= 1.0:
         raise ValueError(f"finesse must exceed 1, got {finesse}")
-    return (2.0 * finesse / math.pi) ** 2 * math.sin(
-        math.pi / finesse
-    ) ** 2 * math.exp(-2.0)
+    comb = CombSpec.from_finesse(CombShape.SQUARE, finesse)
+    return first_echo_intensity(comb, MediumSpec(optimal_depth(comb)))
 
 
 def _exponentiate_series(b: np.ndarray) -> np.ndarray:
@@ -143,84 +141,16 @@ def _exponentiate_series(b: np.ndarray) -> np.ndarray:
     return a
 
 
-def series_coefficients_square(
-    d_p: float,
-    finesse: float,
-    k_max: int,
-    *,
-    gamma_over_nu0: float = 0.0,
-) -> TrainCoefficients:
-    """Exact train of the periodic square comb.
-
-    Exponentiating the harmonic part of the response gives
-    ``b_k = -(d_p / (k pi)) (-1)^k sin(k pi / F) q^k`` and the recursion
-    for ``a_m``; broadening enters only through ``q``.
-    """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    q = math.exp(-math.pi * gamma_over_nu0)
-    weights = square_harmonic_weights(1.0 / finesse, max(k_max, 1))
-    k = np.arange(1, max(k_max, 1) + 1)
-    b = -0.5 * d_p * weights * q**k
-    a = _exponentiate_series(b)[: k_max + 1]
-    return TrainCoefficients(
-        prompt_factor=math.exp(-0.5 * d_p / finesse),
-        values=a,
-        provenance=Provenance.CLOSED,
-    )
-
-
-def harmonic_train(
-    d_p: float, k_max: int, *, gamma_over_nu0: float = 0.0
-) -> TrainCoefficients:
-    """Poisson train of the raised-cosine comb: ``a_k = (d_p q / 4)^k / k!``."""
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    rate = 0.25 * d_p * math.exp(-math.pi * gamma_over_nu0)
-    k = np.arange(k_max + 1)
-    values = rate**k / np.array([math.factorial(int(m)) for m in k], dtype=float)
-    return TrainCoefficients(
-        prompt_factor=math.exp(-0.25 * d_p),
-        values=values,
-        provenance=Provenance.CLOSED,
-    )
-
-
-def lorentzian_train(
-    d_p: float,
-    finesse: float,
-    k_max: int,
-    *,
-    gamma_over_nu0: float = 0.0,
-) -> TrainCoefficients:
-    """Train of the periodic Lorentzian comb via the same recursion.
-
-    Here ``b_k = -(pi d_p / (2 F)) (-q)^k`` with
-    ``q = exp(-pi (1/F + gamma/nu0))``.
-    """
-    if k_max < 0:
-        raise ValueError(f"k_max must be >= 0, got {k_max}")
-    q = math.exp(-math.pi * (1.0 / finesse + gamma_over_nu0))
-    k = np.arange(1, max(k_max, 1) + 1)
-    b = -(math.pi * d_p / (2.0 * finesse)) * (-q) ** k
-    a = _exponentiate_series(b)[: k_max + 1]
-    return TrainCoefficients(
-        prompt_factor=math.exp(-0.25 * math.pi * d_p / finesse),
-        values=a,
-        provenance=Provenance.CLOSED,
-    )
-
-
 def closed_train(comb: CombSpec, medium: MediumSpec, k_max: int) -> TrainCoefficients:
-    """Exact train of the periodic comb, dispatched on the tooth shape."""
-    if comb.shape is CombShape.SQUARE:
-        return series_coefficients_square(
-            medium.d_p, comb.finesse, k_max, gamma_over_nu0=comb.gamma
-        )
-    if comb.shape is CombShape.HARMONIC:
-        return harmonic_train(medium.d_p, k_max, gamma_over_nu0=comb.gamma)
-    return lorentzian_train(
-        medium.d_p, comb.finesse, k_max, gamma_over_nu0=comb.gamma
+    """Exact train of the periodic comb: exponentiate the shape's ``b_k``."""
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
+    _, q, law = _closed_form(comb)
+    b = np.array([law(medium.d_p, k) for k in range(1, k_max + 1)])
+    b = b * q ** np.arange(1, k_max + 1)
+    return TrainCoefficients(
+        prompt_factor=prompt_attenuation(comb, medium),
+        values=_exponentiate_series(b),
     )
 
 
@@ -239,45 +169,22 @@ def coefficients_numeric(
     sample lands on a tooth edge) and reads ``a_m C0`` off the DFT.
     Any model accepted by :func:`afcsim.propagation.comb_response`
     works; finite-comb models make ``H`` only approximately periodic,
-    which shows up as a small leakage floor.
+    which shows up as a small leakage floor.  The truncated square
+    series needs fewer ``harmonics`` than samples, or its exponent
+    aliases onto the low modes.
     """
     if resolution < 4 * (k_max + 1) or resolution & (resolution - 1):
         raise ValueError("resolution must be a power of two well above k_max")
+    if harmonics is not None and harmonics >= resolution:
+        raise ValueError("harmonics must be below resolution")
     p = resolution
-    theta = -math.pi + 2.0 * math.pi * (np.arange(p) + 0.5) / p
-    if (
-        comb.shape is CombShape.SQUARE
-        and model is TransferModel.IDEAL
-        and harmonics is not None
-    ):
-        # On this period grid the series is one inverse DFT, with no
-        # chirp needed (chi_square_series uses a chirp-z transform on
-        # other uniform grids); it is exact because the series length
-        # stays below the resolution.
-        if harmonics >= p:
-            raise ValueError("harmonics must be below resolution")
-        weights = square_harmonic_weights(1.0 / comb.finesse, harmonics)
-        g = np.zeros(p, dtype=complex)
-        k = np.arange(1, harmonics + 1)
-        g[1 : harmonics + 1] = (
-            -0.5 * medium.d_p * weights * np.exp(1j * k * (math.pi / p - math.pi))
-        )
-        exponent = -0.5 * medium.d_p / comb.finesse + p * np.fft.ifft(g)
-        h = np.exp(exponent)
-    else:
-        nu = theta / math.pi
-        h = transfer_exponent(
-            comb_response(comb, nu, model, harmonics), medium.d_p
-        )
+    nu = -1.0 + 2.0 * (np.arange(p) + 0.5) / p
+    h = transfer_exponent(comb_response(comb, nu, model, harmonics), medium.d_p)
     m = np.arange(k_max + 1)
     spectrum = np.fft.fft(h)[: k_max + 1] / p
     scaled = (-1.0) ** m * np.exp(-1j * m * math.pi / p) * spectrum
     prompt = scaled[0]
-    return TrainCoefficients(
-        prompt_factor=complex(prompt),
-        values=scaled / prompt,
-        provenance=Provenance.NUMERIC,
-    )
+    return TrainCoefficients(prompt_factor=complex(prompt), values=scaled / prompt)
 
 
 @dataclass(frozen=True)

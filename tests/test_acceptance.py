@@ -33,9 +33,8 @@ from afcsim.sweeps import SweepAxis, SweepRequest, optimal_curve, sweep
 from afcsim.train import (
     broadened_A_coefficients,
     coefficients_numeric,
+    closed_train,
     first_echo_intensity,
-    harmonic_train,
-    series_coefficients_square,
 )
 
 PULSE = PulseSpec(sigma=5.0)
@@ -72,15 +71,14 @@ def test_criterion_1_optimal_depth_sweeps():
 
 def test_criterion_2_harmonic_poisson_train():
     """The raised-cosine comb emits the factorial train with e^-2 first recall."""
-    train = harmonic_train(4.0, 8)
+    harmonic = CombSpec(shape=CombShape.HARMONIC)
+    train = closed_train(harmonic, MediumSpec(d_p=4.0), 8)
     k = np.arange(9)
     factorials = np.array([math.factorial(int(m)) for m in k], dtype=float)
     poisson_dev = float(np.abs(train.values - 1.0 / factorials).max())
-    long_train = harmonic_train(4.0, 40)
+    long_train = closed_train(harmonic, MediumSpec(d_p=4.0), 40)
     total = long_train.prompt_factor * long_train.values.sum()
-    numeric = coefficients_numeric(
-        CombSpec(shape=CombShape.HARMONIC), MediumSpec(d_p=4.0), 8
-    )
+    numeric = coefficients_numeric(harmonic, MediumSpec(d_p=4.0), 8)
     _verdict(
         2,
         "harmonic comb train",
@@ -213,7 +211,7 @@ def test_criterion_7_multi_echo_trains():
             k_max=3,
             oversample=16,
         )
-        closed = series_coefficients_square(d_p, finesse, 3)
+        closed = closed_train(comb, MediumSpec(d_p), 3)
         worst = max(
             abs(result.train.intensity(k) / closed.intensity(k) - 1.0)
             for k in range(4)

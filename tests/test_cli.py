@@ -195,12 +195,18 @@ class TestSubcommands:
         column = lines[0].split(",").index("rel_error")
         assert [line.split(",")[column] for line in lines[1:]] == expected
 
-    @pytest.mark.parametrize("command", ["train", "protocol"])
-    def test_zero_depth_reports_no_echo(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        ("command", "extra"),
+        [("train", ""), ("protocol", ""), ("protocol", "passes = 2\n")],
+        ids=["train", "protocol", "protocol-two-pass"],
+    )
+    def test_zero_depth_reports_no_echo(self, tmp_path, capsys, command, extra):
         # Without a comb the probe's ringing still reaches about 1.5e-6
-        # just past T/2; no window k >= 1 holds an echo.
+        # just past T/2 (4e-6 after a second pass); no window k >= 1
+        # holds an echo.
         path = _write_config(
-            tmp_path, "samples = 4096\noversample = 8\nk_max = 3\nd_p = 0.0\n"
+            tmp_path,
+            "samples = 4096\noversample = 8\nk_max = 3\nd_p = 0.0\n" + extra,
         )
         assert main(["--config", str(path), "--out", str(tmp_path), command]) == 0
         out = capsys.readouterr().out

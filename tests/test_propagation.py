@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afcsim.combs import CombSpec, CombShape, MediumSpec
 from afcsim.propagation import (
@@ -207,6 +209,42 @@ class TestTransfer:
         ref = spectrum_to_signal(spec, grid, oversample=4)
         # zero depth is the identity channel
         np.testing.assert_allclose(out.values, ref.values, atol=1e-14)
+
+
+# Exactly evaluated models: (shape, model, broadened).  The
+# truncated series is left out: its Gibbs undershoot is a negative
+# absorption, |H| - 1 = 0.50 at finesse 5, d_p = 10 (4096 midpoints
+# over [-3, 3]).
+PASSIVE_MODELS = {
+    "resummed square": (CombShape.SQUARE, TransferModel.IDEAL, False),
+    "finite square": (CombShape.SQUARE, TransferModel.IDEAL_FINITE, False),
+    "broadened square": (CombShape.SQUARE, TransferModel.BROADENED, True),
+    "lorentzian": (CombShape.LORENTZIAN, TransferModel.BROADENED, True),
+    "harmonic": (CombShape.HARMONIC, TransferModel.BROADENED, True),
+}
+
+
+class TestPassivity:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(PASSIVE_MODELS)),
+        finesse=st.floats(1.5, 50.0),
+        gamma=st.floats(0.0, 0.05),
+        d_p=st.floats(0.0, 40.0),
+        pair_count=st.integers(0, 40),
+    )
+    def test_no_gain(self, name, finesse, gamma, d_p, pair_count):
+        shape, model, broadened = PASSIVE_MODELS[name]
+        comb = CombSpec(
+            shape=shape,
+            half_width=1.0 / finesse,
+            pair_count=pair_count,
+            gamma=gamma if broadened else 0.0,
+        )
+        # cell midpoints; an odd count keeps them off the usual tooth edges
+        nu = -3.0 + (np.arange(1001) + 0.5) * 6.0 / 1001
+        h = transfer_exponent(comb_response(comb, nu, model, None), d_p)
+        assert np.abs(h).max() <= 1.0 + 1e-9
 
 
 class TestCombResponseDispatch:

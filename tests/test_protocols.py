@@ -20,6 +20,7 @@ from afcsim.protocols import (
     timebin_transform,
     two_pass_interfere,
 )
+from afcsim.sweeps import golden_section_max
 from afcsim.train import first_echo_intensity, prompt_attenuation
 
 # forty tooth pairs cover the six-sigma grid of the default pulse
@@ -45,7 +46,6 @@ class TestSinglePass:
         )
         assert result.simulated_efficiency is None
         assert result.train is None
-        assert result.prompt_intensity is None
         assert result.energies is None
 
     def test_simulation_matches_closed_form(self):
@@ -57,7 +57,7 @@ class TestSinglePass:
     def test_prompt_intensity(self):
         result = _run_single()
         c0 = prompt_attenuation(COMB, MEDIUM)
-        assert result.prompt_intensity == pytest.approx(c0**2, rel=1e-3)
+        assert result.train.intensity(0) == pytest.approx(c0**2, rel=1e-3)
 
     def test_train_and_energy_bookkeeping(self):
         result = _run_single(k_max=3)
@@ -101,6 +101,50 @@ class TestTwoPass:
         matched = _run_two_pass()
         detuned = _run_two_pass(mismatch_time=0.03)
         assert detuned.simulated_efficiency < matched.simulated_efficiency
+
+    def test_zero_depth_reports_no_echo(self):
+        # Without a comb the recycled probe rings about 4e-6 into the
+        # echo window; like extract_train, that window holds no echo.
+        pulse = PulseSpec(sigma=5.0)
+        result = two_pass_interfere(
+            CombSpec(shape=CombShape.SQUARE, half_width=0.2),
+            MediumSpec(d_p=0.0),
+            pulse=pulse,
+            grid=FrequencyGrid.for_pulse(pulse, span_factor=4.0, samples=4096),
+            oversample=8,
+        )
+        assert result.closed_efficiency == 0.0
+        assert result.simulated_efficiency == 0.0
+
+
+class TestTwoPassAboveUnity:
+    """The unit-weight sum ``I1 (1 + C0)^2`` exceeds 1 for square teeth."""
+
+    @staticmethod
+    def _best(finesse):
+        comb = CombSpec.from_finesse(CombShape.SQUARE, finesse)
+
+        def recall(d_p):
+            return two_pass_interfere(
+                comb, MediumSpec(d_p), simulate=False
+            ).closed_efficiency
+
+        return golden_section_max(recall, 0.5 * finesse, 3.0 * finesse, tol=1e-10)
+
+    def test_crosses_unity_at_finesse_6_2561(self):
+        d_p, best = self._best(6.2561)
+        assert d_p == pytest.approx(9.486, abs=1e-3)
+        assert best == pytest.approx(1.0, abs=1e-5)
+        assert self._best(6.25)[1] < 1.0 < self._best(6.27)[1]
+
+    def test_supremum_at_large_finesse(self):
+        # as F grows, x = d_p / F and the recall tends to
+        # x^2 exp(-x) (1 + exp(-x / 2))^2, maximal at x = 1.5162
+        finesse = 1e6
+        d_p, best = self._best(finesse)
+        assert d_p / finesse == pytest.approx(1.5162, abs=1e-4)
+        assert best == pytest.approx(1.08847, abs=1e-5)
+        assert 1.0 < self._best(100.0)[1] < best
 
 
 class TestTimeBinQubit:

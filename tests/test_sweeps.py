@@ -1,6 +1,7 @@
 """Parameter sweeps, golden-section refinement, optimal-recall curve."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -185,6 +186,14 @@ class TestTwoPassSweep:
         )
         row = next(r for r in result.rows if r.value == 10.0)
         assert row.efficiency == pytest.approx(0.8864297147112277, rel=1e-12)
+
+    def test_closed_sweep_builds_no_grid(self):
+        # grid settings only matter when simulating
+        request = SweepRequest(
+            axis=SweepAxis("d_p", 8.0, 12.0, 5), kind=SweepKind.TWO_PASS, refine=False
+        )
+        odd = replace(request, samples=3, span_factor=-1.0)
+        assert sweep(odd).rows == sweep(request).rows
 
 
 class TestSimulatedSweep:

@@ -4,27 +4,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afcsim.combs import CombSpec, CombShape, MediumSpec
 from afcsim.propagation import TransferModel
 from afcsim.train import (
     BroadenedCoefficients,
-    Provenance,
     TrainCoefficients,
     broadened_A_coefficients,
+    closed_train,
     coefficients_numeric,
     first_echo_amplitude,
     first_echo_intensity,
-    harmonic_train,
     ideal_limit_intensity,
-    lorentzian_train,
     optimal_depth,
     prompt_attenuation,
-    series_coefficients_square,
 )
 
 SQUARE_F5 = CombSpec(shape=CombShape.SQUARE, half_width=0.2)
+HARMONIC = CombSpec(shape=CombShape.HARMONIC)
+LORENTZIAN_F5 = CombSpec(shape=CombShape.LORENTZIAN, half_width=0.2)
 DEPTH_10 = MediumSpec(d_p=10.0)
+DEPTH_4 = MediumSpec(d_p=4.0)
 
 
 class TestClosedForms:
@@ -98,23 +100,22 @@ class TestClosedForms:
 
 class TestSquareRecursion:
     def test_reference_values(self):
-        train = series_coefficients_square(10.0, 5.0, 3)
+        train = closed_train(SQUARE_F5, DEPTH_10, 3)
         assert train.prompt_factor == pytest.approx(math.exp(-1.0), rel=1e-15)
         np.testing.assert_allclose(
             train.values,
             [1.0, 1.87097857, 0.23662694, -0.73133183],
             atol=1e-7,
         )
-        assert train.provenance is Provenance.CLOSED
 
     def test_first_order_matches_closed_form(self):
-        train = series_coefficients_square(10.0, 5.0, 1, gamma_over_nu0=0.005)
+        train = closed_train(SQUARE_F5.with_gamma(0.005), DEPTH_10, 1)
         assert train.intensity(1) == pytest.approx(
             first_echo_intensity(SQUARE_F5.with_gamma(0.005), DEPTH_10), rel=1e-12
         )
 
     def test_accessors(self):
-        train = series_coefficients_square(10.0, 5.0, 3)
+        train = closed_train(SQUARE_F5, DEPTH_10, 3)
         assert train.k_max == 3
         assert train.amplitude(0) == pytest.approx(train.prompt_factor)
         assert train.intensity(1) == pytest.approx(abs(train.amplitude(1)) ** 2)
@@ -127,19 +128,20 @@ class TestSquareRecursion:
     def test_growth_bound(self):
         # |a_k| C0 <= d^k / k! for the orders the recursion is used at
         for finesse, d_p in [(2.0, 4.0), (5.0, 10.0), (10.0, 20.0)]:
-            train = series_coefficients_square(d_p, finesse, 10)
+            comb = CombSpec.from_finesse(CombShape.SQUARE, finesse)
+            train = closed_train(comb, MediumSpec(d_p), 10)
             bound = np.array([d_p**k / math.factorial(k) for k in range(11)])
             scaled = np.abs(train.values) * math.exp(-0.5 * d_p / finesse)
             assert np.all(scaled <= bound * (1.0 + 1e-12))
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            series_coefficients_square(10.0, 5.0, -1)
+            closed_train(SQUARE_F5, DEPTH_10, -1)
 
 
 class TestHarmonicTrain:
     def test_poisson_amplitudes(self):
-        train = harmonic_train(4.0, 6)
+        train = closed_train(HARMONIC, DEPTH_4, 6)
         k = np.arange(7)
         np.testing.assert_allclose(
             train.values, 1.0 / np.array([math.factorial(int(m)) for m in k]),
@@ -148,34 +150,33 @@ class TestHarmonicTrain:
         assert train.prompt_factor == pytest.approx(math.exp(-1.0))
 
     def test_first_echo_at_optimal_depth(self):
-        train = harmonic_train(4.0, 1)
+        train = closed_train(HARMONIC, DEPTH_4, 1)
         assert train.intensity(1) == pytest.approx(0.1353352832366127, rel=1e-12)
 
     def test_amplitude_sum_is_unity(self):
         # sum_k C0 (d/4)^k / k! telescopes to 1 for any depth
         for d_p in (1.0, 4.0, 10.0):
-            train = harmonic_train(d_p, 40)
+            train = closed_train(HARMONIC, MediumSpec(d_p), 40)
             total = train.prompt_factor * train.values.sum()
             assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            harmonic_train(4.0, -1)
+            closed_train(HARMONIC, DEPTH_4, -1)
 
 
 class TestLorentzianTrain:
     def test_first_order_matches_closed_form(self):
-        comb = CombSpec(shape=CombShape.LORENTZIAN, half_width=0.2)
-        train = lorentzian_train(10.0, 5.0, 1)
+        train = closed_train(LORENTZIAN_F5, DEPTH_10, 1)
         assert train.amplitude(1) == pytest.approx(
-            first_echo_amplitude(comb, DEPTH_10), rel=1e-12
+            first_echo_amplitude(LORENTZIAN_F5, DEPTH_10), rel=1e-12
         )
         assert train.prompt_factor == pytest.approx(
-            prompt_attenuation(comb, DEPTH_10), rel=1e-15
+            prompt_attenuation(LORENTZIAN_F5, DEPTH_10), rel=1e-15
         )
 
     def test_alternating_signs_from_negative_q(self):
-        train = lorentzian_train(10.0, 5.0, 4)
+        train = closed_train(LORENTZIAN_F5, DEPTH_10, 4)
         b1 = math.pi * 10.0 / 10.0 * math.exp(-math.pi / 5.0)
         assert train.values[1] == pytest.approx(b1, rel=1e-12)
         # a2 = b1^2/2 + b2 with b2 = -(pi d/2F) q^2 < 0
@@ -184,31 +185,30 @@ class TestLorentzianTrain:
 
     def test_rejects_negative_order(self):
         with pytest.raises(ValueError):
-            lorentzian_train(10.0, 5.0, -1)
+            closed_train(LORENTZIAN_F5, DEPTH_10, -1)
 
 
 class TestNumericProjection:
     def test_square_series_projection_is_exact(self):
-        closed = series_coefficients_square(10.0, 5.0, 6)
+        closed = closed_train(SQUARE_F5, DEPTH_10, 6)
         numeric = coefficients_numeric(
             SQUARE_F5, DEPTH_10, 6, model=TransferModel.IDEAL, harmonics=2000
         )
-        assert numeric.provenance is Provenance.NUMERIC
         assert np.abs(numeric.values - closed.values).max() < 1e-12
         assert abs(numeric.prompt_factor - closed.prompt_factor) < 1e-14
 
     def test_resummed_square_agrees_with_long_series(self):
-        closed = series_coefficients_square(10.0, 5.0, 6)
+        closed = closed_train(SQUARE_F5, DEPTH_10, 6)
         numeric = coefficients_numeric(
             SQUARE_F5, DEPTH_10, 6, model=TransferModel.IDEAL, harmonics=None
         )
         assert np.abs(numeric.values - closed.values).max() < 1e-4
 
     def test_harmonic_projection_matches_poisson(self):
-        closed = harmonic_train(4.0, 6)
+        closed = closed_train(HARMONIC, DEPTH_4, 6)
         numeric = coefficients_numeric(
-            CombSpec(shape=CombShape.HARMONIC),
-            MediumSpec(d_p=4.0),
+            HARMONIC,
+            DEPTH_4,
             6,
             model=TransferModel.BROADENED,
         )
@@ -216,14 +216,23 @@ class TestNumericProjection:
         assert abs(numeric.prompt_factor - closed.prompt_factor) < 1e-14
 
     def test_lorentzian_projection_matches_recursion(self):
-        closed = lorentzian_train(10.0, 5.0, 5)
+        closed = closed_train(LORENTZIAN_F5, DEPTH_10, 5)
         numeric = coefficients_numeric(
-            CombSpec(shape=CombShape.LORENTZIAN, half_width=0.2),
+            LORENTZIAN_F5,
             DEPTH_10,
             5,
             model=TransferModel.BROADENED,
         )
         assert np.abs(numeric.values - closed.values).max() < 1e-13
+
+    def test_square_series_rejects_broadening(self):
+        # the truncated series is unbroadened whatever the harmonic count
+        broadened = SQUARE_F5.with_gamma(0.05)
+        for harmonics in (2000, None):
+            with pytest.raises(ValueError, match="ideal square model has no broadening"):
+                coefficients_numeric(
+                    broadened, DEPTH_10, 3, model="ideal", harmonics=harmonics
+                )
 
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
@@ -234,6 +243,37 @@ class TestNumericProjection:
             coefficients_numeric(
                 SQUARE_F5, DEPTH_10, 3, harmonics=2**18, resolution=2**18
             )
+
+
+class TestClosedTrainProperties:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shape=st.sampled_from(list(CombShape)),
+        finesse=st.floats(1.5, 50.0),
+        d_p=st.floats(0.0, 40.0),
+        gamma=st.floats(0.0, 0.05),
+        k_max=st.integers(0, 6),
+    )
+    def test_matches_numeric_projection(self, shape, finesse, d_p, gamma, k_max):
+        # Square teeth have a periodic form only as the unbroadened
+        # series.  a_0 .. a_k depend on b_1 .. b_k alone, so any series
+        # length from k_max up projects to the same train; 256 terms
+        # keep the aliasing of exp(series) on 2^13 points below 1e-10,
+        # where 2000 terms need 2^16 points.
+        if shape is CombShape.SQUARE:
+            comb = CombSpec.from_finesse(shape, finesse)
+            model, harmonics = TransferModel.IDEAL, 256
+        else:
+            comb = CombSpec(shape=shape, half_width=1.0 / finesse, gamma=gamma)
+            model, harmonics = TransferModel.BROADENED, None
+        medium = MediumSpec(d_p=d_p)
+        closed = closed_train(comb, medium, k_max)
+        numeric = coefficients_numeric(
+            comb, medium, k_max, model=model, harmonics=harmonics, resolution=2**13
+        )
+        scale = np.abs(closed.values).max()
+        assert np.abs(numeric.values - closed.values).max() <= 1e-9 * scale
+        assert numeric.prompt_factor == pytest.approx(closed.prompt_factor, rel=1e-9)
 
 
 class TestBroadenedCoefficients:
