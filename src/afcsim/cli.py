@@ -34,7 +34,7 @@ from .propagation import (
     gaussian_spectrum,
     transmit,
 )
-from .protocols import single_pass, two_pass_interfere
+from .protocols import recall
 from .reproduce import TARGETS, run_target
 from .sweeps import SweepAxis, SweepKind, SweepRequest, sweep
 from .train import closed_train
@@ -250,7 +250,7 @@ def _propagated(config: RunConfig):
         config.harmonics,
     )
     spectrum = gaussian_spectrum(PulseSpec(sigma=config.sigma), grid)
-    _, signal, reference = transmit(spectrum, transfer, config.oversample)
+    signal, reference = transmit(spectrum, transfer, config.oversample)
     return comb, signal, reference
 
 
@@ -282,6 +282,17 @@ def _relative_error(value: float, closed: float) -> tuple[float | str, str]:
         rel = value / closed - 1.0
         return rel, f"{rel:+.2e}"
     return "", "n/a"
+
+
+def _warn_above_unity(efficiency: float) -> None:
+    """Flag a reported recall above 1 on stderr; CSVs and exit code stay."""
+    if efficiency > 1.0:
+        print(
+            f"warning: recall efficiency {efficiency:.6f} is above 1, more "
+            "energy than the input; the two-pass recall I1 (1 + C0)^2 adds "
+            "both echoes at unit weight",
+            file=sys.stderr,
+        )
 
 
 def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
@@ -328,31 +339,21 @@ def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
 def cmd_protocol(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
-    if config.passes not in (1, 2):
-        raise ValueError(f"passes must be 1 or 2, got {config.passes}")
-    comb = _comb(config)
-    medium = MediumSpec(config.d_p)
-    pulse = PulseSpec(sigma=config.sigma)
-    kwargs = dict(
-        pulse=pulse,
+    result = recall(
+        _comb(config),
+        MediumSpec(config.d_p),
+        passes=config.passes,
+        pulse=PulseSpec(sigma=config.sigma),
         grid=_grid(config),
         model=TransferModel(config.model),
         harmonics=config.harmonics,
+        k_max=config.k_max,
         oversample=config.oversample,
+        mismatch_time=config.mismatch_time,
+        mismatch_phase=config.mismatch_phase,
         simulate=config.simulate,
     )
-    if config.passes == 2:
-        result = two_pass_interfere(
-            comb,
-            medium,
-            mismatch_time=config.mismatch_time,
-            mismatch_phase=config.mismatch_phase,
-            **kwargs,
-        )
-        label = "two-pass"
-    else:
-        result = single_pass(comb, medium, k_max=config.k_max, **kwargs)
-        label = "first-echo"
+    label = "two-pass" if config.passes == 2 else "first-echo"
     simulated = result.simulated_efficiency
     rel, rel_text = (
         (math.nan, "")
@@ -393,6 +394,7 @@ def cmd_protocol(
             f"simulated={simulated:.6f} rel={rel_text}"
         )
     print(f"wrote {path} (1 rows)")
+    _warn_above_unity(max(result.closed_efficiency, simulated or 0.0))
     return 0
 
 
@@ -440,6 +442,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
         f"efficiency={result.best_efficiency:.6f}{refined}"
     )
     print(f"wrote {path} ({len(rows)} rows)")
+    _warn_above_unity(result.best_efficiency)
     return 0
 
 

@@ -287,20 +287,19 @@ def transmit(
     transfer: TransferFunction,
     oversample: int = 16,
     reference_window: tuple[float, float] | None = None,
-) -> tuple[TimeSignal, TimeSignal, float]:
+) -> tuple[TimeSignal, float]:
     """Send an input spectrum through the medium.
 
-    Returns the input signal, the output signal and the input peak
-    intensity inside ``reference_window`` (the whole time window by
-    default).  Simulated intensities are quoted relative to that peak,
-    so grid truncation cancels.
+    Returns the output signal and the input peak intensity inside
+    ``reference_window`` (the whole time window by default).  Simulated
+    intensities are quoted relative to that peak, so grid truncation
+    cancels.
     """
     incoming = spectrum_to_signal(spectrum, transfer.grid, oversample)
     if reference_window is None:
         reference_window = (incoming.times[0], incoming.times[-1] + incoming.dt)
     amplitude, _ = peak_in_window(incoming, *reference_window)
-    outgoing = propagate(spectrum, transfer, oversample)
-    return incoming, outgoing, abs(amplitude) ** 2
+    return propagate(spectrum, transfer, oversample), abs(amplitude) ** 2
 
 
 @dataclass(frozen=True)

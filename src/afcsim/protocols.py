@@ -22,7 +22,6 @@ from .propagation import (
     TimeSignal,
     TransferFunction,
     TransferModel,
-    _echo_peak,
     build_transfer,
     extract_train,
     gaussian_spectrum,
@@ -36,65 +35,26 @@ __all__ = [
     "ProtocolResult",
     "TimeBinQubit",
     "TimeBinResult",
-    "single_pass",
-    "two_pass_interfere",
+    "recall",
     "timebin_transform",
     "timebin_spectrum",
 ]
 
 @dataclass(frozen=True)
 class ProtocolResult:
-    """Closed-form and simulated figures of merit for one protocol run."""
+    """Closed-form and simulated figures of merit for one protocol run.
+
+    ``signal`` is the output field the train was read from; any energy a
+    caller needs is ``signal.energy(lo, hi)``.  With two passes it is the
+    first-pass output plus the second-pass output, so its echo 0 holds
+    both prompts.  Without a simulation, ``train`` and ``signal`` are
+    None.
+    """
 
     closed_efficiency: float
     simulated_efficiency: float | None
     train: PulseTrain | None
-    energies: dict[str, float] | None
-
-
-def single_pass(
-    comb: CombSpec,
-    medium: MediumSpec,
-    *,
-    pulse: PulseSpec | None = None,
-    grid: FrequencyGrid | None = None,
-    model: TransferModel = TransferModel.BROADENED,
-    harmonics: int | None = 2000,
-    k_max: int = 5,
-    oversample: int = 16,
-    simulate: bool = True,
-) -> ProtocolResult:
-    """Store one pulse, read the echo train, report the first-echo efficiency.
-
-    The closed-form efficiency is the periodic-comb expression; the
-    simulation uses the requested transfer model on a grid defaulting
-    to :meth:`FrequencyGrid.for_pulse`.
-    """
-    closed = first_echo_intensity(comb, medium)
-    if not simulate:
-        return ProtocolResult(closed, None, None, None)
-    pulse = pulse or PulseSpec()
-    grid = grid or FrequencyGrid.for_pulse(pulse)
-    transfer = build_transfer(comb, medium, grid, model, harmonics)
-    incoming, output, reference = transmit(
-        gaussian_spectrum(pulse, grid), transfer, oversample
-    )
-    train = extract_train(
-        output,
-        comb.delay_time,
-        k_max,
-        reference_intensity=reference,
-    )
-    energies = {
-        "input": incoming.energy(),
-        "transmitted": output.energy(),
-    }
-    return ProtocolResult(
-        closed_efficiency=closed,
-        simulated_efficiency=train.intensity(1),
-        train=train,
-        energies=energies,
-    )
+    signal: TimeSignal | None
 
 
 def _second_pass(
@@ -126,29 +86,37 @@ def _second_pass(
     return spectrum_to_signal(band, grid, padded.size // grid.samples)
 
 
-def two_pass_interfere(
+def recall(
     comb: CombSpec,
     medium: MediumSpec,
     *,
+    passes: int = 1,
     pulse: PulseSpec | None = None,
     grid: FrequencyGrid | None = None,
     model: TransferModel = TransferModel.BROADENED,
     harmonics: int | None = 2000,
+    k_max: int = 5,
     oversample: int = 16,
     mismatch_time: float = 0.0,
     mismatch_phase: float = 0.0,
     simulate: bool = True,
 ) -> ProtocolResult:
-    """Recycle the transmitted prompt through the comb once more.
+    """Store one pulse and report the first-echo recall efficiency.
 
-    The echo the second pass creates overlaps the first-pass echo; for
-    matched paths the fields add as ``C1 (1 + C0)``, which boosts the
-    recalled intensity to ``I1 (1 + C0)^2``.  The closed form is quoted
-    for matched paths; ``mismatch_time`` (a delay on the recycled path)
-    and ``mismatch_phase`` affect only the simulation, letting the
-    interference be detuned on purpose.  The recalled echo is read with
-    the empty-window rule of :func:`afcsim.propagation.extract_train`,
-    so a window without an echo gives a simulated efficiency of 0.
+    The closed form is the first-echo intensity ``I1`` of the periodic
+    comb.  The simulation sends the pulse through the requested transfer
+    model on a grid defaulting to :meth:`FrequencyGrid.for_pulse`, reads
+    echoes ``0 .. k_max`` with :func:`afcsim.propagation.extract_train`
+    and quotes echo 1, so a window without an echo gives 0.
+
+    With ``passes = 2`` the transmitted prompt, the output in
+    ``[-T/2, T/2)``, is sent through the comb once more.  The echo the
+    second pass creates overlaps the first-pass echo; for matched paths
+    the fields add as ``C1 (1 + C0)``, which boosts the recall to
+    ``I1 (1 + C0)^2``.  The closed form is quoted for matched paths;
+    ``mismatch_time`` (a delay on the recycled path) and
+    ``mismatch_phase`` act only on the simulated second pass, letting
+    the interference be detuned on purpose.
 
     The two fields add at unit weight, so the recall can exceed 1: for
     unbroadened square teeth the optimum over ``d_p`` of
@@ -156,39 +124,29 @@ def two_pass_interfere(
     rises with ``F`` towards a supremum of 1.08847, reached at
     ``d_p / F = 1.5162``.
     """
-    c0 = prompt_attenuation(comb, medium)
-    closed = first_echo_intensity(comb, medium) * (1.0 + c0) ** 2
+    if passes not in (1, 2):
+        raise ValueError(f"passes must be 1 or 2, got {passes}")
+    closed = first_echo_intensity(comb, medium)
+    if passes == 2:
+        closed *= (1.0 + prompt_attenuation(comb, medium)) ** 2
     if not simulate:
         return ProtocolResult(closed, None, None, None)
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1 to read the first echo, got {k_max}")
     pulse = pulse or PulseSpec()
     grid = grid or FrequencyGrid.for_pulse(pulse)
     transfer = build_transfer(comb, medium, grid, model, harmonics)
-    incoming, first, reference = transmit(
-        gaussian_spectrum(pulse, grid), transfer, oversample
+    signal, reference = transmit(gaussian_spectrum(pulse, grid), transfer, oversample)
+    if passes == 2:
+        half = 0.5 * comb.delay_time
+        second = _second_pass(
+            signal, transfer, (-half, half), mismatch_time, mismatch_phase
+        )
+        signal = TimeSignal(times=signal.times, values=signal.values + second.values)
+    train = extract_train(
+        signal, comb.delay_time, k_max, reference_intensity=reference
     )
-    half = 0.5 * comb.delay_time
-    center = pulse.center
-    second = _second_pass(
-        first,
-        transfer,
-        window=(center - half, center + half),
-        mismatch_time=mismatch_time,
-        mismatch_phase=mismatch_phase,
-    )
-    combined = TimeSignal(times=first.times, values=first.values + second.values)
-    echo_window = (center + half, center + 3.0 * half)
-    peak = _echo_peak(combined, *echo_window, 0.5 * half)
-    simulated = 0.0 if peak is None else abs(peak[0]) ** 2 / reference
-    energies = {
-        "input": incoming.energy(),
-        "echo_window": combined.energy(*echo_window),
-    }
-    return ProtocolResult(
-        closed_efficiency=closed,
-        simulated_efficiency=simulated,
-        train=None,
-        energies=energies,
-    )
+    return ProtocolResult(closed, train.intensity(1), train, signal)
 
 
 @dataclass(frozen=True)
@@ -255,7 +213,7 @@ def timebin_transform(
     amplitude ratio and relative phase exactly; the protocol changes
     only the overall recalled fraction (``C1^2``, or
     ``C1^2 (1 + C0)^2`` when the prompt is recycled in a second pass;
-    like :func:`two_pass_interfere`, that factor exceeds 1 for square
+    like :func:`recall` with two passes, that factor exceeds 1 for square
     teeth above ``F = 6.2561`` near the optimal depth).
     """
     if passes not in (1, 2):

@@ -23,12 +23,10 @@ from .propagation import (
     PulseSpec,
     TransferModel,
     build_transfer,
-    extract_train,
-    gaussian_spectrum,
     peak_in_window,
     transmit,
 )
-from .protocols import TimeBinQubit, single_pass, timebin_spectrum, two_pass_interfere
+from .protocols import TimeBinQubit, recall, timebin_spectrum
 from .susceptibility import (
     chi_square_series,
     epsilon_broadened,
@@ -249,13 +247,11 @@ def _echo_train(
                 CombShape.SQUARE, finesse, pair_count=40, gamma=gamma
             )
             model, harmonics = TransferModel.BROADENED, None
-        pulse = PulseSpec(sigma=5.0)
-        grid = FrequencyGrid.for_pulse(pulse)
-        transfer = build_transfer(comb, MediumSpec(d_p), grid, model, harmonics)
-        _, signal, reference = transmit(gaussian_spectrum(pulse, grid), transfer)
-        train = extract_train(
-            signal, comb.delay_time, 3, reference_intensity=reference
+        result = recall(
+            comb, MediumSpec(d_p), model=model, harmonics=harmonics, k_max=3
         )
+        signal, train = result.signal, result.train
+        reference = train.reference_intensity
         closed = closed_train(comb, MediumSpec(d_p), 3)
         trace_path = out_dir / f"{name}.csv"
         write_csv(
@@ -333,7 +329,7 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
     half = 0.5 * qubit.tau
     # The early input bin's peak is the reference, so c1 cancels and
     # the normalised recall compares directly with the echo efficiency.
-    _, signal, reference = transmit(
+    signal, reference = transmit(
         timebin_spectrum(qubit, grid), transfer, reference_window=(-half, half)
     )
     bins = {}
@@ -384,7 +380,7 @@ def _efficiency_point(
     d_p: float,
     expected: float,
     tol: float,
-    two_pass: bool,
+    passes: int,
 ) -> Callable[[Path], TargetReport]:
     """Closed-form efficiency pin plus simulation agreement."""
 
@@ -392,8 +388,7 @@ def _efficiency_point(
         comb = CombSpec.from_finesse(
             CombShape.SQUARE, finesse, pair_count=40, gamma=0.005
         )
-        runner = two_pass_interfere if two_pass else single_pass
-        result = runner(comb, MediumSpec(d_p))
+        result = recall(comb, MediumSpec(d_p), passes=passes)
         path = out_dir / f"{name}.csv"
         write_csv(
             path,
@@ -407,7 +402,7 @@ def _efficiency_point(
             ),
             [
                 (
-                    "two-pass" if two_pass else "first-echo",
+                    "two-pass" if passes == 2 else "first-echo",
                     finesse,
                     d_p,
                     0.005,
@@ -545,19 +540,19 @@ TARGETS: dict[str, tuple[str, Callable[[Path], TargetReport]]] = {
     ),
     "efficiency-017": (
         "first-echo efficiency 0.17 at depth 3",
-        _efficiency_point("efficiency-017", 5.0, 3.0, 0.17, 5e-3, two_pass=False),
+        _efficiency_point("efficiency-017", 5.0, 3.0, 0.17, 5e-3, passes=1),
     ),
     "efficiency-046": (
         "first-echo efficiency 0.46 at depth 10",
-        _efficiency_point("efficiency-046", 5.0, 10.0, 0.46, 5e-3, two_pass=False),
+        _efficiency_point("efficiency-046", 5.0, 10.0, 0.46, 5e-3, passes=1),
     ),
     "efficiency-086": (
         "two-pass recall 0.86 at finesse 5, depth 10",
-        _efficiency_point("efficiency-086", 5.0, 10.0, 0.86, 1e-2, two_pass=True),
+        _efficiency_point("efficiency-086", 5.0, 10.0, 0.86, 1e-2, passes=2),
     ),
     "efficiency-095": (
         "two-pass recall 0.95 at finesse 10, depth 20",
-        _efficiency_point("efficiency-095", 10.0, 20.0, 0.95, 1e-2, two_pass=True),
+        _efficiency_point("efficiency-095", 10.0, 20.0, 0.95, 1e-2, passes=2),
     ),
     "harmonic-comb-train": (
         "factorial echo train of the raised-cosine comb",

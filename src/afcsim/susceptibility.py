@@ -207,7 +207,10 @@ def _finite_comb(
         packed.real = absorption
         packed.imag = dispersion
         return packed
-    absorption = (np.arctan(up / gamma) - np.arctan(lo / gamma)).sum(axis=-1) / np.pi
+    # A subnormal gamma overflows the ratios to +-inf, whose arctan is
+    # the exact sharp step.
+    with np.errstate(over="ignore"):
+        absorption = (np.arctan(up / gamma) - np.arctan(lo / gamma)).sum(axis=-1) / np.pi
     dispersion = -(0.5 / np.pi) * np.log(
         (up**2 + gamma**2) / (lo**2 + gamma**2)
     ).sum(axis=-1)

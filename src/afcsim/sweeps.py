@@ -17,7 +17,7 @@ from .propagation import (
     PulseSpec,
     TransferModel,
 )
-from .protocols import single_pass, two_pass_interfere
+from .protocols import recall
 from .train import closed_train, ideal_limit_intensity, optimal_depth
 
 __all__ = [
@@ -161,24 +161,21 @@ def _efficiency(request: SweepRequest, value: float, simulate: bool) -> float:
     sweep accepts any ``samples`` and ``span_factor``.
     """
     comb, medium = _combination(request, value)
-    kwargs = {}
-    if simulate:
-        pulse = PulseSpec(sigma=request.sigma)
-        kwargs = dict(
-            pulse=pulse,
-            grid=FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples),
-            model=request.model,
-            harmonics=request.harmonics,
-            oversample=request.oversample,
-        )
-    if request.kind is SweepKind.TWO_PASS:
-        result = two_pass_interfere(comb, medium, simulate=simulate, **kwargs)
-    else:
-        result = single_pass(
-            comb, medium, k_max=request.k_max, simulate=simulate, **kwargs
-        )
+    passes = 2 if request.kind is SweepKind.TWO_PASS else 1
     if not simulate:
-        return result.closed_efficiency
+        return recall(comb, medium, passes=passes, simulate=False).closed_efficiency
+    pulse = PulseSpec(sigma=request.sigma)
+    result = recall(
+        comb,
+        medium,
+        passes=passes,
+        pulse=pulse,
+        grid=FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples),
+        model=request.model,
+        harmonics=request.harmonics,
+        k_max=request.k_max,
+        oversample=request.oversample,
+    )
     assert result.simulated_efficiency is not None
     return result.simulated_efficiency
 

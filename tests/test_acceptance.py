@@ -21,7 +21,7 @@ from afcsim.propagation import (
     spectrum_to_signal,
     transfer_exponent,
 )
-from afcsim.protocols import TimeBinQubit, single_pass, timebin_transform, two_pass_interfere
+from afcsim.protocols import TimeBinQubit, recall, timebin_transform
 from afcsim.susceptibility import (
     chi_square_series,
     epsilon_broadened,
@@ -146,7 +146,7 @@ def test_criterion_5_physical_units_storage():
         ("echo delay is 0.5 us", scale.time_s(1.0) == 5e-7),
     ]
     for d_p, pin in ((3.0, 0.17), (10.0, 0.46)):
-        result = single_pass(
+        result = recall(
             comb, MediumSpec(d_p), pulse=PULSE, grid=GRID, oversample=16
         )
         checks.append(
@@ -171,8 +171,8 @@ def test_criterion_6_two_pass_recovery():
         comb = CombSpec(
             shape=CombShape.SQUARE, half_width=half_width, gamma=0.005, pair_count=40
         )
-        result = two_pass_interfere(
-            comb, MediumSpec(d_p), pulse=PULSE, grid=GRID, oversample=16
+        result = recall(
+            comb, MediumSpec(d_p), passes=2, pulse=PULSE, grid=GRID, oversample=16
         )
         label = f"F={comb.finesse:g} d_p={d_p:g}"
         checks.append(
@@ -201,7 +201,7 @@ def test_criterion_7_multi_echo_trains():
         (5.0, 42.0, 3),
     ):
         comb = CombSpec(shape=CombShape.SQUARE, half_width=1.0 / finesse)
-        result = single_pass(
+        result = recall(
             comb,
             MediumSpec(d_p),
             pulse=PULSE,

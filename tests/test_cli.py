@@ -226,6 +226,46 @@ class TestSubcommands:
         assert main(["--config", str(path), "--out", str(tmp_path), "protocol"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_protocol_needs_first_echo(self, tmp_path, capsys, passes):
+        text = FAST_SIM.replace("k_max = 3", "k_max = 0") + f"passes = {passes}\n"
+        path = _write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path), "protocol"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: k_max must be >= 1 to read the first echo, got 0\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize(
+        ("extra", "warned"),
+        [("", False), ("finesse = 20.0\nd_p = 36.0\npasses = 2\n", True)],
+        ids=["below-one", "above-one"],
+    )
+    def test_protocol_warns_above_unity(self, tmp_path, capsys, extra, warned):
+        text = FAST_SIM.replace("k_max = 3\n", "") + extra
+        path = _write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path), "protocol"]) == 0
+        captured = capsys.readouterr()
+        assert "closed=" in captured.out
+        lines = captured.err.splitlines()
+        if warned:
+            assert len(lines) == 1
+            assert lines[0].startswith("warning: recall efficiency 1.01")
+        else:
+            assert lines == []
+
+    def test_sweep_warns_above_unity(self, tmp_path, capsys):
+        path = _write_config(
+            tmp_path,
+            "finesse = 10.0\ngamma = 0.005\npair_count = 40\n"
+            "sweep_protocol = two-pass\n",
+        )
+        assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 0
+        captured = capsys.readouterr()
+        assert "best d_p=15.16" in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("warning: recall efficiency 1.020558 is above 1")
+
     def test_sweep_writes_rows_and_best(self, tmp_path, capsys):
         path = _write_config(
             tmp_path,
@@ -302,10 +342,18 @@ class TestErrorPaths:
             assert setting in err
         assert not (tmp_path / "train.csv").exists()
 
-    @pytest.mark.parametrize("command", ["train", "propagate"])
-    def test_short_time_window_exits_one(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize(
+        ("command", "extra"),
+        [
+            pytest.param("train", "", id="train"),
+            pytest.param("propagate", "", id="propagate"),
+            pytest.param("protocol", "", id="protocol"),
+            pytest.param("protocol", "passes = 2\n", id="protocol-two-pass"),
+        ],
+    )
+    def test_short_time_window_exits_one(self, tmp_path, capsys, command, extra):
         # echo 8 lies past the 6.4 T window and would alias to negative times
-        path = _write_config(tmp_path, "samples = 256\nk_max = 8\n")
+        path = _write_config(tmp_path, "samples = 256\nk_max = 8\n" + extra)
         assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
         err = capsys.readouterr().err
         assert "too short for echo k_max = 8" in err

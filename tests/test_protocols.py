@@ -1,24 +1,27 @@
 """Storage protocols: echo recall, two-pass interference, time-bin states."""
 
 import cmath
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afcsim.combs import CombSpec, CombShape, MediumSpec
 from afcsim.propagation import (
     FrequencyGrid,
     PulseSpec,
+    gaussian_spectrum,
     peak_in_window,
     spectrum_to_signal,
 )
 from afcsim.protocols import (
     TimeBinQubit,
-    single_pass,
+    recall,
     timebin_spectrum,
     timebin_transform,
-    two_pass_interfere,
 )
 from afcsim.sweeps import golden_section_max
 from afcsim.train import first_echo_intensity, prompt_attenuation
@@ -28,25 +31,28 @@ COMB = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005, pair_count=
 MEDIUM = MediumSpec(d_p=10.0)
 PULSE = PulseSpec(sigma=5.0)
 GRID = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**13)
+INPUT_ENERGY = spectrum_to_signal(gaussian_spectrum(PULSE, GRID), GRID, 8).energy()
 
 
 def _run_single(**kwargs):
-    return single_pass(COMB, MEDIUM, pulse=PULSE, grid=GRID, oversample=8, **kwargs)
+    return recall(COMB, MEDIUM, pulse=PULSE, grid=GRID, oversample=8, **kwargs)
 
 
 def _run_two_pass(**kwargs):
-    return two_pass_interfere(COMB, MEDIUM, pulse=PULSE, grid=GRID, oversample=8, **kwargs)
+    return recall(
+        COMB, MEDIUM, passes=2, pulse=PULSE, grid=GRID, oversample=8, **kwargs
+    )
 
 
 class TestSinglePass:
     def test_closed_form_only(self):
-        result = single_pass(COMB, MEDIUM, simulate=False)
+        result = recall(COMB, MEDIUM, simulate=False)
         assert result.closed_efficiency == pytest.approx(
             first_echo_intensity(COMB, MEDIUM), rel=1e-15
         )
         assert result.simulated_efficiency is None
         assert result.train is None
-        assert result.energies is None
+        assert result.signal is None
 
     def test_simulation_matches_closed_form(self):
         result = _run_single()
@@ -62,7 +68,7 @@ class TestSinglePass:
     def test_train_and_energy_bookkeeping(self):
         result = _run_single(k_max=3)
         assert [e.index for e in result.train.entries] == [0, 1, 2, 3]
-        assert result.energies["transmitted"] < result.energies["input"]
+        assert result.signal.energy() < INPUT_ENERGY
         # echoes arrive at multiples of the rephasing delay
         for entry in result.train.entries[1:]:
             assert entry.arrival == pytest.approx(
@@ -70,9 +76,60 @@ class TestSinglePass:
             )
 
 
+class TestRecallChecks:
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_simulation_needs_first_echo(self, passes):
+        with pytest.raises(ValueError, match="k_max must be >= 1 .* got 0"):
+            _run_single(passes=passes, k_max=0)
+        # the closed form reads no train
+        closed = recall(COMB, MEDIUM, passes=passes, k_max=0, simulate=False)
+        assert closed.closed_efficiency > 0.0
+
+    @pytest.mark.parametrize("passes", [1, 2])
+    def test_short_time_window(self, passes):
+        # 64 samples end the window at 1.6 T: echo 3 would wrap to -0.2 T,
+        # inside the prompt window the second pass recycles
+        grid = FrequencyGrid.for_pulse(PULSE, span_factor=4.0, samples=64)
+        with pytest.raises(ValueError, match="ends at 1.6 T, too short for echo"):
+            recall(COMB, MEDIUM, passes=passes, pulse=PULSE, grid=grid, k_max=8)
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_recall(passes):
+    return _linear_recall(passes, PULSE)
+
+
+def _linear_recall(passes, pulse):
+    grid = FrequencyGrid.for_pulse(pulse, span_factor=6.0, samples=2**12)
+    return recall(
+        COMB, MEDIUM, passes=passes, pulse=pulse, grid=grid, k_max=3, oversample=4
+    ).train
+
+
+class TestLinearity:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        log_amplitude=st.floats(-3.0, 3.0),
+        phase=st.floats(-math.pi, math.pi),
+        passes=st.sampled_from([1, 2]),
+    )
+    def test_amplitude_and_phase_carry_through(self, log_amplitude, phase, passes):
+        a = 10.0**log_amplitude
+        base = _unit_recall(passes)
+        train = _linear_recall(passes, PulseSpec(amplitude=a, sigma=5.0, phase=phase))
+        factor = a * cmath.exp(1j * phase)
+        scale = max(abs(e.amplitude) for e in base.entries)
+        for entry, ref in zip(train.entries, base.entries):
+            assert abs(entry.amplitude - factor * ref.amplitude) <= 1e-12 * a * scale
+            assert entry.intensity == pytest.approx(ref.intensity, rel=0, abs=1e-12)
+            assert (entry.arrival is None) == (ref.arrival is None)
+            if ref.arrival is not None:
+                assert entry.arrival == pytest.approx(ref.arrival, rel=0, abs=1e-12)
+
+
 class TestTwoPass:
     def test_closed_form_identity(self):
-        result = two_pass_interfere(COMB, MEDIUM, simulate=False)
+        result = recall(COMB, MEDIUM, passes=2, simulate=False)
         i1 = first_echo_intensity(COMB, MEDIUM)
         c0 = prompt_attenuation(COMB, MEDIUM)
         assert result.closed_efficiency == pytest.approx(i1 * (1.0 + c0) ** 2, rel=1e-15)
@@ -85,8 +142,23 @@ class TestTwoPass:
         )
 
     def test_echo_window_energy_below_input(self):
-        energies = _run_two_pass().energies
-        assert 0.0 < energies["echo_window"] < energies["input"]
+        half = 0.5 * COMB.delay_time
+        echo = _run_two_pass().signal.energy(half, 3.0 * half)
+        assert 0.0 < echo < INPUT_ENERGY
+
+    @pytest.mark.parametrize(("finesse", "d_p"), [(5.0, 10.0), (10.0, 20.0), (20.0, 36.0)])
+    def test_echo_window_energy_follows_closed_form(self, finesse, d_p):
+        # the unit-weight sum is not passive: at finesse 20 the echo
+        # window holds 1.018 times the input energy
+        comb = CombSpec.from_finesse(
+            CombShape.SQUARE, finesse, pair_count=40, gamma=0.005
+        )
+        result = recall(comb, MediumSpec(d_p), passes=2, pulse=PULSE)
+        grid = FrequencyGrid.for_pulse(PULSE)
+        incoming = spectrum_to_signal(gaussian_spectrum(PULSE, grid), grid).energy()
+        half = 0.5 * comb.delay_time
+        ratio = result.signal.energy(half, 3.0 * half) / incoming
+        assert ratio == pytest.approx(result.closed_efficiency, rel=1e-2)
 
     def test_phase_flip_turns_bright_port_dark(self):
         # a pi phase on the recycled path flips (1 + C0) to (1 - C0)
@@ -106,9 +178,10 @@ class TestTwoPass:
         # Without a comb the recycled probe rings about 4e-6 into the
         # echo window; like extract_train, that window holds no echo.
         pulse = PulseSpec(sigma=5.0)
-        result = two_pass_interfere(
+        result = recall(
             CombSpec(shape=CombShape.SQUARE, half_width=0.2),
             MediumSpec(d_p=0.0),
+            passes=2,
             pulse=pulse,
             grid=FrequencyGrid.for_pulse(pulse, span_factor=4.0, samples=4096),
             oversample=8,
@@ -124,12 +197,12 @@ class TestTwoPassAboveUnity:
     def _best(finesse):
         comb = CombSpec.from_finesse(CombShape.SQUARE, finesse)
 
-        def recall(d_p):
-            return two_pass_interfere(
-                comb, MediumSpec(d_p), simulate=False
+        def two_pass(d_p):
+            return recall(
+                comb, MediumSpec(d_p), passes=2, simulate=False
             ).closed_efficiency
 
-        return golden_section_max(recall, 0.5 * finesse, 3.0 * finesse, tol=1e-10)
+        return golden_section_max(two_pass, 0.5 * finesse, 3.0 * finesse, tol=1e-10)
 
     def test_crosses_unity_at_finesse_6_2561(self):
         d_p, best = self._best(6.2561)
