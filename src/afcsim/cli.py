@@ -30,6 +30,7 @@ from .propagation import (
     build_transfer,
     check_time_window,
     comb_response,
+    echo_window,
     extract_train,
     gaussian_spectrum,
     transmit,
@@ -250,7 +251,12 @@ def _propagated(config: RunConfig):
         config.harmonics,
     )
     spectrum = gaussian_spectrum(PulseSpec(sigma=config.sigma), grid)
-    signal, reference = transmit(spectrum, transfer, config.oversample)
+    signal, reference = transmit(
+        spectrum,
+        transfer,
+        config.oversample,
+        window=echo_window(comb.delay_time, config.k_max),
+    )
     return comb, signal, reference
 
 

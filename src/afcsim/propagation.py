@@ -13,11 +13,20 @@ the one-sided exponent that keeps re-emission at positive delays.
 Grids are symmetric, binary-sized and centred on zero; transforms use
 the centred-index phase factors worked out for exactly these grids, so
 both directions are unitary up to the stated quadrature weights.
+
+The zero-padded time window spans ``2 pi / spacing``, hundreds of echo
+delays on the usual grids, while a protocol reads only a few of them.
+Transforms therefore take a time window and compute only its samples,
+by a chirp-z transform whose cost grows with ``samples`` plus the
+window's sample count, not with ``samples * oversample``; a large
+``oversample`` is cheap.  Windowed samples carry exactly the times of
+the full transform.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,6 +51,7 @@ __all__ = [
     "spectrum_to_signal",
     "signal_to_spectrum",
     "propagate",
+    "echo_window",
     "transmit",
     "peak_in_window",
     "check_time_window",
@@ -152,14 +162,27 @@ class PulseSpec:
 
 @dataclass
 class TimeSignal:
-    """Complex field samples on a uniform time grid."""
+    """Complex field samples on a uniform time grid.
+
+    ``window_end`` is the end of the full (periodic) time window of the
+    transform the samples come from, when they cover only part of it;
+    None means they are the whole window.
+    """
 
     times: np.ndarray
     values: np.ndarray
+    window_end: float | None = None
 
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
+
+    @property
+    def end(self) -> float:
+        """End of the full time window; later echoes wrap to negative times."""
+        if self.window_end is not None:
+            return self.window_end
+        return float(self.times[-1] + self.dt)
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -229,57 +252,176 @@ def _alternating(n: int) -> np.ndarray:
     return alt
 
 
+def _time_step(grid: FrequencyGrid, oversample: int) -> tuple[int, float]:
+    """Length and step of the zero-padded time grid ``s dt``, ``s`` centred."""
+    if oversample < 1 or oversample & (oversample - 1):
+        raise ValueError(f"oversample must be a power of two, got {oversample}")
+    total = grid.samples * oversample
+    return total, 2.0 * math.pi / (total * grid.spacing)
+
+
+def _first_index(x: float, dt: float, half: int) -> int:
+    """Least ``s`` in ``[-half, half]`` with ``s * dt >= x``, else ``half``."""
+    s = math.ceil(min(max(x / dt, -half), half))
+    while s > -half and (s - 1) * dt >= x:
+        s -= 1
+    while s < half and s * dt < x:
+        s += 1
+    return s
+
+
+def _fast_length(n: int) -> int:
+    """Least ``2^a 3^b 5^c >= n``: a transform length numpy does fast."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            length = odd
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=8)
+def _chirp_plan(
+    samples: int, oversample: int, start: int, count: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bluestein factors between a grid's spectrum and a run of time samples.
+
+    With ``n = samples * oversample``, frequency index ``p = i - samples/2``
+    and time index ``s = start + j``, ``2 p s = a(i) + b(j) - (i - j)^2``
+    where ``a(i) = i^2 + 2 start i`` and ``b(j) = j^2 - samples (start + j)``.
+    So ``exp(-2j pi p s / n) = pre[i] post[j] g(i - j)`` with the chirp
+    ``g(e) = exp(1j pi e^2 / n)``, and the sum over ``i`` is one
+    convolution.  Returns ``(pre, post, kernel)``, ``kernel`` being the
+    FFT of ``g`` laid out for that convolution.  The
+    integer phases are reduced modulo ``2 n`` before ``exp``, so each
+    factor is exact to rounding whatever ``n``.  Plans are shared by
+    every caller and are read-only.
+    """
+    n = samples * oversample
+
+    def chirp(k: np.ndarray) -> np.ndarray:
+        return np.exp(-1j * (math.pi / n) * (k % (2 * n)))
+
+    i = np.arange(samples, dtype=np.int64)
+    j = np.arange(count, dtype=np.int64)
+    e = np.arange(1 - samples, count, dtype=np.int64)
+    size = _fast_length(samples + count - 1)
+    g = np.zeros(size, dtype=complex)
+    g[e % size] = np.conj(chirp(e * e))
+    plan = (
+        chirp(i * i + 2 * start * i),
+        chirp(j * j - samples * (start + j)),
+        np.fft.fft(g),
+    )
+    for factor in plan:
+        factor.flags.writeable = False
+    return plan
+
+
 def spectrum_to_signal(
     spectrum: np.ndarray,
     grid: FrequencyGrid,
     oversample: int = 16,
+    window: tuple[float, float] | None = None,
 ) -> TimeSignal:
     """Inverse transform onto the centred time grid.
 
     Zero-pads the spectrum symmetrically by ``oversample`` so the time
     step shrinks accordingly; the window length ``2 pi / spacing`` is
     unchanged.  ``oversample`` must be a power of two.
+
+    With ``window = (lo, hi)`` only the samples with ``lo <= t < hi``
+    (clipped to the full window) are computed, by a chirp-z transform
+    with a cached plan: their times are exactly the full transform's,
+    their values agree with it to rounding, and ``window_end`` keeps
+    the end of the full window.
     """
-    if oversample < 1 or oversample & (oversample - 1):
-        raise ValueError(f"oversample must be a power of two, got {oversample}")
     m = grid.samples
     if spectrum.shape != (m,):
         raise ValueError("spectrum does not match the grid")
-    total = m * oversample
-    left = (total - m) // 2
-    padded = np.zeros(total, dtype=complex)
-    padded[left : left + m] = spectrum
-    dt = 2.0 * math.pi / (total * grid.spacing)
-    alt = _alternating(total)
-    values = (grid.spacing / (2.0 * math.pi)) * alt * np.fft.fft(padded * alt)
-    times = (np.arange(total) - total // 2) * dt
-    return TimeSignal(times=times, values=values)
+    total, dt = _time_step(grid, oversample)
+    scale = grid.spacing / (2.0 * math.pi)
+    if window is None:
+        left = (total - m) // 2
+        padded = np.zeros(total, dtype=complex)
+        padded[left : left + m] = spectrum
+        alt = _alternating(total)
+        values = scale * alt * np.fft.fft(padded * alt)
+        times = (np.arange(total) - total // 2) * dt
+        return TimeSignal(times=times, values=values)
+    lo, hi = window
+    half = total // 2
+    start, stop = (_first_index(x, dt, half) for x in window) if lo < hi else (0, 0)
+    if stop - start < 2:
+        raise ValueError(f"window [{lo}, {hi}) holds fewer than two time samples")
+    pre, post, kernel = _chirp_plan(m, oversample, start, stop - start)
+    convolved = np.fft.ifft(np.fft.fft(spectrum * pre, kernel.size) * kernel)
+    # The full window's end as the full times array rounds it.
+    end = (half - 1) * dt + ((1 - half) * dt - (-half) * dt)
+    return TimeSignal(
+        times=np.arange(start, stop) * dt,
+        values=scale * post * convolved[: stop - start],
+        window_end=end,
+    )
 
 
-def signal_to_spectrum(signal: TimeSignal) -> tuple[np.ndarray, np.ndarray]:
-    """Forward transform back to the matching centred detuning grid.
+def signal_to_spectrum(
+    signal: TimeSignal, grid: FrequencyGrid, oversample: int = 16
+) -> np.ndarray:
+    """Forward transform onto the grid: the inverse of :func:`spectrum_to_signal`.
 
-    Inverse of :func:`spectrum_to_signal` on the padded grid it
-    produced: returns ``(nu, spectrum)`` with ``nu`` spanning the full
-    padded resolution, spacing ``2 pi / (n dt)``.
+    ``signal`` must be a run of consecutive samples of the time grid
+    that ``spectrum_to_signal`` uses for ``grid`` and ``oversample``;
+    the samples outside the run count as zero.  Returns the spectrum on
+    ``grid.points()``: the band of the padded transform that the grid
+    covers, computed by the same chirp-z plan without the padding.
     """
-    n = signal.times.size
-    if n & (n - 1):
-        raise ValueError(f"signal length must be a power of two, got {n}")
-    dnu = 2.0 * math.pi / (n * signal.dt)
-    alt = _alternating(n)
-    spectrum = signal.dt * alt * n * np.fft.ifft(signal.values * alt)
-    nu = (np.arange(n) - n // 2) * dnu
-    return nu, spectrum
+    total, dt = _time_step(grid, oversample)
+    half = total // 2
+    count = signal.times.size
+    start = round(float(signal.times[0]) / dt) if count else 0
+    if not (
+        count
+        and -half <= start
+        and start + count <= half
+        and np.array_equal(signal.times, np.arange(start, start + count) * dt)
+    ):
+        raise ValueError(
+            "signal is not a run of time samples of this grid and oversample"
+        )
+    pre, post, kernel = _chirp_plan(grid.samples, oversample, start, count)
+    convolved = np.fft.ifft(
+        np.fft.fft(np.conj(post) * signal.values, kernel.size) * np.conj(kernel)
+    )
+    return dt * np.conj(pre) * convolved[: grid.samples]
 
 
 def propagate(
     spectrum: np.ndarray,
     transfer: TransferFunction,
     oversample: int = 16,
+    window: tuple[float, float] | None = None,
 ) -> TimeSignal:
     """Apply the transfer on its grid and return the output signal."""
-    return spectrum_to_signal(spectrum * transfer.values, transfer.grid, oversample)
+    return spectrum_to_signal(
+        spectrum * transfer.values, transfer.grid, oversample, window
+    )
+
+
+def echo_window(period: float, k_max: int) -> tuple[float, float]:
+    """Time window ``[-period, (k_max + 2) period)`` read for echoes ``0 .. k_max``.
+
+    It holds the margins :func:`extract_train` searches around each
+    echo and a trace over ``[-1, k_max + 1)`` periods.  A negative
+    ``k_max`` gets the window of ``k_max = 0``.
+    """
+    return -period, (max(k_max, 0) + 2) * period
 
 
 def transmit(
@@ -287,19 +429,21 @@ def transmit(
     transfer: TransferFunction,
     oversample: int = 16,
     reference_window: tuple[float, float] | None = None,
+    window: tuple[float, float] | None = None,
 ) -> tuple[TimeSignal, float]:
     """Send an input spectrum through the medium.
 
-    Returns the output signal and the input peak intensity inside
-    ``reference_window`` (the whole time window by default).  Simulated
+    Returns the output signal on ``window`` (see
+    :func:`spectrum_to_signal`) and the input peak intensity inside
+    ``reference_window`` (all of ``window`` by default).  Simulated
     intensities are quoted relative to that peak, so grid truncation
     cancels.
     """
-    incoming = spectrum_to_signal(spectrum, transfer.grid, oversample)
+    incoming = spectrum_to_signal(spectrum, transfer.grid, oversample, window)
     if reference_window is None:
         reference_window = (incoming.times[0], incoming.times[-1] + incoming.dt)
     amplitude, _ = peak_in_window(incoming, *reference_window)
-    return propagate(spectrum, transfer, oversample), abs(amplitude) ** 2
+    return propagate(spectrum, transfer, oversample, window), abs(amplitude) ** 2
 
 
 @dataclass(frozen=True)
@@ -408,7 +552,7 @@ def check_time_window(
     """
     if period <= 0.0:
         raise ValueError(f"period must be positive, got {period}")
-    end = signal.times[-1] + signal.dt
+    end = signal.end
     advice = "raise samples, lower span_factor or lower k_max"
     if k_max * period >= end:
         raise ValueError(

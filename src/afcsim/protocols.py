@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -23,6 +23,7 @@ from .propagation import (
     TransferFunction,
     TransferModel,
     build_transfer,
+    echo_window,
     extract_train,
     gaussian_spectrum,
     signal_to_spectrum,
@@ -44,8 +45,9 @@ __all__ = [
 class ProtocolResult:
     """Closed-form and simulated figures of merit for one protocol run.
 
-    ``signal`` is the output field the train was read from; any energy a
-    caller needs is ``signal.energy(lo, hi)``.  With two passes it is the
+    ``signal`` is the output field the train was read from, on the
+    :func:`afcsim.propagation.echo_window` of ``k_max``; any energy
+    inside it is ``signal.energy(lo, hi)``.  With two passes it is the
     first-pass output plus the second-pass output, so its echo 0 holds
     both prompts.  Without a simulation, ``train`` and ``signal`` are
     None.
@@ -60,30 +62,28 @@ class ProtocolResult:
 def _second_pass(
     first: TimeSignal,
     transfer: TransferFunction,
+    oversample: int,
     window: tuple[float, float],
+    prompt: tuple[float, float],
     mismatch_time: float,
     mismatch_phase: float,
 ) -> TimeSignal:
-    """Send the windowed part of a signal through the medium again.
+    """Send the ``prompt`` part of a signal on ``window`` through the medium again.
 
-    The forward transform of the padded first-pass signal has the grid
-    spacing, so its central ``grid.samples`` points are exactly the
-    transfer grid.  The second pass is band-limited to that band: the
-    rest is leakage from the hard time window and is dropped.  The
-    output lands on the identical time axis, so fields can be
-    superposed sample by sample.
+    The prompt samples go straight onto the transfer grid by the forward
+    chirp-z transform: the second pass is band-limited to that band,
+    and what the hard time window leaks beyond it is dropped.  The
+    output lands on ``window`` again, the identical time axis, so fields
+    can be superposed sample by sample.
     """
-    lo, hi = window
+    lo, hi = prompt
     mask = (first.times >= lo) & (first.times < hi)
-    _, padded = signal_to_spectrum(
-        TimeSignal(times=first.times, values=first.values * mask)
-    )
     grid = transfer.grid
-    left = (padded.size - grid.samples) // 2
-    band = padded[left : left + grid.samples] * transfer.values
+    prompted = TimeSignal(times=first.times[mask], values=first.values[mask])
+    band = signal_to_spectrum(prompted, grid, oversample) * transfer.values
     if mismatch_time != 0.0 or mismatch_phase != 0.0:
         band = band * np.exp(1j * (grid.points() * mismatch_time + mismatch_phase))
-    return spectrum_to_signal(band, grid, padded.size // grid.samples)
+    return spectrum_to_signal(band, grid, oversample, window)
 
 
 def recall(
@@ -105,7 +105,8 @@ def recall(
 
     The closed form is the first-echo intensity ``I1`` of the periodic
     comb.  The simulation sends the pulse through the requested transfer
-    model on a grid defaulting to :meth:`FrequencyGrid.for_pulse`, reads
+    model on a grid defaulting to :meth:`FrequencyGrid.for_pulse`,
+    computes the output only on the echo window of ``k_max``, reads
     echoes ``0 .. k_max`` with :func:`afcsim.propagation.extract_train`
     and quotes echo 1, so a window without an echo gives 0.
 
@@ -136,13 +137,22 @@ def recall(
     pulse = pulse or PulseSpec()
     grid = grid or FrequencyGrid.for_pulse(pulse)
     transfer = build_transfer(comb, medium, grid, model, harmonics)
-    signal, reference = transmit(gaussian_spectrum(pulse, grid), transfer, oversample)
+    window = echo_window(comb.delay_time, k_max)
+    signal, reference = transmit(
+        gaussian_spectrum(pulse, grid), transfer, oversample, window=window
+    )
     if passes == 2:
         half = 0.5 * comb.delay_time
         second = _second_pass(
-            signal, transfer, (-half, half), mismatch_time, mismatch_phase
+            signal,
+            transfer,
+            oversample,
+            window,
+            (-half, half),
+            mismatch_time,
+            mismatch_phase,
         )
-        signal = TimeSignal(times=signal.times, values=signal.values + second.values)
+        signal = replace(signal, values=signal.values + second.values)
     train = extract_train(
         signal, comb.delay_time, k_max, reference_intensity=reference
     )

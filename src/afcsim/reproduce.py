@@ -23,6 +23,7 @@ from .propagation import (
     PulseSpec,
     TransferModel,
     build_transfer,
+    echo_window,
     peak_in_window,
     transmit,
 )
@@ -330,7 +331,10 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
     # The early input bin's peak is the reference, so c1 cancels and
     # the normalised recall compares directly with the echo efficiency.
     signal, reference = transmit(
-        timebin_spectrum(qubit, grid), transfer, reference_window=(-half, half)
+        timebin_spectrum(qubit, grid),
+        transfer,
+        reference_window=(-half, half),
+        window=echo_window(period, 1),
     )
     bins = {}
     for label, center in (

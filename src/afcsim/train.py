@@ -169,14 +169,19 @@ def coefficients_numeric(
     sample lands on a tooth edge) and reads ``a_m C0`` off the DFT.
     Any model accepted by :func:`afcsim.propagation.comb_response`
     works; finite-comb models make ``H`` only approximately periodic,
-    which shows up as a small leakage floor.  The truncated square
-    series needs fewer ``harmonics`` than samples, or its exponent
-    aliases onto the low modes.
+    which shows up as a small leakage floor.  The exponent of the
+    truncated square series aliases onto the low modes unless
+    ``resolution`` is at least ``32 * harmonics`` (2000 harmonics still
+    give errors of 1e-4 at ``2**15`` samples), so smaller resolutions
+    are rejected.
     """
     if resolution < 4 * (k_max + 1) or resolution & (resolution - 1):
         raise ValueError("resolution must be a power of two well above k_max")
-    if harmonics is not None and harmonics >= resolution:
-        raise ValueError("harmonics must be below resolution")
+    if harmonics is not None and resolution < 32 * harmonics:
+        raise ValueError(
+            f"resolution {resolution} is below 32 * harmonics = {32 * harmonics}: "
+            "the truncated series would alias; raise resolution or lower harmonics"
+        )
     p = resolution
     nu = -1.0 + 2.0 * (np.arange(p) + 0.5) / p
     h = transfer_exponent(comb_response(comb, nu, model, harmonics), medium.d_p)

@@ -14,6 +14,7 @@ from afcsim.propagation import (
     TimeSignal,
     TransferModel,
     build_transfer,
+    check_time_window,
     comb_response,
     extract_train,
     gaussian_spectrum,
@@ -98,20 +99,13 @@ class TestTransforms:
         assert signal.dt == pytest.approx(2.0 * math.pi / (256 * grid.spacing))
         assert signal.times[128] == 0.0
 
-    def test_round_trip_restores_padded_spectrum(self):
+    def test_round_trip_restores_spectrum(self):
         pulse = PulseSpec(sigma=5.0)
         grid = FrequencyGrid.for_pulse(pulse, span_factor=10.0, samples=2**10)
         spec = gaussian_spectrum(pulse, grid)
-        nu, back = signal_to_spectrum(spectrum_to_signal(spec, grid, oversample=8))
-        total = grid.samples * 8
-        left = (total - grid.samples) // 2
-        # same spacing over the padded (wider) span, original bins centred
-        assert nu.size == total
-        assert nu[1] - nu[0] == pytest.approx(grid.spacing)
-        np.testing.assert_allclose(nu[left : left + grid.samples], grid.points(), atol=1e-9)
-        assert np.abs(back[left : left + grid.samples] - spec).max() < 1e-11
-        assert np.abs(back[:left]).max() < 1e-12
-        assert np.abs(back[left + grid.samples :]).max() < 1e-12
+        back = signal_to_spectrum(spectrum_to_signal(spec, grid, oversample=8), grid, 8)
+        assert back.shape == spec.shape
+        assert np.abs(back - spec).max() < 1e-11
 
     def test_linear_phase_delays_signal(self):
         # e^{i nu T} factor shifts the pulse to + T
@@ -143,10 +137,83 @@ class TestTransforms:
         with pytest.raises(ValueError):
             spectrum_to_signal(np.ones(8, dtype=complex), grid)
 
-    def test_rejects_nonpower_signal_length(self):
+    def test_rejects_signal_off_the_time_grid(self):
+        grid = FrequencyGrid(half_span=1.0, samples=16)
         signal = TimeSignal(times=np.linspace(0.0, 1.0, 12), values=np.zeros(12, dtype=complex))
-        with pytest.raises(ValueError):
-            signal_to_spectrum(signal)
+        with pytest.raises(ValueError, match="not a run of time samples"):
+            signal_to_spectrum(signal, grid, 4)
+        # a run of the oversample-4 grid is not one of the oversample-8 grid
+        window = spectrum_to_signal(np.ones(16, dtype=complex), grid, 4, (0.0, 20.0))
+        signal_to_spectrum(window, grid, 4)
+        with pytest.raises(ValueError, match="not a run of time samples"):
+            signal_to_spectrum(window, grid, 8)
+
+
+def _padded_forward(values, grid, oversample):
+    """Band of the full zero-padded forward FFT, the reference for the zoom."""
+    n = grid.samples * oversample
+    dt = 2.0 * math.pi / (n * grid.spacing)
+    alt = np.where(np.arange(n) % 2, -1.0, 1.0)
+    padded = dt * alt * n * np.fft.ifft(values * alt)
+    left = (n - grid.samples) // 2
+    return padded[left : left + grid.samples]
+
+
+class TestWindowedTransforms:
+    """Chirp-z windows against the full zero-padded FFT.
+
+    Values are compared relative to the largest value of the full
+    transform: samples far from the pulse are rounding noise in both.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        log_samples=st.integers(6, 12),
+        log_oversample=st.integers(0, 5),
+        lo=st.floats(-1.3, 1.0),
+        width=st.floats(0.0, 2.6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_window_matches_full_transform(
+        self, log_samples, log_oversample, lo, width, seed
+    ):
+        # window ends in units of the full window's end, so both ends
+        # are sometimes clipped
+        grid = FrequencyGrid(half_span=30.0, samples=2**log_samples)
+        oversample = 2**log_oversample
+        rng = np.random.default_rng(seed)
+        spectrum = rng.normal(size=grid.samples) + 1j * rng.normal(size=grid.samples)
+        full = spectrum_to_signal(spectrum, grid, oversample)
+        window = (lo * full.end, (lo + width) * full.end)
+        mask = (full.times >= window[0]) & (full.times < window[1])
+        if mask.sum() < 2:
+            with pytest.raises(ValueError, match="fewer than two time samples"):
+                spectrum_to_signal(spectrum, grid, oversample, window)
+            return
+        zoom = spectrum_to_signal(spectrum, grid, oversample, window)
+        assert zoom.times.tobytes() == full.times[mask].tobytes()
+        assert zoom.end == full.end
+        scale = np.abs(full.values).max()
+        assert np.abs(zoom.values - full.values[mask]).max() <= 1e-12 * scale
+
+        band = signal_to_spectrum(
+            TimeSignal(times=full.times[mask], values=full.values[mask]),
+            grid,
+            oversample,
+        )
+        reference = _padded_forward(np.where(mask, full.values, 0.0), grid, oversample)
+        assert np.abs(band - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_window_end_keeps_time_window_checks(self):
+        # 64 samples end the full window at 1.6 T (T = pi); a window
+        # cut at 1.2 T still reports that end
+        grid = FrequencyGrid(half_span=20.0, samples=64)
+        signal = spectrum_to_signal(np.ones(64, dtype=complex), grid, 4, (-1.0, 1.2 * math.pi))
+        assert signal.times[-1] < 1.2 * math.pi
+        assert signal.end == spectrum_to_signal(np.ones(64, dtype=complex), grid, 4).end
+        with pytest.raises(ValueError, match="ends at 1.6 T, too short for echo"):
+            check_time_window(signal, math.pi, 2)
+        check_time_window(signal, math.pi, 1)
 
 
 class TestTimeSignal:

@@ -13,6 +13,7 @@ from afcsim.combs import CombSpec, CombShape, MediumSpec
 from afcsim.propagation import (
     FrequencyGrid,
     PulseSpec,
+    build_transfer,
     gaussian_spectrum,
     peak_in_window,
     spectrum_to_signal,
@@ -44,6 +45,11 @@ def _run_two_pass(**kwargs):
     )
 
 
+def _assert_inside(signal, lo, hi):
+    """The computed samples cover ``[lo, hi)``, so an energy there is whole."""
+    assert signal.times[0] < lo and hi < signal.times[-1]
+
+
 class TestSinglePass:
     def test_closed_form_only(self):
         result = recall(COMB, MEDIUM, simulate=False)
@@ -68,7 +74,13 @@ class TestSinglePass:
     def test_train_and_energy_bookkeeping(self):
         result = _run_single(k_max=3)
         assert [e.index for e in result.train.entries] == [0, 1, 2, 3]
-        assert result.signal.energy() < INPUT_ENERGY
+        # The signal holds only the echo window.  The output energy of
+        # the whole time window is Parseval's sum over the spectrum,
+        # exact for the zero-padded transform.
+        output = gaussian_spectrum(PULSE, GRID) * build_transfer(COMB, MEDIUM, GRID).values
+        whole = float(np.sum(np.abs(output) ** 2) * GRID.spacing / (2.0 * math.pi))
+        assert whole < INPUT_ENERGY
+        assert result.signal.energy() <= whole * (1.0 + 1e-12)
         # echoes arrive at multiples of the rephasing delay
         for entry in result.train.entries[1:]:
             assert entry.arrival == pytest.approx(
@@ -143,7 +155,9 @@ class TestTwoPass:
 
     def test_echo_window_energy_below_input(self):
         half = 0.5 * COMB.delay_time
-        echo = _run_two_pass().signal.energy(half, 3.0 * half)
+        signal = _run_two_pass().signal
+        _assert_inside(signal, half, 3.0 * half)
+        echo = signal.energy(half, 3.0 * half)
         assert 0.0 < echo < INPUT_ENERGY
 
     @pytest.mark.parametrize(("finesse", "d_p"), [(5.0, 10.0), (10.0, 20.0), (20.0, 36.0)])
@@ -157,6 +171,7 @@ class TestTwoPass:
         grid = FrequencyGrid.for_pulse(PULSE)
         incoming = spectrum_to_signal(gaussian_spectrum(PULSE, grid), grid).energy()
         half = 0.5 * comb.delay_time
+        _assert_inside(result.signal, half, 3.0 * half)
         ratio = result.signal.energy(half, 3.0 * half) / incoming
         assert ratio == pytest.approx(result.closed_efficiency, rel=1e-2)
 

@@ -244,6 +244,19 @@ class TestNumericProjection:
                 SQUARE_F5, DEPTH_10, 3, harmonics=2**18, resolution=2**18
             )
 
+    def test_rejects_resolution_that_aliases_the_series(self):
+        # 2000 harmonics on 2^15 samples put the train off by 1.3e-4 of
+        # max |a_k| at F = 1.5, d_p = 40; 2^16 samples are accurate.
+        comb = CombSpec.from_finesse(CombShape.SQUARE, 1.5)
+        medium = MediumSpec(d_p=40.0)
+        kwargs = dict(model=TransferModel.IDEAL, harmonics=2000)
+        with pytest.raises(ValueError, match=r"resolution 32768 is below 32 \* harmonics"):
+            coefficients_numeric(comb, medium, 6, resolution=2**15, **kwargs)
+        numeric = coefficients_numeric(comb, medium, 6, resolution=2**16, **kwargs)
+        closed = closed_train(comb, medium, 6)
+        scale = np.abs(closed.values).max()
+        assert np.abs(numeric.values - closed.values).max() <= 1e-9 * scale
+
 
 class TestClosedTrainProperties:
     @settings(max_examples=30, deadline=None)
