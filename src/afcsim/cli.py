@@ -36,7 +36,6 @@ from .propagation import (
     transmit,
 )
 from .protocols import recall
-from .reproduce import TARGETS, run_target
 from .sweeps import SweepAxis, SweepKind, SweepRequest, sweep
 from .train import closed_train
 
@@ -469,6 +468,9 @@ _COMMANDS: dict[str, Callable[[RunConfig, Path, UnitScale | None], int]] = {
 
 
 def cmd_reproduce(target: str | None, out_dir: Path) -> int:
+    # Imported here: no other subcommand needs the reproduction targets.
+    from .reproduce import TARGETS, run_target
+
     if target is None:
         for name in sorted(TARGETS):
             print(f"{name}: {TARGETS[name][0]}")

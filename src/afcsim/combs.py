@@ -18,6 +18,7 @@ units of ``nu0``, so the period is 2 and ``T = pi``.  Only
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -184,10 +185,17 @@ class UnitScale:
         return time_s * 2.0 * self.nu0_hz
 
 
+@functools.lru_cache(maxsize=8)
 def odd_peak_centers(pair_count: int) -> np.ndarray:
-    """Tooth centres ``2k + 1`` for ``k = -pair_count - 1 .. pair_count``."""
+    """Tooth centres ``2k + 1`` for ``k = -pair_count - 1 .. pair_count``.
+
+    The array is cached per ``pair_count`` and shared by every caller,
+    so it is read-only.
+    """
     k = np.arange(-pair_count - 1, pair_count + 1, dtype=float)
-    return 2 * k + 1
+    centers = 2 * k + 1
+    centers.flags.writeable = False
+    return centers
 
 
 def population_difference(comb: CombSpec, delta: np.ndarray | float) -> np.ndarray:

@@ -210,6 +210,24 @@ def transfer_exponent(packed: np.ndarray, d_p: float) -> np.ndarray:
     return np.exp(-0.5 * d_p * (packed.real - 1j * packed.imag))
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_response(
+    comb: CombSpec,
+    grid: FrequencyGrid,
+    model: TransferModel,
+    harmonics: int | None,
+) -> np.ndarray:
+    """Packed response of a comb on a grid, read-only and cached.
+
+    One entry covers consecutive calls, such as the depths of a sweep;
+    more would keep large arrays alive that a run seldom asks for again.
+    """
+    with np.errstate(invalid="ignore"):
+        packed = comb_response(comb, grid.points(), model, harmonics)
+    packed.flags.writeable = False
+    return packed
+
+
 def build_transfer(
     comb: CombSpec,
     medium: MediumSpec,
@@ -219,16 +237,20 @@ def build_transfer(
 ) -> TransferFunction:
     """Sample the transfer of a comb on a grid.
 
+    The comb response is computed once per comb, grid, model and
+    harmonic count and reused by the next call with the same four, so
+    consecutive depths of one comb cost only the exponent.
+
     Raises ``ValueError`` if any sample is non-finite: one such sample
     would spread through every FFT that follows.
     """
-    nu = grid.points()
     with np.errstate(invalid="ignore"):
         values = transfer_exponent(
-            comb_response(comb, nu, TransferModel(model), harmonics), medium.d_p
+            _grid_response(comb, grid, TransferModel(model), harmonics), medium.d_p
         )
     bad = ~np.isfinite(values)
     if bad.any():
+        nu = grid.points()
         raise ValueError(
             f"transfer is non-finite at {int(bad.sum())} grid samples, first at "
             f"detuning {nu[np.argmax(bad)]:.6g}: a sample sits on a sharp "

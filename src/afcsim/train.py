@@ -10,6 +10,7 @@ period of ``H`` onto its Fourier modes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -219,6 +220,9 @@ def broadened_A_coefficients(
     # (see lorentzian_convolution).
     from scipy.integrate import quad
 
+    # The three integrals share most of their nodes, and a1_full reads
+    # both parts at each: evaluate the comb once per distinct node.
+    @functools.lru_cache(maxsize=None)
     def packed(nu: float) -> complex:
         return complex(
             epsilon_broadened(nu, delta, gamma=gamma, pair_count=pair_count)

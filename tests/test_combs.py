@@ -87,6 +87,12 @@ class TestLayout:
         centers = odd_peak_centers(2)
         assert centers.tolist() == [-5.0, -3.0, -1.0, 1.0, 3.0, 5.0]
 
+    def test_odd_peak_centers_are_shared_and_read_only(self):
+        centers = odd_peak_centers(2)
+        assert odd_peak_centers(2) is centers
+        with pytest.raises(ValueError, match="read-only"):
+            centers[0] = 0.0
+
 
 class TestPopulationDifference:
     def test_square_indicator(self):

@@ -2,8 +2,9 @@
 
 scipy.integrate is imported only inside the two quadrature checks,
 ``susceptibility.lorentzian_convolution`` and
-``train.broadened_A_coefficients``.  The checks run in a fresh
-interpreter, since the test process itself may have imported scipy.
+``train.broadened_A_coefficients``, and ``afcsim.reproduce`` only by
+the ``reproduce`` subcommand.  The checks run in a fresh interpreter,
+since the test process itself may have imported both.
 """
 
 import json
@@ -20,6 +21,7 @@ import json, math, sys
 states = {}
 import afcsim, afcsim.cli
 states["after_import"] = "scipy" in sys.modules
+states["reproduce_after_import"] = "afcsim.reproduce" in sys.modules
 states["train_exit"] = afcsim.cli.main(
     ["--config", sys.argv[1], "--out", sys.argv[2], "train"]
 )
@@ -50,6 +52,7 @@ def test_cli_runs_without_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
     states = json.loads(done.stdout.splitlines()[-1])
     assert states["after_import"] is False
+    assert states["reproduce_after_import"] is False
     assert states["train_exit"] == 0
     assert states["after_train"] is False
     assert (tmp_path / "train.csv").exists()

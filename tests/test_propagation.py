@@ -1,12 +1,14 @@
 """Spectral-domain propagation: grids, transforms, transfer, train readout."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afcsim import propagation
 from afcsim.combs import CombSpec, CombShape, MediumSpec
 from afcsim.propagation import (
     FrequencyGrid,
@@ -289,6 +291,54 @@ PASSIVE_MODELS = {
     "lorentzian": (CombShape.LORENTZIAN, TransferModel.BROADENED, True),
     "harmonic": (CombShape.HARMONIC, TransferModel.BROADENED, True),
 }
+
+
+class TestResponseCache:
+    """build_transfer reuses the last comb response for the same key."""
+
+    COMB = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005)
+    GRID = FrequencyGrid(half_span=4.0, samples=256)
+
+    def test_depths_share_one_response_bit_for_bit(self, response_calls):
+        for d_p in (5.0, 12.0):
+            transfer = build_transfer(self.COMB, MediumSpec(d_p), self.GRID)
+            fresh = transfer_exponent(comb_response(self.COMB, self.GRID.points()), d_p)
+            np.testing.assert_array_equal(transfer.values, fresh)
+        assert len(response_calls) == 1
+
+    def test_cached_response_is_read_only(self, response_calls):
+        response = propagation._grid_response(
+            self.COMB, self.GRID, TransferModel.BROADENED, 2000
+        )
+        with pytest.raises(ValueError, match="read-only"):
+            response[0] = 0.0
+        build_transfer(self.COMB, MediumSpec(10.0), self.GRID)
+        assert len(response_calls) == 1
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            dict(comb=replace(COMB, half_width=0.25)),
+            dict(comb=COMB.with_gamma(0.01)),
+            dict(comb=replace(COMB, pair_count=12)),
+            dict(grid=FrequencyGrid(half_span=4.0, samples=512)),
+            dict(grid=FrequencyGrid(half_span=5.0, samples=256)),
+            dict(model=TransferModel.IDEAL_FINITE),
+            dict(harmonics=1000),
+        ],
+        ids=[
+            "half_width", "gamma", "pair_count", "samples", "span", "model", "harmonics"
+        ],
+    )
+    def test_any_key_change_is_a_miss(self, response_calls, change):
+        base = dict(comb=self.COMB, grid=self.GRID, model="broadened", harmonics=2000)
+        if "harmonics" in change:
+            # only the ideal model reads harmonics, and it needs gamma = 0
+            base.update(comb=self.COMB.with_gamma(0.0), model="ideal")
+        changed = {**base, **change}
+        for key in (base, changed, changed):
+            build_transfer(medium=MediumSpec(10.0), **key)
+        assert len(response_calls) == 2
 
 
 class TestPassivity:

@@ -88,6 +88,30 @@ class TestSinglePass:
             )
 
 
+class TestEnergyBalance:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        shape=st.sampled_from(list(CombShape)),
+        finesse=st.floats(1.5, 30.0),
+        d_p=st.floats(0.0, 40.0),
+        gamma=st.floats(1e-4, 0.1),
+    )
+    def test_single_pass_output_never_exceeds_input(self, shape, finesse, d_p, gamma):
+        # A broadened comb absorbs everywhere, so |H| <= 1 and no window
+        # of the output holds more than the whole input energy.
+        grid = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**12)
+        if shape is CombShape.HARMONIC:
+            comb = CombSpec(shape, pair_count=40, gamma=gamma)
+        else:
+            comb = CombSpec.from_finesse(shape, finesse, pair_count=40, gamma=gamma)
+        result = recall(
+            comb, MediumSpec(d_p), passes=1, pulse=PULSE, grid=grid, oversample=4
+        )
+        spectrum = gaussian_spectrum(PULSE, grid)
+        incoming = grid.spacing / (2.0 * math.pi) * float(np.sum(np.abs(spectrum) ** 2))
+        assert result.signal.energy() <= incoming * (1.0 + 1e-9)
+
+
 class TestRecallChecks:
     @pytest.mark.parametrize("passes", [1, 2])
     def test_simulation_needs_first_echo(self, passes):

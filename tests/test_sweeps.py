@@ -6,8 +6,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from afcsim import propagation
 from afcsim.combs import CombShape, CombSpec, MediumSpec
-from afcsim.propagation import TransferModel
+from afcsim.propagation import FrequencyGrid, PulseSpec, TransferModel
+from afcsim.protocols import recall
 from afcsim.sweeps import (
     SweepAxis,
     SweepKind,
@@ -213,6 +215,38 @@ class TestSimulatedSweep:
         closed = sweep(SweepRequest(axis=axis, gamma=0.005, refine=False))
         for sim_row, closed_row in zip(simulated.rows, closed.rows):
             assert sim_row.efficiency == pytest.approx(closed_row.efficiency, rel=1e-3)
+
+    def test_depth_sweep_computes_one_response(self, response_calls):
+        request = SweepRequest(
+            axis=SweepAxis("d_p", 8.0, 12.0, 3),
+            gamma=0.005,
+            pair_count=40,
+            simulate=True,
+            samples=2**12,
+            oversample=8,
+            refine=False,
+        )
+        rows = sweep(request).rows
+        assert len(response_calls) == 1
+        # each point on its own, from a fresh response, gives the same bits
+        pulse = PulseSpec(sigma=request.sigma)
+        grid = FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples)
+        comb = CombSpec.from_finesse(
+            request.shape, request.finesse, pair_count=40, gamma=0.005
+        )
+        for row in rows:
+            propagation._grid_response.cache_clear()
+            fresh = recall(
+                comb,
+                MediumSpec(row.value),
+                pulse=pulse,
+                grid=grid,
+                k_max=request.k_max,
+                oversample=request.oversample,
+            )
+            assert row.status == "ok"
+            assert row.efficiency == fresh.simulated_efficiency
+        assert len(response_calls) == 1 + len(rows)
 
 
 class TestOptimalCurve:

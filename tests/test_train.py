@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from afcsim import train
 from afcsim.combs import CombSpec, CombShape, MediumSpec
 from afcsim.propagation import TransferModel
 from afcsim.train import (
@@ -21,6 +22,7 @@ from afcsim.train import (
     optimal_depth,
     prompt_attenuation,
 )
+from afcsim.susceptibility import epsilon_broadened
 
 SQUARE_F5 = CombSpec(shape=CombShape.SQUARE, half_width=0.2)
 HARMONIC = CombSpec(shape=CombShape.HARMONIC)
@@ -306,3 +308,49 @@ class TestBroadenedCoefficients:
         # finite-comb remainder of a couple parts in a thousand
         coeffs = broadened_A_coefficients(0.2, gamma=0.01, pair_count=9)
         assert abs(coeffs.a1_full - coeffs.a1_absorption) < 3e-3
+
+    def test_comb_evaluated_once_per_node(self, monkeypatch):
+        nodes = []
+
+        def counted(nu, *args, **kwargs):
+            nodes.append(nu)
+            return epsilon_broadened(nu, *args, **kwargs)
+
+        monkeypatch.setattr(train, "epsilon_broadened", counted)
+        coeffs = broadened_A_coefficients(0.2, gamma=0.01, pair_count=9)
+        assert len(nodes) == len(set(nodes))
+        # the reference evaluates the comb afresh inside every integrand,
+        # with the same integrals in the same order, so quad sees the
+        # same values at the same nodes
+        from scipy.integrate import quad
+
+        def packed(nu):
+            return complex(epsilon_broadened(nu, 0.2, gamma=0.01, pair_count=9))
+
+        def integrate(f):
+            return quad(
+                f,
+                -1.0,
+                1.0,
+                points=[-1.0 + 0.2, 1.0 - 0.2],
+                limit=200,
+                epsabs=1e-13,
+                epsrel=1e-12,
+            )[0]
+
+        a0 = integrate(lambda nu: packed(nu).real) / 2.0
+        a1_absorption = -integrate(lambda nu: packed(nu).real * math.cos(math.pi * nu))
+        a1_full = -integrate(
+            lambda nu: (
+                packed(nu).real * math.cos(math.pi * nu)
+                - packed(nu).imag * math.sin(math.pi * nu)
+            )
+        ) / 2.0
+        assert (coeffs.a0, coeffs.a1_absorption, coeffs.a1_full) == (
+            a0,
+            a1_absorption,
+            a1_full,
+        )
+        assert coeffs.a1_closed == (2.0 / math.pi) * math.sin(math.pi * 0.2) * math.exp(
+            -math.pi * 0.01
+        )
