@@ -170,9 +170,20 @@ def epsilon_broadened(
     """Finite square comb with Lorentzian-broadened teeth, in closed form.
 
     Each tooth of half-width ``delta`` convolved with a Lorentzian of
-    HWHM ``gamma`` contributes arctan steps to the absorption and a log
-    ratio to the dispersion; the sum runs over all ``2 pair_count + 2``
-    teeth.  ``gamma = 0`` reduces to sharp indicator teeth.
+    HWHM ``gamma`` contributes an arctan step to the absorption and a
+    log ratio to the dispersion; the sum runs over all
+    ``2 pair_count + 2`` teeth.  ``gamma = 0`` reduces to sharp
+    indicator teeth.
+
+    The comb is symmetric about ``nu = 0``: the response at ``-nu`` is
+    the conjugate of that at ``nu``.  An array of more than 1024
+    detunings is evaluated in blocks of 1024.  If its flattened samples
+    from index ``s`` (0 or 1) on mirror each other,
+    ``nu[s + j] == -nu[n - 1 - j]``, as every ``FrequencyGrid.points()``
+    does with ``s = 1``, only the upper half of that run is evaluated
+    and the lower half is filled with its conjugate, which agrees with
+    direct evaluation to rounding.  All other samples are evaluated
+    directly.
 
     Returns ``absorption + 1j * dispersion``.
     """
@@ -185,36 +196,69 @@ def epsilon_broadened(
     if nu.size <= _COMB_BLOCK:
         return _finite_comb(nu, delta, gamma, centers)
     flat = nu.ravel()
-    packed = np.empty(flat.size, dtype=complex)
-    for start in range(0, flat.size, _COMB_BLOCK):
-        stop = start + _COMB_BLOCK
-        packed[start:stop] = _finite_comb(flat[start:stop], delta, gamma, centers)
+    n = flat.size
+    first, mirrored = _mirrored_run(flat)
+    packed = np.empty(n, dtype=complex)
+    for lo, hi in ((0, first), (first + mirrored, n)):
+        for start in range(lo, hi, _COMB_BLOCK):
+            stop = min(start + _COMB_BLOCK, hi)
+            packed[start:stop] = _finite_comb(flat[start:stop], delta, gamma, centers)
+    np.conjugate(packed[n - mirrored :][::-1], out=packed[first : first + mirrored])
     return packed.reshape(nu.shape)
+
+
+def _mirrored_run(nu: np.ndarray) -> tuple[int, int]:
+    """``(s, m)`` with ``nu[s + j] == -nu[n - 1 - j]`` for ``j < m``.
+
+    ``s`` is 0 or 1 and ``m`` is half the length of the run ``nu[s:]``,
+    rounded down, so the pairs cover the run but for an odd run's middle
+    sample; ``(0, 0)`` if neither run pairs up.
+    """
+    for first in (0, 1):
+        run = nu[first:]
+        half = run.size // 2
+        if run[0] == -run[-1] and np.array_equal(run[:half], -run[: -half - 1 : -1]):
+            return first, half
+    return 0, 0
 
 
 def _finite_comb(
     nu: np.ndarray, delta: float, gamma: float, centers: np.ndarray
 ) -> np.ndarray:
     """Packed response of the finite comb, one broadcast over all teeth."""
-    up = nu[..., np.newaxis] - centers + delta
-    lo = nu[..., np.newaxis] - centers - delta
+    x = nu[..., np.newaxis] - centers
+    up = x + delta
+    lo = np.subtract(x, delta, out=x)
     if gamma == 0.0:
         absorption = 0.5 * (np.sign(up) - np.sign(lo)).sum(axis=-1)
         with np.errstate(divide="ignore"):
             dispersion = -(0.5 / np.pi) * np.log(up**2 / lo**2).sum(axis=-1)
-        # Assembling via 1j * inf would poison the real part with nan.
-        packed = np.empty(np.broadcast(absorption, dispersion).shape, dtype=complex)
-        packed.real = absorption
-        packed.imag = dispersion
-        return packed
-    # A subnormal gamma overflows the ratios to +-inf, whose arctan is
-    # the exact sharp step.
-    with np.errstate(over="ignore"):
-        absorption = (np.arctan(up / gamma) - np.arctan(lo / gamma)).sum(axis=-1) / np.pi
-    dispersion = -(0.5 / np.pi) * np.log(
-        (up**2 + gamma**2) / (lo**2 + gamma**2)
-    ).sum(axis=-1)
-    return absorption + 1j * dispersion
+    else:
+        # arctan(up / gamma) - arctan(lo / gamma) as one atan2: up > lo
+        # puts the difference in (0, pi), the range of atan2 with a
+        # positive first argument, so every term is passive.  If
+        # 2 delta gamma underflows (subnormal gamma), each term is the
+        # sharp step 0 or pi.  The temporaries, each a block of detunings
+        # times teeth, are reused in place.
+        steps = up * lo
+        steps += gamma**2
+        absorption = (
+            np.arctan2(2.0 * delta * gamma, steps, out=steps).sum(axis=-1) / np.pi
+        )
+        np.square(up, out=up)
+        up += gamma**2
+        np.square(lo, out=lo)
+        lo += gamma**2
+        # gamma**2 underflows for gamma below about 1e-154, leaving the
+        # sharp comb's divergence on a tooth edge
+        with np.errstate(divide="ignore"):
+            ratio = np.divide(up, lo, out=up)
+            dispersion = -(0.5 / np.pi) * np.log(ratio, out=ratio).sum(axis=-1)
+    # Assembling via 1j * inf would poison the real part with nan.
+    packed = np.empty(np.shape(absorption), dtype=complex)
+    packed.real = absorption
+    packed.imag = dispersion
+    return packed
 
 
 def epsilon_window_center(

@@ -215,7 +215,15 @@ def broadened_A_coefficients(
     gamma: float = 0.01,
     pair_count: int = 9,
 ) -> BroadenedCoefficients:
-    """Integrate the broadened response over the central period ``[-1, 1]``."""
+    """Integrate the broadened response over the central period ``[-1, 1]``.
+
+    The comb is symmetric about ``nu = 0``, so all three integrands are
+    even: each is integrated over ``[0, 1]`` and doubled.  ``delta``
+    must lie in ``(0, 1]``, as for any :class:`CombSpec`.
+    """
+    comb = CombSpec(
+        CombShape.SQUARE, half_width=delta, pair_count=pair_count, gamma=gamma
+    )
     # Imported on first use to keep scipy out of the package import
     # (see lorentzian_convolution).
     from scipy.integrate import quad
@@ -228,11 +236,10 @@ def broadened_A_coefficients(
             epsilon_broadened(nu, delta, gamma=gamma, pair_count=pair_count)
         )
 
-    breaks = [-1.0 + delta, 1.0 - delta]
-
     def integrate(f) -> float:
-        return quad(
-            f, -1.0, 1.0, points=breaks, limit=200, epsabs=1e-13, epsrel=1e-12
+        # epsabs is halved so the doubled integral keeps its bound of 1e-13.
+        return 2.0 * quad(
+            f, 0.0, 1.0, points=[1.0 - delta], limit=200, epsabs=5e-14, epsrel=1e-12
         )[0]
 
     a0 = integrate(lambda nu: packed(nu).real) / 2.0
@@ -245,12 +252,12 @@ def broadened_A_coefficients(
             - packed(nu).imag * math.sin(math.pi * nu)
         )
     ) / 2.0
-    a1_closed = (2.0 / math.pi) * math.sin(math.pi * delta) * math.exp(
-        -math.pi * gamma
-    )
+    # The first cosine weight of the response, -c_1 q, is the first
+    # exponent coefficient b_1 at d_p = 2.
+    _, q, law = _closed_form(comb)
     return BroadenedCoefficients(
         a0=a0,
         a1_absorption=a1_absorption,
         a1_full=a1_full,
-        a1_closed=a1_closed,
+        a1_closed=law(2.0, 1) * q,
     )

@@ -229,6 +229,18 @@ class TestTimeSignal:
         assert signal.energy(lo=1.0, hi=2.5) == pytest.approx(2.0)
         assert signal.energy(lo=2.5) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize(
+        "half_span, samples, oversample", [(30.0, 2**14, 16), (7.3, 2**12, 64)]
+    )
+    def test_step_of_a_full_window_is_exact(self, half_span, samples, oversample):
+        # neighbouring samples near -pi / spacing differ by the step
+        # only to about 1e-11 relative
+        grid = FrequencyGrid(half_span, samples)
+        signal = spectrum_to_signal(np.zeros(samples, complex), grid, oversample)
+        assert signal.times.size == 2**18
+        exact = 2.0 * math.pi / (signal.times.size * grid.spacing)
+        assert abs(signal.dt / exact - 1.0) <= 4e-16
+
     def test_intensity(self):
         signal = TimeSignal(times=np.array([0.0, 1.0]), values=np.array([1j, 2.0 + 0j]))
         np.testing.assert_allclose(signal.intensity(), [1.0, 4.0])
@@ -308,12 +320,21 @@ class TestResponseCache:
 
     def test_cached_response_is_read_only(self, response_calls):
         response = propagation._grid_response(
-            self.COMB, self.GRID, TransferModel.BROADENED, 2000
+            self.COMB, self.GRID, TransferModel.BROADENED, None
         )
         with pytest.raises(ValueError, match="read-only"):
             response[0] = 0.0
         build_transfer(self.COMB, MediumSpec(10.0), self.GRID)
         assert len(response_calls) == 1
+
+    def test_harmonics_is_ignored_where_unread(self, response_calls):
+        # only the ideal square series reads the harmonic count
+        for harmonics in (None, 2000, 1000):
+            build_transfer(
+                self.COMB, MediumSpec(10.0), self.GRID, "broadened", harmonics
+            )
+        assert len(response_calls) == 1
+        assert response_calls[0][3] is None
 
     @pytest.mark.parametrize(
         "change",

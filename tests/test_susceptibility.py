@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afcsim import (
     CombShape,
@@ -18,6 +20,7 @@ from afcsim import (
     lorentzian_convolution,
     square_harmonic_weights,
 )
+from afcsim.propagation import FrequencyGrid
 from afcsim.susceptibility import _COMB_BLOCK
 
 
@@ -186,6 +189,60 @@ class TestBroadened:
         )
         assert np.array_equal(whole, blocks)
         assert np.isinf(whole.imag).any() == (gamma == 0.0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        samples=st.sampled_from([2**11, 2**12, 2**13]),
+        half_span=st.floats(0.5, 40.0),
+        delta=st.floats(0.01, 1.0),
+        gamma=st.floats(1e-4, 0.2),
+        pair_count=st.integers(0, 40),
+    )
+    def test_grid_mirror_is_conjugate(
+        self, samples, half_span, delta, gamma, pair_count
+    ):
+        nu = FrequencyGrid(half_span, samples).points()
+        mirrored = epsilon_broadened(nu, delta, gamma=gamma, pair_count=pair_count)
+        # nu[1 + j] == -nu[samples - 1 - j]: below the middle sample, its
+        # own partner, each is the conjugate of its partner bit for bit
+        middle = samples // 2
+        assert np.array_equal(mirrored[1:middle], np.conj(mirrored[:middle:-1]))
+        direct = np.concatenate(
+            [
+                epsilon_broadened(
+                    nu[i : i + _COMB_BLOCK], delta, gamma=gamma, pair_count=pair_count
+                )
+                for i in range(0, nu.size, _COMB_BLOCK)
+            ]
+        )
+        # the unpaired first sample and the upper half are evaluated directly
+        assert mirrored[0] == direct[0]
+        assert np.array_equal(mirrored[middle:], direct[middle:])
+        assert np.abs(mirrored - direct).max() <= 1e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        delta=st.one_of(st.floats(1e-6, 1.0), st.sampled_from([0.125, 0.25, 0.5])),
+        gamma=st.one_of(st.sampled_from([1e-300, 5e-324]), st.floats(0.0, 10.0)),
+        pair_count=st.integers(0, 1000),
+        data=st.data(),
+    )
+    def test_absorption_is_non_negative(self, delta, gamma, pair_count, data):
+        # tooth edges (2k + 1) +- delta, exact for the dyadic deltas
+        edges = st.builds(
+            lambda k, side: 2.0 * k + 1.0 + side * delta,
+            st.integers(-pair_count - 1, pair_count),
+            st.sampled_from([-1.0, 1.0]),
+        )
+        nu = data.draw(
+            st.lists(
+                st.one_of(st.floats(-2100.0, 2100.0), edges), min_size=1, max_size=64
+            )
+        )
+        packed = epsilon_broadened(
+            np.array(nu), delta, gamma=gamma, pair_count=pair_count
+        )
+        assert (packed.real >= 0.0).all()
 
     def test_long_grid_memory_is_linear(self):
         points = 2**18

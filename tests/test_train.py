@@ -320,21 +320,21 @@ class TestBroadenedCoefficients:
         coeffs = broadened_A_coefficients(0.2, gamma=0.01, pair_count=9)
         assert len(nodes) == len(set(nodes))
         # the reference evaluates the comb afresh inside every integrand,
-        # with the same integrals in the same order, so quad sees the
-        # same values at the same nodes
+        # with the same half-range integrals in the same order, so quad
+        # sees the same values at the same nodes
         from scipy.integrate import quad
 
         def packed(nu):
             return complex(epsilon_broadened(nu, 0.2, gamma=0.01, pair_count=9))
 
         def integrate(f):
-            return quad(
+            return 2.0 * quad(
                 f,
-                -1.0,
+                0.0,
                 1.0,
-                points=[-1.0 + 0.2, 1.0 - 0.2],
+                points=[1.0 - 0.2],
                 limit=200,
-                epsabs=1e-13,
+                epsabs=5e-14,
                 epsrel=1e-12,
             )[0]
 
@@ -354,3 +354,46 @@ class TestBroadenedCoefficients:
         assert coeffs.a1_closed == (2.0 / math.pi) * math.sin(math.pi * 0.2) * math.exp(
             -math.pi * 0.01
         )
+
+    def test_closed_harmonic_is_the_tables_first_coefficient(self):
+        # b_1 = -(d_p / 2) c_1 q, so d_p = 2 gives the response harmonic
+        coeffs = broadened_A_coefficients(0.3, gamma=0.02, pair_count=4)
+        comb = CombSpec(CombShape.SQUARE, half_width=0.3, pair_count=4, gamma=0.02)
+        assert coeffs.a1_closed == closed_train(comb, MediumSpec(2.0), 1).values[1]
+
+    def test_rejects_teeth_wider_than_the_period(self):
+        with pytest.raises(ValueError, match="half_width"):
+            broadened_A_coefficients(1.5)
+
+    @pytest.mark.parametrize("delta", [float(d) for d in np.arange(0.05, 0.451, 0.05)])
+    def test_half_range_matches_full_range(self, delta):
+        # the integrands are even; the full-range reference integrates
+        # over [-1, 1] with both tooth edges as breaks
+        from scipy.integrate import quad
+
+        def packed(nu):
+            return complex(epsilon_broadened(nu, delta, gamma=0.01, pair_count=9))
+
+        def integrate(f):
+            return quad(
+                f,
+                -1.0,
+                1.0,
+                points=[-1.0 + delta, 1.0 - delta],
+                limit=200,
+                epsabs=1e-13,
+                epsrel=1e-12,
+            )[0]
+
+        coeffs = broadened_A_coefficients(delta, gamma=0.01, pair_count=9)
+        full = (
+            integrate(lambda nu: packed(nu).real) / 2.0,
+            -integrate(lambda nu: packed(nu).real * math.cos(math.pi * nu)),
+            -integrate(
+                lambda nu: packed(nu).real * math.cos(math.pi * nu)
+                - packed(nu).imag * math.sin(math.pi * nu)
+            )
+            / 2.0,
+        )
+        half = (coeffs.a0, coeffs.a1_absorption, coeffs.a1_full)
+        assert np.abs(np.subtract(half, full)).max() <= 1e-12
