@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .combs import CombShape, CombSpec, MediumSpec, UnitScale
+from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, UnitScale
 from .output import TRACE_HEADER, format_value, trace_rows, write_csv
 from .propagation import (
     FrequencyGrid,
@@ -254,7 +254,7 @@ def _propagated(config: RunConfig):
         spectrum,
         transfer,
         config.oversample,
-        window=echo_window(comb.delay_time, config.k_max),
+        window=echo_window(config.k_max),
     )
     return comb, signal, reference
 
@@ -262,11 +262,9 @@ def _propagated(config: RunConfig):
 def cmd_propagate(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
-    comb, signal, reference = _propagated(config)
-    check_time_window(signal, comb.delay_time, config.k_max, trace=True)
-    rows = trace_rows(
-        signal, comb.delay_time, reference, -1.0, config.k_max + 1.0
-    )
+    _, signal, reference = _propagated(config)
+    check_time_window(signal, config.k_max, trace=True)
+    rows = trace_rows(signal, reference, -1.0, config.k_max + 1.0)
     header: tuple[str, ...] = TRACE_HEADER
     if scale is not None:
         header += ("time_s",)
@@ -302,9 +300,7 @@ def _warn_above_unity(efficiency: float) -> None:
 
 def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
     comb, signal, reference = _propagated(config)
-    train = extract_train(
-        signal, comb.delay_time, config.k_max, reference_intensity=reference
-    )
+    train = extract_train(signal, config.k_max, reference_intensity=reference)
     closed = closed_train(comb, MediumSpec(config.d_p), config.k_max)
     header: tuple[str, ...] = (
         "k",
@@ -318,7 +314,7 @@ def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
         reference_value = closed.intensity(entry.index)
         rel, rel_text = _relative_error(entry.intensity, reference_value)
         # A window without an echo has no arrival: its cells stay empty.
-        arrival = "" if entry.arrival is None else entry.arrival / comb.delay_time
+        arrival = "" if entry.arrival is None else entry.arrival / ECHO_DELAY
         row: tuple[object, ...] = (
             entry.index,
             entry.intensity,

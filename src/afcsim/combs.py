@@ -11,8 +11,9 @@ fixed here once and for all:
   with ``T = pi / nu0`` (angular-frequency detunings throughout).
 
 ``nu0`` is the unit of frequency, not a parameter: detunings are in
-units of ``nu0``, so the period is 2 and ``T = pi``.  Only
-:class:`UnitScale` converts to laboratory units.
+units of ``nu0``, so the period is 2 and ``T = pi`` is the constant
+:data:`ECHO_DELAY`.  Only :class:`UnitScale` converts to laboratory
+units.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 __all__ = [
+    "ECHO_DELAY",
     "HARMONIC_FINESSE",
     "CombShape",
     "CombSpec",
@@ -33,6 +35,9 @@ __all__ = [
     "odd_peak_centers",
     "population_difference",
 ]
+
+# Echo spacing ``T = pi / nu0`` in units where ``nu0 = 1``, for every comb.
+ECHO_DELAY = math.pi
 
 # A raised-cosine grating has fixed width-to-period ratio, hence fixed finesse.
 HARMONIC_FINESSE = 2.0
@@ -117,16 +122,6 @@ class CombSpec:
     def finesse(self) -> float:
         """Period-to-width ratio ``nu0 / half_width``."""
         return 1.0 / self.half_width
-
-    @property
-    def period(self) -> float:
-        """Comb period ``2 nu0``."""
-        return 2.0
-
-    @property
-    def delay_time(self) -> float:
-        """Echo spacing ``T = pi / nu0``."""
-        return math.pi
 
     @property
     def peak_count(self) -> int:

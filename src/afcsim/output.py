@@ -6,6 +6,8 @@ import csv
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
+from .combs import ECHO_DELAY
+
 if TYPE_CHECKING:
     from .propagation import TimeSignal
 
@@ -40,16 +42,15 @@ TRACE_HEADER = ("t_over_T", "re_field", "im_field", "intensity")
 
 def trace_rows(
     signal: "TimeSignal",
-    period: float,
     reference: float,
     lo: float = -1.0,
     hi: float = 5.0,
 ) -> list[tuple[float, float, float, float]]:
-    """Trace restricted to ``[lo, hi)`` delays, intensity normalised."""
-    mask = (signal.times >= lo * period) & (signal.times < hi * period)
+    """Trace restricted to ``[lo, hi)`` echo delays, intensity normalised."""
+    mask = (signal.times >= lo * ECHO_DELAY) & (signal.times < hi * ECHO_DELAY)
     return [
         (
-            float(t / period),
+            float(t / ECHO_DELAY),
             float(v.real),
             float(v.imag),
             float(abs(v) ** 2 / reference),

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .combs import CombShape, CombSpec, MediumSpec
+from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec
 from . import susceptibility as sus
 
 __all__ = [
@@ -162,16 +162,10 @@ class PulseSpec:
 
 @dataclass
 class TimeSignal:
-    """Complex field samples on a uniform time grid.
-
-    ``window_end`` is the end of the full (periodic) time window of the
-    transform the samples come from, when they cover only part of it;
-    None means they are the whole window.
-    """
+    """Complex field samples on a uniform time grid."""
 
     times: np.ndarray
     values: np.ndarray
-    window_end: float | None = None
 
     @property
     def dt(self) -> float:
@@ -182,13 +176,6 @@ class TimeSignal:
         is exact to rounding.
         """
         return float((self.times[-1] - self.times[0]) / (self.times.size - 1))
-
-    @property
-    def end(self) -> float:
-        """End of the full time window; later echoes wrap to negative times."""
-        if self.window_end is not None:
-            return self.window_end
-        return float(self.times[-1] + self.dt)
 
     def intensity(self) -> np.ndarray:
         return np.abs(self.values) ** 2
@@ -262,10 +249,17 @@ def build_transfer(
     bad = ~np.isfinite(values)
     if bad.any():
         nu = grid.points()
+        if model is TransferModel.IDEAL_FINITE:
+            fix = "model = broadened with gamma > 0"
+        elif comb.gamma > 0.0:
+            # gamma**2 underflows, so the teeth stay sharp
+            fix = "gamma above about 1e-154"
+        else:
+            fix = "gamma > 0"
         raise ValueError(
             f"transfer is non-finite at {int(bad.sum())} grid samples, first at "
             f"detuning {nu[np.argmax(bad)]:.6g}: a sample sits on a sharp "
-            "tooth edge; change finesse, samples or span_factor, or use gamma > 0"
+            f"tooth edge; change finesse, samples or span_factor, or use {fix}"
         )
     return TransferFunction(grid=grid, values=values)
 
@@ -371,9 +365,8 @@ def spectrum_to_signal(
 
     With ``window = (lo, hi)`` only the samples with ``lo <= t < hi``
     (clipped to the full window) are computed, by a chirp-z transform
-    with a cached plan: their times are exactly the full transform's,
-    their values agree with it to rounding, and ``window_end`` keeps
-    the end of the full window.
+    with a cached plan: their times are exactly the full transform's
+    and their values agree with it to rounding.
     """
     m = grid.samples
     if spectrum.shape != (m,):
@@ -395,12 +388,9 @@ def spectrum_to_signal(
         raise ValueError(f"window [{lo}, {hi}) holds fewer than two time samples")
     pre, post, kernel = _chirp_plan(m, oversample, start, stop - start)
     convolved = np.fft.ifft(np.fft.fft(spectrum * pre, kernel.size) * kernel)
-    # The full window's end as the full times array rounds it.
-    end = (half - 1) * dt + ((1 - half) * dt - (-half) * dt)
     return TimeSignal(
         times=np.arange(start, stop) * dt,
         values=scale * post * convolved[: stop - start],
-        window_end=end,
     )
 
 
@@ -447,14 +437,15 @@ def propagate(
     )
 
 
-def echo_window(period: float, k_max: int) -> tuple[float, float]:
-    """Time window ``[-period, (k_max + 2) period)`` read for echoes ``0 .. k_max``.
+def echo_window(k_max: int) -> tuple[float, float]:
+    """Time window ``[-T, (k_max + 2) T)`` read for echoes ``0 .. k_max``.
 
-    It holds the margins :func:`extract_train` searches around each
-    echo and a trace over ``[-1, k_max + 1)`` periods.  A negative
-    ``k_max`` gets the window of ``k_max = 0``.
+    ``T`` is :data:`afcsim.combs.ECHO_DELAY`.  The window holds the
+    margins :func:`extract_train` searches around each echo and a trace
+    over ``[-1, k_max + 1)`` delays.  A negative ``k_max`` gets the
+    window of ``k_max = 0``.
     """
-    return -period, (max(k_max, 0) + 2) * period
+    return -ECHO_DELAY, (max(k_max, 0) + 2) * ECHO_DELAY
 
 
 def transmit(
@@ -573,55 +564,56 @@ def _echo_peak(
     return _interpolated_peak(signal, j)
 
 
-def check_time_window(
-    signal: TimeSignal, period: float, k_max: int, *, trace: bool = False
-) -> None:
+def check_time_window(signal: TimeSignal, k_max: int, *, trace: bool = False) -> None:
     """Raise ``ValueError`` unless echo ``k_max`` arrives inside the window.
 
     An echo past the end of the time window would alias to negative
-    times.  With ``trace`` the window must also hold the whole period
-    after echo ``k_max``, so that a trace over ``[-1, k_max + 1)``
-    periods is not cut short.
+    times.  With ``trace`` the window must also hold the whole delay
+    ``T`` after echo ``k_max``, so that a trace over ``[-1, k_max + 1)``
+    delays is not cut short.
+
+    The window ends where the signal's samples end, ``times[-1] + dt``.
+    Windowed transforms clip to the full time window, so on the
+    :func:`echo_window` of ``k_max`` this is the full window's end when
+    the echo window was clipped, and at least ``(k_max + 2) T`` when it
+    was not: the verdict is that of the full window either way.
     """
-    if period <= 0.0:
-        raise ValueError(f"period must be positive, got {period}")
-    end = signal.end
+    end = float(signal.times[-1] + signal.dt)
     advice = "raise samples, lower span_factor or lower k_max"
-    if k_max * period >= end:
+    if k_max * ECHO_DELAY >= end:
         raise ValueError(
-            f"time window ends at {end / period:.3g} T, too short for echo "
+            f"time window ends at {end / ECHO_DELAY:.3g} T, too short for echo "
             f"k_max = {k_max}; {advice}"
         )
-    if trace and (k_max + 1) * period > end:
+    if trace and (k_max + 1) * ECHO_DELAY > end:
         raise ValueError(
-            f"time window ends at {end / period:.3g} T, too short for the "
+            f"time window ends at {end / ECHO_DELAY:.3g} T, too short for the "
             f"trace to k_max + 1 = {k_max + 1} T; {advice}"
         )
 
 
 def extract_train(
     signal: TimeSignal,
-    period: float,
     k_max: int,
     *,
     reference_intensity: float | None = None,
 ) -> PulseTrain:
     """Read echoes ``0 .. k_max`` off a propagated signal.
 
-    Window ``k`` is ``[k * period - w, k * period + w)`` with
-    ``w = 0.5 * period``.  Intensities are peak field intensities
-    divided by ``reference_intensity`` when given (the simulated input
-    peak, so grid truncation cancels).  A window holds an echo only if
+    Window ``k`` is ``[k T - w, k T + w)`` with ``w = T / 2``, ``T``
+    being :data:`afcsim.combs.ECHO_DELAY`.  Intensities are peak field
+    intensities divided by ``reference_intensity`` when given (the
+    simulated input peak, so grid truncation cancels).  A window holds an echo only if
     :func:`_echo_peak` finds one with a margin of ``w / 2``; otherwise
     its entry has intensity 0 and no arrival.  Echo ``k_max`` must
     arrive inside the time window (see :func:`check_time_window`).
     """
-    check_time_window(signal, period, k_max)
+    check_time_window(signal, k_max)
     ref = 1.0 if reference_intensity is None else reference_intensity
     entries = []
-    w = 0.5 * period
+    w = 0.5 * ECHO_DELAY
     for k in range(k_max + 1):
-        peak = _echo_peak(signal, k * period - w, k * period + w, 0.5 * w)
+        peak = _echo_peak(signal, k * ECHO_DELAY - w, k * ECHO_DELAY + w, 0.5 * w)
         if peak is None:
             entries.append(TrainEntry(k, 0j, 0.0, None))
             continue

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .combs import CombSpec, MediumSpec
+from .combs import ECHO_DELAY, CombSpec, MediumSpec
 from .propagation import (
     FrequencyGrid,
     PulseSpec,
@@ -137,12 +137,12 @@ def recall(
     pulse = pulse or PulseSpec()
     grid = grid or FrequencyGrid.for_pulse(pulse)
     transfer = build_transfer(comb, medium, grid, model, harmonics)
-    window = echo_window(comb.delay_time, k_max)
+    window = echo_window(k_max)
     signal, reference = transmit(
         gaussian_spectrum(pulse, grid), transfer, oversample, window=window
     )
     if passes == 2:
-        half = 0.5 * comb.delay_time
+        half = 0.5 * ECHO_DELAY
         second = _second_pass(
             signal,
             transfer,
@@ -153,9 +153,7 @@ def recall(
             mismatch_phase,
         )
         signal = replace(signal, values=signal.values + second.values)
-    train = extract_train(
-        signal, comb.delay_time, k_max, reference_intensity=reference
-    )
+    train = extract_train(signal, k_max, reference_intensity=reference)
     return ProtocolResult(closed, train.intensity(1), train, signal)
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .combs import CombShape, CombSpec, MediumSpec, population_difference
+from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, population_difference
 from .output import TRACE_HEADER, trace_rows, write_csv
 from .propagation import (
     FrequencyGrid,
@@ -258,7 +258,7 @@ def _echo_train(
         write_csv(
             trace_path,
             TRACE_HEADER,
-            trace_rows(signal, comb.delay_time, reference),
+            trace_rows(signal, reference),
         )
         train_path = out_dir / f"{name}-train.csv"
         write_csv(
@@ -269,7 +269,7 @@ def _echo_train(
                     e.index,
                     e.intensity,
                     closed.intensity(e.index),
-                    "" if e.arrival is None else e.arrival / comb.delay_time,
+                    "" if e.arrival is None else e.arrival / ECHO_DELAY,
                 )
                 for e in train.entries
             ),
@@ -321,8 +321,7 @@ def _depth_scan_closed(out_dir: Path) -> TargetReport:
 def _timebin_pair(out_dir: Path) -> TargetReport:
     comb = CombSpec.from_finesse(CombShape.SQUARE, 5.0)
     medium = MediumSpec(10.0)
-    period = comb.delay_time
-    qubit = TimeBinQubit(c1=0.8, c2=0.6, tau=0.4 * period, phi=0.7)
+    qubit = TimeBinQubit(c1=0.8, c2=0.6, tau=0.4 * ECHO_DELAY, phi=0.7)
     grid = FrequencyGrid.for_pulse(PulseSpec(sigma=qubit.sigma))
     transfer = build_transfer(
         comb, medium, grid, TransferModel.IDEAL, harmonics=None
@@ -334,28 +333,28 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
         timebin_spectrum(qubit, grid),
         transfer,
         reference_window=(-half, half),
-        window=echo_window(period, 1),
+        window=echo_window(1),
     )
     bins = {}
     for label, center in (
         ("prompt_early", 0.0),
         ("prompt_late", qubit.tau),
-        ("delayed_early", period),
-        ("delayed_late", period + qubit.tau),
+        ("delayed_early", ECHO_DELAY),
+        ("delayed_late", ECHO_DELAY + qubit.tau),
     ):
         bins[label] = peak_in_window(signal, center - half, center + half)
     trace_path = out_dir / "timebin-pair.csv"
     write_csv(
         trace_path,
         TRACE_HEADER,
-        trace_rows(signal, period, reference, -0.5, 2.0),
+        trace_rows(signal, reference, -0.5, 2.0),
     )
     bins_path = out_dir / "timebin-pair-bins.csv"
     write_csv(
         bins_path,
         ("bin", "re_amplitude", "im_amplitude", "arrival_over_T"),
         (
-            (label, amp.real, amp.imag, t / period)
+            (label, amp.real, amp.imag, t / ECHO_DELAY)
             for label, (amp, t) in bins.items()
         ),
     )

@@ -154,10 +154,12 @@ def chi_square_exact(
     return epsilon_broadened(nu, inv_finesse, gamma=0.0, pair_count=pair_count)
 
 
-# Detunings per block of the finite comb: the (block, teeth) broadcast
-# stays in cache and memory stays O(N), while each row is summed exactly
-# as a single broadcast would sum it.
+# Detunings per block of the finite comb, and detuning-tooth pairs per
+# block: the (block, teeth) broadcast stays in cache and its memory is
+# bounded whatever the tooth count, while each row is summed exactly as
+# a single broadcast would sum it.
 _COMB_BLOCK = 1024
+_COMB_PAIRS = 2**17
 
 
 def epsilon_broadened(
@@ -176,8 +178,10 @@ def epsilon_broadened(
     indicator teeth.
 
     The comb is symmetric about ``nu = 0``: the response at ``-nu`` is
-    the conjugate of that at ``nu``.  An array of more than 1024
-    detunings is evaluated in blocks of 1024.  If its flattened samples
+    the conjugate of that at ``nu``.  Detunings are evaluated in blocks
+    of at most 1024, and of at most ``2**17 // teeth`` once there are
+    more than 128 teeth, so memory does not grow with the tooth count.
+    If the flattened samples of an array of more than 1024 detunings
     from index ``s`` (0 or 1) on mirror each other,
     ``nu[s + j] == -nu[n - 1 - j]``, as every ``FrequencyGrid.points()``
     does with ``s = 1``, only the upper half of that run is evaluated
@@ -193,15 +197,16 @@ def epsilon_broadened(
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     centers = odd_peak_centers(pair_count)
-    if nu.size <= _COMB_BLOCK:
+    rows = min(_COMB_BLOCK, max(1, _COMB_PAIRS // centers.size))
+    if nu.size <= rows:
         return _finite_comb(nu, delta, gamma, centers)
     flat = nu.ravel()
     n = flat.size
-    first, mirrored = _mirrored_run(flat)
+    first, mirrored = _mirrored_run(flat) if n > _COMB_BLOCK else (0, 0)
     packed = np.empty(n, dtype=complex)
     for lo, hi in ((0, first), (first + mirrored, n)):
-        for start in range(lo, hi, _COMB_BLOCK):
-            stop = min(start + _COMB_BLOCK, hi)
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
             packed[start:stop] = _finite_comb(flat[start:stop], delta, gamma, centers)
     np.conjugate(packed[n - mirrored :][::-1], out=packed[first : first + mirrored])
     return packed.reshape(nu.shape)
@@ -251,7 +256,7 @@ def _finite_comb(
         lo += gamma**2
         # gamma**2 underflows for gamma below about 1e-154, leaving the
         # sharp comb's divergence on a tooth edge
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             ratio = np.divide(up, lo, out=up)
             dispersion = -(0.5 / np.pi) * np.log(ratio, out=ratio).sum(axis=-1)
     # Assembling via 1j * inf would poison the real part with nan.

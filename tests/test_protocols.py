@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afcsim.combs import CombSpec, CombShape, MediumSpec
+from afcsim.combs import ECHO_DELAY, CombSpec, CombShape, MediumSpec
 from afcsim.propagation import (
     FrequencyGrid,
     PulseSpec,
@@ -83,9 +83,7 @@ class TestSinglePass:
         assert result.signal.energy() <= whole * (1.0 + 1e-12)
         # echoes arrive at multiples of the rephasing delay
         for entry in result.train.entries[1:]:
-            assert entry.arrival == pytest.approx(
-                entry.index * COMB.delay_time, abs=1e-2
-            )
+            assert entry.arrival == pytest.approx(entry.index * ECHO_DELAY, abs=1e-2)
 
 
 class TestEnergyBalance:
@@ -178,7 +176,7 @@ class TestTwoPass:
         )
 
     def test_echo_window_energy_below_input(self):
-        half = 0.5 * COMB.delay_time
+        half = 0.5 * ECHO_DELAY
         signal = _run_two_pass().signal
         _assert_inside(signal, half, 3.0 * half)
         echo = signal.energy(half, 3.0 * half)
@@ -194,7 +192,7 @@ class TestTwoPass:
         result = recall(comb, MediumSpec(d_p), passes=2, pulse=PULSE)
         grid = FrequencyGrid.for_pulse(PULSE)
         incoming = spectrum_to_signal(gaussian_spectrum(PULSE, grid), grid).energy()
-        half = 0.5 * comb.delay_time
+        half = 0.5 * ECHO_DELAY
         _assert_inside(result.signal, half, 3.0 * half)
         ratio = result.signal.energy(half, 3.0 * half) / incoming
         assert ratio == pytest.approx(result.closed_efficiency, rel=1e-2)

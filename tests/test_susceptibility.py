@@ -18,10 +18,11 @@ from afcsim import (
     kramers_kronig,
     lorentzian_comb_response,
     lorentzian_convolution,
+    odd_peak_centers,
     square_harmonic_weights,
 )
 from afcsim.propagation import FrequencyGrid
-from afcsim.susceptibility import _COMB_BLOCK
+from afcsim.susceptibility import _COMB_BLOCK, _finite_comb
 
 
 def midgrid(lo, hi, n):
@@ -255,6 +256,26 @@ class TestBroadened:
             tracemalloc.stop()
         # one (points, 82 teeth) broadcast would need about 2 kB per point
         assert peak < 64 * points
+
+    def test_memory_is_bounded_in_the_tooth_count(self):
+        nu = FrequencyGrid(20.0, 4096).points()
+        tracemalloc.start()
+        try:
+            epsilon_broadened(nu, 0.2, gamma=0.005, pair_count=3000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # blocks of 1024 detunings by 6002 teeth would take about 140 MiB
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    def test_many_teeth_blocks_match_one_broadcast(self, gamma):
+        # 402 teeth give blocks of 326 detunings; the edges sit on samples
+        nu = (np.arange(1000) - 500) / 256.0
+        blocked = epsilon_broadened(nu, 0.25, gamma=gamma, pair_count=200)
+        with np.errstate(divide="ignore"):
+            whole = _finite_comb(nu, 0.25, gamma, odd_peak_centers(200))
+        assert np.array_equal(blocked, whole)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
