@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, UnitScale
-from .output import TRACE_HEADER, format_value, trace_rows, write_csv
+from .output import TRACE_HEADER, format_value, trace_columns, write_csv
 from .propagation import (
     FrequencyGrid,
     PulseSpec,
@@ -210,9 +210,9 @@ def cmd_spectrum(
     columns = [nu, packed.real, packed.imag]
     if scale is not None:
         header += ("frequency_hz",)
-        columns.append(np.array([scale.frequency_hz(v) for v in nu]))
+        columns.append(scale.frequency_hz(nu))
     path = out_dir / "spectrum.csv"
-    count = write_csv(path, header, zip(*columns))
+    count = write_csv(path, header, columns)
     print(f"wrote {path} ({count} rows)")
     return 0
 
@@ -232,9 +232,9 @@ def cmd_transfer(
     columns = [nu, transfer.values.real, transfer.values.imag, np.abs(transfer.values)]
     if scale is not None:
         header += ("frequency_hz",)
-        columns.append(np.array([scale.frequency_hz(v) for v in nu]))
+        columns.append(scale.frequency_hz(nu))
     path = out_dir / "transfer.csv"
-    count = write_csv(path, header, zip(*columns))
+    count = write_csv(path, header, columns)
     print(f"wrote {path} ({count} rows)")
     return 0
 
@@ -264,13 +264,13 @@ def cmd_propagate(
 ) -> int:
     _, signal, reference = _propagated(config)
     check_time_window(signal, config.k_max, trace=True)
-    rows = trace_rows(signal, reference, -1.0, config.k_max + 1.0)
+    columns = list(trace_columns(signal, reference, -1.0, config.k_max + 1.0))
     header: tuple[str, ...] = TRACE_HEADER
     if scale is not None:
         header += ("time_s",)
-        rows = [row + (scale.time_s(row[0]),) for row in rows]
+        columns.append(scale.time_s(columns[0]))
     path = out_dir / "trace.csv"
-    count = write_csv(path, header, rows)
+    count = write_csv(path, header, columns)
     print(f"wrote {path} ({count} rows)")
     return 0
 
@@ -332,8 +332,8 @@ def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
     if scale is not None:
         header += ("arrival_s",)
     path = out_dir / "train.csv"
-    write_csv(path, header, rows)
-    print(f"wrote {path} ({len(rows)} rows)")
+    count = write_csv(path, header, list(zip(*rows)))
+    print(f"wrote {path} ({count} rows)")
     return 0
 
 
@@ -362,7 +362,7 @@ def cmd_protocol(
         else _relative_error(simulated, result.closed_efficiency)
     )
     path = out_dir / "protocol.csv"
-    write_csv(
+    count = write_csv(
         path,
         (
             "protocol",
@@ -375,16 +375,14 @@ def cmd_protocol(
             "rel_error",
         ),
         [
-            (
-                label,
-                config.shape,
-                config.finesse,
-                config.d_p,
-                config.gamma,
-                result.closed_efficiency,
-                math.nan if simulated is None else simulated,
-                rel,
-            )
+            [label],
+            [config.shape],
+            [config.finesse],
+            [config.d_p],
+            [config.gamma],
+            [result.closed_efficiency],
+            [math.nan if simulated is None else simulated],
+            [rel],
         ],
     )
     if simulated is None:
@@ -394,7 +392,7 @@ def cmd_protocol(
             f"{label}: closed={result.closed_efficiency:.6f} "
             f"simulated={simulated:.6f} rel={rel_text}"
         )
-    print(f"wrote {path} (1 rows)")
+    print(f"wrote {path} ({count} rows)")
     _warn_above_unity(max(result.closed_efficiency, simulated or 0.0))
     return 0
 
@@ -436,13 +434,13 @@ def cmd_sweep(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
         padded = row.intensities + (math.nan,) * (k_cols - len(row.intensities))
         rows.append((row.value, row.efficiency) + padded + (row.status,))
     path = out_dir / "sweep.csv"
-    write_csv(path, header, rows)
+    count = write_csv(path, header, list(zip(*rows)))
     refined = " (refined)" if result.refined else ""
     print(
         f"best {config.sweep_parameter}={result.best_value:.6g} "
         f"efficiency={result.best_efficiency:.6f}{refined}"
     )
-    print(f"wrote {path} ({len(rows)} rows)")
+    print(f"wrote {path} ({count} rows)")
     _warn_above_unity(result.best_efficiency)
     return 0
 

@@ -70,7 +70,8 @@ class CombSpec:
         i.e. ``pair_count + 1`` peaks on each side.
     gamma:
         Homogeneous HWHM broadening each tooth by a Lorentzian of this
-        half-width.  Zero means an ideal (unbroadened) comb.
+        half-width.  Zero means an ideal (unbroadened) comb.  It must lie
+        below about 1.3e154, so that its square is finite.
     """
 
     shape: CombShape
@@ -84,6 +85,13 @@ class CombSpec:
             raise ValueError(f"pair_count must be >= 0, got {self.pair_count}")
         if self.gamma < 0.0:
             raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not math.isfinite(self.gamma * self.gamma):
+            # The broadened kernels square gamma; above about 1.3e154
+            # that overflows.
+            raise ValueError(
+                f"gamma must be below about 1.3e154 so that gamma**2 is "
+                f"finite, got {self.gamma}"
+            )
         if self.shape is CombShape.HARMONIC:
             object.__setattr__(self, "half_width", 1.0 / HARMONIC_FINESSE)
         elif not 0.0 < self.half_width <= 1.0:
@@ -165,11 +173,11 @@ class UnitScale:
         if self.nu0_hz <= 0.0:
             raise ValueError(f"nu0_hz must be positive, got {self.nu0_hz}")
 
-    def frequency_hz(self, nu: float) -> float:
+    def frequency_hz(self, nu: float | np.ndarray) -> float | np.ndarray:
         """Physical frequency offset in Hz for a normalised detuning."""
         return nu * self.nu0_hz
 
-    def time_s(self, t_over_T: float) -> float:
+    def time_s(self, t_over_T: float | np.ndarray) -> float | np.ndarray:
         """Physical time in seconds for a time in echo-spacing units."""
         return t_over_T / (2.0 * self.nu0_hz)
 

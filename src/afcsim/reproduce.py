@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, population_difference
-from .output import TRACE_HEADER, trace_rows, write_csv
+from .output import TRACE_HEADER, trace_columns, write_csv
 from .propagation import (
     FrequencyGrid,
     PulseSpec,
@@ -81,7 +81,7 @@ def _comb_profiles(out_dir: Path) -> TargetReport:
     write_csv(
         path,
         ("delta_over_nu0", "square", "lorentzian", "harmonic"),
-        zip(nu, square, lorentz, harmonic),
+        (nu, square, lorentz, harmonic),
     )
     checks = (
         Check("square duty cycle", float(square.mean()), 0.1, 2e-3),
@@ -103,7 +103,7 @@ def _echo_vs_depth(out_dir: Path) -> TargetReport:
     write_csv(
         path,
         ("d_p", "i1_finesse2", "i1_finesse5", "i1_finesse10"),
-        zip(depths, columns[2.0], columns[5.0], columns[10.0]),
+        (depths, columns[2.0], columns[5.0], columns[10.0]),
     )
     checks = []
     for finesse, best_d, best_i in (
@@ -129,7 +129,7 @@ def _echo_vs_depth(out_dir: Path) -> TargetReport:
 def _optimal_recall(out_dir: Path) -> TargetReport:
     curve = optimal_curve(np.arange(2, 65, dtype=float))
     path = out_dir / "optimal-recall.csv"
-    write_csv(path, ("finesse", "optimal_depth", "intensity"), curve)
+    write_csv(path, ("finesse", "optimal_depth", "intensity"), curve.T)
     at32 = float(curve[curve[:, 0] == 32.0][0, 2])
     increasing = float(np.all(np.diff(curve[:, 2]) > 0.0))
     checks = (
@@ -149,7 +149,7 @@ def _broadened_response(
         write_csv(
             path,
             ("nu_over_nu0", "absorption", "dispersion"),
-            zip(nu, packed.real, packed.imag),
+            (nu, packed.real, packed.imag),
         )
         checks = (
             Check(
@@ -192,7 +192,7 @@ def _harmonic_weights_table(out_dir: Path) -> TargetReport:
     write_csv(
         path,
         ("delta_over_nu0", "a0", "a1_absorption", "a1_full", "a1_closed"),
-        rows,
+        list(zip(*rows)),
     )
     checks = (
         Check("worst |a0 - duty cycle|", worst_a0, 0.0, 1e-3),
@@ -215,7 +215,7 @@ def _series_response(out_dir: Path) -> TargetReport:
             "absorption_resummed",
             "dispersion_resummed",
         ),
-        zip(nu, truncated.real, truncated.imag, resummed.real, resummed.imag),
+        (nu, truncated.real, truncated.imag, resummed.real, resummed.imag),
     )
     binary_dev = float(
         np.max(np.minimum(np.abs(resummed.real), np.abs(resummed.real - 1.0)))
@@ -255,23 +255,19 @@ def _echo_train(
         reference = train.reference_intensity
         closed = closed_train(comb, MediumSpec(d_p), 3)
         trace_path = out_dir / f"{name}.csv"
-        write_csv(
-            trace_path,
-            TRACE_HEADER,
-            trace_rows(signal, reference),
-        )
+        write_csv(trace_path, TRACE_HEADER, trace_columns(signal, reference))
         train_path = out_dir / f"{name}-train.csv"
         write_csv(
             train_path,
             ("k", "intensity", "closed_intensity", "arrival_over_T"),
             (
-                (
-                    e.index,
-                    e.intensity,
-                    closed.intensity(e.index),
-                    "" if e.arrival is None else e.arrival / ECHO_DELAY,
-                )
-                for e in train.entries
+                [e.index for e in train.entries],
+                [e.intensity for e in train.entries],
+                [closed.intensity(e.index) for e in train.entries],
+                [
+                    "" if e.arrival is None else e.arrival / ECHO_DELAY
+                    for e in train.entries
+                ],
             ),
         )
         checks = [
@@ -304,7 +300,7 @@ def _depth_scan_closed(out_dir: Path) -> TargetReport:
         coeffs = closed_train(comb, MediumSpec(float(d)), 3)
         rows.append((float(d),) + tuple(coeffs.intensity(k) for k in (1, 2, 3)))
     path = out_dir / "depth-scan.csv"
-    write_csv(path, ("d_p", "i1", "i2", "i3"), rows)
+    write_csv(path, ("d_p", "i1", "i2", "i3"), list(zip(*rows)))
     table = np.array(rows)
     checks = []
     for k, best_d, best_i in (
@@ -344,18 +340,16 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
     ):
         bins[label] = peak_in_window(signal, center - half, center + half)
     trace_path = out_dir / "timebin-pair.csv"
-    write_csv(
-        trace_path,
-        TRACE_HEADER,
-        trace_rows(signal, reference, -0.5, 2.0),
-    )
+    write_csv(trace_path, TRACE_HEADER, trace_columns(signal, reference, -0.5, 2.0))
     bins_path = out_dir / "timebin-pair-bins.csv"
     write_csv(
         bins_path,
         ("bin", "re_amplitude", "im_amplitude", "arrival_over_T"),
         (
-            (label, amp.real, amp.imag, t / ECHO_DELAY)
-            for label, (amp, t) in bins.items()
+            list(bins),
+            [amp.real for amp, _ in bins.values()],
+            [amp.imag for amp, _ in bins.values()],
+            [t / ECHO_DELAY for _, t in bins.values()],
         ),
     )
     early, _ = bins["delayed_early"]
@@ -404,14 +398,12 @@ def _efficiency_point(
                 "simulated_efficiency",
             ),
             [
-                (
-                    "two-pass" if passes == 2 else "first-echo",
-                    finesse,
-                    d_p,
-                    0.005,
-                    result.closed_efficiency,
-                    result.simulated_efficiency,
-                )
+                ["two-pass" if passes == 2 else "first-echo"],
+                [finesse],
+                [d_p],
+                [0.005],
+                [result.closed_efficiency],
+                [result.simulated_efficiency],
             ],
         )
         assert result.simulated_efficiency is not None
@@ -432,19 +424,21 @@ def _efficiency_point(
 def _harmonic_poisson(out_dir: Path) -> TargetReport:
     comb = CombSpec(CombShape.HARMONIC)
     train = closed_train(comb, MediumSpec(4.0), 12)
+    ks = range(train.k_max + 1)
     path = out_dir / "harmonic-comb-train.csv"
     write_csv(
         path,
         ("k", "amplitude", "intensity"),
         (
-            (k, float(train.prompt_factor.real * train.values[k]), train.intensity(k))
-            for k in range(train.k_max + 1)
+            ks,
+            [float(train.prompt_factor.real * train.values[k]) for k in ks],
+            [train.intensity(k) for k in ks],
         ),
     )
     rate = 1.0
     poisson_dev = max(
         abs(train.values[k] - rate**k / math.factorial(k))
-        for k in range(train.k_max + 1)
+        for k in ks
     )
     full = closed_train(comb, MediumSpec(4.0), 60)
     amplitude_sum = float(full.prompt_factor.real * full.values.sum())
@@ -460,7 +454,7 @@ def _shallow_depth_pin(out_dir: Path) -> TargetReport:
     comb = CombSpec.from_finesse(CombShape.SQUARE, 10.0)
     value = first_echo_intensity(comb, MediumSpec(2.0))
     path = out_dir / "shallow-depth.csv"
-    write_csv(path, ("finesse", "d_p", "intensity"), [(10.0, 2.0, value)])
+    write_csv(path, ("finesse", "d_p", "intensity"), [[10.0], [2.0], [value]])
     return TargetReport(
         "shallow-depth",
         (Check("first-echo intensity", value, 0.0317, 5e-4),),
@@ -475,7 +469,7 @@ def _window_floor_pin(out_dir: Path) -> TargetReport:
     write_csv(
         path,
         ("pair_count", "absorption_at_window_centre"),
-        [(9, small), (100000, large)],
+        [[9, 100000], [small, large]],
     )
     checks = (
         Check("window floor, long comb", large, 1.57e-3, 2e-5),

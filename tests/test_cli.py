@@ -395,6 +395,14 @@ class TestErrorPaths:
             assert setting in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["train", "protocol"])
+    def test_gamma_whose_square_overflows_exits_one(self, tmp_path, capsys, command):
+        path = _write_config(tmp_path, "gamma = 1e200\n")
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: gamma must be below about 1.3e154")
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_out_directory_is_created(self, tmp_path):
         nested = tmp_path / "a" / "b"
         assert main(["--out", str(nested), "spectrum"]) == 0

@@ -51,6 +51,11 @@ class TestCombSpec:
         with pytest.raises(ValueError):
             CombSpec(CombShape.SQUARE, **kwargs)
 
+    def test_gamma_square_must_be_finite(self):
+        assert CombSpec(CombShape.SQUARE, gamma=1e154).gamma == 1e154
+        with pytest.raises(ValueError, match="gamma must be below about 1.3e154"):
+            CombSpec(CombShape.SQUARE, gamma=1.4e154)
+
     def test_with_gamma(self):
         comb = CombSpec.from_finesse("square", 5.0)
         assert comb.with_gamma(0.01).gamma == pytest.approx(0.01)

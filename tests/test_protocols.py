@@ -25,7 +25,7 @@ from afcsim.protocols import (
     timebin_transform,
 )
 from afcsim.sweeps import golden_section_max
-from afcsim.train import first_echo_intensity, prompt_attenuation
+from afcsim.train import first_echo_intensity, optimal_depth, prompt_attenuation
 
 # forty tooth pairs cover the six-sigma grid of the default pulse
 COMB = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005, pair_count=40)
@@ -255,6 +255,39 @@ class TestTwoPassAboveUnity:
         assert d_p / finesse == pytest.approx(1.5162, abs=1e-4)
         assert best == pytest.approx(1.08847, abs=1e-5)
         assert 1.0 < self._best(100.0)[1] < best
+
+
+class TestTwoPassRouting:
+    """Physical routings of the two-pass fields stay below ``I1 (1 + C0)^2``."""
+
+    def test_whole_output_through_again_is_the_comb_at_twice_the_depth(self):
+        once = build_transfer(COMB, MEDIUM, GRID).values
+        twice = build_transfer(COMB, MediumSpec(2.0 * MEDIUM.d_p), GRID).values
+        np.testing.assert_allclose(once**2, twice, rtol=1e-12, atol=1e-300)
+        best = first_echo_intensity(COMB, MediumSpec(optimal_depth(COMB)))
+        for d_p in np.linspace(0.0, 40.0, 81):
+            assert first_echo_intensity(COMB, MediumSpec(2.0 * d_p)) <= best
+
+    @pytest.mark.parametrize("d_p", [3.0, 10.0, 25.0])
+    def test_lossless_coupler_caps_the_sum_of_the_echoes(self, d_p):
+        medium = MediumSpec(d_p)
+        i1 = first_echo_intensity(COMB, medium)
+        c0 = prompt_attenuation(COMB, medium)
+        echoes = np.array([1.0, c0]) * math.sqrt(i1)
+        bound = i1 * (1.0 + c0**2)
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            draw = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+            coupler, _ = np.linalg.qr(draw)
+            ports = np.abs(coupler @ echoes) ** 2
+            assert ports.max() <= bound * (1.0 + 1e-12)
+            assert ports.sum() == pytest.approx(bound, rel=1e-12)
+        # the coupler matched to the two echoes reaches the bound
+        matched = echoes / np.linalg.norm(echoes)
+        assert abs(matched @ echoes) ** 2 == pytest.approx(bound, rel=1e-12)
+        two_pass = recall(COMB, medium, passes=2, simulate=False)
+        assert bound < two_pass.closed_efficiency
+        assert two_pass.closed_efficiency == pytest.approx(i1 * (1.0 + c0) ** 2)
 
 
 class TestTimeBinQubit:
