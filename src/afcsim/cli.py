@@ -25,15 +25,14 @@ from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, UnitScale
 from .output import TRACE_HEADER, format_value, trace_columns, write_csv
 from .propagation import (
     FrequencyGrid,
+    Probe,
     PulseSpec,
     TransferModel,
     build_transfer,
     check_time_window,
     comb_response,
-    echo_window,
     extract_train,
-    gaussian_spectrum,
-    transmit,
+    propagate,
 )
 from .protocols import recall
 from .sweeps import SweepAxis, SweepKind, SweepRequest, sweep
@@ -249,13 +248,9 @@ def _propagated(config: RunConfig):
         TransferModel(config.model),
         config.harmonics,
     )
-    spectrum = gaussian_spectrum(PulseSpec(sigma=config.sigma), grid)
-    signal, reference = transmit(
-        spectrum,
-        transfer,
-        config.oversample,
-        window=echo_window(config.k_max),
-    )
+    probe = Probe(PulseSpec(sigma=config.sigma), grid, config.oversample, config.k_max)
+    reference = probe.reference
+    signal = propagate(probe.spectrum, transfer, probe.oversample, probe.window)
     return comb, signal, reference
 
 
@@ -344,12 +339,14 @@ def cmd_protocol(
         _comb(config),
         MediumSpec(config.d_p),
         passes=config.passes,
-        pulse=PulseSpec(sigma=config.sigma),
-        grid=_grid(config),
+        probe=Probe(
+            PulseSpec(sigma=config.sigma),
+            _grid(config),
+            config.oversample,
+            config.k_max,
+        ),
         model=TransferModel(config.model),
         harmonics=config.harmonics,
-        k_max=config.k_max,
-        oversample=config.oversample,
         mismatch_time=config.mismatch_time,
         mismatch_phase=config.mismatch_phase,
         simulate=config.simulate,

@@ -151,6 +151,8 @@ class MediumSpec:
     d_p: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.d_p):
+            raise ValueError(f"d_p must be finite, got {self.d_p}")
         if self.d_p < 0.0:
             raise ValueError(f"d_p must be >= 0, got {self.d_p}")
 
@@ -170,6 +172,8 @@ class UnitScale:
     nu0_hz: float
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.nu0_hz):
+            raise ValueError(f"nu0_hz must be finite, got {self.nu0_hz}")
         if self.nu0_hz <= 0.0:
             raise ValueError(f"nu0_hz must be positive, got {self.nu0_hz}")
 

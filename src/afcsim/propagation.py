@@ -41,6 +41,7 @@ __all__ = [
     "TransferModel",
     "FrequencyGrid",
     "PulseSpec",
+    "Probe",
     "TimeSignal",
     "TransferFunction",
     "TrainEntry",
@@ -118,6 +119,8 @@ class FrequencyGrid:
     samples: int = DEFAULT_SAMPLES
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.half_span):
+            raise ValueError(f"half_span must be finite, got {self.half_span}")
         if self.half_span <= 0.0:
             raise ValueError(f"half_span must be positive, got {self.half_span}")
         if self.samples < 16 or self.samples & (self.samples - 1):
@@ -156,6 +159,8 @@ class PulseSpec:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
 
@@ -448,6 +453,26 @@ def echo_window(k_max: int) -> tuple[float, float]:
     return -ECHO_DELAY, (max(k_max, 0) + 2) * ECHO_DELAY
 
 
+def _input_peak(
+    spectrum: np.ndarray,
+    grid: FrequencyGrid,
+    oversample: int,
+    window: tuple[float, float] | None,
+    reference_window: tuple[float, float] | None = None,
+) -> float:
+    """Peak intensity of the input inside ``reference_window``.
+
+    The input is transformed on ``window`` (see :func:`spectrum_to_signal`)
+    and its peak is read inside ``reference_window``, all of ``window``
+    by default.
+    """
+    incoming = spectrum_to_signal(spectrum, grid, oversample, window)
+    if reference_window is None:
+        reference_window = (incoming.times[0], incoming.times[-1] + incoming.dt)
+    amplitude, _ = peak_in_window(incoming, *reference_window)
+    return abs(amplitude) ** 2
+
+
 def transmit(
     spectrum: np.ndarray,
     transfer: TransferFunction,
@@ -461,13 +486,52 @@ def transmit(
     :func:`spectrum_to_signal`) and the input peak intensity inside
     ``reference_window`` (all of ``window`` by default).  Simulated
     intensities are quoted relative to that peak, so grid truncation
-    cancels.
+    cancels.  A Gaussian pulse read on an echo window is a
+    :class:`Probe`, which computes that peak once for every transfer.
     """
-    incoming = spectrum_to_signal(spectrum, transfer.grid, oversample, window)
-    if reference_window is None:
-        reference_window = (incoming.times[0], incoming.times[-1] + incoming.dt)
-    amplitude, _ = peak_in_window(incoming, *reference_window)
-    return propagate(spectrum, transfer, oversample, window), abs(amplitude) ** 2
+    reference = _input_peak(
+        spectrum, transfer.grid, oversample, window, reference_window
+    )
+    return propagate(spectrum, transfer, oversample, window), reference
+
+
+@dataclass(frozen=True)
+class Probe:
+    """A Gaussian input pulse on a grid, read on the echo window of ``k_max``.
+
+    One probe serves every transfer on its grid, such as the points of
+    a sweep.  ``spectrum`` and the input peak ``reference`` are computed
+    on first access and then kept, so a run that fails before its first
+    transform computes neither.  Nothing is validated here beyond what
+    :class:`PulseSpec` and :class:`FrequencyGrid` check: a bad
+    ``oversample`` or ``k_max`` is reported by the first transform or
+    train that reads it.
+    """
+
+    pulse: PulseSpec = PulseSpec()
+    grid: FrequencyGrid | None = None
+    oversample: int = 16
+    k_max: int = 5
+
+    def __post_init__(self) -> None:
+        if self.grid is None:
+            object.__setattr__(self, "grid", FrequencyGrid.for_pulse(self.pulse))
+
+    @property
+    def window(self) -> tuple[float, float]:
+        return echo_window(self.k_max)
+
+    @functools.cached_property
+    def spectrum(self) -> np.ndarray:
+        """Input spectrum on the grid, read-only."""
+        spectrum = gaussian_spectrum(self.pulse, self.grid)
+        spectrum.flags.writeable = False
+        return spectrum
+
+    @functools.cached_property
+    def reference(self) -> float:
+        """Input peak intensity on the window, as :func:`transmit` quotes it."""
+        return _input_peak(self.spectrum, self.grid, self.oversample, self.window)
 
 
 @dataclass(frozen=True)

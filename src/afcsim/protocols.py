@@ -17,18 +17,18 @@ import numpy as np
 from .combs import ECHO_DELAY, CombSpec, MediumSpec
 from .propagation import (
     FrequencyGrid,
+    Probe,
     PulseSpec,
     PulseTrain,
     TimeSignal,
     TransferFunction,
     TransferModel,
     build_transfer,
-    echo_window,
     extract_train,
     gaussian_spectrum,
+    propagate,
     signal_to_spectrum,
     spectrum_to_signal,
-    transmit,
 )
 from .train import first_echo_intensity, prompt_attenuation
 
@@ -91,12 +91,9 @@ def recall(
     medium: MediumSpec,
     *,
     passes: int = 1,
-    pulse: PulseSpec | None = None,
-    grid: FrequencyGrid | None = None,
+    probe: Probe | None = None,
     model: TransferModel = TransferModel.BROADENED,
     harmonics: int | None = 2000,
-    k_max: int = 5,
-    oversample: int = 16,
     mismatch_time: float = 0.0,
     mismatch_phase: float = 0.0,
     simulate: bool = True,
@@ -104,11 +101,14 @@ def recall(
     """Store one pulse and report the first-echo recall efficiency.
 
     The closed form is the first-echo intensity ``I1`` of the periodic
-    comb.  The simulation sends the pulse through the requested transfer
-    model on a grid defaulting to :meth:`FrequencyGrid.for_pulse`,
-    computes the output only on the echo window of ``k_max``, reads
-    echoes ``0 .. k_max`` with :func:`afcsim.propagation.extract_train`
-    and quotes echo 1, so a window without an echo gives 0.
+    comb.  The simulation sends the ``probe`` pulse (``Probe()`` by
+    default) through the requested transfer model on the probe's grid,
+    computes the output only on the echo window of ``probe.k_max``,
+    reads echoes ``0 .. k_max`` with
+    :func:`afcsim.propagation.extract_train` and quotes echo 1, so a
+    window without an echo gives 0.  Intensities are relative to
+    ``probe.reference``, which a probe computes once for every call it
+    is passed to.
 
     With ``passes = 2`` the transmitted prompt, the output in
     ``[-T/2, T/2)``, is sent through the comb once more.  The echo the
@@ -132,28 +132,27 @@ def recall(
         closed *= (1.0 + prompt_attenuation(comb, medium)) ** 2
     if not simulate:
         return ProtocolResult(closed, None, None, None)
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1 to read the first echo, got {k_max}")
-    pulse = pulse or PulseSpec()
-    grid = grid or FrequencyGrid.for_pulse(pulse)
-    transfer = build_transfer(comb, medium, grid, model, harmonics)
-    window = echo_window(k_max)
-    signal, reference = transmit(
-        gaussian_spectrum(pulse, grid), transfer, oversample, window=window
-    )
+    probe = probe or Probe()
+    if probe.k_max < 1:
+        raise ValueError(
+            f"k_max must be >= 1 to read the first echo, got {probe.k_max}"
+        )
+    transfer = build_transfer(comb, medium, probe.grid, model, harmonics)
+    reference = probe.reference
+    signal = propagate(probe.spectrum, transfer, probe.oversample, probe.window)
     if passes == 2:
         half = 0.5 * ECHO_DELAY
         second = _second_pass(
             signal,
             transfer,
-            oversample,
-            window,
+            probe.oversample,
+            probe.window,
             (-half, half),
             mismatch_time,
             mismatch_phase,
         )
         signal = replace(signal, values=signal.values + second.values)
-    train = extract_train(signal, k_max, reference_intensity=reference)
+    train = extract_train(signal, probe.k_max, reference_intensity=reference)
     return ProtocolResult(closed, train.intensity(1), train, signal)
 
 

@@ -20,6 +20,7 @@ from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, population_diffe
 from .output import TRACE_HEADER, trace_columns, write_csv
 from .propagation import (
     FrequencyGrid,
+    Probe,
     PulseSpec,
     TransferModel,
     build_transfer,
@@ -249,7 +250,11 @@ def _echo_train(
             )
             model, harmonics = TransferModel.BROADENED, None
         result = recall(
-            comb, MediumSpec(d_p), model=model, harmonics=harmonics, k_max=3
+            comb,
+            MediumSpec(d_p),
+            probe=Probe(k_max=3),
+            model=model,
+            harmonics=harmonics,
         )
         signal, train = result.signal, result.train
         reference = train.reference_intensity

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Callable
@@ -14,6 +15,7 @@ from .propagation import (
     DEFAULT_SAMPLES,
     DEFAULT_SPAN_FACTOR,
     FrequencyGrid,
+    Probe,
     PulseSpec,
     TransferModel,
 )
@@ -154,27 +156,32 @@ def _combination(request: SweepRequest, value: float) -> tuple[CombSpec, MediumS
     return comb, MediumSpec(params["d_p"])
 
 
-def _efficiency(request: SweepRequest, value: float, simulate: bool) -> float:
+def _probe(request: SweepRequest) -> Probe:
+    pulse = PulseSpec(sigma=request.sigma)
+    grid = FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples)
+    return Probe(pulse, grid, request.oversample, request.k_max)
+
+
+def _efficiency(
+    request: SweepRequest, value: float, probe: Callable[[], Probe] | None
+) -> float:
     """Recall efficiency at one sweep point, simulated or in closed form.
 
-    The pulse and grid are built only for a simulation, so a closed
-    sweep accepts any ``samples`` and ``span_factor``.
+    ``probe`` returns the sweep's probe for a simulation and is None
+    for the closed form, so a closed sweep accepts any ``samples`` and
+    ``span_factor``.
     """
     comb, medium = _combination(request, value)
     passes = 2 if request.kind is SweepKind.TWO_PASS else 1
-    if not simulate:
+    if probe is None:
         return recall(comb, medium, passes=passes, simulate=False).closed_efficiency
-    pulse = PulseSpec(sigma=request.sigma)
     result = recall(
         comb,
         medium,
         passes=passes,
-        pulse=pulse,
-        grid=FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples),
+        probe=probe(),
         model=request.model,
         harmonics=request.harmonics,
-        k_max=request.k_max,
-        oversample=request.oversample,
     )
     assert result.simulated_efficiency is not None
     return result.simulated_efficiency
@@ -192,14 +199,18 @@ def sweep(request: SweepRequest) -> SweepResult:
 
     Each grid point is evaluated in closed form or by simulation per
     ``request.simulate``; failures are recorded per row rather than
-    aborting the sweep.  Refinement brackets the best grid point and
-    runs a golden-section search on the closed form (simulation values
-    are too expensive to bracket tightly and follow the same trend).
+    aborting the sweep.  A simulated sweep builds one :class:`Probe`, at
+    its first point, and every point reads that probe's spectrum and
+    input peak; a probe that cannot be built fails each row with the
+    same message.  Refinement brackets the best grid point and runs a
+    golden-section search on the closed form (simulation values are too
+    expensive to bracket tightly and follow the same trend).
     """
+    probe = functools.cache(lambda: _probe(request)) if request.simulate else None
     rows = []
     for value in request.axis.values():
         try:
-            efficiency = _efficiency(request, float(value), request.simulate)
+            efficiency = _efficiency(request, float(value), probe)
             intensities = _echo_intensities(request, float(value))
             rows.append(SweepRow(float(value), efficiency, intensities, "ok"))
         except (ValueError, ZeroDivisionError) as exc:
@@ -220,7 +231,7 @@ def sweep(request: SweepRequest) -> SweepResult:
         if 0 < i < len(ok) - 1:
             lo, hi = values[i - 1], values[i + 1]
             best_value, best_efficiency = golden_section_max(
-                lambda v: _efficiency(request, v, False), lo, hi
+                lambda v: _efficiency(request, v, None), lo, hi
             )
             refined = True
     return SweepResult(

@@ -1,8 +1,10 @@
 """Shared fixtures."""
 
+import collections
+
 import pytest
 
-from afcsim import propagation
+from afcsim import propagation, protocols
 
 
 @pytest.fixture
@@ -23,3 +25,24 @@ def response_calls(monkeypatch):
     monkeypatch.setattr(propagation, "comb_response", counted)
     yield calls
     propagation._grid_response.cache_clear()
+
+
+@pytest.fixture
+def transforms(monkeypatch):
+    """Count the chirp-z transforms, by direction.
+
+    Yields a Counter of calls to ``spectrum_to_signal`` and
+    ``signal_to_spectrum``, wrapped in every module that calls them
+    through a module global.  A call that raises is counted too.
+    """
+    calls = collections.Counter()
+    for name in ("spectrum_to_signal", "signal_to_spectrum"):
+        original = getattr(propagation, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (propagation, protocols):
+            monkeypatch.setattr(module, name, counted)
+    yield calls

@@ -12,6 +12,7 @@ import numpy as np
 from afcsim.combs import CombShape, CombSpec, MediumSpec, UnitScale
 from afcsim.propagation import (
     FrequencyGrid,
+    Probe,
     PulseSpec,
     TransferModel,
     build_transfer,
@@ -146,9 +147,7 @@ def test_criterion_5_physical_units_storage():
         ("echo delay is 0.5 us", scale.time_s(1.0) == 5e-7),
     ]
     for d_p, pin in ((3.0, 0.17), (10.0, 0.46)):
-        result = recall(
-            comb, MediumSpec(d_p), pulse=PULSE, grid=GRID, oversample=16
-        )
+        result = recall(comb, MediumSpec(d_p), probe=Probe(PULSE, GRID))
         checks.append(
             (
                 f"closed recall {pin} +- 0.005 at d_p={d_p:g}",
@@ -171,9 +170,7 @@ def test_criterion_6_two_pass_recovery():
         comb = CombSpec(
             shape=CombShape.SQUARE, half_width=half_width, gamma=0.005, pair_count=40
         )
-        result = recall(
-            comb, MediumSpec(d_p), passes=2, pulse=PULSE, grid=GRID, oversample=16
-        )
+        result = recall(comb, MediumSpec(d_p), passes=2, probe=Probe(PULSE, GRID))
         label = f"F={comb.finesse:g} d_p={d_p:g}"
         checks.append(
             (
@@ -204,12 +201,9 @@ def test_criterion_7_multi_echo_trains():
         result = recall(
             comb,
             MediumSpec(d_p),
-            pulse=PULSE,
-            grid=GRID,
+            probe=Probe(PULSE, GRID, k_max=3),
             model=TransferModel.IDEAL,
             harmonics=None,
-            k_max=3,
-            oversample=16,
         )
         closed = closed_train(comb, MediumSpec(d_p), 3)
         worst = max(

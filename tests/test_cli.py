@@ -403,6 +403,13 @@ class TestErrorPaths:
         assert err.startswith("error: gamma must be below about 1.3e154")
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("nu0_hz", ["nan", "inf"])
+    def test_non_finite_physical_scale_exits_one(self, tmp_path, capsys, nu0_hz):
+        out = tmp_path / "out"
+        assert main(["--physical", nu0_hz, "--out", str(out), "spectrum"]) == 1
+        assert capsys.readouterr().err == f"error: nu0_hz must be finite, got {nu0_hz}\n"
+        assert not out.exists()
+
     def test_out_directory_is_created(self, tmp_path):
         nested = tmp_path / "a" / "b"
         assert main(["--out", str(nested), "spectrum"]) == 0

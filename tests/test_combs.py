@@ -68,6 +68,11 @@ class TestMediumSpec:
             MediumSpec(-1.0)
         assert MediumSpec(0.0).d_p == 0.0
 
+    @pytest.mark.parametrize("d_p", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_depth(self, d_p):
+        with pytest.raises(ValueError, match="d_p must be finite"):
+            MediumSpec(d_p)
+
 
 class TestUnitScale:
     def test_frequency_and_time(self):
@@ -85,6 +90,11 @@ class TestUnitScale:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             UnitScale(0.0)
+
+    @pytest.mark.parametrize("nu0_hz", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, nu0_hz):
+        with pytest.raises(ValueError, match="nu0_hz must be finite"):
+            UnitScale(nu0_hz)
 
 
 class TestLayout:

@@ -12,6 +12,7 @@ from afcsim import propagation
 from afcsim.combs import ECHO_DELAY, CombSpec, CombShape, MediumSpec
 from afcsim.propagation import (
     FrequencyGrid,
+    Probe,
     PulseSpec,
     TimeSignal,
     TransferModel,
@@ -26,6 +27,7 @@ from afcsim.propagation import (
     signal_to_spectrum,
     spectrum_to_signal,
     transfer_exponent,
+    transmit,
 )
 from afcsim.susceptibility import chi_square_exact
 
@@ -54,6 +56,11 @@ class TestFrequencyGrid:
         with pytest.raises(ValueError):
             FrequencyGrid(half_span=half_span, samples=64)
 
+    @pytest.mark.parametrize("half_span", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_span(self, half_span):
+        with pytest.raises(ValueError, match="half_span must be finite"):
+            FrequencyGrid(half_span=half_span, samples=64)
+
     @pytest.mark.parametrize("samples", [8, 15, 100, 0])
     def test_rejects_bad_samples(self, samples):
         with pytest.raises(ValueError):
@@ -64,6 +71,11 @@ class TestPulseSpec:
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(ValueError):
             PulseSpec(sigma=0.0)
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_sigma(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            PulseSpec(sigma=sigma)
 
     def test_spectrum_peak(self):
         # F(nu) = A sqrt(pi)/sigma e^{-nu^2/4 sigma^2} e^{i(phase + nu c)}
@@ -308,6 +320,46 @@ class TestTransfer:
         ref = spectrum_to_signal(spec, grid, oversample=4)
         # zero depth is the identity channel
         np.testing.assert_allclose(out.values, ref.values, atol=1e-14)
+
+
+
+class TestProbe:
+    PULSE = PulseSpec(sigma=5.0)
+    GRID = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**10)
+
+    def test_defaults(self):
+        probe = Probe()
+        assert probe.pulse == PulseSpec()
+        assert probe.grid == FrequencyGrid.for_pulse(PulseSpec())
+        assert (probe.oversample, probe.k_max) == (16, 5)
+        assert probe.window == echo_window(5)
+        assert Probe(self.PULSE).grid == FrequencyGrid.for_pulse(self.PULSE)
+
+    def test_builds_nothing_until_read(self, transforms):
+        # a bad oversample is reported by the first transform, not here
+        probe = Probe(self.PULSE, self.GRID, oversample=3)
+        assert "spectrum" not in vars(probe) and "reference" not in vars(probe)
+        with pytest.raises(ValueError, match="oversample must be a power of two"):
+            probe.reference
+        assert transforms["spectrum_to_signal"] == 1
+
+    def test_spectrum_is_read_only_and_kept(self):
+        probe = Probe(self.PULSE, self.GRID)
+        np.testing.assert_array_equal(
+            probe.spectrum, gaussian_spectrum(self.PULSE, self.GRID)
+        )
+        assert not probe.spectrum.flags.writeable
+        assert probe.spectrum is probe.spectrum
+
+    def test_reference_is_transmit_peak_computed_once(self, transforms):
+        probe = Probe(self.PULSE, self.GRID, oversample=4, k_max=3)
+        comb = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005)
+        for d_p in (5.0, 10.0):
+            transfer = build_transfer(comb, MediumSpec(d_p), self.GRID)
+            _, reference = transmit(probe.spectrum, transfer, 4, window=probe.window)
+            assert probe.reference == reference
+        # two transmits make two input transforms, the probe one
+        assert transforms["spectrum_to_signal"] == 2 * 2 + 1
 
 
 # Exactly evaluated models: (shape, model, broadened).  The

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from afcsim.combs import ECHO_DELAY, CombSpec, CombShape, MediumSpec
 from afcsim.propagation import (
     FrequencyGrid,
+    Probe,
     PulseSpec,
     build_transfer,
     gaussian_spectrum,
@@ -32,17 +33,16 @@ COMB = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005, pair_count=
 MEDIUM = MediumSpec(d_p=10.0)
 PULSE = PulseSpec(sigma=5.0)
 GRID = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**13)
+PROBE = Probe(PULSE, GRID, oversample=8)
 INPUT_ENERGY = spectrum_to_signal(gaussian_spectrum(PULSE, GRID), GRID, 8).energy()
 
 
 def _run_single(**kwargs):
-    return recall(COMB, MEDIUM, pulse=PULSE, grid=GRID, oversample=8, **kwargs)
+    return recall(COMB, MEDIUM, probe=PROBE, **kwargs)
 
 
 def _run_two_pass(**kwargs):
-    return recall(
-        COMB, MEDIUM, passes=2, pulse=PULSE, grid=GRID, oversample=8, **kwargs
-    )
+    return recall(COMB, MEDIUM, passes=2, probe=PROBE, **kwargs)
 
 
 def _assert_inside(signal, lo, hi):
@@ -72,7 +72,7 @@ class TestSinglePass:
         assert result.train.intensity(0) == pytest.approx(c0**2, rel=1e-3)
 
     def test_train_and_energy_bookkeeping(self):
-        result = _run_single(k_max=3)
+        result = recall(COMB, MEDIUM, probe=Probe(PULSE, GRID, 8, k_max=3))
         assert [e.index for e in result.train.entries] == [0, 1, 2, 3]
         # The signal holds only the echo window.  The output energy of
         # the whole time window is Parseval's sum over the spectrum,
@@ -103,7 +103,7 @@ class TestEnergyBalance:
         else:
             comb = CombSpec.from_finesse(shape, finesse, pair_count=40, gamma=gamma)
         result = recall(
-            comb, MediumSpec(d_p), passes=1, pulse=PULSE, grid=grid, oversample=4
+            comb, MediumSpec(d_p), passes=1, probe=Probe(PULSE, grid, oversample=4)
         )
         spectrum = gaussian_spectrum(PULSE, grid)
         incoming = grid.spacing / (2.0 * math.pi) * float(np.sum(np.abs(spectrum) ** 2))
@@ -114,9 +114,11 @@ class TestRecallChecks:
     @pytest.mark.parametrize("passes", [1, 2])
     def test_simulation_needs_first_echo(self, passes):
         with pytest.raises(ValueError, match="k_max must be >= 1 .* got 0"):
-            _run_single(passes=passes, k_max=0)
+            recall(COMB, MEDIUM, passes=passes, probe=Probe(PULSE, GRID, 8, k_max=0))
         # the closed form reads no train
-        closed = recall(COMB, MEDIUM, passes=passes, k_max=0, simulate=False)
+        closed = recall(
+            COMB, MEDIUM, passes=passes, probe=Probe(k_max=0), simulate=False
+        )
         assert closed.closed_efficiency > 0.0
 
     @pytest.mark.parametrize("passes", [1, 2])
@@ -125,7 +127,7 @@ class TestRecallChecks:
         # inside the prompt window the second pass recycles
         grid = FrequencyGrid.for_pulse(PULSE, span_factor=4.0, samples=64)
         with pytest.raises(ValueError, match="ends at 1.6 T, too short for echo"):
-            recall(COMB, MEDIUM, passes=passes, pulse=PULSE, grid=grid, k_max=8)
+            recall(COMB, MEDIUM, passes=passes, probe=Probe(PULSE, grid, k_max=8))
 
 
 @functools.lru_cache(maxsize=None)
@@ -136,7 +138,7 @@ def _unit_recall(passes):
 def _linear_recall(passes, pulse):
     grid = FrequencyGrid.for_pulse(pulse, span_factor=6.0, samples=2**12)
     return recall(
-        COMB, MEDIUM, passes=passes, pulse=pulse, grid=grid, k_max=3, oversample=4
+        COMB, MEDIUM, passes=passes, probe=Probe(pulse, grid, oversample=4, k_max=3)
     ).train
 
 
@@ -189,7 +191,7 @@ class TestTwoPass:
         comb = CombSpec.from_finesse(
             CombShape.SQUARE, finesse, pair_count=40, gamma=0.005
         )
-        result = recall(comb, MediumSpec(d_p), passes=2, pulse=PULSE)
+        result = recall(comb, MediumSpec(d_p), passes=2, probe=Probe(PULSE))
         grid = FrequencyGrid.for_pulse(PULSE)
         incoming = spectrum_to_signal(gaussian_spectrum(PULSE, grid), grid).energy()
         half = 0.5 * ECHO_DELAY
@@ -219,9 +221,11 @@ class TestTwoPass:
             CombSpec(shape=CombShape.SQUARE, half_width=0.2),
             MediumSpec(d_p=0.0),
             passes=2,
-            pulse=pulse,
-            grid=FrequencyGrid.for_pulse(pulse, span_factor=4.0, samples=4096),
-            oversample=8,
+            probe=Probe(
+                pulse,
+                FrequencyGrid.for_pulse(pulse, span_factor=4.0, samples=4096),
+                oversample=8,
+            ),
         )
         assert result.closed_efficiency == 0.0
         assert result.simulated_efficiency == 0.0

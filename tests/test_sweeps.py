@@ -8,7 +8,7 @@ import pytest
 
 from afcsim import propagation
 from afcsim.combs import CombShape, CombSpec, MediumSpec
-from afcsim.propagation import FrequencyGrid, PulseSpec, TransferModel
+from afcsim.propagation import FrequencyGrid, Probe, PulseSpec, TransferModel
 from afcsim.protocols import recall
 from afcsim.sweeps import (
     SweepAxis,
@@ -239,14 +239,140 @@ class TestSimulatedSweep:
             fresh = recall(
                 comb,
                 MediumSpec(row.value),
-                pulse=pulse,
-                grid=grid,
-                k_max=request.k_max,
-                oversample=request.oversample,
+                probe=Probe(pulse, grid, request.oversample, request.k_max),
             )
             assert row.status == "ok"
             assert row.efficiency == fresh.simulated_efficiency
         assert len(response_calls) == 1 + len(rows)
+
+
+# Small grids on which every comb below is finite: broadened teeth
+# cover the grid, so no sample sits on a sharp edge.
+PROBED = dict(
+    gamma=0.005, pair_count=40, simulate=True, samples=2**12, oversample=8
+)
+
+
+class TestSweepProbe:
+    """A simulated sweep reads one probe, built at its first simulated point."""
+
+    @pytest.mark.parametrize("kind", list(SweepKind), ids=lambda k: k.value)
+    @pytest.mark.parametrize(
+        "axis",
+        [
+            SweepAxis("d_p", 6.0, 14.0, 3),
+            SweepAxis("finesse", 3.0, 7.0, 3),
+            SweepAxis("gamma", 0.002, 0.02, 3, scale="log"),
+        ],
+        ids=lambda a: a.name,
+    )
+    def test_rows_equal_standalone_recalls(self, axis, kind):
+        request = SweepRequest(axis=axis, kind=kind, refine=False, **PROBED)
+        rows = sweep(request).rows
+        pulse = PulseSpec(sigma=request.sigma)
+        grid = FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples)
+        params = {"finesse": request.finesse, "gamma": request.gamma, "d_p": request.d_p}
+        for row in rows:
+            params[axis.name] = row.value
+            comb = CombSpec.from_finesse(
+                request.shape,
+                params["finesse"],
+                pair_count=request.pair_count,
+                gamma=params["gamma"],
+            )
+            alone = recall(
+                comb,
+                MediumSpec(params["d_p"]),
+                passes=2 if kind is SweepKind.TWO_PASS else 1,
+                probe=Probe(pulse, grid, request.oversample, request.k_max),
+                model=request.model,
+                harmonics=request.harmonics,
+            )
+            assert row.status == "ok"
+            assert row.efficiency == alone.simulated_efficiency
+
+    @pytest.mark.parametrize(
+        ("kind", "forward", "backward"),
+        [
+            # the input peak once, then the output of each point
+            (SweepKind.FIRST_ECHO, lambda n: n + 1, lambda n: 0),
+            # plus the prompt there and back again at each point
+            (SweepKind.TWO_PASS, lambda n: 2 * n + 1, lambda n: n),
+        ],
+        ids=["first-echo", "two-pass"],
+    )
+    def test_input_is_transformed_once(self, transforms, kind, forward, backward):
+        n = 4
+        sweep(
+            SweepRequest(
+                axis=SweepAxis("d_p", 6.0, 14.0, n), kind=kind, refine=False, **PROBED
+            )
+        )
+        assert transforms["spectrum_to_signal"] == forward(n)
+        assert transforms["signal_to_spectrum"] == backward(n)
+
+    def test_tooth_edge_everywhere_runs_no_transform(self, transforms):
+        # spacing 40/4096 puts a grid sample on the finesse-4 tooth edge
+        # at 1.25 at every depth
+        request = SweepRequest(
+            axis=SweepAxis("d_p", 8.0, 12.0, 3),
+            finesse=4.0,
+            simulate=True,
+            samples=2**12,
+            span_factor=4.0,
+        )
+        message = (
+            "every sweep point failed; at d_p = 8: transfer is non-finite at 8 "
+            "grid samples, first at detuning -18.75: a sample sits on a sharp "
+            "tooth edge; change finesse, samples or span_factor, or use gamma > 0"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            sweep(request)
+        assert str(excinfo.value) == message
+        assert sum(transforms.values()) == 0
+
+    def test_tooth_edge_row_keeps_its_status(self, transforms):
+        result = sweep(
+            SweepRequest(
+                axis=SweepAxis("finesse", 4.0, 5.0, 2),
+                simulate=True,
+                samples=2**12,
+                span_factor=4.0,
+            )
+        )
+        assert [row.status for row in result.rows] == [
+            "failed: transfer is non-finite at 8 grid samples, first at detuning "
+            "-18.75: a sample sits on a sharp tooth edge; change finesse, samples "
+            "or span_factor, or use gamma > 0",
+            "ok",
+        ]
+        # the input peak and the one output, both at finesse 5
+        assert transforms["spectrum_to_signal"] == 2
+
+    def test_bad_oversample_fails_every_row(self, transforms):
+        request = SweepRequest(
+            axis=SweepAxis("d_p", 8.0, 12.0, 3), **dict(PROBED, oversample=3)
+        )
+        with pytest.raises(ValueError) as excinfo:
+            sweep(request)
+        assert str(excinfo.value) == (
+            "every sweep point failed; at d_p = 8: oversample must be a power of "
+            "two, got 3"
+        )
+        # each row asks for the input peak afresh and fails on it
+        assert transforms["spectrum_to_signal"] == 3
+
+    def test_bad_grid_fails_every_row(self, transforms):
+        request = SweepRequest(
+            axis=SweepAxis("d_p", 8.0, 12.0, 3), **dict(PROBED, samples=3)
+        )
+        with pytest.raises(ValueError) as excinfo:
+            sweep(request)
+        assert str(excinfo.value) == (
+            "every sweep point failed; at d_p = 8: samples must be a power of "
+            "two >= 16, got 3"
+        )
+        assert sum(transforms.values()) == 0
 
 
 class TestOptimalCurve:
