@@ -17,10 +17,12 @@ both directions are unitary up to the stated quadrature weights.
 The zero-padded time window spans ``2 pi / spacing``, hundreds of echo
 delays on the usual grids, while a protocol reads only a few of them.
 Transforms therefore take a time window and compute only its samples,
-by a chirp-z transform whose cost grows with ``samples`` plus the
-window's sample count, not with ``samples * oversample``; a large
-``oversample`` is cheap.  Windowed samples carry exactly the times of
-the full transform.
+by chirp-z transforms of the spectrum's positive and negative halves,
+each costing about ``samples / 2`` plus the window's sample count, not
+``samples * oversample``; a large ``oversample`` is cheap.  A
+mirror-symmetric spectrum, ``X(-nu) = conj X(nu)`` as an even real pulse
+through a symmetric comb gives, needs only one of the two.  Windowed
+samples carry exactly the times of the full transform.
 """
 
 from __future__ import annotations
@@ -203,9 +205,14 @@ class TransferFunction:
     values: np.ndarray
 
 
+def _exponent(packed: np.ndarray, d_p: float) -> np.ndarray:
+    """The exponent ``-(d_p/2)(chi'' - 1j chi')`` of the transfer."""
+    return -0.5 * d_p * (packed.real - 1j * packed.imag)
+
+
 def transfer_exponent(packed: np.ndarray, d_p: float) -> np.ndarray:
     """``exp(-(d_p/2)(chi'' - 1j chi'))`` from a packed response."""
-    return np.exp(-0.5 * d_p * (packed.real - 1j * packed.imag))
+    return np.exp(_exponent(packed, d_p))
 
 
 @functools.lru_cache(maxsize=1)
@@ -241,6 +248,13 @@ def build_transfer(
     ideal square series reads the harmonic count; every other response
     is keyed without it.
 
+    The values are :func:`transfer_exponent` of that response, bit for
+    bit.  When the exponent's halves mirror each other (see
+    :func:`_mirror_halves`), as the finite square, Lorentzian and
+    harmonic combs' do on every grid at a positive depth, only the
+    centre, the upper half and the edge sample are exponentiated, and
+    the lower half is the conjugate of the upper.
+
     Raises ``ValueError`` if any sample is non-finite: one such sample
     would spread through every FFT that follows.
     """
@@ -248,9 +262,19 @@ def build_transfer(
     if comb.shape is not CombShape.SQUARE or model is not TransferModel.IDEAL:
         harmonics = None
     with np.errstate(invalid="ignore"):
-        values = transfer_exponent(
+        exponent = _exponent(
             _grid_response(comb, grid, model, harmonics), medium.d_p
         )
+        upper, lower = _mirror_halves(exponent)
+        # exp keeps the sign of a zero imaginary part, which conj flips
+        if lower is None and upper.imag.all():
+            h = grid.samples // 2
+            values = np.empty_like(exponent)
+            np.exp(exponent[h:], out=values[h:])
+            np.exp(exponent[:1], out=values[:1])
+            np.conjugate(values[:h:-1], out=values[1:h])
+        else:
+            values = np.exp(exponent)
     bad = ~np.isfinite(values)
     if bad.any():
         nu = grid.points()
@@ -321,39 +345,62 @@ def _fast_length(n: int) -> int:
 @functools.lru_cache(maxsize=8)
 def _chirp_plan(
     samples: int, oversample: int, start: int, count: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bluestein factors between a grid's spectrum and a run of time samples.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Bluestein factors between a half spectrum and a run of time samples.
 
-    With ``n = samples * oversample``, frequency index ``p = i - samples/2``
-    and time index ``s = start + j``, ``2 p s = a(i) + b(j) - (i - j)^2``
-    where ``a(i) = i^2 + 2 start i`` and ``b(j) = j^2 - samples (start + j)``.
-    So ``exp(-2j pi p s / n) = pre[i] post[j] g(i - j)`` with the chirp
+    With ``n = samples * oversample``, positive frequency index
+    ``q = i + 1`` for ``i < samples/2 - 1`` and time index
+    ``s = start + j``, ``2 q s = a(i) + b(j) - (i - j)^2`` where
+    ``a(i) = i^2 + 2 start i`` and ``b(j) = j^2 + 2 (start + j)``.  So
+    ``exp(-2j pi q s / n) = pre[i] post[j] g(i - j)`` with the chirp
     ``g(e) = exp(1j pi e^2 / n)``, and the sum over ``i`` is one
-    convolution.  Returns ``(pre, post, kernel)``, ``kernel`` being the
-    FFT of ``g`` laid out for that convolution.  The
-    integer phases are reduced modulo ``2 n`` before ``exp``, so each
-    factor is exact to rounding whatever ``n``.  Plans are shared by
-    every caller and are read-only.
+    convolution.  The negative frequencies ``-q`` are the same sum of the
+    conjugated half, conjugated (see :func:`_mirror_halves`); of the two
+    unpaired frequencies, ``0`` has unit factors and the grid's edge
+    ``-samples/2`` has ``edge[j] = exp(1j pi s / oversample)``.
+
+    Returns ``(pre, post, kernel, edge)``, ``kernel`` being the FFT of
+    ``g`` laid out for the convolution.  The integer phases are reduced
+    modulo ``2 n`` (``2 oversample`` for ``edge``) before ``exp``, so
+    each factor is exact to rounding whatever ``n``.  Plans are shared
+    by every caller and are read-only.
     """
     n = samples * oversample
 
     def chirp(k: np.ndarray) -> np.ndarray:
         return np.exp(-1j * (math.pi / n) * (k % (2 * n)))
 
-    i = np.arange(samples, dtype=np.int64)
+    terms = samples // 2 - 1
+    i = np.arange(terms, dtype=np.int64)
     j = np.arange(count, dtype=np.int64)
-    e = np.arange(1 - samples, count, dtype=np.int64)
-    size = _fast_length(samples + count - 1)
+    e = np.arange(1 - terms, count, dtype=np.int64)
+    size = _fast_length(terms + count - 1)
     g = np.zeros(size, dtype=complex)
     g[e % size] = np.conj(chirp(e * e))
     plan = (
         chirp(i * i + 2 * start * i),
-        chirp(j * j - samples * (start + j)),
+        chirp(j * j + 2 * (start + j)),
         np.fft.fft(g),
+        np.exp(1j * (math.pi / oversample) * ((start + j) % (2 * oversample))),
     )
     for factor in plan:
         factor.flags.writeable = False
     return plan
+
+
+def _mirror_halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Positive half ``x[h+1:]`` and conjugated negative half ``conj(x[h-1:0:-1])``.
+
+    ``h = x.size // 2`` is the centre of a grid array, and entry ``i`` of
+    either half is the sample ``i + 1`` away from it.  The second half is
+    None when it equals the first, as for a mirror-symmetric array
+    ``x[h - q] == conj(x[h + q])``: a linear map of the first half then
+    stands for both.
+    """
+    h = x.size // 2
+    upper = x[h + 1 :]
+    lower = np.conj(x[h - 1 : 0 : -1])
+    return upper, None if np.array_equal(upper, lower) else lower
 
 
 def spectrum_to_signal(
@@ -370,8 +417,11 @@ def spectrum_to_signal(
 
     With ``window = (lo, hi)`` only the samples with ``lo <= t < hi``
     (clipped to the full window) are computed, by a chirp-z transform
-    with a cached plan: their times are exactly the full transform's
-    and their values agree with it to rounding.
+    of each half of the spectrum with one cached plan (see
+    :func:`_chirp_plan`) plus the centre and edge samples directly: their
+    times are exactly the full transform's and their values agree with
+    it to rounding.  When the halves mirror each other (see
+    :func:`_mirror_halves`) one transform serves both.
     """
     m = grid.samples
     if spectrum.shape != (m,):
@@ -391,12 +441,17 @@ def spectrum_to_signal(
     start, stop = (_first_index(x, dt, half) for x in window) if lo < hi else (0, 0)
     if stop - start < 2:
         raise ValueError(f"window [{lo}, {hi}) holds fewer than two time samples")
-    pre, post, kernel = _chirp_plan(m, oversample, start, stop - start)
-    convolved = np.fft.ifft(np.fft.fft(spectrum * pre, kernel.size) * kernel)
-    return TimeSignal(
-        times=np.arange(start, stop) * dt,
-        values=scale * post * convolved[: stop - start],
-    )
+    pre, post, kernel, edge = _chirp_plan(m, oversample, start, stop - start)
+
+    def zoom(x: np.ndarray) -> np.ndarray:
+        convolved = np.fft.ifft(np.fft.fft(x * pre, kernel.size) * kernel)
+        return post * convolved[: stop - start]
+
+    upper, lower = _mirror_halves(spectrum)
+    positive = zoom(upper)
+    negative = positive if lower is None else zoom(lower)
+    values = spectrum[m // 2] + positive + np.conj(negative) + spectrum[0] * edge
+    return TimeSignal(times=np.arange(start, stop) * dt, values=scale * values)
 
 
 def signal_to_spectrum(
@@ -408,7 +463,8 @@ def signal_to_spectrum(
     that ``spectrum_to_signal`` uses for ``grid`` and ``oversample``;
     the samples outside the run count as zero.  Returns the spectrum on
     ``grid.points()``: the band of the padded transform that the grid
-    covers, computed by the same chirp-z plan without the padding.
+    covers, computed by the adjoint of the same chirp-z plan, once for
+    each half of the band, without the padding.
     """
     total, dt = _time_step(grid, oversample)
     half = total // 2
@@ -423,11 +479,21 @@ def signal_to_spectrum(
         raise ValueError(
             "signal is not a run of time samples of this grid and oversample"
         )
-    pre, post, kernel = _chirp_plan(grid.samples, oversample, start, count)
-    convolved = np.fft.ifft(
-        np.fft.fft(np.conj(post) * signal.values, kernel.size) * np.conj(kernel)
-    )
-    return dt * np.conj(pre) * convolved[: grid.samples]
+    pre, post, kernel, edge = _chirp_plan(grid.samples, oversample, start, count)
+
+    def adjoint(x: np.ndarray) -> np.ndarray:
+        convolved = np.fft.ifft(
+            np.fft.fft(np.conj(post) * x, kernel.size) * np.conj(kernel)
+        )
+        return np.conj(pre) * convolved[: pre.size]
+
+    h = grid.samples // 2
+    spectrum = np.empty(grid.samples, dtype=complex)
+    spectrum[h + 1 :] = adjoint(signal.values)
+    spectrum[h - 1 : 0 : -1] = np.conj(adjoint(np.conj(signal.values)))
+    spectrum[h] = signal.values.sum()
+    spectrum[0] = (np.conj(edge) * signal.values).sum()
+    return dt * spectrum
 
 
 def propagate(

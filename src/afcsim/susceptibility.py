@@ -159,7 +159,7 @@ def chi_square_exact(
 # bounded whatever the tooth count, while each row is summed exactly as
 # a single broadcast would sum it.
 _COMB_BLOCK = 1024
-_COMB_PAIRS = 2**17
+_COMB_PAIRS = 2**15
 
 
 def epsilon_broadened(
@@ -175,12 +175,15 @@ def epsilon_broadened(
     HWHM ``gamma`` contributes an arctan step to the absorption and a
     log ratio to the dispersion; the sum runs over all
     ``2 pair_count + 2`` teeth.  ``gamma = 0`` reduces to sharp
-    indicator teeth.
+    indicator teeth.  Teeth of half-width ``delta = 1`` touch, tiling
+    ``[-(2 pair_count + 2), 2 pair_count + 2]``; their sum telescopes to
+    that one wide tooth, which is evaluated instead, so the shared edges
+    are finite for every ``gamma``.
 
     The comb is symmetric about ``nu = 0``: the response at ``-nu`` is
     the conjugate of that at ``nu``.  Detunings are evaluated in blocks
-    of at most 1024, and of at most ``2**17 // teeth`` once there are
-    more than 128 teeth, so memory does not grow with the tooth count.
+    of at most 1024, and of at most ``2**15 // teeth`` once there are
+    more than 32 teeth, so memory does not grow with the tooth count.
     If the flattened samples of an array of more than 1024 detunings
     from index ``s`` (0 or 1) on mirror each other,
     ``nu[s + j] == -nu[n - 1 - j]``, as every ``FrequencyGrid.points()``
@@ -197,6 +200,9 @@ def epsilon_broadened(
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
     centers = odd_peak_centers(pair_count)
+    if delta == 1.0:
+        # each shared edge would add +inf - inf for a sharp tooth
+        delta, centers = float(centers.size), np.zeros(1)
     rows = min(_COMB_BLOCK, max(1, _COMB_PAIRS // centers.size))
     if nu.size <= rows:
         return _finite_comb(nu, delta, gamma, centers)

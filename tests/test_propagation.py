@@ -1,5 +1,6 @@
 """Spectral-domain propagation: grids, transforms, transfer, train readout."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -188,9 +189,10 @@ class TestWindowedTransforms:
         lo=st.floats(-1.3, 1.0),
         width=st.floats(0.0, 2.6),
         seed=st.integers(0, 2**32 - 1),
+        mirrored=st.booleans(),
     )
     def test_window_matches_full_transform(
-        self, log_samples, log_oversample, lo, width, seed
+        self, log_samples, log_oversample, lo, width, seed, mirrored
     ):
         # window ends in units of the full window's end, so both ends
         # are sometimes clipped
@@ -198,6 +200,10 @@ class TestWindowedTransforms:
         oversample = 2**log_oversample
         rng = np.random.default_rng(seed)
         spectrum = rng.normal(size=grid.samples) + 1j * rng.normal(size=grid.samples)
+        if mirrored:
+            # X(-nu) = conj X(nu): one zoom serves both halves
+            spectrum[1 : grid.samples // 2] = np.conj(spectrum[: grid.samples // 2 : -1])
+        assert (propagation._mirror_halves(spectrum)[1] is None) == mirrored
         full = spectrum_to_signal(spectrum, grid, oversample)
         end = full.times[-1] + full.dt
         window = (lo * end, (lo + width) * end)
@@ -218,6 +224,35 @@ class TestWindowedTransforms:
         )
         reference = _padded_forward(np.where(mask, full.values, 0.0), grid, oversample)
         assert np.abs(band - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("unpaired", ["edge", "centre"])
+    def test_unpaired_sample_matches_full_transform(self, unpaired):
+        # the grid's edge -samples/2 and its centre 0 have no partner in
+        # the half-spectrum zoom and are summed directly
+        grid = FrequencyGrid(half_span=30.0, samples=64)
+        spectrum = np.zeros(grid.samples, dtype=complex)
+        spectrum[0 if unpaired == "edge" else grid.samples // 2] = 0.7 - 1.3j
+        full = spectrum_to_signal(spectrum, grid, 4)
+        window = (-0.3, 0.2 * (full.times[-1] + full.dt))
+        mask = (full.times >= window[0]) & (full.times < window[1])
+        zoom = spectrum_to_signal(spectrum, grid, 4, window)
+        assert zoom.times.tobytes() == full.times[mask].tobytes()
+        assert np.abs(zoom.values - full.values[mask]).max() <= 1e-15
+        band = signal_to_spectrum(zoom, grid, 4)
+        reference = _padded_forward(np.where(mask, full.values, 0.0), grid, 4)
+        assert np.abs(band - reference).max() <= 1e-12 * np.abs(reference).max()
+
+    def test_plan_holds_half_the_grid(self):
+        # a plan over the positive frequencies only: pre-factors for
+        # samples/2 - 1 of them, and a kernel of about samples/2 + count
+        grid = FrequencyGrid(half_span=20.0, samples=2**16)
+        signal = spectrum_to_signal(
+            np.zeros(grid.samples, dtype=complex), grid, 16, echo_window(5)
+        )
+        count = signal.times.size
+        start = round(signal.times[0] / propagation._time_step(grid, 16)[1])
+        plan = propagation._chirp_plan(grid.samples, 16, start, count)
+        assert sum(factor.nbytes for factor in plan) < 40 * (grid.samples // 2 + count)
 
     @pytest.mark.parametrize(
         ("samples", "half_span", "end"),
@@ -290,11 +325,30 @@ class TestTransfer:
         assert h[-1] == pytest.approx(np.exp(5.0j))
 
     def test_build_transfer_matches_response(self):
-        comb = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005)
-        grid = FrequencyGrid(half_span=4.0, samples=64)
-        transfer = build_transfer(comb, MediumSpec(d_p=10.0), grid)
-        expected = transfer_exponent(comb_response(comb, grid.points()), 10.0)
-        np.testing.assert_array_equal(transfer.values, expected)
+        # bit for bit, whether or not the lower half is filled as the
+        # mirror of the upper: zero depth, the ideal square series and the
+        # overdamped harmonic and Lorentzian combs (gamma 300, where
+        # exp(-pi gamma) underflows) take the full exponential
+        mirrored = 0
+        for samples in (64, 2**12):
+            grid = FrequencyGrid(half_span=4.0, samples=samples)
+            for shape, model in itertools.product(CombShape, TransferModel):
+                for gamma, d_p in itertools.product((0.0, 0.005, 300.0), (0.0, 10.0)):
+                    comb = CombSpec(shape=shape, half_width=0.2, gamma=gamma)
+                    if shape is not CombShape.SQUARE and model is TransferModel.IDEAL_FINITE:
+                        continue
+                    if shape is CombShape.SQUARE and model is TransferModel.IDEAL and gamma:
+                        continue
+                    harmonics = 2000 if model is TransferModel.IDEAL else None
+                    packed = comb_response(comb, grid.points(), model, harmonics)
+                    transfer = build_transfer(comb, MediumSpec(d_p), grid, model)
+                    expected = transfer_exponent(packed, d_p)
+                    assert transfer.values.tobytes() == expected.tobytes()
+                    upper, lower = propagation._mirror_halves(
+                        propagation._exponent(packed, d_p)
+                    )
+                    mirrored += lower is None and upper.imag.all()
+        assert mirrored >= 16
 
     def test_build_transfer_rejects_tooth_edge_sample(self):
         # spacing 1/8 puts samples on the edges at 1 +- 0.25

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -245,6 +246,23 @@ class TestBroadened:
         )
         assert (packed.real >= 0.0).all()
 
+    @pytest.mark.parametrize("gamma", [0.0, 1e-300, 0.01])
+    @pytest.mark.parametrize("pair_count", [0, 9])
+    def test_touching_teeth_are_finite_on_shared_edges(self, gamma, pair_count):
+        # delta = 1 tiles [-outer, outer] edge to edge; at a shared edge a
+        # sharp tooth by tooth sum adds +inf - inf
+        outer = 2.0 * pair_count + 2.0
+        shared = np.arange(2.0 - outer, outer - 1.0, 2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            packed = epsilon_broadened(shared, 1.0, gamma=gamma, pair_count=pair_count)
+        assert np.isfinite(packed).all()
+        nu = midgrid(-outer - 3.0, outer + 3.0, 2000)
+        with np.errstate(divide="ignore"):
+            per_tooth = _finite_comb(nu, 1.0, gamma, odd_peak_centers(pair_count))
+        tiled = epsilon_broadened(nu, 1.0, gamma=gamma, pair_count=pair_count)
+        assert np.abs(tiled - per_tooth).max() <= 1e-13
+
     def test_long_grid_memory_is_linear(self):
         points = 2**18
         nu = (np.arange(points) - points // 2) * (60.0 / points)
@@ -270,7 +288,7 @@ class TestBroadened:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.01])
     def test_many_teeth_blocks_match_one_broadcast(self, gamma):
-        # 402 teeth give blocks of 326 detunings; the edges sit on samples
+        # 402 teeth give blocks of 81 detunings; the edges sit on samples
         nu = (np.arange(1000) - 500) / 256.0
         blocked = epsilon_broadened(nu, 0.25, gamma=gamma, pair_count=200)
         with np.errstate(divide="ignore"):
