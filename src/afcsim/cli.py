@@ -191,8 +191,11 @@ def _comb(config: RunConfig) -> CombSpec:
     )
 
 
-def _grid(config: RunConfig) -> FrequencyGrid:
-    return FrequencyGrid(config.span_factor * config.sigma, config.samples)
+def _probe(config: RunConfig) -> Probe:
+    """The run's input pulse and grid; a bad setting is named here."""
+    pulse = PulseSpec(sigma=config.sigma)
+    grid = FrequencyGrid.for_pulse(pulse, config.span_factor, config.samples)
+    return Probe(pulse, grid, config.oversample, config.k_max)
 
 
 def cmd_spectrum(
@@ -222,7 +225,7 @@ def cmd_transfer(
     transfer = build_transfer(
         _comb(config),
         MediumSpec(config.d_p),
-        _grid(config),
+        _probe(config).grid,
         TransferModel(config.model),
         config.harmonics,
     )
@@ -240,15 +243,14 @@ def cmd_transfer(
 
 def _propagated(config: RunConfig):
     comb = _comb(config)
-    grid = _grid(config)
+    probe = _probe(config)
     transfer = build_transfer(
         comb,
         MediumSpec(config.d_p),
-        grid,
+        probe.grid,
         TransferModel(config.model),
         config.harmonics,
     )
-    probe = Probe(PulseSpec(sigma=config.sigma), grid, config.oversample, config.k_max)
     reference = probe.reference
     signal = propagate(probe.spectrum, transfer, probe.oversample, probe.window)
     return comb, signal, reference
@@ -339,12 +341,7 @@ def cmd_protocol(
         _comb(config),
         MediumSpec(config.d_p),
         passes=config.passes,
-        probe=Probe(
-            PulseSpec(sigma=config.sigma),
-            _grid(config),
-            config.oversample,
-            config.k_max,
-        ),
+        probe=_probe(config),
         model=TransferModel(config.model),
         harmonics=config.harmonics,
         mismatch_time=config.mismatch_time,

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -131,13 +131,6 @@ class CombSpec:
         """Period-to-width ratio ``nu0 / half_width``."""
         return 1.0 / self.half_width
 
-    @property
-    def peak_count(self) -> int:
-        return 2 * (self.pair_count + 1)
-
-    def with_gamma(self, gamma: float) -> "CombSpec":
-        return replace(self, gamma=gamma)
-
 
 @dataclass(frozen=True)
 class MediumSpec:
@@ -184,12 +177,6 @@ class UnitScale:
     def time_s(self, t_over_T: float | np.ndarray) -> float | np.ndarray:
         """Physical time in seconds for a time in echo-spacing units."""
         return t_over_T / (2.0 * self.nu0_hz)
-
-    def detuning(self, frequency_hz: float) -> float:
-        return frequency_hz / self.nu0_hz
-
-    def time_over_T(self, time_s: float) -> float:
-        return time_s * 2.0 * self.nu0_hz
 
 
 @functools.lru_cache(maxsize=8)

@@ -55,7 +55,6 @@ __all__ = [
     "signal_to_spectrum",
     "propagate",
     "echo_window",
-    "transmit",
     "peak_in_window",
     "check_time_window",
     "extract_train",
@@ -137,6 +136,11 @@ class FrequencyGrid:
         span_factor: float = DEFAULT_SPAN_FACTOR,
         samples: int = DEFAULT_SAMPLES,
     ) -> "FrequencyGrid":
+        """Grid of half-span ``span_factor * pulse.sigma``."""
+        if not (math.isfinite(span_factor) and span_factor > 0.0):
+            raise ValueError(
+                f"span_factor must be finite and positive, got {span_factor}"
+            )
         return cls(span_factor * pulse.sigma, samples)
 
     @property
@@ -183,9 +187,6 @@ class TimeSignal:
         is exact to rounding.
         """
         return float((self.times[-1] - self.times[0]) / (self.times.size - 1))
-
-    def intensity(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
 
     def energy(self, lo: float | None = None, hi: float | None = None) -> float:
         """Integrated intensity, optionally restricted to ``[lo, hi)``."""
@@ -519,59 +520,18 @@ def echo_window(k_max: int) -> tuple[float, float]:
     return -ECHO_DELAY, (max(k_max, 0) + 2) * ECHO_DELAY
 
 
-def _input_peak(
-    spectrum: np.ndarray,
-    grid: FrequencyGrid,
-    oversample: int,
-    window: tuple[float, float] | None,
-    reference_window: tuple[float, float] | None = None,
-) -> float:
-    """Peak intensity of the input inside ``reference_window``.
-
-    The input is transformed on ``window`` (see :func:`spectrum_to_signal`)
-    and its peak is read inside ``reference_window``, all of ``window``
-    by default.
-    """
-    incoming = spectrum_to_signal(spectrum, grid, oversample, window)
-    if reference_window is None:
-        reference_window = (incoming.times[0], incoming.times[-1] + incoming.dt)
-    amplitude, _ = peak_in_window(incoming, *reference_window)
-    return abs(amplitude) ** 2
-
-
-def transmit(
-    spectrum: np.ndarray,
-    transfer: TransferFunction,
-    oversample: int = 16,
-    reference_window: tuple[float, float] | None = None,
-    window: tuple[float, float] | None = None,
-) -> tuple[TimeSignal, float]:
-    """Send an input spectrum through the medium.
-
-    Returns the output signal on ``window`` (see
-    :func:`spectrum_to_signal`) and the input peak intensity inside
-    ``reference_window`` (all of ``window`` by default).  Simulated
-    intensities are quoted relative to that peak, so grid truncation
-    cancels.  A Gaussian pulse read on an echo window is a
-    :class:`Probe`, which computes that peak once for every transfer.
-    """
-    reference = _input_peak(
-        spectrum, transfer.grid, oversample, window, reference_window
-    )
-    return propagate(spectrum, transfer, oversample, window), reference
-
-
 @dataclass(frozen=True)
 class Probe:
     """A Gaussian input pulse on a grid, read on the echo window of ``k_max``.
 
-    One probe serves every transfer on its grid, such as the points of
-    a sweep.  ``spectrum`` and the input peak ``reference`` are computed
-    on first access and then kept, so a run that fails before its first
-    transform computes neither.  Nothing is validated here beyond what
-    :class:`PulseSpec` and :class:`FrequencyGrid` check: a bad
-    ``oversample`` or ``k_max`` is reported by the first transform or
-    train that reads it.
+    The probe is the library's only input path: every simulated
+    intensity is divided by its ``reference``.  One probe serves every
+    transfer on its grid, such as the points of a sweep.  ``spectrum``
+    and ``reference`` are computed on first access and then kept, so a
+    run that fails before its first transform computes neither.  Nothing
+    is validated here beyond what :class:`PulseSpec` and
+    :class:`FrequencyGrid` check: a bad ``oversample`` or ``k_max`` is
+    reported by the first transform or train that reads it.
     """
 
     pulse: PulseSpec = PulseSpec()
@@ -596,8 +556,13 @@ class Probe:
 
     @functools.cached_property
     def reference(self) -> float:
-        """Input peak intensity on the window, as :func:`transmit` quotes it."""
-        return _input_peak(self.spectrum, self.grid, self.oversample, self.window)
+        """Input peak intensity on the window; quoting intensities
+        relative to it cancels grid truncation."""
+        incoming = spectrum_to_signal(
+            self.spectrum, self.grid, self.oversample, self.window
+        )
+        amplitude, _ = peak_in_window(incoming, *self.window)
+        return abs(amplitude) ** 2
 
 
 @dataclass(frozen=True)
@@ -633,10 +598,6 @@ class PulseTrain:
     @property
     def intensities(self) -> np.ndarray:
         return np.array([e.intensity for e in self.entries])
-
-    @property
-    def total_intensity(self) -> float:
-        return float(self.intensities.sum())
 
 
 def peak_in_window(
@@ -695,7 +656,7 @@ def _echo_peak(
 
 
 def check_time_window(signal: TimeSignal, k_max: int, *, trace: bool = False) -> None:
-    """Raise ``ValueError`` unless echo ``k_max`` arrives inside the window.
+    """Raise ``ValueError`` unless echo ``k_max >= 0`` arrives inside the window.
 
     An echo past the end of the time window would alias to negative
     times.  With ``trace`` the window must also hold the whole delay
@@ -708,6 +669,8 @@ def check_time_window(signal: TimeSignal, k_max: int, *, trace: bool = False) ->
     the echo window was clipped, and at least ``(k_max + 2) T`` when it
     was not: the verdict is that of the full window either way.
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     end = float(signal.times[-1] + signal.dt)
     advice = "raise samples, lower span_factor or lower k_max"
     if k_max * ECHO_DELAY >= end:

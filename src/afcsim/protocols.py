@@ -174,10 +174,12 @@ class TimeBinQubit:
         norm = abs(self.c1) ** 2 + abs(self.c2) ** 2
         if not math.isclose(norm, 1.0, rel_tol=0.0, abs_tol=1e-6):
             raise ValueError(f"bin amplitudes must be normalised, got norm {norm}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.sigma <= 0.0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        for name in ("tau", "sigma"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value <= 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
     @classmethod
     def normalized(

@@ -26,7 +26,8 @@ from .propagation import (
     build_transfer,
     echo_window,
     peak_in_window,
-    transmit,
+    propagate,
+    spectrum_to_signal,
 )
 from .protocols import TimeBinQubit, recall, timebin_spectrum
 from .susceptibility import (
@@ -328,14 +329,13 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
         comb, medium, grid, TransferModel.IDEAL, harmonics=None
     )
     half = 0.5 * qubit.tau
+    spectrum = timebin_spectrum(qubit, grid)
+    window = echo_window(1)
     # The early input bin's peak is the reference, so c1 cancels and
     # the normalised recall compares directly with the echo efficiency.
-    signal, reference = transmit(
-        timebin_spectrum(qubit, grid),
-        transfer,
-        reference_window=(-half, half),
-        window=echo_window(1),
-    )
+    incoming = spectrum_to_signal(spectrum, grid, window=window)
+    reference = abs(peak_in_window(incoming, -half, half)[0]) ** 2
+    signal = propagate(spectrum, transfer, window=window)
     bins = {}
     for label, center in (
         ("prompt_early", 0.0),

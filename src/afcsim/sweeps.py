@@ -88,6 +88,9 @@ class SweepAxis:
     def __post_init__(self) -> None:
         if self.name not in ("d_p", "finesse", "gamma"):
             raise ValueError(f"unknown sweep parameter {self.name!r}")
+        for name in ("start", "stop"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
         if self.scale not in ("linear", "log"):

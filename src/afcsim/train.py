@@ -53,9 +53,6 @@ class TrainCoefficients:
     def intensity(self, k: int) -> float:
         return abs(self.amplitude(k)) ** 2
 
-    def intensities(self) -> np.ndarray:
-        return np.abs(self.prompt_factor * self.values) ** 2
-
     @property
     def k_max(self) -> int:
         return self.values.size - 1

@@ -395,6 +395,30 @@ class TestErrorPaths:
             assert setting in err
         assert not list(tmp_path.glob("*.csv"))
 
+    @pytest.mark.parametrize("command", ["transfer", "propagate", "train", "protocol"])
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            ("sigma = -5\n", "sigma must be positive, got -5.0"),
+            ("span_factor = -4\n", "span_factor must be finite and positive, got -4.0"),
+        ],
+        ids=["sigma", "span_factor"],
+    )
+    def test_bad_grid_setting_is_named(self, tmp_path, capsys, command, text, message):
+        path = _write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("k_max", [-1, -3])
+    def test_negative_k_max_exits_one(self, tmp_path, capsys, k_max):
+        path = _write_config(tmp_path, f"k_max = {k_max}\n")
+        for command in ("propagate", "train"):
+            assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
+            err = capsys.readouterr().err
+            assert err == f"error: k_max must be >= 0, got {k_max}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
     @pytest.mark.parametrize("command", ["train", "protocol"])
     def test_gamma_whose_square_overflows_exits_one(self, tmp_path, capsys, command):
         path = _write_config(tmp_path, "gamma = 1e200\n")

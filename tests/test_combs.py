@@ -19,7 +19,7 @@ class TestCombSpec:
     def test_layout_properties(self):
         comb = CombSpec(CombShape.SQUARE, half_width=0.2, pair_count=9)
         assert comb.finesse == pytest.approx(5.0)
-        assert comb.peak_count == 20
+        assert odd_peak_centers(comb.pair_count).size == 20
         assert ECHO_DELAY == math.pi
 
     def test_from_finesse_square(self):
@@ -56,11 +56,6 @@ class TestCombSpec:
         with pytest.raises(ValueError, match="gamma must be below about 1.3e154"):
             CombSpec(CombShape.SQUARE, gamma=1.4e154)
 
-    def test_with_gamma(self):
-        comb = CombSpec.from_finesse("square", 5.0)
-        assert comb.with_gamma(0.01).gamma == pytest.approx(0.01)
-        assert comb.gamma == 0.0
-
 
 class TestMediumSpec:
     def test_rejects_negative_depth(self):
@@ -82,10 +77,10 @@ class TestUnitScale:
         assert scale.frequency_hz(1.0) == pytest.approx(1e6)
         assert scale.time_s(1.0) == pytest.approx(0.5e-6)
 
-    def test_round_trip(self):
+    def test_echo_spacing_is_inverse_period(self):
+        # the comb period 2 nu0, in Hz, times the echo spacing T, in s
         scale = UnitScale(2.5e6)
-        assert scale.detuning(scale.frequency_hz(0.37)) == pytest.approx(0.37)
-        assert scale.time_over_T(scale.time_s(1.9)) == pytest.approx(1.9)
+        assert scale.frequency_hz(2.0) * scale.time_s(1.0) == pytest.approx(1.0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):

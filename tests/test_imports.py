@@ -1,4 +1,4 @@
-"""Start-up cost: importing the package and running the CLI load no scipy.
+"""Importing the package: no scipy at start-up, and every public name resolves.
 
 scipy.integrate is imported only inside the two quadrature checks,
 ``susceptibility.lorentzian_convolution`` and
@@ -12,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import afcsim
 
@@ -59,3 +61,14 @@ def test_cli_runs_without_scipy(tmp_path):
     # the quadrature path still imports scipy on first use and works
     assert states["finite"] is True
     assert states["after_quadrature"] is True
+
+
+def test_public_names_resolve_once():
+    names = afcsim.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        getattr(afcsim, name)
+    # Probe is the only input path
+    assert "transmit" not in names
+    with pytest.raises(AttributeError):
+        afcsim.transmit

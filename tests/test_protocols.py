@@ -305,6 +305,14 @@ class TestTimeBinQubit:
         with pytest.raises(ValueError):
             TimeBinQubit(c1=1.0, c2=0.0, tau=0.5, sigma=0.0)
 
+    @pytest.mark.parametrize("field", ["tau", "sigma"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_tau_and_sigma(self, field, value):
+        kwargs = dict(c1=1.0, c2=0.0, tau=0.5, sigma=7.0)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            TimeBinQubit(**kwargs)
+
     def test_normalized_scales_amplitudes(self):
         qubit = TimeBinQubit.normalized(3.0, 4.0, tau=0.5)
         assert abs(qubit.c1) == pytest.approx(0.6)

@@ -56,6 +56,21 @@ class TestSweepAxis:
         with pytest.raises(ValueError):
             SweepAxis(**kwargs)
 
+    @pytest.mark.parametrize("scale", ["linear", "log"])
+    @pytest.mark.parametrize(
+        ("start", "stop", "field"),
+        [
+            (math.nan, 5.0, "start"),
+            (-math.inf, 5.0, "start"),
+            (1.0, math.nan, "stop"),
+            (1.0, math.inf, "stop"),
+        ],
+    )
+    def test_rejects_non_finite_endpoints(self, scale, start, stop, field):
+        value = start if field == "start" else stop
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            SweepAxis("d_p", start, stop, 3, scale)
+
 
 class TestDepthSweep:
     def test_refines_to_known_optimum(self):

@@ -1,6 +1,7 @@
 """Echo-train coefficients: closed forms, recursion, numeric projection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,11 +59,11 @@ class TestClosedForms:
     def test_broadening_rescales_first_echo(self):
         # gamma enters the field through one factor of q = e^{-pi gamma/nu0}
         plain = first_echo_intensity(SQUARE_F5, DEPTH_10)
-        damped = first_echo_intensity(SQUARE_F5.with_gamma(0.005), DEPTH_10)
+        damped = first_echo_intensity(replace(SQUARE_F5, gamma=0.005), DEPTH_10)
         assert damped / plain == pytest.approx(math.exp(-0.01 * math.pi), rel=1e-12)
         assert damped == pytest.approx(0.459097468308253, abs=1e-12)
         assert first_echo_intensity(
-            SQUARE_F5.with_gamma(0.005), MediumSpec(d_p=3.0)
+            replace(SQUARE_F5, gamma=0.005), MediumSpec(d_p=3.0)
         ) == pytest.approx(0.16755588344358907, abs=1e-12)
 
     def test_optimal_depth_by_shape(self):
@@ -111,9 +112,9 @@ class TestSquareRecursion:
         )
 
     def test_first_order_matches_closed_form(self):
-        train = closed_train(SQUARE_F5.with_gamma(0.005), DEPTH_10, 1)
+        train = closed_train(replace(SQUARE_F5, gamma=0.005), DEPTH_10, 1)
         assert train.intensity(1) == pytest.approx(
-            first_echo_intensity(SQUARE_F5.with_gamma(0.005), DEPTH_10), rel=1e-12
+            first_echo_intensity(replace(SQUARE_F5, gamma=0.005), DEPTH_10), rel=1e-12
         )
 
     def test_accessors(self):
@@ -122,8 +123,8 @@ class TestSquareRecursion:
         assert train.amplitude(0) == pytest.approx(train.prompt_factor)
         assert train.intensity(1) == pytest.approx(abs(train.amplitude(1)) ** 2)
         np.testing.assert_allclose(
-            train.intensities(),
             [train.intensity(k) for k in range(4)],
+            np.abs(train.prompt_factor * train.values) ** 2,
             rtol=1e-13,
         )
 
@@ -229,7 +230,7 @@ class TestNumericProjection:
 
     def test_square_series_rejects_broadening(self):
         # the truncated series is unbroadened whatever the harmonic count
-        broadened = SQUARE_F5.with_gamma(0.05)
+        broadened = replace(SQUARE_F5, gamma=0.05)
         for harmonics in (2000, None):
             with pytest.raises(ValueError, match="ideal square model has no broadening"):
                 coefficients_numeric(
