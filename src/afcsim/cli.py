@@ -21,12 +21,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, UnitScale
+from .combs import ECHO_DELAY, CombShape, MediumSpec, UnitScale
 from .output import TRACE_HEADER, format_value, trace_columns, write_csv
 from .propagation import (
-    FrequencyGrid,
     Probe,
-    PulseSpec,
+    TransferFunction,
     TransferModel,
     build_transfer,
     check_time_window,
@@ -34,7 +33,7 @@ from .propagation import (
     extract_train,
     propagate,
 )
-from .protocols import recall
+from .protocols import RunSpec, recall
 from .sweeps import SweepAxis, SweepKind, SweepRequest, sweep
 from .train import closed_train
 
@@ -45,27 +44,14 @@ class ConfigError(ValueError):
     """Configuration file rejected; the message carries the line number."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(RunSpec):
     """Resolved settings shared by all subcommands.
 
-    Defaults describe the reference setup: a square comb of finesse 5
-    at depth 10, probed by a Gaussian pulse of spectral scale five
-    tooth spacings on a 2^14-point grid spanning four of those scales.
+    The :class:`RunSpec` fields come first, then the protocol and sweep
+    settings; the config file lists them in that order.
     """
 
-    shape: str = "square"
-    finesse: float = 5.0
-    d_p: float = 10.0
-    gamma: float = 0.0
-    pair_count: int = 9
-    sigma: float = 5.0
-    samples: int = 16384
-    span_factor: float = 4.0
-    oversample: int = 16
-    model: str = "broadened"
-    harmonics: int | None = 2000
-    k_max: int = 8
     passes: int = 1
     mismatch_time: float = 0.0
     mismatch_phase: float = 0.0
@@ -182,32 +168,13 @@ def canonical_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _comb(config: RunConfig) -> CombSpec:
-    return CombSpec.from_finesse(
-        config.shape,
-        config.finesse,
-        pair_count=config.pair_count,
-        gamma=config.gamma,
-    )
-
-
-def _probe(config: RunConfig) -> Probe:
-    """The run's input pulse and grid; a bad setting is named here."""
-    pulse = PulseSpec(sigma=config.sigma)
-    grid = FrequencyGrid.for_pulse(pulse, config.span_factor, config.samples)
-    return Probe(pulse, grid, config.oversample, config.k_max)
-
-
 def cmd_spectrum(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
-    comb = _comb(config)
     # Midpoint sampling keeps sharp-tooth models off their edge
     # singularities.
     nu = -2.5 + (np.arange(2000) + 0.5) * (5.0 / 2000)
-    packed = comb_response(
-        comb, nu, TransferModel(config.model), config.harmonics
-    )
+    packed = comb_response(config.comb(), nu, config.model, config.harmonics)
     header: tuple[str, ...] = ("nu_over_nu0", "absorption", "dispersion")
     columns = [nu, packed.real, packed.imag]
     if scale is not None:
@@ -219,16 +186,17 @@ def cmd_spectrum(
     return 0
 
 
+def _transfer(config: RunConfig) -> tuple[TransferFunction, Probe]:
+    """The run's transfer on its probe's grid; a bad setting is named here."""
+    comb, medium, probe = config.comb(), MediumSpec(config.d_p), config.probe()
+    transfer = build_transfer(comb, medium, probe.grid, config.model, config.harmonics)
+    return transfer, probe
+
+
 def cmd_transfer(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
-    transfer = build_transfer(
-        _comb(config),
-        MediumSpec(config.d_p),
-        _probe(config).grid,
-        TransferModel(config.model),
-        config.harmonics,
-    )
+    transfer, _ = _transfer(config)
     nu = transfer.grid.points()
     header: tuple[str, ...] = ("nu_over_nu0", "re", "im", "magnitude")
     columns = [nu, transfer.values.real, transfer.values.imag, np.abs(transfer.values)]
@@ -242,24 +210,16 @@ def cmd_transfer(
 
 
 def _propagated(config: RunConfig):
-    comb = _comb(config)
-    probe = _probe(config)
-    transfer = build_transfer(
-        comb,
-        MediumSpec(config.d_p),
-        probe.grid,
-        TransferModel(config.model),
-        config.harmonics,
-    )
+    transfer, probe = _transfer(config)
     reference = probe.reference
     signal = propagate(probe.spectrum, transfer, probe.oversample, probe.window)
-    return comb, signal, reference
+    return signal, reference
 
 
 def cmd_propagate(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
-    _, signal, reference = _propagated(config)
+    signal, reference = _propagated(config)
     check_time_window(signal, config.k_max, trace=True)
     columns = list(trace_columns(signal, reference, -1.0, config.k_max + 1.0))
     header: tuple[str, ...] = TRACE_HEADER
@@ -296,9 +256,9 @@ def _warn_above_unity(efficiency: float) -> None:
 
 
 def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
-    comb, signal, reference = _propagated(config)
+    signal, reference = _propagated(config)
     train = extract_train(signal, config.k_max, reference_intensity=reference)
-    closed = closed_train(comb, MediumSpec(config.d_p), config.k_max)
+    closed = closed_train(config.comb(), MediumSpec(config.d_p), config.k_max)
     header: tuple[str, ...] = (
         "k",
         "intensity",
@@ -338,11 +298,11 @@ def cmd_protocol(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
     result = recall(
-        _comb(config),
+        config.comb(),
         MediumSpec(config.d_p),
         passes=config.passes,
-        probe=_probe(config),
-        model=TransferModel(config.model),
+        probe=config.probe(),
+        model=config.model,
         harmonics=config.harmonics,
         mismatch_time=config.mismatch_time,
         mismatch_phase=config.mismatch_phase,
@@ -392,31 +352,22 @@ def cmd_protocol(
 
 
 def cmd_sweep(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
-    request = SweepRequest(
-        axis=SweepAxis(
-            config.sweep_parameter,
-            config.sweep_start,
-            config.sweep_stop,
-            config.sweep_steps,
-            config.sweep_scale,
-        ),
-        kind=SweepKind(config.sweep_protocol),
-        shape=CombShape(config.shape),
-        finesse=config.finesse,
-        d_p=config.d_p,
-        gamma=config.gamma,
-        pair_count=config.pair_count,
-        k_max=min(config.k_max, 3) if config.k_max >= 1 else 1,
-        refine=config.sweep_refine,
-        simulate=config.sweep_simulate,
-        model=TransferModel(config.model),
-        harmonics=config.harmonics,
-        sigma=config.sigma,
-        span_factor=config.span_factor,
-        samples=config.samples,
-        oversample=config.oversample,
+    result = sweep(
+        SweepRequest(
+            axis=SweepAxis(
+                config.sweep_parameter,
+                config.sweep_start,
+                config.sweep_stop,
+                config.sweep_steps,
+                config.sweep_scale,
+            ),
+            kind=SweepKind(config.sweep_protocol),
+            refine=config.sweep_refine,
+            simulate=config.sweep_simulate,
+            **{f.name: getattr(config, f.name) for f in fields(RunSpec)},
+        )
     )
-    result = sweep(request)
+    request = result.request
     k_cols = request.k_max
     header = (
         (config.sweep_parameter, "efficiency")
@@ -429,10 +380,14 @@ def cmd_sweep(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
         rows.append((row.value, row.efficiency) + padded + (row.status,))
     path = out_dir / "sweep.csv"
     count = write_csv(path, header, list(zip(*rows)))
-    refined = " (refined)" if result.refined else ""
+    # A refined best is a closed-form optimum, also in a simulated sweep.
+    if result.refined:
+        note = " (refined on the closed form)" if request.simulate else " (refined)"
+    else:
+        note = " (simulated)" if request.simulate else ""
     print(
         f"best {config.sweep_parameter}={result.best_value:.6g} "
-        f"efficiency={result.best_efficiency:.6f}{refined}"
+        f"efficiency={result.best_efficiency:.6f}{note}"
     )
     print(f"wrote {path} ({count} rows)")
     _warn_above_unity(result.best_efficiency)

@@ -34,12 +34,51 @@ from .train import first_echo_intensity, prompt_attenuation
 
 __all__ = [
     "ProtocolResult",
+    "RunSpec",
     "TimeBinQubit",
     "TimeBinResult",
     "recall",
     "timebin_transform",
     "timebin_spectrum",
 ]
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunSpec:
+    """One run's comb, depth, probe and response model.
+
+    Defaults describe the reference setup: a square comb of finesse 5
+    at depth 10, probed by a Gaussian pulse of spectral scale five
+    tooth spacings on a 2^14-point grid spanning four of those scales.
+    ``shape`` and ``model`` take a :class:`CombShape` or
+    :class:`TransferModel` or their string values.  Nothing is checked
+    here: :meth:`comb` and :meth:`probe` name a bad setting.
+    """
+
+    shape: str = "square"
+    finesse: float = 5.0
+    d_p: float = 10.0
+    gamma: float = 0.0
+    pair_count: int = 9
+    sigma: float = 5.0
+    samples: int = 16384
+    span_factor: float = 4.0
+    oversample: int = 16
+    model: str = "broadened"
+    harmonics: int | None = 2000
+    k_max: int = 8
+
+    def comb(self) -> CombSpec:
+        return CombSpec.from_finesse(
+            self.shape, self.finesse, pair_count=self.pair_count, gamma=self.gamma
+        )
+
+    def probe(self) -> Probe:
+        """The run's input pulse and grid, read on the echo window of ``k_max``."""
+        pulse = PulseSpec(sigma=self.sigma)
+        grid = FrequencyGrid.for_pulse(pulse, self.span_factor, self.samples)
+        return Probe(pulse, grid, self.oversample, self.k_max)
+
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -174,11 +213,11 @@ class TimeBinQubit:
         norm = abs(self.c1) ** 2 + abs(self.c2) ** 2
         if not math.isclose(norm, 1.0, rel_tol=0.0, abs_tol=1e-6):
             raise ValueError(f"bin amplitudes must be normalised, got norm {norm}")
-        for name in ("tau", "sigma"):
+        for name in ("tau", "sigma", "phi"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-            if value <= 0.0:
+            if value <= 0.0 and name != "phi":
                 raise ValueError(f"{name} must be positive, got {value}")
 
     @classmethod

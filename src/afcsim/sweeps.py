@@ -10,16 +10,9 @@ from typing import Callable
 
 import numpy as np
 
-from .combs import CombShape, CombSpec, MediumSpec
-from .propagation import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SPAN_FACTOR,
-    FrequencyGrid,
-    Probe,
-    PulseSpec,
-    TransferModel,
-)
-from .protocols import recall
+from .combs import MediumSpec
+from .propagation import Probe
+from .protocols import RunSpec, recall
 from .train import closed_train, ideal_limit_intensity, optimal_depth
 
 __all__ = [
@@ -106,24 +99,14 @@ class SweepAxis:
         return np.linspace(self.start, self.stop, self.steps)
 
 
-@dataclass(frozen=True)
-class SweepRequest:
+@dataclass(frozen=True, kw_only=True)
+class SweepRequest(RunSpec):
+    """A run swept along ``axis``: each point replaces the axis's field."""
+
     axis: SweepAxis
     kind: SweepKind = SweepKind.FIRST_ECHO
-    shape: CombShape = CombShape.SQUARE
-    finesse: float = 5.0
-    d_p: float = 10.0
-    gamma: float = 0.0
-    pair_count: int = 9
-    k_max: int = 3
     refine: bool = True
     simulate: bool = False
-    model: TransferModel = TransferModel.BROADENED
-    harmonics: int | None = 2000
-    sigma: float = 5.0
-    span_factor: float = DEFAULT_SPAN_FACTOR
-    samples: int = DEFAULT_SAMPLES
-    oversample: int = 16
 
 
 @dataclass(frozen=True)
@@ -136,6 +119,8 @@ class SweepRow:
 
 @dataclass
 class SweepResult:
+    """``request`` is the request as run, its ``k_max`` capped at 3."""
+
     request: SweepRequest
     rows: tuple[SweepRow, ...]
     best_value: float
@@ -143,39 +128,19 @@ class SweepResult:
     refined: bool
 
 
-def _combination(request: SweepRequest, value: float) -> tuple[CombSpec, MediumSpec]:
-    params = {
-        "finesse": request.finesse,
-        "gamma": request.gamma,
-        "d_p": request.d_p,
-    }
-    params[request.axis.name] = value
-    comb = CombSpec.from_finesse(
-        request.shape,
-        params["finesse"],
-        pair_count=request.pair_count,
-        gamma=params["gamma"],
-    )
-    return comb, MediumSpec(params["d_p"])
+def _point(request: SweepRequest, value: float) -> SweepRequest:
+    return replace(request, **{request.axis.name: value})
 
 
-def _probe(request: SweepRequest) -> Probe:
-    pulse = PulseSpec(sigma=request.sigma)
-    grid = FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples)
-    return Probe(pulse, grid, request.oversample, request.k_max)
-
-
-def _efficiency(
-    request: SweepRequest, value: float, probe: Callable[[], Probe] | None
-) -> float:
+def _efficiency(point: SweepRequest, probe: Callable[[], Probe] | None) -> float:
     """Recall efficiency at one sweep point, simulated or in closed form.
 
     ``probe`` returns the sweep's probe for a simulation and is None
     for the closed form, so a closed sweep accepts any ``samples`` and
     ``span_factor``.
     """
-    comb, medium = _combination(request, value)
-    passes = 2 if request.kind is SweepKind.TWO_PASS else 1
+    comb, medium = point.comb(), MediumSpec(point.d_p)
+    passes = 2 if point.kind is SweepKind.TWO_PASS else 1
     if probe is None:
         return recall(comb, medium, passes=passes, simulate=False).closed_efficiency
     result = recall(
@@ -183,38 +148,45 @@ def _efficiency(
         medium,
         passes=passes,
         probe=probe(),
-        model=request.model,
-        harmonics=request.harmonics,
+        model=point.model,
+        harmonics=point.harmonics,
     )
     assert result.simulated_efficiency is not None
     return result.simulated_efficiency
 
 
-def _echo_intensities(request: SweepRequest, value: float) -> tuple[float, ...]:
+def _echo_intensities(point: SweepRequest) -> tuple[float, ...]:
     """Closed-form intensities of echoes 1..k_max at this sweep point."""
-    comb, medium = _combination(request, value)
-    coeffs = closed_train(comb, medium, request.k_max)
-    return tuple(float(coeffs.intensity(k)) for k in range(1, request.k_max + 1))
+    coeffs = closed_train(point.comb(), MediumSpec(point.d_p), point.k_max)
+    return tuple(float(coeffs.intensity(k)) for k in range(1, point.k_max + 1))
 
 
 def sweep(request: SweepRequest) -> SweepResult:
     """Evaluate the efficiency along the axis, then refine the optimum.
 
-    Each grid point is evaluated in closed form or by simulation per
-    ``request.simulate``; failures are recorded per row rather than
-    aborting the sweep.  A simulated sweep builds one :class:`Probe`, at
-    its first point, and every point reads that probe's spectrum and
-    input peak; a probe that cannot be built fails each row with the
-    same message.  Refinement brackets the best grid point and runs a
-    golden-section search on the closed form (simulation values are too
-    expensive to bracket tightly and follow the same trend).
+    Every point reads echoes ``1 .. min(k_max, 3)``; a ``k_max`` below 1
+    is rejected before any point runs.  Each grid point is evaluated in
+    closed form or by simulation per ``request.simulate``; failures are
+    recorded per row rather than aborting the sweep.  A simulated sweep
+    builds one :class:`Probe`, at its first point, and every point reads
+    that probe's spectrum and input peak; a probe that cannot be built
+    fails each row with the same message.  Refinement brackets the best
+    grid point and runs a golden-section search on the closed form
+    (simulation values are too expensive to bracket tightly and follow
+    the same trend).
     """
-    probe = functools.cache(lambda: _probe(request)) if request.simulate else None
+    if request.k_max < 1:
+        raise ValueError(
+            f"k_max must be >= 1 to read the first echo, got {request.k_max}"
+        )
+    request = replace(request, k_max=min(request.k_max, 3))
+    probe = functools.cache(request.probe) if request.simulate else None
     rows = []
     for value in request.axis.values():
+        point = _point(request, float(value))
         try:
-            efficiency = _efficiency(request, float(value), probe)
-            intensities = _echo_intensities(request, float(value))
+            efficiency = _efficiency(point, probe)
+            intensities = _echo_intensities(point)
             rows.append(SweepRow(float(value), efficiency, intensities, "ok"))
         except (ValueError, ZeroDivisionError) as exc:
             rows.append(SweepRow(float(value), math.nan, (), f"failed: {exc}"))
@@ -234,7 +206,7 @@ def sweep(request: SweepRequest) -> SweepResult:
         if 0 < i < len(ok) - 1:
             lo, hi = values[i - 1], values[i + 1]
             best_value, best_efficiency = golden_section_max(
-                lambda v: _efficiency(request, v, None), lo, hi
+                lambda v: _efficiency(_point(request, v), None), lo, hi
             )
             refined = True
     return SweepResult(
@@ -256,7 +228,7 @@ def optimal_curve(finesse_values: np.ndarray | list[float]) -> np.ndarray:
     finesse_values = np.asarray(finesse_values, dtype=float)
     out = np.empty((finesse_values.size, 3))
     for i, finesse in enumerate(finesse_values):
-        comb = CombSpec.from_finesse(CombShape.SQUARE, finesse)
+        comb = RunSpec(finesse=finesse).comb()
         out[i] = (
             finesse,
             optimal_depth(comb),

@@ -2,6 +2,7 @@
 
 import csv
 import math
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -119,6 +120,35 @@ class TestConfigCommand:
         out = capsys.readouterr().out
         assert out == canonical_config(RunConfig())
         assert parse_config(out) == RunConfig()
+
+    def test_default_keys_in_file_order(self, capsys):
+        assert main(["config"]) == 0
+        assert capsys.readouterr().out == (
+            "shape = square\n"
+            "finesse = 5.0\n"
+            "d_p = 10.0\n"
+            "gamma = 0.0\n"
+            "pair_count = 9\n"
+            "sigma = 5.0\n"
+            "samples = 16384\n"
+            "span_factor = 4.0\n"
+            "oversample = 16\n"
+            "model = broadened\n"
+            "harmonics = 2000\n"
+            "k_max = 8\n"
+            "passes = 1\n"
+            "mismatch_time = 0.0\n"
+            "mismatch_phase = 0.0\n"
+            "simulate = true\n"
+            "sweep_parameter = d_p\n"
+            "sweep_start = 1.0\n"
+            "sweep_stop = 40.0\n"
+            "sweep_steps = 40\n"
+            "sweep_scale = linear\n"
+            "sweep_protocol = first-echo\n"
+            "sweep_refine = true\n"
+            "sweep_simulate = false\n"
+        )
 
     def test_reflects_config_file(self, tmp_path, capsys):
         path = _write_config(tmp_path, "finesse = 2.0\nharmonics = none\n")
@@ -282,6 +312,26 @@ class TestSubcommands:
         assert len(lines) == 11
         assert lines[0] == "d_p,efficiency,i1,i2,i3,status"
 
+    @pytest.mark.parametrize(
+        ("extra", "note"),
+        [
+            ("", " (refined)"),
+            ("sweep_refine = false\n", ""),
+            ("sweep_simulate = true\n", " (refined on the closed form)"),
+            ("sweep_simulate = true\nsweep_refine = false\n", " (simulated)"),
+        ],
+        ids=["closed", "closed-unrefined", "simulated", "simulated-unrefined"],
+    )
+    def test_sweep_summary_names_its_number(self, tmp_path, capsys, extra, note):
+        axis = "sweep_start = 8.0\nsweep_stop = 12.0\nsweep_steps = 3\n"
+        path = _write_config(tmp_path, FAST_SIM + axis + extra)
+        assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 0
+        best = capsys.readouterr().out.splitlines()[0]
+        pattern = r"best d_p=\S+ efficiency=\d\.\d{6}" + re.escape(note)
+        assert re.fullmatch(pattern, best)
+        header = (tmp_path / "sweep.csv").read_text().splitlines()[0]
+        assert header == "d_p,efficiency,i1,i2,i3,status"
+
 
 class TestReproduceCommand:
     def test_listing(self, capsys):
@@ -418,6 +468,15 @@ class TestErrorPaths:
             err = capsys.readouterr().err
             assert err == f"error: k_max must be >= 0, got {k_max}\n"
         assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("k_max", [-1, 0])
+    def test_sweep_without_first_echo_exits_one(self, tmp_path, capsys, k_max):
+        path = _write_config(tmp_path, f"k_max = {k_max}\n")
+        assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: k_max must be >= 1 to read the first echo, got {k_max}\n"
+        )
+        assert not (tmp_path / "sweep.csv").exists()
 
     @pytest.mark.parametrize("command", ["train", "protocol"])
     def test_gamma_whose_square_overflows_exits_one(self, tmp_path, capsys, command):

@@ -313,6 +313,15 @@ class TestTimeBinQubit:
         with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
             TimeBinQubit(**kwargs)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_phi(self, value):
+        with pytest.raises(ValueError, match=f"^phi must be finite, got {value}$"):
+            TimeBinQubit(c1=1.0, c2=0.0, tau=0.5, phi=value)
+
+    @pytest.mark.parametrize("phi", [-math.pi, 0.0, 7.0])
+    def test_accepts_any_finite_phi(self, phi):
+        assert TimeBinQubit(c1=1.0, c2=0.0, tau=0.5, phi=phi).phi == phi
+
     def test_normalized_scales_amplitudes(self):
         qubit = TimeBinQubit.normalized(3.0, 4.0, tau=0.5)
         assert abs(qubit.c1) == pytest.approx(0.6)

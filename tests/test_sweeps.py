@@ -135,6 +135,28 @@ class TestDepthSweep:
         assert row.intensities[0] == pytest.approx(row.efficiency, rel=1e-12)
 
 
+class TestEchoCount:
+    @pytest.mark.parametrize("simulate", [False, True])
+    @pytest.mark.parametrize("k_max", [-1, 0])
+    def test_rejects_k_max_without_first_echo(self, transforms, k_max, simulate):
+        request = SweepRequest(
+            axis=SweepAxis("d_p", 8.0, 12.0, 3), k_max=k_max, simulate=simulate
+        )
+        with pytest.raises(
+            ValueError,
+            match=f"^k_max must be >= 1 to read the first echo, got {k_max}$",
+        ):
+            sweep(request)
+        assert sum(transforms.values()) == 0
+
+    @pytest.mark.parametrize(("k_max", "read"), [(1, 1), (3, 3), (8, 3)])
+    def test_reads_at_most_three_echoes(self, k_max, read):
+        request = SweepRequest(axis=SweepAxis("d_p", 8.0, 12.0, 3), k_max=k_max)
+        result = sweep(request)
+        assert result.request == replace(request, k_max=read)
+        assert {len(row.intensities) for row in result.rows} == {read}
+
+
 class TestFinesseAndGammaSweeps:
     def test_finesse_optimum_at_fixed_depth(self):
         result = sweep(SweepRequest(axis=SweepAxis("finesse", 3.0, 8.0, 6)))
@@ -241,7 +263,8 @@ class TestSimulatedSweep:
             oversample=8,
             refine=False,
         )
-        rows = sweep(request).rows
+        result = sweep(request)
+        rows = result.rows
         assert len(response_calls) == 1
         # each point on its own, from a fresh response, gives the same bits
         pulse = PulseSpec(sigma=request.sigma)
@@ -254,7 +277,8 @@ class TestSimulatedSweep:
             fresh = recall(
                 comb,
                 MediumSpec(row.value),
-                probe=Probe(pulse, grid, request.oversample, request.k_max),
+                # the sweep reads echoes up to min(k_max, 3)
+                probe=Probe(pulse, grid, request.oversample, result.request.k_max),
             )
             assert row.status == "ok"
             assert row.efficiency == fresh.simulated_efficiency
@@ -283,7 +307,8 @@ class TestSweepProbe:
     )
     def test_rows_equal_standalone_recalls(self, axis, kind):
         request = SweepRequest(axis=axis, kind=kind, refine=False, **PROBED)
-        rows = sweep(request).rows
+        result = sweep(request)
+        rows = result.rows
         pulse = PulseSpec(sigma=request.sigma)
         grid = FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples)
         params = {"finesse": request.finesse, "gamma": request.gamma, "d_p": request.d_p}
@@ -299,7 +324,8 @@ class TestSweepProbe:
                 comb,
                 MediumSpec(params["d_p"]),
                 passes=2 if kind is SweepKind.TWO_PASS else 1,
-                probe=Probe(pulse, grid, request.oversample, request.k_max),
+                # the sweep reads echoes up to min(k_max, 3)
+                probe=Probe(pulse, grid, request.oversample, result.request.k_max),
                 model=request.model,
                 harmonics=request.harmonics,
             )
