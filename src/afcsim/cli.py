@@ -235,13 +235,12 @@ def cmd_propagate(
 def _relative_error(value: float, closed: float) -> tuple[float | str, str]:
     """CSV cell and printed form of ``value / closed - 1``.
 
-    A closed value of zero (``d_p = 0``) has no relative error: the cell
-    is left empty and ``n/a`` is printed.
+    A closed value of zero (``d_p = 0``), or one so small that the ratio
+    overflows, has no relative error: the cell is left empty and ``n/a``
+    is printed.
     """
-    if closed > 0.0:
-        rel = value / closed - 1.0
-        return rel, f"{rel:+.2e}"
-    return "", "n/a"
+    rel = value / closed - 1.0 if closed > 0.0 else math.nan
+    return (rel, f"{rel:+.2e}") if math.isfinite(rel) else ("", "n/a")
 
 
 def _warn_above_unity(efficiency: float) -> None:

@@ -38,8 +38,6 @@ from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec
 from . import susceptibility as sus
 
 __all__ = [
-    "DEFAULT_SPAN_FACTOR",
-    "DEFAULT_SAMPLES",
     "TransferModel",
     "FrequencyGrid",
     "PulseSpec",
@@ -61,25 +59,21 @@ __all__ = [
 ]
 
 
-# Library grid defaults: half-span in pulse widths, and sample count.
-DEFAULT_SPAN_FACTOR = 6.0
-DEFAULT_SAMPLES = 2**15
+# Largest |H| a transfer may reach: see build_transfer.
+_MAX_GAIN = 1e10
 
 
 class TransferModel(str, enum.Enum):
     """Which response model feeds the transfer function.
 
     IDEAL is the infinite periodic comb (series, or resummed when the
-    harmonic count is ``None``); IDEAL_FINITE keeps the finite tooth
-    count but no broadening; BROADENED is the finite comb with
-    Lorentzian teeth.  Harmonic and Lorentzian tooth shapes have exact
-    periodic forms that already include broadening, so for them all
-    models coincide except IDEAL_FINITE, which is only defined for
-    square teeth.
+    harmonic count is ``None``); BROADENED is the finite comb with
+    Lorentzian teeth, sharp at ``gamma = 0``.  Harmonic and Lorentzian
+    tooth shapes have exact periodic forms that already include
+    broadening, so for them the two models coincide.
     """
 
     IDEAL = "ideal"
-    IDEAL_FINITE = "ideal-finite"
     BROADENED = "broadened"
 
 
@@ -92,12 +86,8 @@ def comb_response(
     """Packed response ``chi'' + 1j chi'`` of a comb under a model."""
     model = TransferModel(model)
     if comb.shape is CombShape.HARMONIC:
-        if model is TransferModel.IDEAL_FINITE:
-            raise ValueError("harmonic combs are inherently periodic")
         return sus.harmonic_comb_response(nu, gamma=comb.gamma)
     if comb.shape is CombShape.LORENTZIAN:
-        if model is TransferModel.IDEAL_FINITE:
-            raise ValueError("no finite-comb form for Lorentzian teeth")
         return sus.lorentzian_comb_response(
             nu, 1.0 / comb.finesse, gamma=comb.gamma
         )
@@ -105,7 +95,7 @@ def comb_response(
         if comb.gamma != 0.0:
             raise ValueError("ideal square model has no broadening; use BROADENED")
         return sus.chi_square_series(nu, 1.0 / comb.finesse, harmonics)
-    if model is TransferModel.IDEAL_FINITE or comb.gamma == 0.0:
+    if comb.gamma == 0.0:
         return sus.chi_square_exact(nu, 1.0 / comb.finesse, comb.pair_count)
     return sus.epsilon_broadened(
         nu, comb.half_width, gamma=comb.gamma, pair_count=comb.pair_count
@@ -117,7 +107,7 @@ class FrequencyGrid:
     """Symmetric detuning grid ``(k - samples/2) * spacing``."""
 
     half_span: float
-    samples: int = DEFAULT_SAMPLES
+    samples: int
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.half_span):
@@ -131,10 +121,7 @@ class FrequencyGrid:
 
     @classmethod
     def for_pulse(
-        cls,
-        pulse: "PulseSpec",
-        span_factor: float = DEFAULT_SPAN_FACTOR,
-        samples: int = DEFAULT_SAMPLES,
+        cls, pulse: "PulseSpec", span_factor: float, samples: int
     ) -> "FrequencyGrid":
         """Grid of half-span ``span_factor * pulse.sigma``."""
         if not (math.isfinite(span_factor) and span_factor > 0.0):
@@ -257,7 +244,11 @@ def build_transfer(
     the lower half is the conjugate of the upper.
 
     Raises ``ValueError`` if any sample is non-finite: one such sample
-    would spread through every FFT that follows.
+    would spread through every FFT that follows; or if any gains more
+    than ``_MAX_GAIN``.  A passive comb never amplifies, but the
+    truncated ideal series dips up to 9 % below zero absorption near
+    tooth edges, a gain of up to ``exp(0.045 d_p)`` that swamps the
+    output of a deep comb.
     """
     model = TransferModel(model)
     if comb.shape is not CombShape.SQUARE or model is not TransferModel.IDEAL:
@@ -266,6 +257,13 @@ def build_transfer(
         exponent = _exponent(
             _grid_response(comb, grid, model, harmonics), medium.d_p
         )
+        gain = exponent.real > math.log(_MAX_GAIN)
+        if gain.any():
+            raise ValueError(
+                f"transfer gains more than {_MAX_GAIN:.0e} at {int(gain.sum())} grid "
+                f"samples, first at detuning {grid.points()[np.argmax(gain)]:.6g}, "
+                "where the absorption is negative; lower d_p or use model = broadened"
+            )
         upper, lower = _mirror_halves(exponent)
         # exp keeps the sign of a zero imaginary part, which conj flips
         if lower is None and upper.imag.all():
@@ -278,18 +276,12 @@ def build_transfer(
             values = np.exp(exponent)
     bad = ~np.isfinite(values)
     if bad.any():
-        nu = grid.points()
-        if model is TransferModel.IDEAL_FINITE:
-            fix = "model = broadened with gamma > 0"
-        elif comb.gamma > 0.0:
-            # gamma**2 underflows, so the teeth stay sharp
-            fix = "gamma above about 1e-154"
-        else:
-            fix = "gamma > 0"
+        # below about 1e-154 gamma**2 underflows, so the teeth stay sharp
+        fix = "gamma above about 1e-154" if comb.gamma > 0.0 else "gamma > 0"
         raise ValueError(
             f"transfer is non-finite at {int(bad.sum())} grid samples, first at "
-            f"detuning {nu[np.argmax(bad)]:.6g}: a sample sits on a sharp "
-            f"tooth edge; change finesse, samples or span_factor, or use {fix}"
+            f"detuning {grid.points()[np.argmax(bad)]:.6g}: a sample sits on a "
+            f"sharp tooth edge; change finesse, samples or span_factor, or use {fix}"
         )
     return TransferFunction(grid=grid, values=values)
 
@@ -441,7 +433,10 @@ def spectrum_to_signal(
     half = total // 2
     start, stop = (_first_index(x, dt, half) for x in window) if lo < hi else (0, 0)
     if stop - start < 2:
-        raise ValueError(f"window [{lo}, {hi}) holds fewer than two time samples")
+        raise ValueError(
+            f"window [{lo}, {hi}) holds fewer than two time samples; "
+            "raise sigma, span_factor or oversample"
+        )
     pre, post, kernel, edge = _chirp_plan(m, oversample, start, stop - start)
 
     def zoom(x: np.ndarray) -> np.ndarray:
@@ -534,14 +529,10 @@ class Probe:
     reported by the first transform or train that reads it.
     """
 
-    pulse: PulseSpec = PulseSpec()
-    grid: FrequencyGrid | None = None
-    oversample: int = 16
-    k_max: int = 5
-
-    def __post_init__(self) -> None:
-        if self.grid is None:
-            object.__setattr__(self, "grid", FrequencyGrid.for_pulse(self.pulse))
+    pulse: PulseSpec
+    grid: FrequencyGrid
+    oversample: int
+    k_max: int
 
     @property
     def window(self) -> tuple[float, float]:

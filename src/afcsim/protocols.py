@@ -140,8 +140,8 @@ def recall(
     """Store one pulse and report the first-echo recall efficiency.
 
     The closed form is the first-echo intensity ``I1`` of the periodic
-    comb.  The simulation sends the ``probe`` pulse (``Probe()`` by
-    default) through the requested transfer model on the probe's grid,
+    comb.  The simulation sends the ``probe`` pulse (``RunSpec().probe()``
+    by default) through the requested transfer model on the probe's grid,
     computes the output only on the echo window of ``probe.k_max``,
     reads echoes ``0 .. k_max`` with
     :func:`afcsim.propagation.extract_train` and quotes echo 1, so a
@@ -171,7 +171,7 @@ def recall(
         closed *= (1.0 + prompt_attenuation(comb, medium)) ** 2
     if not simulate:
         return ProtocolResult(closed, None, None, None)
-    probe = probe or Probe()
+    probe = probe or RunSpec().probe()
     if probe.k_max < 1:
         raise ValueError(
             f"k_max must be >= 1 to read the first echo, got {probe.k_max}"

@@ -20,7 +20,6 @@ from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, population_diffe
 from .output import TRACE_HEADER, trace_columns, write_csv
 from .propagation import (
     FrequencyGrid,
-    Probe,
     PulseSpec,
     TransferModel,
     build_transfer,
@@ -29,7 +28,7 @@ from .propagation import (
     propagate,
     spectrum_to_signal,
 )
-from .protocols import TimeBinQubit, recall, timebin_spectrum
+from .protocols import RunSpec, TimeBinQubit, recall, timebin_spectrum
 from .susceptibility import (
     chi_square_series,
     epsilon_broadened,
@@ -40,6 +39,9 @@ from .sweeps import optimal_curve
 from .train import broadened_A_coefficients, closed_train, first_echo_intensity
 
 __all__ = ["Check", "TargetReport", "TARGETS", "run_target"]
+
+# The simulated pins' grid: half-span six pulse scales, 2^15 samples.
+_PIN_GRID = dict(span_factor=6.0, samples=2**15)
 
 
 @dataclass(frozen=True)
@@ -253,7 +255,7 @@ def _echo_train(
         result = recall(
             comb,
             MediumSpec(d_p),
-            probe=Probe(k_max=3),
+            probe=RunSpec(k_max=3, **_PIN_GRID).probe(),
             model=model,
             harmonics=harmonics,
         )
@@ -324,7 +326,7 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
     comb = CombSpec.from_finesse(CombShape.SQUARE, 5.0)
     medium = MediumSpec(10.0)
     qubit = TimeBinQubit(c1=0.8, c2=0.6, tau=0.4 * ECHO_DELAY, phi=0.7)
-    grid = FrequencyGrid.for_pulse(PulseSpec(sigma=qubit.sigma))
+    grid = FrequencyGrid.for_pulse(PulseSpec(sigma=qubit.sigma), **_PIN_GRID)
     transfer = build_transfer(
         comb, medium, grid, TransferModel.IDEAL, harmonics=None
     )
@@ -390,7 +392,8 @@ def _efficiency_point(
         comb = CombSpec.from_finesse(
             CombShape.SQUARE, finesse, pair_count=40, gamma=0.005
         )
-        result = recall(comb, MediumSpec(d_p), passes=passes)
+        probe = RunSpec(k_max=5, **_PIN_GRID).probe()
+        result = recall(comb, MediumSpec(d_p), passes=passes, probe=probe)
         path = out_dir / f"{name}.csv"
         write_csv(
             path,

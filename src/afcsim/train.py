@@ -140,16 +140,20 @@ def _exponentiate_series(b: np.ndarray) -> np.ndarray:
 
 
 def closed_train(comb: CombSpec, medium: MediumSpec, k_max: int) -> TrainCoefficients:
-    """Exact train of the periodic comb: exponentiate the shape's ``b_k``."""
+    """Exact train of the periodic comb: exponentiate the shape's ``b_k``.
+
+    Where ``C0`` underflows to 0, every amplitude is 0 and the series,
+    which may overflow there, is left out: ``values`` is ``1, 0, 0, ...``.
+    """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
+    prompt = prompt_attenuation(comb, medium)
+    if prompt == 0.0:
+        return TrainCoefficients(prompt, np.eye(1, k_max + 1)[0])
     _, q, law = _closed_form(comb)
     b = np.array([law(medium.d_p, k) for k in range(1, k_max + 1)])
     b = b * q ** np.arange(1, k_max + 1)
-    return TrainCoefficients(
-        prompt_factor=prompt_attenuation(comb, medium),
-        values=_exponentiate_series(b),
-    )
+    return TrainCoefficients(prompt_factor=prompt, values=_exponentiate_series(b))
 
 
 def coefficients_numeric(

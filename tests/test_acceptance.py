@@ -147,7 +147,7 @@ def test_criterion_5_physical_units_storage():
         ("echo delay is 0.5 us", scale.time_s(1.0) == 5e-7),
     ]
     for d_p, pin in ((3.0, 0.17), (10.0, 0.46)):
-        result = recall(comb, MediumSpec(d_p), probe=Probe(PULSE, GRID))
+        result = recall(comb, MediumSpec(d_p), probe=Probe(PULSE, GRID, 16, k_max=5))
         checks.append(
             (
                 f"closed recall {pin} +- 0.005 at d_p={d_p:g}",
@@ -170,7 +170,8 @@ def test_criterion_6_two_pass_recovery():
         comb = CombSpec(
             shape=CombShape.SQUARE, half_width=half_width, gamma=0.005, pair_count=40
         )
-        result = recall(comb, MediumSpec(d_p), passes=2, probe=Probe(PULSE, GRID))
+        probe = Probe(PULSE, GRID, 16, k_max=5)
+        result = recall(comb, MediumSpec(d_p), passes=2, probe=probe)
         label = f"F={comb.finesse:g} d_p={d_p:g}"
         checks.append(
             (
@@ -201,7 +202,7 @@ def test_criterion_7_multi_echo_trains():
         result = recall(
             comb,
             MediumSpec(d_p),
-            probe=Probe(PULSE, GRID, k_max=3),
+            probe=Probe(PULSE, GRID, 16, k_max=3),
             model=TransferModel.IDEAL,
             harmonics=None,
         )

@@ -62,6 +62,7 @@ class TestParseConfig:
             ("harmonics = 0", "line 1: bad value for harmonics"),
             ("samples = many", "line 1: bad value for samples"),
             ("\n\nmodel = exact", "line 3: bad value for model"),
+            ("model = ideal-finite", "line 1: bad value for model"),
             ("d_p = nan", "line 1: bad value for d_p"),
             ("finesse = inf", "line 1: bad value for finesse"),
         ],
@@ -402,11 +403,6 @@ class TestErrorPaths:
             pytest.param(
                 "gamma = 1e-300\n", "or use gamma above about 1e-154", id="underflow"
             ),
-            pytest.param(
-                "model = ideal-finite\ngamma = 0.01\n",
-                "or use model = broadened with gamma > 0",
-                id="ideal-finite",
-            ),
         ],
     )
     def test_tooth_edge_message_names_the_fix(self, tmp_path, capsys, extra, fix):
@@ -458,6 +454,17 @@ class TestErrorPaths:
         path = _write_config(tmp_path, text)
         assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_window_without_two_time_samples_names_sigma(self, tmp_path, capsys):
+        # the time step pi / (oversample * span_factor * sigma) exceeds
+        # the whole echo window
+        path = _write_config(tmp_path, "sigma = 0.001\n")
+        assert main(["--config", str(path), "--out", str(tmp_path), "protocol"]) == 1
+        err = capsys.readouterr().err
+        assert "fewer than two time samples" in err
+        for setting in ("sigma", "span_factor", "oversample"):
+            assert setting in err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("k_max", [-1, -3])
@@ -526,7 +533,7 @@ class TestFiniteOutput:
                 "finesse": st.floats(1.5, 30.0),
                 "gamma": st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
                 "samples": st.sampled_from([256, 512, 1024, 2048]),
-                "d_p": st.floats(0.0, 60.0),
+                "d_p": st.one_of(st.floats(0.0, 60.0), st.sampled_from([1e4, 1e300])),
                 "pair_count": st.integers(1, 40),
                 "k_max": st.integers(0, 4),
                 "passes": st.sampled_from([1, 2]),
@@ -562,3 +569,23 @@ class TestFiniteOutput:
                     for path in run_dir.glob("*.csv"):
                         rule = exempt.get(path.name, lambda column, row: False)
                         assert _non_finite_cells(path, rule) == [], (command, path.name)
+
+    @pytest.mark.parametrize(
+        ("command", "text"),
+        [
+            # C0 underflows to 0, so every closed amplitude is 0; at
+            # d_p = 1e300 the train's power series would overflow
+            pytest.param("train", "d_p = 1e4\n", id="train-1e4"),
+            pytest.param("train", "d_p = 1e300\n", id="train-1e300"),
+            pytest.param(
+                "sweep", "sweep_stop = 1e300\nsweep_steps = 3\n", id="sweep-1e300"
+            ),
+            # closed intensities so small that rel_error would overflow
+            pytest.param("train", "d_p = 1e4\nfinesse = 13.5\n", id="train-subnormal"),
+        ],
+    )
+    def test_deep_comb_writes_finite_cells(self, tmp_path, command, text):
+        path = _write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 0
+        (csv_path,) = tmp_path.glob("*.csv")
+        assert _non_finite_cells(csv_path, lambda column, row: False) == []

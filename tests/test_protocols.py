@@ -2,6 +2,7 @@
 
 import cmath
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -9,17 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afcsim.combs import ECHO_DELAY, CombSpec, CombShape, MediumSpec
+from afcsim.combs import ECHO_DELAY, HARMONIC_FINESSE, CombSpec, CombShape, MediumSpec
 from afcsim.propagation import (
     FrequencyGrid,
     Probe,
     PulseSpec,
+    TransferModel,
     build_transfer,
     gaussian_spectrum,
     peak_in_window,
     spectrum_to_signal,
 )
 from afcsim.protocols import (
+    RunSpec,
     TimeBinQubit,
     recall,
     timebin_spectrum,
@@ -33,7 +36,7 @@ COMB = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005, pair_count=
 MEDIUM = MediumSpec(d_p=10.0)
 PULSE = PulseSpec(sigma=5.0)
 GRID = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**13)
-PROBE = Probe(PULSE, GRID, oversample=8)
+PROBE = Probe(PULSE, GRID, oversample=8, k_max=5)
 INPUT_ENERGY = spectrum_to_signal(gaussian_spectrum(PULSE, GRID), GRID, 8).energy()
 
 
@@ -102,23 +105,46 @@ class TestEnergyBalance:
             comb = CombSpec(shape, pair_count=40, gamma=gamma)
         else:
             comb = CombSpec.from_finesse(shape, finesse, pair_count=40, gamma=gamma)
-        result = recall(
-            comb, MediumSpec(d_p), passes=1, probe=Probe(PULSE, grid, oversample=4)
-        )
+        probe = Probe(PULSE, grid, oversample=4, k_max=5)
+        result = recall(comb, MediumSpec(d_p), passes=1, probe=probe)
         spectrum = gaussian_spectrum(PULSE, grid)
         incoming = grid.spacing / (2.0 * math.pi) * float(np.sum(np.abs(spectrum) ** 2))
         assert result.signal.energy() <= incoming * (1.0 + 1e-9)
 
 
+def _run_default_cases():
+    """Every model, shape and gamma; the ideal square comb only at gamma = 0."""
+    for model, shape, gamma in itertools.product(
+        TransferModel, CombShape, (0.0, 0.02, 0.05)
+    ):
+        if model is TransferModel.IDEAL and shape is CombShape.SQUARE and gamma:
+            continue
+        yield pytest.param(model, shape, gamma, id=f"{model.value}-{shape.value}-{gamma:g}")
+
+
+@pytest.mark.parametrize(("model", "shape", "gamma"), list(_run_default_cases()))
+def test_first_echo_at_run_defaults_matches_closed_form(model, shape, gamma):
+    # each model simulates the comb that the closed form describes
+    finesse = HARMONIC_FINESSE if shape is CombShape.HARMONIC else 5.0
+    run = RunSpec(shape=shape.value, finesse=finesse, gamma=gamma, model=model.value)
+    result = recall(
+        run.comb(),
+        MediumSpec(run.d_p),
+        probe=run.probe(),
+        model=run.model,
+        harmonics=run.harmonics,
+    )
+    assert abs(result.simulated_efficiency / result.closed_efficiency - 1.0) <= 0.01
+
+
 class TestRecallChecks:
     @pytest.mark.parametrize("passes", [1, 2])
     def test_simulation_needs_first_echo(self, passes):
+        probe = Probe(PULSE, GRID, 8, k_max=0)
         with pytest.raises(ValueError, match="k_max must be >= 1 .* got 0"):
-            recall(COMB, MEDIUM, passes=passes, probe=Probe(PULSE, GRID, 8, k_max=0))
+            recall(COMB, MEDIUM, passes=passes, probe=probe)
         # the closed form reads no train
-        closed = recall(
-            COMB, MEDIUM, passes=passes, probe=Probe(k_max=0), simulate=False
-        )
+        closed = recall(COMB, MEDIUM, passes=passes, probe=probe, simulate=False)
         assert closed.closed_efficiency > 0.0
 
     @pytest.mark.parametrize("passes", [1, 2])
@@ -127,7 +153,7 @@ class TestRecallChecks:
         # inside the prompt window the second pass recycles
         grid = FrequencyGrid.for_pulse(PULSE, span_factor=4.0, samples=64)
         with pytest.raises(ValueError, match="ends at 1.6 T, too short for echo"):
-            recall(COMB, MEDIUM, passes=passes, probe=Probe(PULSE, grid, k_max=8))
+            recall(COMB, MEDIUM, passes=passes, probe=Probe(PULSE, grid, 16, k_max=8))
 
 
 @functools.lru_cache(maxsize=None)
@@ -191,8 +217,10 @@ class TestTwoPass:
         comb = CombSpec.from_finesse(
             CombShape.SQUARE, finesse, pair_count=40, gamma=0.005
         )
-        result = recall(comb, MediumSpec(d_p), passes=2, probe=Probe(PULSE))
-        grid = FrequencyGrid.for_pulse(PULSE)
+        grid = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**15)
+        result = recall(
+            comb, MediumSpec(d_p), passes=2, probe=Probe(PULSE, grid, 16, k_max=5)
+        )
         incoming = spectrum_to_signal(gaussian_spectrum(PULSE, grid), grid).energy()
         half = 0.5 * ECHO_DELAY
         _assert_inside(result.signal, half, 3.0 * half)
@@ -225,6 +253,7 @@ class TestTwoPass:
                 pulse,
                 FrequencyGrid.for_pulse(pulse, span_factor=4.0, samples=4096),
                 oversample=8,
+                k_max=5,
             ),
         )
         assert result.closed_efficiency == 0.0
