@@ -16,13 +16,14 @@ both directions are unitary up to the stated quadrature weights.
 
 The zero-padded time window spans ``2 pi / spacing``, hundreds of echo
 delays on the usual grids, while a protocol reads only a few of them.
-Transforms therefore take a time window and compute only its samples,
-by chirp-z transforms of the spectrum's positive and negative halves,
-each costing about ``samples / 2`` plus the window's sample count, not
-``samples * oversample``; a large ``oversample`` is cheap.  A
+Every transform therefore takes a time window and computes only its
+samples, by chirp-z transforms of the spectrum's positive and negative
+halves, each costing about ``samples / 2`` plus the window's sample
+count, not ``samples * oversample``; a large ``oversample`` is cheap.  A
 mirror-symmetric spectrum, ``X(-nu) = conj X(nu)`` as an even real pulse
 through a symmetric comb gives, needs only one of the two.  Windowed
-samples carry exactly the times of the full transform.
+samples carry exactly the times of the zero-padded FFT, and an unbounded
+window ``(-inf, inf)`` yields all of them.
 """
 
 from __future__ import annotations
@@ -62,6 +63,11 @@ __all__ = [
 # Largest |H| a transfer may reach: see build_transfer.
 _MAX_GAIN = 1e10
 
+# Largest pulse rate sigma and grid half-span, and the inverse of the
+# smallest sigma: the Gaussian spectrum divides by sigma^2 and the sharp
+# comb squares detunings, so both squares must stay finite and nonzero.
+_SQUARE_SAFE = 1e150
+
 
 class TransferModel(str, enum.Enum):
     """Which response model feeds the transfer function.
@@ -95,8 +101,6 @@ def comb_response(
         if comb.gamma != 0.0:
             raise ValueError("ideal square model has no broadening; use BROADENED")
         return sus.chi_square_series(nu, 1.0 / comb.finesse, harmonics)
-    if comb.gamma == 0.0:
-        return sus.chi_square_exact(nu, 1.0 / comb.finesse, comb.pair_count)
     return sus.epsilon_broadened(
         nu, comb.half_width, gamma=comb.gamma, pair_count=comb.pair_count
     )
@@ -128,7 +132,13 @@ class FrequencyGrid:
             raise ValueError(
                 f"span_factor must be finite and positive, got {span_factor}"
             )
-        return cls(span_factor * pulse.sigma, samples)
+        half_span = span_factor * pulse.sigma
+        if half_span > _SQUARE_SAFE:
+            raise ValueError(
+                f"span_factor * sigma, the grid's half-span, must be at most "
+                f"{_SQUARE_SAFE:g}, got {half_span:g}"
+            )
+        return cls(half_span, samples)
 
     @property
     def spacing(self) -> float:
@@ -156,6 +166,11 @@ class PulseSpec:
             raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 1.0 / _SQUARE_SAFE <= self.sigma <= _SQUARE_SAFE:
+            raise ValueError(
+                f"sigma must lie between {1.0 / _SQUARE_SAFE:g} and "
+                f"{_SQUARE_SAFE:g}, got {self.sigma}"
+            )
 
 
 @dataclass
@@ -295,12 +310,6 @@ def gaussian_spectrum(pulse: PulseSpec, grid: FrequencyGrid) -> np.ndarray:
     return pulse.amplitude * envelope * carrier
 
 
-def _alternating(n: int) -> np.ndarray:
-    alt = np.ones(n)
-    alt[1::2] = -1.0
-    return alt
-
-
 def _time_step(grid: FrequencyGrid, oversample: int) -> tuple[int, float]:
     """Length and step of the zero-padded time grid ``s dt``, ``s`` centred."""
     if oversample < 1 or oversample & (oversample - 1):
@@ -399,21 +408,20 @@ def _mirror_halves(x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
 def spectrum_to_signal(
     spectrum: np.ndarray,
     grid: FrequencyGrid,
-    oversample: int = 16,
-    window: tuple[float, float] | None = None,
+    oversample: int,
+    window: tuple[float, float],
 ) -> TimeSignal:
-    """Inverse transform onto the centred time grid.
+    """Inverse transform onto the samples ``lo <= t < hi`` of the time grid.
 
-    Zero-pads the spectrum symmetrically by ``oversample`` so the time
-    step shrinks accordingly; the window length ``2 pi / spacing`` is
-    unchanged.  ``oversample`` must be a power of two.
-
-    With ``window = (lo, hi)`` only the samples with ``lo <= t < hi``
-    (clipped to the full window) are computed, by a chirp-z transform
-    of each half of the spectrum with one cached plan (see
-    :func:`_chirp_plan`) plus the centre and edge samples directly: their
-    times are exactly the full transform's and their values agree with
-    it to rounding.  When the halves mirror each other (see
+    The time grid is that of the spectrum zero-padded symmetrically by
+    ``oversample``, a power of two: a step ``oversample`` times finer
+    than the unpadded one over the same full window of length
+    ``2 pi / spacing``, centred on ``t = 0``.  Only the samples of
+    ``window = (lo, hi)``, clipped to the full window, are computed, by
+    a chirp-z transform of each half of the spectrum with one cached
+    plan (see :func:`_chirp_plan`) plus the centre and edge samples
+    directly: their times are exactly the padded FFT's and their values
+    agree with it to rounding.  When the halves mirror each other (see
     :func:`_mirror_halves`) one transform serves both.
     """
     m = grid.samples
@@ -421,14 +429,6 @@ def spectrum_to_signal(
         raise ValueError("spectrum does not match the grid")
     total, dt = _time_step(grid, oversample)
     scale = grid.spacing / (2.0 * math.pi)
-    if window is None:
-        left = (total - m) // 2
-        padded = np.zeros(total, dtype=complex)
-        padded[left : left + m] = spectrum
-        alt = _alternating(total)
-        values = scale * alt * np.fft.fft(padded * alt)
-        times = (np.arange(total) - total // 2) * dt
-        return TimeSignal(times=times, values=values)
     lo, hi = window
     half = total // 2
     start, stop = (_first_index(x, dt, half) for x in window) if lo < hi else (0, 0)
@@ -451,7 +451,7 @@ def spectrum_to_signal(
 
 
 def signal_to_spectrum(
-    signal: TimeSignal, grid: FrequencyGrid, oversample: int = 16
+    signal: TimeSignal, grid: FrequencyGrid, oversample: int
 ) -> np.ndarray:
     """Forward transform onto the grid: the inverse of :func:`spectrum_to_signal`.
 
@@ -495,8 +495,8 @@ def signal_to_spectrum(
 def propagate(
     spectrum: np.ndarray,
     transfer: TransferFunction,
-    oversample: int = 16,
-    window: tuple[float, float] | None = None,
+    oversample: int,
+    window: tuple[float, float],
 ) -> TimeSignal:
     """Apply the transfer on its grid and return the output signal."""
     return spectrum_to_signal(

@@ -19,11 +19,8 @@ import numpy as np
 from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, population_difference
 from .output import TRACE_HEADER, trace_columns, write_csv
 from .propagation import (
-    FrequencyGrid,
-    PulseSpec,
     TransferModel,
     build_transfer,
-    echo_window,
     peak_in_window,
     propagate,
     spectrum_to_signal,
@@ -326,18 +323,19 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
     comb = CombSpec.from_finesse(CombShape.SQUARE, 5.0)
     medium = MediumSpec(10.0)
     qubit = TimeBinQubit(c1=0.8, c2=0.6, tau=0.4 * ECHO_DELAY, phi=0.7)
-    grid = FrequencyGrid.for_pulse(PulseSpec(sigma=qubit.sigma), **_PIN_GRID)
+    # the time-bin input takes the place of the probe's single pulse
+    probe = RunSpec(sigma=qubit.sigma, k_max=1, **_PIN_GRID).probe()
+    grid, oversample, window = probe.grid, probe.oversample, probe.window
     transfer = build_transfer(
         comb, medium, grid, TransferModel.IDEAL, harmonics=None
     )
     half = 0.5 * qubit.tau
     spectrum = timebin_spectrum(qubit, grid)
-    window = echo_window(1)
     # The early input bin's peak is the reference, so c1 cancels and
     # the normalised recall compares directly with the echo efficiency.
-    incoming = spectrum_to_signal(spectrum, grid, window=window)
+    incoming = spectrum_to_signal(spectrum, grid, oversample, window)
     reference = abs(peak_in_window(incoming, -half, half)[0]) ** 2
-    signal = propagate(spectrum, transfer, window=window)
+    signal = propagate(spectrum, transfer, oversample, window)
     bins = {}
     for label, center in (
         ("prompt_early", 0.0),

@@ -17,11 +17,9 @@ for peak optical depth ``d_p``.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from .combs import CombSpec, CombShape, odd_peak_centers, population_difference
+from .combs import odd_peak_centers
 
 __all__ = [
     "chi_square_series",
@@ -31,8 +29,6 @@ __all__ = [
     "epsilon_peak_center",
     "harmonic_comb_response",
     "lorentzian_comb_response",
-    "lorentzian_convolution",
-    "kramers_kronig",
     "square_harmonic_weights",
 ]
 
@@ -63,8 +59,10 @@ def chi_square_series(
     absorption and its conjugate sine series for the dispersion are
     summed to that order; truncation shows the usual ringing at tooth
     edges.  With ``harmonics=None`` the series is resummed in closed
-    form: the absorption is then exactly 0 or 1 (1/2 on edges) and the
-    dispersion is the exact logarithmic profile, divergent at edges.
+    form: the absorption, rounded to the nearest half, is then exactly
+    0 or 1 (a sample on a tooth edge reads 0, 1/2 or 1, as the rounding
+    of its phase falls) and the dispersion is the exact logarithmic
+    profile, divergent at edges.
 
     A 1-d, ascending ``nu`` that is uniform to rounding is summed as a
     chirp-z transform, in O(L log L) time for L = N + harmonics; it
@@ -86,7 +84,12 @@ def chi_square_series(
             onesided = inv_finesse + np.log(
                 (1.0 + x * np.exp(-1j * alpha)) / (1.0 + x * np.exp(1j * alpha))
             ) / (1j * np.pi)
-        return np.conj(onesided)
+        # The absorption is 0, 1/2 or 1 but for rounding, which would dip
+        # below zero between teeth and amplify; + 0.0 turns -0.0 into 0.0.
+        packed = np.empty(nu.shape, dtype=complex)
+        packed.real = np.round(2.0 * onesided.real) / 2.0 + 0.0
+        packed.imag = -onesided.imag
+        return packed
     if harmonics < 1:
         raise ValueError(f"harmonics must be >= 1 or None, got {harmonics}")
     weights = square_harmonic_weights(inv_finesse, harmonics)
@@ -329,114 +332,3 @@ def lorentzian_comb_response(
     x = np.exp(1j * np.pi * nu)
     onesided = (np.pi / 2.0) * inv_finesse * (1.0 - q * x) / (1.0 + q * x)
     return np.conj(onesided)
-
-
-def lorentzian_convolution(
-    comb: CombSpec | Callable[[np.ndarray], np.ndarray],
-    nu: np.ndarray | float,
-    *,
-    gamma: float | None = None,
-    support: float | None = None,
-    rtol: float = 1e-10,
-) -> np.ndarray:
-    """Numerically convolve a population profile with a Lorentzian.
-
-    Direct quadrature of
-
-        absorption(v) = (1/pi) int_0^inf [n(v+u) + n(v-u)] g/(u^2+g^2) du
-        dispersion(v) = (1/pi) int_0^inf [n(v+u) - n(v-u)] u/(u^2+g^2) du
-
-    used as an independent check of the closed forms.  ``comb`` may be
-    a :class:`CombSpec` (profile from :func:`population_difference`,
-    ``gamma`` defaulting to its broadening) or any callable profile, in
-    which case ``gamma`` and a finite ``support`` (profile vanishes for
-    ``|x| > support``) are required.
-    """
-    if isinstance(comb, CombSpec):
-        profile = lambda x: population_difference(comb, x)  # noqa: E731
-        if gamma is None:
-            gamma = comb.gamma
-        if support is None:
-            support = (2 * comb.pair_count + 1) + comb.half_width
-            if comb.shape is not CombShape.SQUARE:
-                # Slow tails: pad until the profile is negligible.
-                support += 40.0 * comb.half_width
-    else:
-        profile = comb
-        if gamma is None or support is None:
-            raise ValueError("callable profiles need explicit gamma and support")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    # scipy is imported here, not at module level: nothing else in the
-    # package needs it, and importing scipy.integrate at package import
-    # would more than double the start-up time of every command-line run.
-    from scipy.integrate import quad
-
-    scalar = np.ndim(nu) == 0
-    nu = np.atleast_1d(np.asarray(nu, dtype=float))
-    out = np.empty(nu.shape, dtype=complex)
-    for i, v in enumerate(nu):
-        upper = support + abs(v)
-
-        def even(u: float, v: float = v) -> float:
-            return float(profile(v + u) + profile(v - u))
-
-        def odd(u: float, v: float = v) -> float:
-            return float(profile(v + u) - profile(v - u))
-
-        absorption = quad(
-            lambda u: even(u) * gamma / (u * u + gamma * gamma),
-            0.0,
-            upper,
-            epsabs=0.0,
-            epsrel=rtol,
-            limit=400,
-        )[0] / np.pi
-        dispersion = quad(
-            lambda u: odd(u) * u / (u * u + gamma * gamma),
-            0.0,
-            upper,
-            epsabs=1e-14,
-            epsrel=rtol,
-            limit=400,
-        )[0] / np.pi
-        out[i] = absorption + 1j * dispersion
-    return complex(out[0]) if scalar else out
-
-
-def kramers_kronig(
-    absorption: np.ndarray,
-    nu: np.ndarray,
-    *,
-    periodic: bool = False,
-    pad_factor: int = 8,
-) -> np.ndarray:
-    """Dispersion from absorption via the causality relation.
-
-    Computes ``-H[absorption]`` with ``H`` the Hilbert transform, using
-    the FFT sign multiplier.  With ``periodic=True`` the grid must
-    cover an integer number of periods of a periodic absorption; the
-    circular transform is then exact harmonic by harmonic.  Otherwise
-    the signal is zero-padded by ``pad_factor`` and the result is
-    reliable away from the grid edges only.
-    """
-    absorption = np.asarray(absorption, dtype=float)
-    nu = np.asarray(nu, dtype=float)
-    if absorption.shape != nu.shape or absorption.ndim != 1:
-        raise ValueError("absorption and nu must be matching 1-d arrays")
-    n = absorption.size
-    if periodic:
-        padded = absorption
-    else:
-        if pad_factor < 1:
-            raise ValueError(f"pad_factor must be >= 1, got {pad_factor}")
-        pad = (pad_factor - 1) * n
-        left = pad // 2
-        padded = np.concatenate(
-            [np.zeros(left), absorption, np.zeros(pad - left)]
-        )
-    freqs = np.fft.fftfreq(padded.size)
-    hilbert = np.fft.ifft(np.fft.fft(padded) * (-1j) * np.sign(freqs)).real
-    if not periodic:
-        hilbert = hilbert[left : left + n]
-    return -hilbert

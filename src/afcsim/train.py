@@ -1,11 +1,12 @@
-"""Closed-form pulse-train coefficients and their numeric counterparts.
+"""Closed-form pulse-train coefficients.
 
 Writing the one-sided response as ``1/A + sum_k b-harmonics`` turns the
 transfer into ``C0 * sum_m a_m exp(1j m nu T)``: a prompt attenuation
 ``C0`` times a train of re-emissions at multiples of the comb delay.
-This module computes the ``a_m`` exactly from the tooth shape and, as a
-cross-check, numerically from any transfer model by projecting one
-period of ``H`` onto its Fourier modes.
+This module computes the ``a_m`` exactly from the tooth shape, and the
+first response harmonics of a broadened finite comb by quadrature.
+Nothing here runs the spectral simulation, which checks these numbers
+independently.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Callable
 import numpy as np
 
 from .combs import CombShape, CombSpec, MediumSpec
-from .propagation import TransferModel, comb_response, transfer_exponent
 from .susceptibility import epsilon_broadened
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "optimal_depth",
     "ideal_limit_intensity",
     "closed_train",
-    "coefficients_numeric",
     "broadened_A_coefficients",
 ]
 
@@ -156,44 +155,6 @@ def closed_train(comb: CombSpec, medium: MediumSpec, k_max: int) -> TrainCoeffic
     return TrainCoefficients(prompt_factor=prompt, values=_exponentiate_series(b))
 
 
-def coefficients_numeric(
-    comb: CombSpec,
-    medium: MediumSpec,
-    k_max: int,
-    *,
-    model: TransferModel = TransferModel.IDEAL,
-    harmonics: int | None = 2000,
-    resolution: int = 2**18,
-) -> TrainCoefficients:
-    """Train coefficients by Fourier projection of one period of ``H``.
-
-    Samples the transfer on one period with half-sample offsets (so no
-    sample lands on a tooth edge) and reads ``a_m C0`` off the DFT.
-    Any model accepted by :func:`afcsim.propagation.comb_response`
-    works; finite-comb models make ``H`` only approximately periodic,
-    which shows up as a small leakage floor.  The exponent of the
-    truncated square series aliases onto the low modes unless
-    ``resolution`` is at least ``32 * harmonics`` (2000 harmonics still
-    give errors of 1e-4 at ``2**15`` samples), so smaller resolutions
-    are rejected.
-    """
-    if resolution < 4 * (k_max + 1) or resolution & (resolution - 1):
-        raise ValueError("resolution must be a power of two well above k_max")
-    if harmonics is not None and resolution < 32 * harmonics:
-        raise ValueError(
-            f"resolution {resolution} is below 32 * harmonics = {32 * harmonics}: "
-            "the truncated series would alias; raise resolution or lower harmonics"
-        )
-    p = resolution
-    nu = -1.0 + 2.0 * (np.arange(p) + 0.5) / p
-    h = transfer_exponent(comb_response(comb, nu, model, harmonics), medium.d_p)
-    m = np.arange(k_max + 1)
-    spectrum = np.fft.fft(h)[: k_max + 1] / p
-    scaled = (-1.0) ** m * np.exp(-1j * m * math.pi / p) * spectrum
-    prompt = scaled[0]
-    return TrainCoefficients(prompt_factor=complex(prompt), values=scaled / prompt)
-
-
 @dataclass(frozen=True)
 class BroadenedCoefficients:
     """First response harmonics of a broadened finite comb.
@@ -225,8 +186,9 @@ def broadened_A_coefficients(
     comb = CombSpec(
         CombShape.SQUARE, half_width=delta, pair_count=pair_count, gamma=gamma
     )
-    # Imported on first use to keep scipy out of the package import
-    # (see lorentzian_convolution).
+    # scipy is imported here, not at module level: nothing else in the
+    # package needs it, and importing scipy.integrate at package import
+    # would more than double the start-up time of every command-line run.
     from scipy.integrate import quad
 
     # The three integrals share most of their nodes, and a1_full reads

@@ -447,8 +447,27 @@ class TestErrorPaths:
         [
             ("sigma = -5\n", "sigma must be positive, got -5.0"),
             ("span_factor = -4\n", "span_factor must be finite and positive, got -4.0"),
+            # squares of the pulse rate and of the grid's detunings would
+            # overflow or underflow
+            *(
+                (f"sigma = {s}\n", f"sigma must lie between 1e-150 and 1e+150, got {s}")
+                for s in ("1e+300", "1e+200", "1e-200", "1e-300")
+            ),
+            (
+                "span_factor = 1e300\n",
+                "span_factor * sigma, the grid's half-span, must be at most 1e+150, "
+                "got 5e+300",
+            ),
         ],
-        ids=["sigma", "span_factor"],
+        ids=[
+            "sigma",
+            "span_factor",
+            "sigma-1e300",
+            "sigma-1e200",
+            "sigma-1e-200",
+            "sigma-1e-300",
+            "span_factor-1e300",
+        ],
     )
     def test_bad_grid_setting_is_named(self, tmp_path, capsys, command, text, message):
         path = _write_config(tmp_path, text)
@@ -582,6 +601,12 @@ class TestFiniteOutput:
             ),
             # closed intensities so small that rel_error would overflow
             pytest.param("train", "d_p = 1e4\nfinesse = 13.5\n", id="train-subnormal"),
+            # the resummed comb absorbs exactly 0 between its teeth
+            pytest.param(
+                "protocol",
+                "model = ideal\nharmonics = none\nd_p = 1e300\n",
+                id="protocol-resummed-1e300",
+            ),
         ],
     )
     def test_deep_comb_writes_finite_cells(self, tmp_path, command, text):

@@ -1,14 +1,17 @@
-"""Importing the package: no scipy at start-up, and every public name resolves.
+"""Importing the package: no scipy at start-up, every public name resolves,
+and the test-only references stay out of the package.
 
-scipy.integrate is imported only inside the two quadrature checks,
-``susceptibility.lorentzian_convolution`` and
+scipy.integrate is imported only inside the one quadrature,
 ``train.broadened_A_coefficients``, and ``afcsim.reproduce`` only by
-the ``reproduce`` subcommand.  The checks run in a fresh interpreter,
-since the test process itself may have imported both.
+the ``reproduce`` subcommand.  The scipy checks run in a fresh
+interpreter, since the test process itself may have imported both.
 """
 
+import ast
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +19,9 @@ from pathlib import Path
 import pytest
 
 import afcsim
+
+# Independent references that live in tests/oracles.py, not the package.
+ORACLES = ("lorentzian_convolution", "kramers_kronig", "coefficients_numeric")
 
 CHILD = """
 import json, math, sys
@@ -72,3 +78,28 @@ def test_public_names_resolve_once():
     assert "transmit" not in names
     with pytest.raises(AttributeError):
         afcsim.transmit
+
+
+def test_oracles_are_not_in_the_package():
+    for name in ORACLES:
+        assert name not in afcsim.__all__
+        for info in pkgutil.iter_modules(afcsim.__path__):
+            module = importlib.import_module(f"afcsim.{info.name}")
+            assert not hasattr(module, name), (info.name, name)
+            assert name not in getattr(module, "__all__", ()), (info.name, name)
+
+
+def test_closed_forms_do_not_import_the_simulator():
+    # the closed forms and the simulation check each other, so neither
+    # may be built on the other
+    tree = ast.parse(Path(afcsim.__file__).with_name("train.py").read_text())
+    sources = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module is None:
+            sources.update("." * node.level + alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            sources.add("." * node.level + node.module)
+        elif isinstance(node, ast.Import):
+            sources.update(alias.name for alias in node.names)
+    assert ".susceptibility" in sources
+    assert not {".propagation", "afcsim.propagation"} & sources, sources

@@ -30,6 +30,7 @@ from afcsim.propagation import (
     transfer_exponent,
 )
 from afcsim.susceptibility import chi_square_exact
+from oracles import full_forward, full_transform
 
 
 class TestFrequencyGrid:
@@ -99,7 +100,7 @@ class TestTransforms:
     def test_inverts_gaussian_analytically(self):
         pulse = PulseSpec(amplitude=1.2, sigma=5.0, center=0.25, phase=0.3)
         grid = FrequencyGrid.for_pulse(pulse, span_factor=10.0, samples=2**12)
-        signal = spectrum_to_signal(gaussian_spectrum(pulse, grid), grid, oversample=8)
+        signal = spectrum_to_signal(gaussian_spectrum(pulse, grid), grid, 8, (-1.0, 1.5))
         truth = (
             pulse.amplitude
             * np.exp(1j * pulse.phase)
@@ -108,17 +109,25 @@ class TestTransforms:
         assert np.abs(signal.values - truth).max() < 1e-11
 
     def test_time_step_and_window(self):
+        # 256 samples of step 2 pi / (256 spacing), centred on t = 0; a
+        # window is their run inside it, and an unbounded one all of them
         grid = FrequencyGrid(half_span=8.0, samples=64)
-        signal = spectrum_to_signal(np.ones(64, dtype=complex), grid, oversample=4)
+        dt = 2.0 * math.pi / (256 * grid.spacing)
+        spectrum = np.ones(64, dtype=complex)
+        signal = spectrum_to_signal(spectrum, grid, 4, (-1.0, 1.0))
+        np.testing.assert_array_equal(signal.times, np.arange(-10, 11) * dt)
+        assert signal.dt == pytest.approx(dt)
+        signal = spectrum_to_signal(spectrum, grid, 4, (-math.inf, math.inf))
         assert signal.times.size == 256
-        assert signal.dt == pytest.approx(2.0 * math.pi / (256 * grid.spacing))
+        assert signal.dt == pytest.approx(dt)
         assert signal.times[128] == 0.0
 
     def test_round_trip_restores_spectrum(self):
         pulse = PulseSpec(sigma=5.0)
         grid = FrequencyGrid.for_pulse(pulse, span_factor=10.0, samples=2**10)
         spec = gaussian_spectrum(pulse, grid)
-        back = signal_to_spectrum(spectrum_to_signal(spec, grid, oversample=8), grid, 8)
+        signal = spectrum_to_signal(spec, grid, 8, (-2.0, 2.0))
+        back = signal_to_spectrum(signal, grid, 8)
         assert back.shape == spec.shape
         assert np.abs(back - spec).max() < 1e-11
 
@@ -127,7 +136,7 @@ class TestTransforms:
         pulse = PulseSpec(sigma=5.0, center=0.25, phase=0.3)
         grid = FrequencyGrid.for_pulse(pulse, span_factor=10.0, samples=2**12)
         spec = gaussian_spectrum(pulse, grid) * np.exp(1j * grid.points() * 0.75)
-        signal = spectrum_to_signal(spec, grid, oversample=8)
+        signal = spectrum_to_signal(spec, grid, 8, (-1.0, 2.0))
         amplitude, arrival = peak_in_window(signal, 0.8, 1.2)
         assert arrival == pytest.approx(1.0, abs=1e-4)
         assert amplitude == pytest.approx(np.exp(0.3j), abs=1e-5)
@@ -136,7 +145,7 @@ class TestTransforms:
         pulse = PulseSpec(sigma=5.0)
         grid = FrequencyGrid.for_pulse(pulse, span_factor=10.0, samples=2**12)
         spec = gaussian_spectrum(pulse, grid)
-        energy = spectrum_to_signal(spec, grid, oversample=4).energy()
+        energy = spectrum_to_signal(spec, grid, 4, (-2.0, 2.0)).energy()
         analytic = math.sqrt(math.pi / 2.0) / pulse.sigma
         spectral = float(np.sum(np.abs(spec) ** 2) * grid.spacing / (2.0 * math.pi))
         assert energy == pytest.approx(analytic, rel=1e-10)
@@ -145,12 +154,12 @@ class TestTransforms:
     def test_rejects_bad_oversample(self):
         grid = FrequencyGrid(half_span=1.0, samples=16)
         with pytest.raises(ValueError):
-            spectrum_to_signal(np.ones(16, dtype=complex), grid, oversample=3)
+            spectrum_to_signal(np.ones(16, dtype=complex), grid, 3, (0.0, 20.0))
 
     def test_rejects_mismatched_spectrum(self):
         grid = FrequencyGrid(half_span=1.0, samples=16)
         with pytest.raises(ValueError):
-            spectrum_to_signal(np.ones(8, dtype=complex), grid)
+            spectrum_to_signal(np.ones(8, dtype=complex), grid, 4, (0.0, 20.0))
 
     def test_rejects_signal_off_the_time_grid(self):
         grid = FrequencyGrid(half_span=1.0, samples=16)
@@ -162,16 +171,6 @@ class TestTransforms:
         signal_to_spectrum(window, grid, 4)
         with pytest.raises(ValueError, match="not a run of time samples"):
             signal_to_spectrum(window, grid, 8)
-
-
-def _padded_forward(values, grid, oversample):
-    """Band of the full zero-padded forward FFT, the reference for the zoom."""
-    n = grid.samples * oversample
-    dt = 2.0 * math.pi / (n * grid.spacing)
-    alt = np.where(np.arange(n) % 2, -1.0, 1.0)
-    padded = dt * alt * n * np.fft.ifft(values * alt)
-    left = (n - grid.samples) // 2
-    return padded[left : left + grid.samples]
 
 
 class TestWindowedTransforms:
@@ -203,7 +202,7 @@ class TestWindowedTransforms:
             # X(-nu) = conj X(nu): one zoom serves both halves
             spectrum[1 : grid.samples // 2] = np.conj(spectrum[: grid.samples // 2 : -1])
         assert (propagation._mirror_halves(spectrum)[1] is None) == mirrored
-        full = spectrum_to_signal(spectrum, grid, oversample)
+        full = full_transform(spectrum, grid, oversample)
         end = full.times[-1] + full.dt
         window = (lo * end, (lo + width) * end)
         mask = (full.times >= window[0]) & (full.times < window[1])
@@ -221,7 +220,7 @@ class TestWindowedTransforms:
             grid,
             oversample,
         )
-        reference = _padded_forward(np.where(mask, full.values, 0.0), grid, oversample)
+        reference = full_forward(np.where(mask, full.values, 0.0), grid, oversample)
         assert np.abs(band - reference).max() <= 1e-12 * np.abs(reference).max()
 
     @pytest.mark.parametrize("unpaired", ["edge", "centre"])
@@ -231,14 +230,14 @@ class TestWindowedTransforms:
         grid = FrequencyGrid(half_span=30.0, samples=64)
         spectrum = np.zeros(grid.samples, dtype=complex)
         spectrum[0 if unpaired == "edge" else grid.samples // 2] = 0.7 - 1.3j
-        full = spectrum_to_signal(spectrum, grid, 4)
+        full = full_transform(spectrum, grid, 4)
         window = (-0.3, 0.2 * (full.times[-1] + full.dt))
         mask = (full.times >= window[0]) & (full.times < window[1])
         zoom = spectrum_to_signal(spectrum, grid, 4, window)
         assert zoom.times.tobytes() == full.times[mask].tobytes()
         assert np.abs(zoom.values - full.values[mask]).max() <= 1e-15
         band = signal_to_spectrum(zoom, grid, 4)
-        reference = _padded_forward(np.where(mask, full.values, 0.0), grid, 4)
+        reference = full_forward(np.where(mask, full.values, 0.0), grid, 4)
         assert np.abs(band - reference).max() <= 1e-12 * np.abs(reference).max()
 
     def test_plan_holds_half_the_grid(self):
@@ -268,7 +267,7 @@ class TestWindowedTransforms:
 
         grid = FrequencyGrid(half_span=half_span, samples=samples)
         spectrum = np.ones(samples, dtype=complex)
-        full = spectrum_to_signal(spectrum, grid, 4)
+        full = full_transform(spectrum, grid, 4)
         verdicts = []
         for k in range(10):
             zoom = spectrum_to_signal(spectrum, grid, 4, echo_window(k))
@@ -300,7 +299,9 @@ class TestTimeSignal:
         # neighbouring samples near -pi / spacing differ by the step
         # only to about 1e-11 relative
         grid = FrequencyGrid(half_span, samples)
-        signal = spectrum_to_signal(np.zeros(samples, complex), grid, oversample)
+        signal = spectrum_to_signal(
+            np.zeros(samples, complex), grid, oversample, (-math.inf, math.inf)
+        )
         assert signal.times.size == 2**18
         exact = 2.0 * math.pi / (signal.times.size * grid.spacing)
         assert abs(signal.dt / exact - 1.0) <= 4e-16
@@ -373,8 +374,9 @@ class TestTransfer:
         comb = CombSpec(shape=CombShape.SQUARE, half_width=0.2)
         transfer = build_transfer(comb, MediumSpec(d_p=0.0), grid)
         spec = gaussian_spectrum(pulse, grid)
-        out = propagate(spec, transfer, oversample=4)
-        ref = spectrum_to_signal(spec, grid, oversample=4)
+        window = echo_window(3)
+        out = propagate(spec, transfer, 4, window)
+        ref = spectrum_to_signal(spec, grid, 4, window)
         # zero depth is the identity channel
         np.testing.assert_allclose(out.values, ref.values, atol=1e-14)
 

@@ -30,6 +30,7 @@ from afcsim.protocols import (
 )
 from afcsim.sweeps import golden_section_max
 from afcsim.train import first_echo_intensity, optimal_depth, prompt_attenuation
+from oracles import full_transform
 
 # forty tooth pairs cover the six-sigma grid of the default pulse
 COMB = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005, pair_count=40)
@@ -37,7 +38,7 @@ MEDIUM = MediumSpec(d_p=10.0)
 PULSE = PulseSpec(sigma=5.0)
 GRID = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**13)
 PROBE = Probe(PULSE, GRID, oversample=8, k_max=5)
-INPUT_ENERGY = spectrum_to_signal(gaussian_spectrum(PULSE, GRID), GRID, 8).energy()
+INPUT_ENERGY = full_transform(gaussian_spectrum(PULSE, GRID), GRID, 8).energy()
 
 
 def _run_single(**kwargs):
@@ -221,7 +222,7 @@ class TestTwoPass:
         result = recall(
             comb, MediumSpec(d_p), passes=2, probe=Probe(PULSE, grid, 16, k_max=5)
         )
-        incoming = spectrum_to_signal(gaussian_spectrum(PULSE, grid), grid).energy()
+        incoming = full_transform(gaussian_spectrum(PULSE, grid), grid, 16).energy()
         half = 0.5 * ECHO_DELAY
         _assert_inside(result.signal, half, 3.0 * half)
         ratio = result.signal.energy(half, 3.0 * half) / incoming
@@ -421,7 +422,8 @@ class TestTimeBinSpectrum:
     def test_bins_appear_at_their_delays(self):
         qubit = TimeBinQubit(c1=0.8, c2=0.6, tau=1.2, phi=0.7, sigma=7.0)
         grid = FrequencyGrid(half_span=70.0, samples=2**12)
-        signal = spectrum_to_signal(timebin_spectrum(qubit, grid), grid, oversample=4)
+        spectrum = timebin_spectrum(qubit, grid)
+        signal = spectrum_to_signal(spectrum, grid, 4, (-0.5, 1.7))
         early, t_early = peak_in_window(signal, -0.5, 0.5)
         late, t_late = peak_in_window(signal, 0.7, 1.7)
         assert abs(early) == pytest.approx(0.8, abs=1e-6)

@@ -16,14 +16,14 @@ from afcsim import (
     epsilon_peak_center,
     epsilon_window_center,
     harmonic_comb_response,
-    kramers_kronig,
     lorentzian_comb_response,
-    lorentzian_convolution,
     odd_peak_centers,
     square_harmonic_weights,
 )
-from afcsim.propagation import FrequencyGrid
+from afcsim.propagation import FrequencyGrid, comb_response
+from afcsim.protocols import RunSpec
 from afcsim.susceptibility import _COMB_BLOCK, _finite_comb
+from oracles import kramers_kronig, lorentzian_convolution
 
 
 def midgrid(lo, hi, n):
@@ -63,6 +63,19 @@ class TestSquareSeries:
         packed = chi_square_series(nu, 0.2, harmonics=None)
         dev = np.minimum(np.abs(packed.real), np.abs(packed.real - 1.0))
         assert dev.max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "grid", [{}, dict(span_factor=6.0, samples=2**15)], ids=["cli", "pin"]
+    )
+    def test_resummed_absorption_is_exact_on_run_grids(self, grid):
+        # unrounded, about a third of these samples lie just below zero
+        # between the teeth: a gain, which a deep comb amplifies
+        run = RunSpec(model="ideal", harmonics=None, **grid)
+        packed = comb_response(
+            run.comb(), run.probe().grid.points(), run.model, run.harmonics
+        )
+        assert set(np.unique(packed.real)) <= {0.0, 0.5, 1.0}
+        assert not np.signbit(packed.real).any()
 
     def test_resummed_window_centre_is_transparent(self):
         packed = chi_square_series(np.array([0.0, 2.0]), 0.2, harmonics=None)

@@ -16,7 +16,6 @@ from afcsim.train import (
     TrainCoefficients,
     broadened_A_coefficients,
     closed_train,
-    coefficients_numeric,
     first_echo_amplitude,
     first_echo_intensity,
     ideal_limit_intensity,
@@ -24,6 +23,7 @@ from afcsim.train import (
     prompt_attenuation,
 )
 from afcsim.susceptibility import epsilon_broadened
+from oracles import coefficients_numeric
 
 SQUARE_F5 = CombSpec(shape=CombShape.SQUARE, half_width=0.2)
 HARMONIC = CombSpec(shape=CombShape.HARMONIC)
