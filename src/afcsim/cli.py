@@ -116,11 +116,11 @@ _CASTERS: dict[str, Callable[[str], object]] = {
     "mismatch_time": _cast_float,
     "mismatch_phase": _cast_float,
     "simulate": _cast_bool,
-    "sweep_parameter": _cast_choice(("d_p", "finesse", "gamma")),
+    "sweep_parameter": _cast_choice(SweepAxis.PARAMETERS),
     "sweep_start": _cast_float,
     "sweep_stop": _cast_float,
     "sweep_steps": int,
-    "sweep_scale": _cast_choice(("linear", "log")),
+    "sweep_scale": _cast_choice(SweepAxis.SCALES),
     "sweep_protocol": _cast_choice(tuple(k.value for k in SweepKind)),
     "sweep_refine": _cast_bool,
     "sweep_simulate": _cast_bool,
@@ -168,6 +168,38 @@ def canonical_config(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Under ``--physical``, each dimensionless column named here gains a
+# column in laboratory units, in this order after the table's own.
+_PHYSICAL_COLUMNS = {
+    "nu_over_nu0": ("frequency_hz", UnitScale.frequency_hz),
+    "t_over_T": ("time_s", UnitScale.time_s),
+    "arrival_over_T": ("arrival_s", UnitScale.time_s),
+}
+
+
+def _write(
+    path: Path,
+    header: Sequence[str],
+    columns: Sequence[Sequence[object]],
+    scale: UnitScale | None,
+) -> None:
+    """Write one table, with its physical-unit columns if ``scale`` is set."""
+    header, columns = tuple(header), list(columns)
+    if scale is not None:
+        for name, column in list(zip(header, columns)):
+            if name in _PHYSICAL_COLUMNS:
+                unit_name, convert = _PHYSICAL_COLUMNS[name]
+                header += (unit_name,)
+                # an empty cell (no arrival) stays empty
+                columns.append(
+                    convert(scale, column)
+                    if isinstance(column, np.ndarray)
+                    else ["" if cell == "" else convert(scale, cell) for cell in column]
+                )
+    count = write_csv(path, header, columns)
+    print(f"wrote {path} ({count} rows)")
+
+
 def cmd_spectrum(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
@@ -175,14 +207,8 @@ def cmd_spectrum(
     # singularities.
     nu = -2.5 + (np.arange(2000) + 0.5) * (5.0 / 2000)
     packed = comb_response(config.comb(), nu, config.model, config.harmonics)
-    header: tuple[str, ...] = ("nu_over_nu0", "absorption", "dispersion")
-    columns = [nu, packed.real, packed.imag]
-    if scale is not None:
-        header += ("frequency_hz",)
-        columns.append(scale.frequency_hz(nu))
-    path = out_dir / "spectrum.csv"
-    count = write_csv(path, header, columns)
-    print(f"wrote {path} ({count} rows)")
+    header = ("nu_over_nu0", "absorption", "dispersion")
+    _write(out_dir / "spectrum.csv", header, (nu, packed.real, packed.imag), scale)
     return 0
 
 
@@ -197,15 +223,13 @@ def cmd_transfer(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
     transfer, _ = _transfer(config)
-    nu = transfer.grid.points()
-    header: tuple[str, ...] = ("nu_over_nu0", "re", "im", "magnitude")
-    columns = [nu, transfer.values.real, transfer.values.imag, np.abs(transfer.values)]
-    if scale is not None:
-        header += ("frequency_hz",)
-        columns.append(scale.frequency_hz(nu))
-    path = out_dir / "transfer.csv"
-    count = write_csv(path, header, columns)
-    print(f"wrote {path} ({count} rows)")
+    values = transfer.values
+    _write(
+        out_dir / "transfer.csv",
+        ("nu_over_nu0", "re", "im", "magnitude"),
+        (transfer.grid.points(), values.real, values.imag, np.abs(values)),
+        scale,
+    )
     return 0
 
 
@@ -221,14 +245,8 @@ def cmd_propagate(
 ) -> int:
     signal, reference = _propagated(config)
     check_time_window(signal, config.k_max, trace=True)
-    columns = list(trace_columns(signal, reference, -1.0, config.k_max + 1.0))
-    header: tuple[str, ...] = TRACE_HEADER
-    if scale is not None:
-        header += ("time_s",)
-        columns.append(scale.time_s(columns[0]))
-    path = out_dir / "trace.csv"
-    count = write_csv(path, header, columns)
-    print(f"wrote {path} ({count} rows)")
+    columns = trace_columns(signal, reference, -1.0, config.k_max + 1.0)
+    _write(out_dir / "trace.csv", TRACE_HEADER, columns, scale)
     return 0
 
 
@@ -258,38 +276,19 @@ def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
     signal, reference = _propagated(config)
     train = extract_train(signal, config.k_max, reference_intensity=reference)
     closed = closed_train(config.comb(), MediumSpec(config.d_p), config.k_max)
-    header: tuple[str, ...] = (
-        "k",
-        "intensity",
-        "closed_intensity",
-        "rel_error",
-        "arrival_over_T",
-    )
+    header = ("k", "intensity", "closed_intensity", "rel_error", "arrival_over_T")
     rows = []
     for entry in train.entries:
         reference_value = closed.intensity(entry.index)
         rel, rel_text = _relative_error(entry.intensity, reference_value)
         # A window without an echo has no arrival: its cells stay empty.
         arrival = "" if entry.arrival is None else entry.arrival / ECHO_DELAY
-        row: tuple[object, ...] = (
-            entry.index,
-            entry.intensity,
-            reference_value,
-            rel,
-            arrival,
-        )
-        if scale is not None:
-            row += ("" if entry.arrival is None else scale.time_s(arrival),)
-        rows.append(row)
+        rows.append((entry.index, entry.intensity, reference_value, rel, arrival))
         print(
             f"k={entry.index} intensity={entry.intensity:.6f} "
             f"closed={reference_value:.6f} rel={rel_text}"
         )
-    if scale is not None:
-        header += ("arrival_s",)
-    path = out_dir / "train.csv"
-    count = write_csv(path, header, list(zip(*rows)))
-    print(f"wrote {path} ({count} rows)")
+    _write(out_dir / "train.csv", header, list(zip(*rows)), scale)
     return 0
 
 
@@ -314,9 +313,15 @@ def cmd_protocol(
         if simulated is None
         else _relative_error(simulated, result.closed_efficiency)
     )
-    path = out_dir / "protocol.csv"
-    count = write_csv(
-        path,
+    if simulated is None:
+        print(f"{label}: closed={result.closed_efficiency:.6f} (no simulation)")
+    else:
+        print(
+            f"{label}: closed={result.closed_efficiency:.6f} "
+            f"simulated={simulated:.6f} rel={rel_text}"
+        )
+    _write(
+        out_dir / "protocol.csv",
         (
             "protocol",
             "shape",
@@ -337,15 +342,8 @@ def cmd_protocol(
             [math.nan if simulated is None else simulated],
             [rel],
         ],
+        scale,
     )
-    if simulated is None:
-        print(f"{label}: closed={result.closed_efficiency:.6f} (no simulation)")
-    else:
-        print(
-            f"{label}: closed={result.closed_efficiency:.6f} "
-            f"simulated={simulated:.6f} rel={rel_text}"
-        )
-    print(f"wrote {path} ({count} rows)")
     _warn_above_unity(max(result.closed_efficiency, simulated or 0.0))
     return 0
 
@@ -377,8 +375,6 @@ def cmd_sweep(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
     for row in result.rows:
         padded = row.intensities + (math.nan,) * (k_cols - len(row.intensities))
         rows.append((row.value, row.efficiency) + padded + (row.status,))
-    path = out_dir / "sweep.csv"
-    count = write_csv(path, header, list(zip(*rows)))
     # A refined best is a closed-form optimum, also in a simulated sweep.
     if result.refined:
         note = " (refined on the closed form)" if request.simulate else " (refined)"
@@ -388,7 +384,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
         f"best {config.sweep_parameter}={result.best_value:.6g} "
         f"efficiency={result.best_efficiency:.6f}{note}"
     )
-    print(f"wrote {path} ({count} rows)")
+    _write(out_dir / "sweep.csv", header, list(zip(*rows)), scale)
     _warn_above_unity(result.best_efficiency)
     return 0
 
@@ -496,7 +492,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             config = parse_config(text)
         else:
             config = RunConfig()
-        scale = UnitScale(args.physical) if args.physical is not None else None
+        try:
+            scale = None if args.physical is None else UnitScale(args.physical)
+        except ValueError:
+            raise ConfigError(
+                "--physical takes nu0 in Hz, a positive finite number; "
+                f"got {args.physical}"
+            ) from None
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "reproduce":

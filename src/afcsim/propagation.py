@@ -99,7 +99,10 @@ def comb_response(
         )
     if model is TransferModel.IDEAL:
         if comb.gamma != 0.0:
-            raise ValueError("ideal square model has no broadening; use BROADENED")
+            raise ValueError(
+                "ideal square model has no broadening, got gamma = "
+                f"{comb.gamma!r}; set gamma = 0 or model = broadened"
+            )
         return sus.chi_square_series(nu, 1.0 / comb.finesse, harmonics)
     return sus.epsilon_broadened(
         nu, comb.half_width, gamma=comb.gamma, pair_count=comb.pair_count

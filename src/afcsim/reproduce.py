@@ -1,18 +1,22 @@
 """Canned reference runs with embedded pass/fail checks.
 
 Each target recomputes one reference result (a response curve, an
-efficiency figure, a simulated trace), writes the data as CSV and
-compares scalar figures of merit against expected values pinned at
-stated tolerances.  Targets take no configuration: they are fixed
-regression points, runnable as ``afcsim reproduce <name>``.
+efficiency figure, a simulated trace) and returns scalar figures of
+merit, each checked against an expected value pinned at a stated
+tolerance, together with the tables of its data.  :func:`run_target`
+writes each table as ``<name><suffix>.csv``, ``<name>`` being the
+target's key in :data:`TARGETS`, so a target never names its own files.
+Targets take no configuration: they are fixed regression points,
+runnable as ``afcsim reproduce <name>``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -64,12 +68,18 @@ class TargetReport:
         return all(c.ok for c in self.checks)
 
 
+# One CSV of a target: file-name suffix, header and columns.
+_Table = tuple[str, Sequence[str], Sequence[Sequence[object]]]
+# What a target returns: its checks and its tables.
+_Result = tuple[Sequence[Check], Sequence[_Table]]
+
+
 def _midgrid(lo: float, hi: float, n: int) -> np.ndarray:
     """Uniform grid of cell midpoints; never lands on tooth edges."""
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
 
 
-def _comb_profiles(out_dir: Path) -> TargetReport:
+def _comb_profiles() -> _Result:
     nu = _midgrid(-3.0, 3.0, 2400)
     square = population_difference(
         CombSpec(CombShape.SQUARE, half_width=0.1), nu
@@ -78,21 +88,16 @@ def _comb_profiles(out_dir: Path) -> TargetReport:
         CombSpec(CombShape.LORENTZIAN, half_width=0.1), nu
     )
     harmonic = population_difference(CombSpec(CombShape.HARMONIC), nu)
-    path = out_dir / "comb-profiles.csv"
-    write_csv(
-        path,
-        ("delta_over_nu0", "square", "lorentzian", "harmonic"),
-        (nu, square, lorentz, harmonic),
-    )
     checks = (
         Check("square duty cycle", float(square.mean()), 0.1, 2e-3),
         Check("square peak height", float(square.max()), 1.0, 0.0),
         Check("harmonic peak height", float(harmonic.max()), 1.0, 1e-4),
     )
-    return TargetReport("comb-profiles", checks, (path,))
+    header = ("delta_over_nu0", "square", "lorentzian", "harmonic")
+    return checks, [("", header, (nu, square, lorentz, harmonic))]
 
 
-def _echo_vs_depth(out_dir: Path) -> TargetReport:
+def _echo_vs_depth() -> _Result:
     depths = np.arange(0.25, 60.001, 0.25)
     columns = {}
     for finesse in (2.0, 5.0, 10.0):
@@ -100,12 +105,6 @@ def _echo_vs_depth(out_dir: Path) -> TargetReport:
         columns[finesse] = np.array(
             [first_echo_intensity(comb, MediumSpec(d)) for d in depths]
         )
-    path = out_dir / "echo-vs-depth.csv"
-    write_csv(
-        path,
-        ("d_p", "i1_finesse2", "i1_finesse5", "i1_finesse10"),
-        (depths, columns[2.0], columns[5.0], columns[10.0]),
-    )
     checks = []
     for finesse, best_d, best_i in (
         (2.0, 4.0, 0.219397),
@@ -124,54 +123,45 @@ def _echo_vs_depth(out_dir: Path) -> TargetReport:
                 2e-3,
             )
         )
-    return TargetReport("echo-vs-depth", tuple(checks), (path,))
+    header = ("d_p", "i1_finesse2", "i1_finesse5", "i1_finesse10")
+    return checks, [("", header, (depths, columns[2.0], columns[5.0], columns[10.0]))]
 
 
-def _optimal_recall(out_dir: Path) -> TargetReport:
+def _optimal_recall() -> _Result:
     curve = optimal_curve(np.arange(2, 65, dtype=float))
-    path = out_dir / "optimal-recall.csv"
-    write_csv(path, ("finesse", "optimal_depth", "intensity"), curve.T)
     at32 = float(curve[curve[:, 0] == 32.0][0, 2])
     increasing = float(np.all(np.diff(curve[:, 2]) > 0.0))
     checks = (
         Check("intensity at finesse 32", at32, 0.54, 5e-3),
         Check("intensity increases with finesse", increasing, 1.0, 0.0),
     )
-    return TargetReport("optimal-recall", checks, (path,))
+    return checks, [("", ("finesse", "optimal_depth", "intensity"), curve.T)]
 
 
 def _broadened_response(
-    name: str, delta: float, gamma: float, peak: float, window: float
-) -> Callable[[Path], TargetReport]:
-    def run(out_dir: Path) -> TargetReport:
-        nu = _midgrid(-2.5, 2.5, 2000)
-        packed = epsilon_broadened(nu, delta, gamma=gamma, pair_count=9)
-        path = out_dir / f"{name}.csv"
-        write_csv(
-            path,
-            ("nu_over_nu0", "absorption", "dispersion"),
-            (nu, packed.real, packed.imag),
-        )
-        checks = (
-            Check(
-                "absorption at first tooth centre",
-                epsilon_peak_center(delta, gamma=gamma, pair_count=9),
-                peak,
-                1e-3,
-            ),
-            Check(
-                "residual absorption at window centre",
-                epsilon_window_center(delta, gamma=gamma, pair_count=9),
-                window,
-                2e-5,
-            ),
-        )
-        return TargetReport(name, checks, (path,))
-
-    return run
+    delta: float, gamma: float, peak: float, window: float
+) -> _Result:
+    nu = _midgrid(-2.5, 2.5, 2000)
+    packed = epsilon_broadened(nu, delta, gamma=gamma, pair_count=9)
+    checks = (
+        Check(
+            "absorption at first tooth centre",
+            epsilon_peak_center(delta, gamma=gamma, pair_count=9),
+            peak,
+            1e-3,
+        ),
+        Check(
+            "residual absorption at window centre",
+            epsilon_window_center(delta, gamma=gamma, pair_count=9),
+            window,
+            2e-5,
+        ),
+    )
+    header = ("nu_over_nu0", "absorption", "dispersion")
+    return checks, [("", header, (nu, packed.real, packed.imag))]
 
 
-def _harmonic_weights_table(out_dir: Path) -> TargetReport:
+def _harmonic_weights_table() -> _Result:
     deltas = np.arange(0.05, 0.451, 0.05)
     rows = []
     worst_a0 = 0.0
@@ -189,35 +179,18 @@ def _harmonic_weights_table(out_dir: Path) -> TargetReport:
         )
         worst_a0 = max(worst_a0, abs(coeffs.a0 - delta))
         worst_a1 = max(worst_a1, abs(coeffs.a1_absorption / coeffs.a1_closed - 1.0))
-    path = out_dir / "harmonic-weights.csv"
-    write_csv(
-        path,
-        ("delta_over_nu0", "a0", "a1_absorption", "a1_full", "a1_closed"),
-        list(zip(*rows)),
-    )
     checks = (
         Check("worst |a0 - duty cycle|", worst_a0, 0.0, 1e-3),
         Check("worst first-harmonic mismatch", worst_a1, 0.0, 1e-3),
     )
-    return TargetReport("harmonic-weights", checks, (path,))
+    header = ("delta_over_nu0", "a0", "a1_absorption", "a1_full", "a1_closed")
+    return checks, [("", header, list(zip(*rows)))]
 
 
-def _series_response(out_dir: Path) -> TargetReport:
+def _series_response() -> _Result:
     nu = _midgrid(-2.0, 2.0, 1600)
     truncated = chi_square_series(nu, 0.1, harmonics=2000)
     resummed = chi_square_series(nu, 0.1, harmonics=None)
-    path = out_dir / "series-response.csv"
-    write_csv(
-        path,
-        (
-            "nu_over_nu0",
-            "absorption_series",
-            "dispersion_series",
-            "absorption_resummed",
-            "dispersion_resummed",
-        ),
-        (nu, truncated.real, truncated.imag, resummed.real, resummed.imag),
-    )
     binary_dev = float(
         np.max(np.minimum(np.abs(resummed.real), np.abs(resummed.real - 1.0)))
     )
@@ -225,87 +198,81 @@ def _series_response(out_dir: Path) -> TargetReport:
         Check("series duty cycle", float(truncated.real.mean()), 0.1, 1e-3),
         Check("resummed absorption is binary", binary_dev, 0.0, 1e-9),
     )
-    return TargetReport("series-response", checks, (path,))
+    header = (
+        "nu_over_nu0",
+        "absorption_series",
+        "dispersion_series",
+        "absorption_resummed",
+        "dispersion_resummed",
+    )
+    columns = (nu, truncated.real, truncated.imag, resummed.real, resummed.imag)
+    return checks, [("", header, columns)]
 
 
 def _echo_train(
-    name: str,
-    finesse: float,
-    d_p: float,
-    gamma: float,
-    dominant: int,
-    compare_up_to: int,
-) -> Callable[[Path], TargetReport]:
+    finesse: float, d_p: float, gamma: float, dominant: int, compare_up_to: int
+) -> _Result:
     """Simulated trace plus train, checked against the closed form."""
-
-    def run(out_dir: Path) -> TargetReport:
-        if gamma == 0.0:
-            comb = CombSpec.from_finesse(CombShape.SQUARE, finesse)
-            model, harmonics = TransferModel.IDEAL, None
-        else:
-            # Teeth must cover the simulation grid or the pulse wings
-            # see bare line edges and the totals drift.
-            comb = CombSpec.from_finesse(
-                CombShape.SQUARE, finesse, pair_count=40, gamma=gamma
-            )
-            model, harmonics = TransferModel.BROADENED, None
-        result = recall(
-            comb,
-            MediumSpec(d_p),
-            probe=RunSpec(k_max=3, **_PIN_GRID).probe(),
-            model=model,
-            harmonics=harmonics,
+    if gamma == 0.0:
+        comb = CombSpec.from_finesse(CombShape.SQUARE, finesse)
+        model, harmonics = TransferModel.IDEAL, None
+    else:
+        # Teeth must cover the simulation grid or the pulse wings
+        # see bare line edges and the totals drift.
+        comb = CombSpec.from_finesse(
+            CombShape.SQUARE, finesse, pair_count=40, gamma=gamma
         )
-        signal, train = result.signal, result.train
-        reference = train.reference_intensity
-        closed = closed_train(comb, MediumSpec(d_p), 3)
-        trace_path = out_dir / f"{name}.csv"
-        write_csv(trace_path, TRACE_HEADER, trace_columns(signal, reference))
-        train_path = out_dir / f"{name}-train.csv"
-        write_csv(
-            train_path,
-            ("k", "intensity", "closed_intensity", "arrival_over_T"),
-            (
-                [e.index for e in train.entries],
-                [e.intensity for e in train.entries],
-                [closed.intensity(e.index) for e in train.entries],
-                [
-                    "" if e.arrival is None else e.arrival / ECHO_DELAY
-                    for e in train.entries
-                ],
-            ),
+        model, harmonics = TransferModel.BROADENED, None
+    result = recall(
+        comb,
+        MediumSpec(d_p),
+        probe=RunSpec(k_max=3, **_PIN_GRID).probe(),
+        model=model,
+        harmonics=harmonics,
+    )
+    signal, train = result.signal, result.train
+    closed = closed_train(comb, MediumSpec(d_p), 3)
+    checks = [
+        Check(
+            f"echo {k} intensity vs closed form (relative)",
+            train.intensity(k) / closed.intensity(k) - 1.0,
+            0.0,
+            0.01,
         )
-        checks = [
-            Check(
-                f"echo {k} intensity vs closed form (relative)",
-                train.intensity(k) / closed.intensity(k) - 1.0,
-                0.0,
-                0.01,
-            )
-            for k in range(compare_up_to + 1)
-        ]
-        checks.append(
-            Check(
-                "dominant train index",
-                float(int(np.argmax(train.intensities))),
-                float(dominant),
-                0.0,
-            )
+        for k in range(compare_up_to + 1)
+    ]
+    checks.append(
+        Check(
+            "dominant train index",
+            float(int(np.argmax(train.intensities))),
+            float(dominant),
+            0.0,
         )
-        return TargetReport(name, tuple(checks), (trace_path, train_path))
+    )
+    trace = ("", TRACE_HEADER, trace_columns(signal, train.reference_intensity))
+    train_table = (
+        "-train",
+        ("k", "intensity", "closed_intensity", "arrival_over_T"),
+        (
+            [e.index for e in train.entries],
+            [e.intensity for e in train.entries],
+            [closed.intensity(e.index) for e in train.entries],
+            [
+                "" if e.arrival is None else e.arrival / ECHO_DELAY
+                for e in train.entries
+            ],
+        ),
+    )
+    return checks, [trace, train_table]
 
-    return run
 
-
-def _depth_scan_closed(out_dir: Path) -> TargetReport:
+def _depth_scan_closed() -> _Result:
     depths = np.arange(0.5, 50.001, 0.5)
     comb = CombSpec.from_finesse(CombShape.SQUARE, 5.0)
     rows = []
     for d in depths:
         coeffs = closed_train(comb, MediumSpec(float(d)), 3)
         rows.append((float(d),) + tuple(coeffs.intensity(k) for k in (1, 2, 3)))
-    path = out_dir / "depth-scan.csv"
-    write_csv(path, ("d_p", "i1", "i2", "i3"), list(zip(*rows)))
     table = np.array(rows)
     checks = []
     for k, best_d, best_i in (
@@ -316,10 +283,10 @@ def _depth_scan_closed(out_dir: Path) -> TargetReport:
         j = int(np.argmax(table[:, k]))
         checks.append(Check(f"echo {k} optimal depth", float(table[j, 0]), best_d, 0.5))
         checks.append(Check(f"echo {k} peak intensity", float(table[j, k]), best_i, 2e-3))
-    return TargetReport("depth-scan", tuple(checks), (path,))
+    return checks, [("", ("d_p", "i1", "i2", "i3"), list(zip(*rows)))]
 
 
-def _timebin_pair(out_dir: Path) -> TargetReport:
+def _timebin_pair() -> _Result:
     comb = CombSpec.from_finesse(CombShape.SQUARE, 5.0)
     medium = MediumSpec(10.0)
     qubit = TimeBinQubit(c1=0.8, c2=0.6, tau=0.4 * ECHO_DELAY, phi=0.7)
@@ -344,19 +311,6 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
         ("delayed_late", ECHO_DELAY + qubit.tau),
     ):
         bins[label] = peak_in_window(signal, center - half, center + half)
-    trace_path = out_dir / "timebin-pair.csv"
-    write_csv(trace_path, TRACE_HEADER, trace_columns(signal, reference, -0.5, 2.0))
-    bins_path = out_dir / "timebin-pair-bins.csv"
-    write_csv(
-        bins_path,
-        ("bin", "re_amplitude", "im_amplitude", "arrival_over_T"),
-        (
-            list(bins),
-            [amp.real for amp, _ in bins.values()],
-            [amp.imag for amp, _ in bins.values()],
-            [t / ECHO_DELAY for _, t in bins.values()],
-        ),
-    )
     early, _ = bins["delayed_early"]
     late, _ = bins["delayed_late"]
     ratio = abs(early) / abs(late)
@@ -373,74 +327,62 @@ def _timebin_pair(out_dir: Path) -> TargetReport:
             0.01,
         ),
     )
-    return TargetReport("timebin-pair", checks, (trace_path, bins_path))
+    trace = ("", TRACE_HEADER, trace_columns(signal, reference, -0.5, 2.0))
+    bins_table = (
+        "-bins",
+        ("bin", "re_amplitude", "im_amplitude", "arrival_over_T"),
+        (
+            list(bins),
+            [amp.real for amp, _ in bins.values()],
+            [amp.imag for amp, _ in bins.values()],
+            [t / ECHO_DELAY for _, t in bins.values()],
+        ),
+    )
+    return checks, [trace, bins_table]
 
 
 def _efficiency_point(
-    name: str,
-    finesse: float,
-    d_p: float,
-    expected: float,
-    tol: float,
-    passes: int,
-) -> Callable[[Path], TargetReport]:
+    finesse: float, d_p: float, expected: float, tol: float, passes: int
+) -> _Result:
     """Closed-form efficiency pin plus simulation agreement."""
-
-    def run(out_dir: Path) -> TargetReport:
-        comb = CombSpec.from_finesse(
-            CombShape.SQUARE, finesse, pair_count=40, gamma=0.005
-        )
-        probe = RunSpec(k_max=5, **_PIN_GRID).probe()
-        result = recall(comb, MediumSpec(d_p), passes=passes, probe=probe)
-        path = out_dir / f"{name}.csv"
-        write_csv(
-            path,
-            (
-                "protocol",
-                "finesse",
-                "d_p",
-                "gamma",
-                "closed_efficiency",
-                "simulated_efficiency",
-            ),
-            [
-                ["two-pass" if passes == 2 else "first-echo"],
-                [finesse],
-                [d_p],
-                [0.005],
-                [result.closed_efficiency],
-                [result.simulated_efficiency],
-            ],
-        )
-        assert result.simulated_efficiency is not None
-        checks = (
-            Check("closed-form efficiency", result.closed_efficiency, expected, tol),
-            Check(
-                "simulation vs closed form (relative)",
-                result.simulated_efficiency / result.closed_efficiency - 1.0,
-                0.0,
-                0.01,
-            ),
-        )
-        return TargetReport(name, checks, (path,))
-
-    return run
+    comb = CombSpec.from_finesse(
+        CombShape.SQUARE, finesse, pair_count=40, gamma=0.005
+    )
+    probe = RunSpec(k_max=5, **_PIN_GRID).probe()
+    result = recall(comb, MediumSpec(d_p), passes=passes, probe=probe)
+    assert result.simulated_efficiency is not None
+    checks = (
+        Check("closed-form efficiency", result.closed_efficiency, expected, tol),
+        Check(
+            "simulation vs closed form (relative)",
+            result.simulated_efficiency / result.closed_efficiency - 1.0,
+            0.0,
+            0.01,
+        ),
+    )
+    header = (
+        "protocol",
+        "finesse",
+        "d_p",
+        "gamma",
+        "closed_efficiency",
+        "simulated_efficiency",
+    )
+    columns = [
+        ["two-pass" if passes == 2 else "first-echo"],
+        [finesse],
+        [d_p],
+        [0.005],
+        [result.closed_efficiency],
+        [result.simulated_efficiency],
+    ]
+    return checks, [("", header, columns)]
 
 
-def _harmonic_poisson(out_dir: Path) -> TargetReport:
+def _harmonic_poisson() -> _Result:
     comb = CombSpec(CombShape.HARMONIC)
     train = closed_train(comb, MediumSpec(4.0), 12)
     ks = range(train.k_max + 1)
-    path = out_dir / "harmonic-comb-train.csv"
-    write_csv(
-        path,
-        ("k", "amplitude", "intensity"),
-        (
-            ks,
-            [float(train.prompt_factor.real * train.values[k]) for k in ks],
-            [train.intensity(k) for k in ks],
-        ),
-    )
     rate = 1.0
     poisson_dev = max(
         abs(train.values[k] - rate**k / math.factorial(k))
@@ -453,38 +395,33 @@ def _harmonic_poisson(out_dir: Path) -> TargetReport:
         Check("relative amplitudes follow the factorial law", poisson_dev, 0.0, 1e-12),
         Check("field amplitudes sum to unity", amplitude_sum, 1.0, 1e-12),
     )
-    return TargetReport("harmonic-comb-train", checks, (path,))
+    columns = (
+        ks,
+        [float(train.prompt_factor.real * train.values[k]) for k in ks],
+        [train.intensity(k) for k in ks],
+    )
+    return checks, [("", ("k", "amplitude", "intensity"), columns)]
 
 
-def _shallow_depth_pin(out_dir: Path) -> TargetReport:
+def _shallow_depth_pin() -> _Result:
     comb = CombSpec.from_finesse(CombShape.SQUARE, 10.0)
     value = first_echo_intensity(comb, MediumSpec(2.0))
-    path = out_dir / "shallow-depth.csv"
-    write_csv(path, ("finesse", "d_p", "intensity"), [[10.0], [2.0], [value]])
-    return TargetReport(
-        "shallow-depth",
-        (Check("first-echo intensity", value, 0.0317, 5e-4),),
-        (path,),
-    )
+    checks = (Check("first-echo intensity", value, 0.0317, 5e-4),)
+    return checks, [("", ("finesse", "d_p", "intensity"), [[10.0], [2.0], [value]])]
 
 
-def _window_floor_pin(out_dir: Path) -> TargetReport:
+def _window_floor_pin() -> _Result:
     small = epsilon_window_center(0.1, gamma=0.01, pair_count=9)
     large = epsilon_window_center(0.1, gamma=0.01, pair_count=100000)
-    path = out_dir / "window-floor.csv"
-    write_csv(
-        path,
-        ("pair_count", "absorption_at_window_centre"),
-        [[9, 100000], [small, large]],
-    )
     checks = (
         Check("window floor, long comb", large, 1.57e-3, 2e-5),
         Check("background transmission at depth 20", math.exp(-20.0 * small), 0.97, 5e-3),
     )
-    return TargetReport("window-floor", checks, (path,))
+    header = ("pair_count", "absorption_at_window_centre")
+    return checks, [("", header, [[9, 100000], [small, large]])]
 
 
-TARGETS: dict[str, tuple[str, Callable[[Path], TargetReport]]] = {
+TARGETS: dict[str, tuple[str, Callable[[], _Result]]] = {
     "comb-profiles": (
         "population profiles of the three tooth shapes",
         _comb_profiles,
@@ -499,15 +436,11 @@ TARGETS: dict[str, tuple[str, Callable[[Path], TargetReport]]] = {
     ),
     "broadened-response": (
         "broadened comb response, duty cycle 0.1",
-        _broadened_response(
-            "broadened-response", 0.1, 0.01, 0.937, 1.552e-3
-        ),
+        partial(_broadened_response, 0.1, 0.01, 0.937, 1.552e-3),
     ),
     "broadened-response-wide": (
         "broadened comb response, duty cycle 0.2",
-        _broadened_response(
-            "broadened-response-wide", 0.2, 0.02, 0.93853, 6.3688e-3
-        ),
+        partial(_broadened_response, 0.2, 0.02, 0.93853, 6.3688e-3),
     ),
     "harmonic-weights": (
         "integrated response harmonics against the closed forms",
@@ -519,19 +452,19 @@ TARGETS: dict[str, tuple[str, Callable[[Path], TargetReport]]] = {
     ),
     "echo-train-f2": (
         "simulated echo train, finesse 2 at optimal depth",
-        _echo_train("echo-train-f2", 2.0, 4.0, 0.0, dominant=1, compare_up_to=3),
+        partial(_echo_train, 2.0, 4.0, 0.0, dominant=1, compare_up_to=3),
     ),
     "echo-train-f5": (
         "simulated echo train, finesse 5, broadened teeth",
-        _echo_train("echo-train-f5", 5.0, 10.0, 0.005, dominant=1, compare_up_to=1),
+        partial(_echo_train, 5.0, 10.0, 0.005, dominant=1, compare_up_to=1),
     ),
     "echo-train-deep": (
         "simulated echo train, depth favouring the second echo",
-        _echo_train("echo-train-deep", 5.0, 25.0, 0.0, dominant=2, compare_up_to=3),
+        partial(_echo_train, 5.0, 25.0, 0.0, dominant=2, compare_up_to=3),
     ),
     "echo-train-deeper": (
         "simulated echo train, depth favouring the third echo",
-        _echo_train("echo-train-deeper", 5.0, 42.0, 0.0, dominant=3, compare_up_to=3),
+        partial(_echo_train, 5.0, 42.0, 0.0, dominant=3, compare_up_to=3),
     ),
     "depth-scan": (
         "closed-form intensities of the first three echoes against depth",
@@ -543,19 +476,19 @@ TARGETS: dict[str, tuple[str, Callable[[Path], TargetReport]]] = {
     ),
     "efficiency-017": (
         "first-echo efficiency 0.17 at depth 3",
-        _efficiency_point("efficiency-017", 5.0, 3.0, 0.17, 5e-3, passes=1),
+        partial(_efficiency_point, 5.0, 3.0, 0.17, 5e-3, passes=1),
     ),
     "efficiency-046": (
         "first-echo efficiency 0.46 at depth 10",
-        _efficiency_point("efficiency-046", 5.0, 10.0, 0.46, 5e-3, passes=1),
+        partial(_efficiency_point, 5.0, 10.0, 0.46, 5e-3, passes=1),
     ),
     "efficiency-086": (
         "two-pass recall 0.86 at finesse 5, depth 10",
-        _efficiency_point("efficiency-086", 5.0, 10.0, 0.86, 1e-2, passes=2),
+        partial(_efficiency_point, 5.0, 10.0, 0.86, 1e-2, passes=2),
     ),
     "efficiency-095": (
         "two-pass recall 0.95 at finesse 10, depth 20",
-        _efficiency_point("efficiency-095", 10.0, 20.0, 0.95, 1e-2, passes=2),
+        partial(_efficiency_point, 10.0, 20.0, 0.95, 1e-2, passes=2),
     ),
     "harmonic-comb-train": (
         "factorial echo train of the raised-cosine comb",
@@ -573,7 +506,13 @@ TARGETS: dict[str, tuple[str, Callable[[Path], TargetReport]]] = {
 
 
 def run_target(name: str, out_dir: Path) -> TargetReport:
+    """Run target ``name`` and write its tables as ``out_dir/<name><suffix>.csv``."""
     if name not in TARGETS:
         known = ", ".join(sorted(TARGETS))
         raise KeyError(f"unknown target {name!r}; known targets: {known}")
-    return TARGETS[name][1](out_dir)
+    checks, tables = TARGETS[name][1]()
+    files = []
+    for suffix, header, columns in tables:
+        files.append(out_dir / f"{name}{suffix}.csv")
+        write_csv(files[-1], header, columns)
+    return TargetReport(name, tuple(checks), tuple(files))

@@ -147,7 +147,7 @@ def _series_chirp_z(
 def chi_square_exact(
     nu: np.ndarray | float,
     inv_finesse: float,
-    pair_count: int = 9,
+    pair_count: int,
 ) -> np.ndarray:
     """Unbroadened finite square comb: indicator absorption, log dispersion.
 
@@ -169,8 +169,8 @@ def epsilon_broadened(
     nu: np.ndarray | float,
     delta: float,
     *,
-    gamma: float = 0.01,
-    pair_count: int = 9,
+    gamma: float,
+    pair_count: int,
 ) -> np.ndarray:
     """Finite square comb with Lorentzian-broadened teeth, in closed form.
 
@@ -275,18 +275,14 @@ def _finite_comb(
     return packed
 
 
-def epsilon_window_center(
-    delta: float, *, gamma: float = 0.01, pair_count: int = 9
-) -> float:
+def epsilon_window_center(delta: float, *, gamma: float, pair_count: int) -> float:
     """Residual absorption at the centre of a transparency window."""
     return float(
         epsilon_broadened(0.0, delta, gamma=gamma, pair_count=pair_count).real
     )
 
 
-def epsilon_peak_center(
-    delta: float, *, gamma: float = 0.01, pair_count: int = 9
-) -> float:
+def epsilon_peak_center(delta: float, *, gamma: float, pair_count: int) -> float:
     """Absorption at the centre of the first tooth."""
     return float(
         epsilon_broadened(1.0, delta, gamma=gamma, pair_count=pair_count).real

@@ -6,7 +6,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -72,6 +72,10 @@ class SweepKind(str, enum.Enum):
 class SweepAxis:
     """Swept parameter: one of ``d_p``, ``finesse``, ``gamma``."""
 
+    # The parameters a sweep can vary, and the spacings of its points.
+    PARAMETERS: ClassVar[tuple[str, ...]] = ("d_p", "finesse", "gamma")
+    SCALES: ClassVar[tuple[str, ...]] = ("linear", "log")
+
     name: str
     start: float
     stop: float
@@ -79,15 +83,16 @@ class SweepAxis:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
-        if self.name not in ("d_p", "finesse", "gamma"):
+        if self.name not in self.PARAMETERS:
             raise ValueError(f"unknown sweep parameter {self.name!r}")
         for name in ("start", "stop"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.steps < 2:
             raise ValueError(f"steps must be >= 2, got {self.steps}")
-        if self.scale not in ("linear", "log"):
-            raise ValueError(f"scale must be linear or log, got {self.scale!r}")
+        if self.scale not in self.SCALES:
+            choices = " or ".join(self.SCALES)
+            raise ValueError(f"scale must be {choices}, got {self.scale!r}")
         if self.scale == "log" and (self.start <= 0.0 or self.stop <= 0.0):
             raise ValueError("log scale needs positive endpoints")
         if self.stop <= self.start:

@@ -174,8 +174,8 @@ class BroadenedCoefficients:
 def broadened_A_coefficients(
     delta: float,
     *,
-    gamma: float = 0.01,
-    pair_count: int = 9,
+    gamma: float,
+    pair_count: int,
 ) -> BroadenedCoefficients:
     """Integrate the broadened response over the central period ``[-1, 1]``.
 

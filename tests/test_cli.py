@@ -172,6 +172,47 @@ class TestSubcommands:
         header = (tmp_path / "spectrum.csv").read_text().splitlines()[0]
         assert header.endswith(",frequency_hz")
 
+    @pytest.mark.parametrize(
+        ("command", "name", "unit"),
+        [
+            ("spectrum", "spectrum", ("nu_over_nu0", "frequency_hz", lambda v: v * 2e6)),
+            ("transfer", "transfer", ("nu_over_nu0", "frequency_hz", lambda v: v * 2e6)),
+            ("propagate", "trace", ("t_over_T", "time_s", lambda v: v / 4e6)),
+            ("train", "train", ("arrival_over_T", "arrival_s", lambda v: v / 4e6)),
+            ("protocol", "protocol", None),
+            ("sweep", "sweep", None),
+        ],
+        ids=["spectrum", "transfer", "propagate", "train", "protocol", "sweep"],
+    )
+    def test_physical_adds_one_converted_column(
+        self, tmp_path, capsys, command, name, unit
+    ):
+        # finesse 4.1 at depth 100 leaves echo window 0 without an arrival
+        path = _write_config(tmp_path, "finesse = 4.1\nd_p = 100\n")
+        tables = {}
+        for extra in ([], ["--physical", "2e6"]):
+            out = tmp_path / ("physical" if extra else "plain")
+            argv = ["--config", str(path), "--out", str(out), *extra, command]
+            assert main(argv) == 0
+            with (out / f"{name}.csv").open(newline="") as handle:
+                header, *rows = csv.reader(handle)
+            tables[bool(extra)] = header, rows
+        (header, rows), (physical_header, physical_rows) = tables[False], tables[True]
+        if unit is None:
+            assert (physical_header, physical_rows) == (header, rows)
+            return
+        source, added, convert = unit
+        assert physical_header == header + [added]
+        assert [row[:-1] for row in physical_rows] == rows
+        column = header.index(source)
+        for row in physical_rows:
+            if row[column] == "":
+                assert row[-1] == ""
+            else:
+                assert float(row[-1]) == convert(float(row[column]))
+        if command == "train":
+            assert physical_rows[0][column] == physical_rows[0][-1] == ""
+
     def test_transfer_grid_rows(self, tmp_path, capsys):
         path = _write_config(tmp_path, "samples = 1024\n")
         assert main(["--config", str(path), "--out", str(tmp_path), "transfer"]) == 0
@@ -353,12 +394,8 @@ class TestReproduceCommand:
         assert "FAIL" not in out
 
     def test_failing_target_exits_two(self, tmp_path, capsys, monkeypatch):
-        def broken(out_dir: Path) -> TargetReport:
-            return TargetReport(
-                name="broken",
-                checks=(Check("level", value=1.0, expected=2.0, tol=1e-6),),
-                files=(),
-            )
+        def broken():
+            return (Check("level", value=1.0, expected=2.0, tol=1e-6),), ()
 
         monkeypatch.setitem(TARGETS, "broken", ("synthetic failure", broken))
         assert main(["--out", str(tmp_path), "reproduce", "broken"]) == 2
@@ -512,12 +549,39 @@ class TestErrorPaths:
         assert err.startswith("error: gamma must be below about 1.3e154")
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("nu0_hz", ["nan", "inf"])
+    @pytest.mark.parametrize("nu0_hz", ["nan", "inf", "0", "-1"])
     def test_non_finite_physical_scale_exits_one(self, tmp_path, capsys, nu0_hz):
         out = tmp_path / "out"
         assert main(["--physical", nu0_hz, "--out", str(out), "spectrum"]) == 1
-        assert capsys.readouterr().err == f"error: nu0_hz must be finite, got {nu0_hz}\n"
+        assert capsys.readouterr().err == (
+            "error: --physical takes nu0 in Hz, a positive finite number; "
+            f"got {float(nu0_hz)}\n"
+        )
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("command", "extra", "prefix"),
+        [
+            ("protocol", "", ""),
+            ("spectrum", "", ""),
+            (
+                "sweep",
+                "sweep_parameter = gamma\nsweep_start = 0.01\nsweep_stop = 0.02\n"
+                "sweep_steps = 3\nsweep_simulate = true\n",
+                "every sweep point failed; at gamma = 0.01: ",
+            ),
+        ],
+    )
+    def test_ideal_model_with_broadening_names_the_fix(
+        self, tmp_path, capsys, command, extra, prefix
+    ):
+        path = _write_config(tmp_path, "model = ideal\ngamma = 0.01\n" + extra)
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {prefix}ideal square model has no broadening, got gamma = 0.01; "
+            "set gamma = 0 or model = broadened\n"
+        )
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_out_directory_is_created(self, tmp_path):
         nested = tmp_path / "a" / "b"

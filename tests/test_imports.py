@@ -35,7 +35,7 @@ states["train_exit"] = afcsim.cli.main(
 )
 states["after_train"] = "scipy" in sys.modules
 from afcsim.train import broadened_A_coefficients
-coefficients = broadened_A_coefficients(0.2)
+coefficients = broadened_A_coefficients(0.2, gamma=0.01, pair_count=9)
 states["finite"] = all(
     math.isfinite(v)
     for v in (coefficients.a0, coefficients.a1_absorption, coefficients.a1_full)

@@ -40,3 +40,5 @@ class TestFastTargets:
         for path in report.files:
             assert path.exists()
             assert path.parent == tmp_path
+            assert path.stem == name or path.stem.startswith(f"{name}-")
+        assert sorted(tmp_path.iterdir()) == sorted(report.files)

@@ -310,9 +310,9 @@ class TestBroadened:
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            epsilon_broadened(np.array([0.0]), -0.1)
+            epsilon_broadened(np.array([0.0]), -0.1, gamma=0.01, pair_count=9)
         with pytest.raises(ValueError):
-            epsilon_broadened(np.array([0.0]), 0.1, gamma=-1.0)
+            epsilon_broadened(np.array([0.0]), 0.1, gamma=-1.0, pair_count=9)
 
 
 class TestPeriodicShapes:

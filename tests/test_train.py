@@ -364,7 +364,7 @@ class TestBroadenedCoefficients:
 
     def test_rejects_teeth_wider_than_the_period(self):
         with pytest.raises(ValueError, match="half_width"):
-            broadened_A_coefficients(1.5)
+            broadened_A_coefficients(1.5, gamma=0.01, pair_count=9)
 
     @pytest.mark.parametrize("delta", [float(d) for d in np.arange(0.05, 0.451, 0.05)])
     def test_half_range_matches_full_range(self, delta):
