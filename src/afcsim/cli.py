@@ -2,8 +2,9 @@
 
 Everything is deterministic: no sampling, no clocks, no environment
 dependence, so any invocation writes byte-identical CSV files.  Exit
-codes: 0 on success, 1 for usage or configuration problems, 2 when a
-reproduction target misses one of its pinned checks.
+codes: 0 on success, 1 for usage or configuration problems and for a
+stdout that refuses a write, 2 when a reproduction target misses one of
+its pinned checks.
 
 Configuration is a flat ``key = value`` file; ``afcsim config`` prints
 the canonical form of the resolved configuration (defaults merged with
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -42,6 +44,23 @@ __all__ = ["ConfigError", "RunConfig", "canonical_config", "main", "parse_config
 
 class ConfigError(ValueError):
     """Configuration file rejected; the message carries the line number."""
+
+
+class _StdoutFailed(Exception):
+    """stdout refused a line of the run's report, so the run fails."""
+
+
+def _say(text: str, end: str = "\n") -> None:
+    """Print to stdout at once; a closed or full stdout raises ``_StdoutFailed``."""
+    try:
+        print(text, end=end, flush=True)
+    except OSError as exc:
+        # What stays buffered would fail again, with a traceback, when the
+        # interpreter flushes stdout at exit; send it to the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise _StdoutFailed(f"cannot write to stdout: {exc}") from None
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -197,7 +216,7 @@ def _write(
                     else ["" if cell == "" else convert(scale, cell) for cell in column]
                 )
     count = write_csv(path, header, columns)
-    print(f"wrote {path} ({count} rows)")
+    _say(f"wrote {path} ({count} rows)")
 
 
 def cmd_spectrum(
@@ -284,7 +303,7 @@ def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
         # A window without an echo has no arrival: its cells stay empty.
         arrival = "" if entry.arrival is None else entry.arrival / ECHO_DELAY
         rows.append((entry.index, entry.intensity, reference_value, rel, arrival))
-        print(
+        _say(
             f"k={entry.index} intensity={entry.intensity:.6f} "
             f"closed={reference_value:.6f} rel={rel_text}"
         )
@@ -314,9 +333,9 @@ def cmd_protocol(
         else _relative_error(simulated, result.closed_efficiency)
     )
     if simulated is None:
-        print(f"{label}: closed={result.closed_efficiency:.6f} (no simulation)")
+        _say(f"{label}: closed={result.closed_efficiency:.6f} (no simulation)")
     else:
-        print(
+        _say(
             f"{label}: closed={result.closed_efficiency:.6f} "
             f"simulated={simulated:.6f} rel={rel_text}"
         )
@@ -380,7 +399,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
         note = " (refined on the closed form)" if request.simulate else " (refined)"
     else:
         note = " (simulated)" if request.simulate else ""
-    print(
+    _say(
         f"best {config.sweep_parameter}={result.best_value:.6g} "
         f"efficiency={result.best_efficiency:.6f}{note}"
     )
@@ -390,7 +409,7 @@ def cmd_sweep(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
 
 
 def cmd_config(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
-    sys.stdout.write(canonical_config(config))
+    _say(canonical_config(config), end="")
     return 0
 
 
@@ -411,7 +430,7 @@ def cmd_reproduce(target: str | None, out_dir: Path) -> int:
 
     if target is None:
         for name in sorted(TARGETS):
-            print(f"{name}: {TARGETS[name][0]}")
+            _say(f"{name}: {TARGETS[name][0]}")
         return 0
     try:
         report = run_target(target, out_dir)
@@ -420,13 +439,13 @@ def cmd_reproduce(target: str | None, out_dir: Path) -> int:
         return 1
     for check in report.checks:
         status = "ok" if check.ok else "FAIL"
-        print(
+        _say(
             f"[{status:>4}] {report.name}: {check.label}: "
             f"value={check.value:.8g} expected={check.expected:.8g} "
             f"tol={check.tol:.2g}"
         )
     for path in report.files:
-        print(f"wrote {path}")
+        _say(f"wrote {path}")
     return 0 if report.ok else 2
 
 
@@ -504,7 +523,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "reproduce":
             return cmd_reproduce(args.target, out_dir)
         return _COMMANDS[args.command](config, out_dir, scale)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, _StdoutFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

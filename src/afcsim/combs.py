@@ -108,10 +108,13 @@ class CombSpec:
         pair_count: int = 9,
         gamma: float = 0.0,
     ) -> "CombSpec":
-        """Build a comb from its finesse instead of its peak width."""
+        """Build a comb from its finesse instead of its peak width.
+
+        The finesse must be at least 1: a peak no wider than the period.
+        """
         shape = CombShape(shape)
-        if finesse <= 0.0:
-            raise ValueError(f"finesse must be positive, got {finesse}")
+        if not finesse >= 1.0:
+            raise ValueError(f"finesse must be >= 1, got {finesse}")
         if shape is CombShape.HARMONIC:
             if not math.isclose(finesse, HARMONIC_FINESSE):
                 raise ValueError(

@@ -72,11 +72,13 @@ _SQUARE_SAFE = 1e150
 class TransferModel(str, enum.Enum):
     """Which response model feeds the transfer function.
 
-    IDEAL is the infinite periodic comb (series, or resummed when the
-    harmonic count is ``None``); BROADENED is the finite comb with
-    Lorentzian teeth, sharp at ``gamma = 0``.  Harmonic and Lorentzian
-    tooth shapes have exact periodic forms that already include
-    broadening, so for them the two models coincide.
+    IDEAL is the infinite periodic comb of the run's tooth shape,
+    broadened by the run's ``gamma``: the closed forms describe it, and
+    broadening damps its harmonic ``k`` by ``exp(-pi gamma k)``.  For
+    square teeth it is a series, resummed when the harmonic count is
+    ``None``.  BROADENED is the finite comb, with Lorentzian-broadened
+    teeth, sharp at ``gamma = 0``.  Harmonic and Lorentzian teeth have
+    exact periodic forms, so for them the two models coincide.
     """
 
     IDEAL = "ideal"
@@ -98,12 +100,9 @@ def comb_response(
             nu, 1.0 / comb.finesse, gamma=comb.gamma
         )
     if model is TransferModel.IDEAL:
-        if comb.gamma != 0.0:
-            raise ValueError(
-                "ideal square model has no broadening, got gamma = "
-                f"{comb.gamma!r}; set gamma = 0 or model = broadened"
-            )
-        return sus.chi_square_series(nu, 1.0 / comb.finesse, harmonics)
+        return sus.chi_square_series(
+            nu, 1.0 / comb.finesse, harmonics, gamma=comb.gamma
+        )
     return sus.epsilon_broadened(
         nu, comb.half_width, gamma=comb.gamma, pair_count=comb.pair_count
     )
@@ -256,10 +255,12 @@ def build_transfer(
 
     The values are :func:`transfer_exponent` of that response, bit for
     bit.  When the exponent's halves mirror each other (see
-    :func:`_mirror_halves`), as the finite square, Lorentzian and
-    harmonic combs' do on every grid at a positive depth, only the
-    centre, the upper half and the edge sample are exponentiated, and
-    the lower half is the conjugate of the upper.
+    :func:`_mirror_halves`), only the centre, the upper half and the
+    edge sample are exponentiated, and the lower half is the conjugate
+    of the upper.  At a positive depth every response does on grids of
+    more than 1024 samples: the square combs, finite and ideal, fill the
+    lower half of a grid with the conjugate of the upper, and the
+    Lorentzian and harmonic combs are mirrored on every grid.
 
     Raises ``ValueError`` if any sample is non-finite: one such sample
     would spread through every FFT that follows; or if any gains more

@@ -17,6 +17,10 @@ for peak optical depth ``d_p``.
 
 from __future__ import annotations
 
+import functools
+import math
+from typing import Callable
+
 import numpy as np
 
 from .combs import odd_peak_centers
@@ -52,53 +56,80 @@ def chi_square_series(
     nu: np.ndarray | float,
     inv_finesse: float,
     harmonics: int | None = 2000,
+    *,
+    gamma: float = 0.0,
 ) -> np.ndarray:
-    """Response of the infinite (periodic) square comb.
+    """Response of the infinite (periodic) square comb, optionally broadened.
 
-    With ``harmonics`` a positive integer the cosine series for the
-    absorption and its conjugate sine series for the dispersion are
-    summed to that order; truncation shows the usual ringing at tooth
-    edges.  With ``harmonics=None`` the series is resummed in closed
-    form: the absorption, rounded to the nearest half, is then exactly
-    0 or 1 (a sample on a tooth edge reads 0, 1/2 or 1, as the rounding
-    of its phase falls) and the dispersion is the exact logarithmic
-    profile, divergent at edges.
+    Broadening each tooth by a Lorentzian of HWHM ``gamma`` damps
+    harmonic ``k`` by ``q^k`` with ``q = exp(-pi gamma)``, as for the
+    Lorentzian and harmonic combs.  With ``harmonics`` a positive
+    integer the cosine series for the absorption and its conjugate sine
+    series for the dispersion are summed to that order; truncation shows
+    the usual ringing at tooth edges.  With ``harmonics=None`` the
+    series is resummed in closed form.  For the sharp comb (``q == 1``,
+    which ``gamma`` below about 2e-17 rounds to) the absorption, rounded
+    to the nearest half, is then exactly 0 or 1 (a sample on a tooth
+    edge reads 0, 1/2 or 1, as the rounding of its phase falls) and the
+    dispersion is the exact logarithmic profile, divergent at edges; for
+    ``q < 1`` both are smooth and finite.
 
     A 1-d, ascending ``nu`` that is uniform to rounding is summed as a
     chirp-z transform, in O(L log L) time for L = N + harmonics; it
     agrees with term-by-term summation to about 1e-11.  Scalars and
-    other grids are summed term by term.
+    other grids are summed term by term.  A mirrored run of detunings,
+    such as a ``FrequencyGrid``'s, is evaluated on its upper half only
+    (see :func:`_mirrored`).
 
     Returns ``absorption + 1j * dispersion``.
     """
     if not 0.0 < inv_finesse < 1.0:
         raise ValueError(f"inv_finesse must lie in (0, 1), got {inv_finesse}")
-    nu = np.asarray(nu, dtype=float)
-    phase = np.pi * nu
-    if harmonics is None:
-        # Resummation of sum_k c_k x^k / with x on the unit circle; the
-        # branch of log never wraps because |arg| stays below pi/2.
-        x = np.exp(1j * phase)
-        alpha = np.pi * inv_finesse
-        with np.errstate(divide="ignore", invalid="ignore"):
-            onesided = inv_finesse + np.log(
-                (1.0 + x * np.exp(-1j * alpha)) / (1.0 + x * np.exp(1j * alpha))
-            ) / (1j * np.pi)
-        # The absorption is 0, 1/2 or 1 but for rounding, which would dip
-        # below zero between teeth and amplify; + 0.0 turns -0.0 into 0.0.
-        packed = np.empty(nu.shape, dtype=complex)
-        packed.real = np.round(2.0 * onesided.real) / 2.0 + 0.0
-        packed.imag = -onesided.imag
-        return packed
-    if harmonics < 1:
+    if gamma < 0.0:
+        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if harmonics is not None and harmonics < 1:
         raise ValueError(f"harmonics must be >= 1 or None, got {harmonics}")
-    weights = square_harmonic_weights(inv_finesse, harmonics)
+    nu = np.asarray(nu, dtype=float)
+    q = math.exp(-math.pi * gamma)
+    if harmonics is None:
+        evaluate = functools.partial(_square_resummed, inv_finesse=inv_finesse, q=q)
+    else:
+        damping = q ** np.arange(1, harmonics + 1)
+        weights = square_harmonic_weights(inv_finesse, harmonics) * damping
+        evaluate = functools.partial(_square_series, mean=inv_finesse, weights=weights)
+    return _mirrored(nu, evaluate, reflect_head=True)
+
+
+def _square_resummed(nu: np.ndarray, inv_finesse: float, q: float) -> np.ndarray:
+    """The resummed series ``inv_finesse + sum_k c_k q^k exp(-1j pi k nu)``."""
+    # Resummation of sum_k c_k (q x)^k with x on the unit circle; the
+    # branch of log never wraps because |arg| stays below pi/2.
+    x = q * np.exp(1j * (np.pi * nu))
+    alpha = np.pi * inv_finesse
+    with np.errstate(divide="ignore", invalid="ignore"):
+        onesided = inv_finesse + np.log(
+            (1.0 + x * np.exp(-1j * alpha)) / (1.0 + x * np.exp(1j * alpha))
+        ) / (1j * np.pi)
+    packed = np.empty(nu.shape, dtype=complex)
+    if q == 1.0:
+        # The sharp comb absorbs 0, 1/2 or 1 but for rounding, which
+        # would dip below zero between teeth and amplify; + 0.0 turns
+        # -0.0 into 0.0.
+        packed.real = np.round(2.0 * onesided.real) / 2.0 + 0.0
+    else:
+        packed.real = onesided.real
+    packed.imag = -onesided.imag
+    return packed
+
+
+def _square_series(nu: np.ndarray, mean: float, weights: np.ndarray) -> np.ndarray:
+    """``mean + sum_k weights[k - 1] exp(-1j pi k nu)``, chirp-z or term by term."""
     step = _uniform_step(nu)
     if step is not None:
-        return _series_chirp_z(nu[0], step, nu.size, inv_finesse, weights)
-    xbar = np.exp(-1j * phase)
+        return _series_chirp_z(nu[0], step, nu.size, mean, weights)
+    xbar = np.exp(-1j * (np.pi * nu))
     power = np.ones_like(xbar)
-    acc = np.full(nu.shape, inv_finesse, dtype=complex)
+    acc = np.full(nu.shape, mean, dtype=complex)
     for c_k in weights:
         power = power * xbar
         acc += c_k * power
@@ -183,16 +214,11 @@ def epsilon_broadened(
     that one wide tooth, which is evaluated instead, so the shared edges
     are finite for every ``gamma``.
 
-    The comb is symmetric about ``nu = 0``: the response at ``-nu`` is
-    the conjugate of that at ``nu``.  Detunings are evaluated in blocks
-    of at most 1024, and of at most ``2**15 // teeth`` once there are
-    more than 32 teeth, so memory does not grow with the tooth count.
-    If the flattened samples of an array of more than 1024 detunings
-    from index ``s`` (0 or 1) on mirror each other,
-    ``nu[s + j] == -nu[n - 1 - j]``, as every ``FrequencyGrid.points()``
-    does with ``s = 1``, only the upper half of that run is evaluated
-    and the lower half is filled with its conjugate, which agrees with
-    direct evaluation to rounding.  All other samples are evaluated
+    Detunings are evaluated in blocks of at most 1024, and of at most
+    ``2**15 // teeth`` once there are more than 32 teeth, so memory does
+    not grow with the tooth count.  A mirrored run of detunings, such as
+    a ``FrequencyGrid``'s, is evaluated on its upper half only (see
+    :func:`_mirrored`); the unpaired sample before it is evaluated
     directly.
 
     Returns ``absorption + 1j * dispersion``.
@@ -209,15 +235,55 @@ def epsilon_broadened(
     rows = min(_COMB_BLOCK, max(1, _COMB_PAIRS // centers.size))
     if nu.size <= rows:
         return _finite_comb(nu, delta, gamma, centers)
+
+    def blocks(x: np.ndarray) -> np.ndarray:
+        flat = x.ravel()
+        packed = np.empty(flat.size, dtype=complex)
+        for start in range(0, flat.size, rows):
+            stop = start + rows
+            packed[start:stop] = _finite_comb(flat[start:stop], delta, gamma, centers)
+        return packed.reshape(x.shape)
+
+    return _mirrored(nu, blocks, reflect_head=False)
+
+
+def _mirrored(
+    nu: np.ndarray,
+    evaluate: Callable[[np.ndarray], np.ndarray],
+    *,
+    reflect_head: bool,
+) -> np.ndarray:
+    """A response symmetric about ``nu = 0`` from ``evaluate`` on half of ``nu``.
+
+    The response at ``-nu`` is the conjugate of that at ``nu``, and
+    ``evaluate`` returns it on an array of detunings.  If the
+    flattened samples of an array of more than 1024 detunings from
+    index ``s`` (0 or 1) on mirror each other,
+    ``nu[s + j] == -nu[n - 1 - j]``, as every ``FrequencyGrid.points()``
+    does with ``s = 1``, only the upper half of that run is evaluated
+    and the lower half is filled with its conjugate, so the two halves
+    mirror each other exactly.  The unpaired sample ``nu[0]`` of a run
+    from ``s = 1`` is evaluated directly, or, with ``reflect_head``, as
+    the conjugate of the response at ``-nu[0]``, appended to the upper
+    half: on a grid that extends the upper half by one step, so a
+    uniform half stays uniform.  Without a mirrored run ``evaluate``
+    gets ``nu`` as it is.
+    """
     flat = nu.ravel()
     n = flat.size
     first, mirrored = _mirrored_run(flat) if n > _COMB_BLOCK else (0, 0)
+    if not mirrored:
+        return evaluate(nu)
+    upper = first + mirrored
     packed = np.empty(n, dtype=complex)
-    for lo, hi in ((0, first), (first + mirrored, n)):
-        for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
-            packed[start:stop] = _finite_comb(flat[start:stop], delta, gamma, centers)
-    np.conjugate(packed[n - mirrored :][::-1], out=packed[first : first + mirrored])
+    if reflect_head:
+        values = evaluate(np.concatenate((flat[upper:], -flat[:first])))
+        packed[upper:] = values[: n - upper]
+        np.conjugate(values[n - upper :], out=packed[:first])
+    else:
+        packed[:first] = evaluate(flat[:first])
+        packed[upper:] = evaluate(flat[upper:])
+    np.conjugate(packed[n - mirrored :][::-1], out=packed[first:upper])
     return packed.reshape(nu.shape)
 
 

@@ -2,7 +2,10 @@
 
 import csv
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afcsim
 from afcsim.cli import ConfigError, RunConfig, canonical_config, main, parse_config
 from afcsim.combs import CombShape
 from afcsim.propagation import TransferModel
@@ -32,6 +36,24 @@ def _write_config(tmp_path: Path, text: str) -> Path:
     path = tmp_path / "run.cfg"
     path.write_text(text)
     return path
+
+
+def _run_child(args: list[str], stdout) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, stdout buffered as by default.
+
+    Its stderr holds whatever the interpreter prints at exit as well.
+    """
+    src = str(Path(afcsim.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    path = env.get("PYTHONPATH")
+    env["PYTHONPATH"] = src + (os.pathsep + path if path else "")
+    return subprocess.run(
+        [sys.executable, "-m", "afcsim.cli", *args],
+        stdout=stdout,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
 
 
 class TestParseConfig:
@@ -212,6 +234,40 @@ class TestSubcommands:
                 assert float(row[-1]) == convert(float(row[column]))
         if command == "train":
             assert physical_rows[0][column] == physical_rows[0][-1] == ""
+
+    @pytest.mark.parametrize(
+        ("command", "extra"),
+        [
+            ("protocol", ""),
+            ("spectrum", ""),
+            (
+                "sweep",
+                "sweep_parameter = gamma\nsweep_start = 0.01\nsweep_stop = 0.02\n"
+                "sweep_steps = 3\nsweep_simulate = true\n",
+            ),
+            ("transfer", ""),
+            ("propagate", ""),
+            ("train", ""),
+            ("protocol", "simulate = false\n"),
+            ("sweep", ""),
+        ],
+        ids=[
+            "protocol",
+            "spectrum",
+            "sweep",
+            "transfer",
+            "propagate",
+            "train",
+            "protocol-closed",
+            "sweep-closed",
+        ],
+    )
+    def test_ideal_model_takes_broadening(self, tmp_path, capsys, command, extra):
+        # the ideal model is the periodic comb at the run's gamma
+        path = _write_config(tmp_path, "model = ideal\ngamma = 0.01\n" + extra)
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 0
+        assert capsys.readouterr().err == ""
+        assert len(list(tmp_path.glob("*.csv"))) == 1
 
     def test_transfer_grid_rows(self, tmp_path, capsys):
         path = _write_config(tmp_path, "samples = 1024\n")
@@ -559,29 +615,37 @@ class TestErrorPaths:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        ("command", "extra", "prefix"),
-        [
-            ("protocol", "", ""),
-            ("spectrum", "", ""),
-            (
-                "sweep",
-                "sweep_parameter = gamma\nsweep_start = 0.01\nsweep_stop = 0.02\n"
-                "sweep_steps = 3\nsweep_simulate = true\n",
-                "every sweep point failed; at gamma = 0.01: ",
-            ),
-        ],
-    )
-    def test_ideal_model_with_broadening_names_the_fix(
-        self, tmp_path, capsys, command, extra, prefix
-    ):
-        path = _write_config(tmp_path, "model = ideal\ngamma = 0.01\n" + extra)
-        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {prefix}ideal square model has no broadening, got gamma = 0.01; "
-            "set gamma = 0 or model = broadened\n"
-        )
+    @pytest.mark.parametrize("finesse", ["0.5", "0", "-1"])
+    def test_finesse_below_one_is_named(self, tmp_path, capsys, finesse):
+        # a tooth wider than the comb period
+        path = _write_config(tmp_path, f"finesse = {finesse}\n")
+        for command in ("spectrum", "protocol"):
+            assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
+            assert capsys.readouterr().err == (
+                f"error: finesse must be >= 1, got {float(finesse)}\n"
+            )
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_closed_pipe_on_stdout_exits_one(self, tmp_path):
+        # train prints its echoes before it writes its CSV
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = _run_child(["--out", str(tmp_path), "train"], write)
+        finally:
+            os.close(write)
+        assert done.returncode == 1
+        assert done.stderr == "error: cannot write to stdout: [Errno 32] Broken pipe\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exits_one(self, tmp_path):
+        with open("/dev/full", "w") as full:
+            done = _run_child(["--out", str(tmp_path), "config"], full)
+        assert done.returncode == 1
+        assert done.stderr == (
+            "error: cannot write to stdout: [Errno 28] No space left on device\n"
+        )
 
     def test_out_directory_is_created(self, tmp_path):
         nested = tmp_path / "a" / "b"

@@ -29,7 +29,11 @@ from afcsim.propagation import (
     spectrum_to_signal,
     transfer_exponent,
 )
-from afcsim.susceptibility import chi_square_exact
+from afcsim.susceptibility import (
+    chi_square_exact,
+    chi_square_series,
+    square_harmonic_weights,
+)
 from oracles import full_forward, full_transform
 
 
@@ -322,17 +326,15 @@ class TestTransfer:
 
     def test_build_transfer_matches_response(self):
         # bit for bit, whether or not the lower half is filled as the
-        # mirror of the upper: zero depth, the ideal square series and the
-        # overdamped harmonic and Lorentzian combs (gamma 300, where
-        # exp(-pi gamma) underflows) take the full exponential
+        # mirror of the upper: zero depth, the 64-sample grids and the
+        # overdamped combs (gamma 300, where exp(-pi gamma) underflows)
+        # take the full exponential
         mirrored = 0
         for samples in (64, 2**12):
             grid = FrequencyGrid(half_span=4.0, samples=samples)
             for shape, model in itertools.product(CombShape, TransferModel):
                 for gamma, d_p in itertools.product((0.0, 0.005, 300.0), (0.0, 10.0)):
                     comb = CombSpec(shape=shape, half_width=0.2, gamma=gamma)
-                    if shape is CombShape.SQUARE and model is TransferModel.IDEAL and gamma:
-                        continue
                     harmonics = 2000 if model is TransferModel.IDEAL else None
                     packed = comb_response(comb, grid.points(), model, harmonics)
                     transfer = build_transfer(comb, MediumSpec(d_p), grid, model)
@@ -423,6 +425,7 @@ class TestProbe:
 # over [-3, 3]).
 PASSIVE_MODELS = {
     "resummed square": (CombShape.SQUARE, TransferModel.IDEAL, False),
+    "broadened resummed square": (CombShape.SQUARE, TransferModel.IDEAL, True),
     "finite square": (CombShape.SQUARE, TransferModel.BROADENED, False),
     "broadened square": (CombShape.SQUARE, TransferModel.BROADENED, True),
     "lorentzian": (CombShape.LORENTZIAN, TransferModel.BROADENED, True),
@@ -478,8 +481,8 @@ class TestResponseCache:
     def test_any_key_change_is_a_miss(self, response_calls, change):
         base = dict(comb=self.COMB, grid=self.GRID, model="broadened", harmonics=2000)
         if "harmonics" in change:
-            # only the ideal model reads harmonics, and it needs gamma = 0
-            base.update(comb=replace(self.COMB, gamma=0.0), model="ideal")
+            # only the ideal model reads harmonics
+            base.update(model="ideal")
         changed = {**base, **change}
         for key in (base, changed, changed):
             build_transfer(medium=MediumSpec(10.0), **key)
@@ -509,11 +512,49 @@ class TestPassivity:
         assert np.abs(h).max() <= 1.0 + 1e-9
 
 
+class TestMirroredResponse:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(list(CombShape)),
+        model=st.sampled_from(list(TransferModel)),
+        harmonics=st.sampled_from([2000, None]),
+        gamma=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+        finesse=st.floats(1.5, 30.0),
+        pair_count=st.integers(0, 40),
+        half_span=st.floats(1.0, 60.0),
+        samples=st.sampled_from([2**11, 2**12, 2**13, 2**14]),
+    )
+    def test_every_grid_response_is_mirrored(
+        self, shape, model, harmonics, gamma, finesse, pair_count, half_span, samples
+    ):
+        # so one chirp-z zoom serves both halves of every propagated pulse
+        if shape is CombShape.HARMONIC:
+            finesse = 2.0
+        comb = CombSpec.from_finesse(
+            shape, finesse, pair_count=pair_count, gamma=gamma
+        )
+        nu = FrequencyGrid(half_span, samples).points()
+        packed = comb_response(comb, nu, model, harmonics)
+        assert propagation._mirror_halves(packed)[1] is None
+
+
 class TestCombResponseDispatch:
-    def test_ideal_square_rejects_broadening(self):
-        comb = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.01)
-        with pytest.raises(ValueError):
-            comb_response(comb, 0.0, model=TransferModel.IDEAL)
+    @pytest.mark.parametrize("gamma", [0.001, 0.01, 0.05])
+    def test_ideal_square_is_the_broadened_periodic_comb(self, gamma):
+        # the resummed comb against its cosine series, harmonic k damped by
+        # q^k: 20000 terms leave a tail below q^20000 = exp(-62.8)
+        comb = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=gamma)
+        nu = np.linspace(-3.0, 3.0, 97)
+        resummed = comb_response(comb, nu, model=TransferModel.IDEAL, harmonics=None)
+        k = np.arange(1, 20001)
+        weights = square_harmonic_weights(0.2, k.size) * np.exp(-np.pi * gamma * k)
+        series = 0.2 + np.exp(-1j * np.pi * np.outer(nu, k)) @ weights
+        assert np.abs(resummed - series).max() < 1e-12
+
+    @pytest.mark.parametrize("harmonics", [2000, None])
+    def test_ideal_square_rejects_negative_gamma(self, harmonics):
+        with pytest.raises(ValueError, match="gamma must be >= 0, got -0.01"):
+            chi_square_series(np.zeros(3), 0.2, harmonics, gamma=-0.01)
 
     def test_broadened_without_gamma_is_finite_comb(self):
         comb = CombSpec(shape=CombShape.SQUARE, half_width=0.2, pair_count=9)

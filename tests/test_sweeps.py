@@ -8,7 +8,7 @@ import pytest
 
 from afcsim import propagation
 from afcsim.combs import CombShape, CombSpec, MediumSpec
-from afcsim.propagation import FrequencyGrid, Probe, PulseSpec, TransferModel
+from afcsim.propagation import FrequencyGrid, Probe, PulseSpec
 from afcsim.protocols import recall
 from afcsim.sweeps import (
     SweepAxis,
@@ -201,15 +201,13 @@ class TestFinesseAndGammaSweeps:
         assert result.best_value == 5.0
 
     def test_all_failed_raises(self):
-        # the unbroadened square model rejects every gamma > 0
+        # 64 samples end the time window at 1.6 T, before echo 3 at every depth
         request = SweepRequest(
-            axis=SweepAxis("gamma", 0.001, 0.01, 3),
-            simulate=True,
-            model=TransferModel.IDEAL,
-            samples=2**12,
+            axis=SweepAxis("d_p", 8.0, 12.0, 3), simulate=True, samples=2**6
         )
         with pytest.raises(
-            ValueError, match="every sweep point failed; at gamma = 0.001: ideal"
+            ValueError,
+            match="every sweep point failed; at d_p = 8: time window ends at 1.6 T",
         ):
             sweep(request)
 

@@ -228,14 +228,21 @@ class TestNumericProjection:
         )
         assert np.abs(numeric.values - closed.values).max() < 1e-13
 
-    def test_square_series_rejects_broadening(self):
-        # the truncated series is unbroadened whatever the harmonic count
-        broadened = replace(SQUARE_F5, gamma=0.05)
-        for harmonics in (2000, None):
-            with pytest.raises(ValueError, match="ideal square model has no broadening"):
-                coefficients_numeric(
-                    broadened, DEPTH_10, 3, model="ideal", harmonics=harmonics
-                )
+    @pytest.mark.parametrize("harmonics", [2000, None])
+    @pytest.mark.parametrize("finesse", [4.0, 5.0, 8.0])
+    @pytest.mark.parametrize("gamma", [0.005, 0.05])
+    def test_broadened_square_series_projection_is_exact(
+        self, gamma, finesse, harmonics
+    ):
+        # broadening damps harmonic k of the periodic comb by q^k, in the
+        # series as in the closed form
+        comb = CombSpec.from_finesse(CombShape.SQUARE, finesse, gamma=gamma)
+        closed = closed_train(comb, DEPTH_10, 6)
+        numeric = coefficients_numeric(
+            comb, DEPTH_10, 6, model="ideal", harmonics=harmonics
+        )
+        assert np.abs(numeric.values - closed.values).max() < 1e-13
+        assert abs(numeric.prompt_factor - closed.prompt_factor) < 1e-13
 
     def test_rejects_bad_resolution(self):
         with pytest.raises(ValueError):
