@@ -43,7 +43,6 @@ from .protocols import (
     TimeBinQubit,
     TimeBinResult,
     recall,
-    timebin_spectrum,
     timebin_transform,
 )
 from .susceptibility import (
@@ -134,7 +133,6 @@ __all__ = [
     "signal_to_spectrum",
     "spectrum_to_signal",
     "sweep",
-    "timebin_spectrum",
     "timebin_transform",
     "square_harmonic_weights",
 ]

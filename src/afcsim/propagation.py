@@ -521,19 +521,22 @@ def echo_window(k_max: int) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class Probe:
-    """A Gaussian input pulse on a grid, read on the echo window of ``k_max``.
+    """Gaussian input pulses on a grid, read on the echo window of ``k_max``.
 
     The probe is the library's only input path: every simulated
-    intensity is divided by its ``reference``.  One probe serves every
-    transfer on its grid, such as the points of a sweep.  ``spectrum``
-    and ``reference`` are computed on first access and then kept, so a
-    run that fails before its first transform computes neither.  Nothing
-    is validated here beyond what :class:`PulseSpec` and
-    :class:`FrequencyGrid` check: a bad ``oversample`` or ``k_max`` is
-    reported by the first transform or train that reads it.
+    intensity is divided by its ``reference``.  ``pulses`` are added in
+    order into one input field: a single pulse, or the bins of a
+    time-bin state (see :meth:`afcsim.protocols.TimeBinQubit.pulses`).
+    One probe serves every transfer on its grid, such as the points of a
+    sweep.  ``spectrum`` and ``reference`` are computed on first access
+    and then kept, so a run that fails before its first transform
+    computes neither.  Nothing is validated here beyond what
+    :class:`PulseSpec` and :class:`FrequencyGrid` check: a bad
+    ``oversample`` or ``k_max`` is reported by the first transform or
+    train that reads it.
     """
 
-    pulse: PulseSpec
+    pulses: tuple[PulseSpec, ...]
     grid: FrequencyGrid
     oversample: int
     k_max: int
@@ -544,19 +547,33 @@ class Probe:
 
     @functools.cached_property
     def spectrum(self) -> np.ndarray:
-        """Input spectrum on the grid, read-only."""
-        spectrum = gaussian_spectrum(self.pulse, self.grid)
+        """Input spectrum on the grid, the sum of the pulses', read-only."""
+        first, *rest = self.pulses
+        spectrum = gaussian_spectrum(first, self.grid)
+        for pulse in rest:
+            spectrum += gaussian_spectrum(pulse, self.grid)
         spectrum.flags.writeable = False
         return spectrum
 
     @functools.cached_property
     def reference(self) -> float:
-        """Input peak intensity on the window; quoting intensities
-        relative to it cancels grid truncation."""
+        """Peak input intensity of the first pulse, within its bin;
+        quoting intensities relative to it cancels grid truncation.
+
+        A lone pulse's bin is the whole echo window.  Among several, the
+        first pulse's bin is its centre plus or minus half the distance
+        to the nearest other centre, so no other pulse's peak is read.
+        """
+        first, *rest = self.pulses
+        if rest:
+            half = 0.5 * min(abs(pulse.center - first.center) for pulse in rest)
+            lo, hi = first.center - half, first.center + half
+        else:
+            lo, hi = self.window
         incoming = spectrum_to_signal(
             self.spectrum, self.grid, self.oversample, self.window
         )
-        amplitude, _ = peak_in_window(incoming, *self.window)
+        amplitude, _ = peak_in_window(incoming, lo, hi)
         return abs(amplitude) ** 2
 
 

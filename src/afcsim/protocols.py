@@ -25,7 +25,6 @@ from .propagation import (
     TransferModel,
     build_transfer,
     extract_train,
-    gaussian_spectrum,
     propagate,
     signal_to_spectrum,
     spectrum_to_signal,
@@ -39,7 +38,6 @@ __all__ = [
     "TimeBinResult",
     "recall",
     "timebin_transform",
-    "timebin_spectrum",
 ]
 
 
@@ -77,7 +75,7 @@ class RunSpec:
         """The run's input pulse and grid, read on the echo window of ``k_max``."""
         pulse = PulseSpec(sigma=self.sigma)
         grid = FrequencyGrid.for_pulse(pulse, self.span_factor, self.samples)
-        return Probe(pulse, grid, self.oversample, self.k_max)
+        return Probe((pulse,), grid, self.oversample, self.k_max)
 
 
 @dataclass(frozen=True)
@@ -137,17 +135,18 @@ def recall(
     mismatch_phase: float = 0.0,
     simulate: bool = True,
 ) -> ProtocolResult:
-    """Store one pulse and report the first-echo recall efficiency.
+    """Store the probe's input and report the first-echo recall efficiency.
 
     The closed form is the first-echo intensity ``I1`` of the periodic
-    comb.  The simulation sends the ``probe`` pulse (``RunSpec().probe()``
-    by default) through the requested transfer model on the probe's grid,
-    computes the output only on the echo window of ``probe.k_max``,
-    reads echoes ``0 .. k_max`` with
+    comb.  The simulation sends the ``probe``'s pulses
+    (``RunSpec().probe()`` by default: one pulse) through the requested
+    transfer model on the probe's grid, computes the output only on the
+    echo window of ``probe.k_max``, reads echoes ``0 .. k_max`` with
     :func:`afcsim.propagation.extract_train` and quotes echo 1, so a
     window without an echo gives 0.  Intensities are relative to
-    ``probe.reference``, which a probe computes once for every call it
-    is passed to.
+    ``probe.reference``, the first pulse's input peak, which a probe
+    computes once for every call it is passed to.  For a time-bin state
+    (see :meth:`TimeBinQubit.pulses`) ``signal`` holds every output bin.
 
     With ``passes = 2`` the transmitted prompt, the output in
     ``[-T/2, T/2)``, is sent through the comb once more.  The echo the
@@ -201,6 +200,8 @@ class TimeBinQubit:
 
     The state is ``c1 |early> + exp(1j phi) c2 |late>``; amplitudes must
     be normalised.  ``sigma`` is the temporal decay rate of each bin.
+    :meth:`pulses` gives the state as a probe's input, so :func:`recall`
+    simulates its storage; :func:`timebin_transform` is its closed form.
     """
 
     c1: complex
@@ -233,6 +234,27 @@ class TimeBinQubit:
         if scale == 0.0:
             raise ValueError("bin amplitudes cannot both vanish")
         return cls(c1 / scale, c2 / scale, tau, phi, sigma)
+
+    def pulses(self) -> tuple[PulseSpec, PulseSpec]:
+        """The early bin at ``t = 0`` and the late bin at ``tau``, as input pulses.
+
+        Each carries its amplitude's modulus and phase; the late bin's
+        phase adds ``phi``.
+        """
+        early = PulseSpec(
+            amplitude=abs(self.c1),
+            sigma=self.sigma,
+            center=0.0,
+            phase=cmath.phase(self.c1) if self.c1 != 0 else 0.0,
+        )
+        late_phase = (cmath.phase(self.c2) if self.c2 != 0 else 0.0) + self.phi
+        late = PulseSpec(
+            amplitude=abs(self.c2),
+            sigma=self.sigma,
+            center=self.tau,
+            phase=late_phase,
+        )
+        return early, late
 
 
 @dataclass(frozen=True)
@@ -290,28 +312,3 @@ def timebin_transform(
         passes=passes,
     )
 
-
-def timebin_spectrum(qubit: TimeBinQubit, grid: FrequencyGrid) -> np.ndarray:
-    """Input spectrum of the two-bin state, for direct simulation."""
-    early = gaussian_spectrum(
-        PulseSpec(
-            amplitude=abs(qubit.c1),
-            sigma=qubit.sigma,
-            center=0.0,
-            phase=cmath.phase(qubit.c1) if qubit.c1 != 0 else 0.0,
-        ),
-        grid,
-    )
-    late_phase = (
-        cmath.phase(qubit.c2) if qubit.c2 != 0 else 0.0
-    ) + qubit.phi
-    late = gaussian_spectrum(
-        PulseSpec(
-            amplitude=abs(qubit.c2),
-            sigma=qubit.sigma,
-            center=qubit.tau,
-            phase=late_phase,
-        ),
-        grid,
-    )
-    return early + late

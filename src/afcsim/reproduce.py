@@ -13,7 +13,7 @@ runnable as ``afcsim reproduce <name>``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Sequence
@@ -22,14 +22,8 @@ import numpy as np
 
 from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, population_difference
 from .output import TRACE_HEADER, trace_columns, write_csv
-from .propagation import (
-    TransferModel,
-    build_transfer,
-    peak_in_window,
-    propagate,
-    spectrum_to_signal,
-)
-from .protocols import RunSpec, TimeBinQubit, recall, timebin_spectrum
+from .propagation import TransferModel, peak_in_window
+from .protocols import RunSpec, TimeBinQubit, recall, timebin_transform
 from .susceptibility import (
     chi_square_series,
     epsilon_broadened,
@@ -287,47 +281,70 @@ def _depth_scan_closed() -> _Result:
 
 
 def _timebin_pair() -> _Result:
+    """A two-bin state stored by :func:`recall` at one and two passes.
+
+    Each pass count is checked against :func:`timebin_transform`; the
+    tables hold the single pass.
+    """
     comb = CombSpec.from_finesse(CombShape.SQUARE, 5.0)
     medium = MediumSpec(10.0)
     qubit = TimeBinQubit(c1=0.8, c2=0.6, tau=0.4 * ECHO_DELAY, phi=0.7)
-    # the time-bin input takes the place of the probe's single pulse
-    probe = RunSpec(sigma=qubit.sigma, k_max=1, **_PIN_GRID).probe()
-    grid, oversample, window = probe.grid, probe.oversample, probe.window
-    transfer = build_transfer(
-        comb, medium, grid, TransferModel.IDEAL, harmonics=None
-    )
-    half = 0.5 * qubit.tau
-    spectrum = timebin_spectrum(qubit, grid)
     # The early input bin's peak is the reference, so c1 cancels and
     # the normalised recall compares directly with the echo efficiency.
-    incoming = spectrum_to_signal(spectrum, grid, oversample, window)
-    reference = abs(peak_in_window(incoming, -half, half)[0]) ** 2
-    signal = propagate(spectrum, transfer, oversample, window)
-    bins = {}
-    for label, center in (
-        ("prompt_early", 0.0),
-        ("prompt_late", qubit.tau),
-        ("delayed_early", ECHO_DELAY),
-        ("delayed_late", ECHO_DELAY + qubit.tau),
-    ):
-        bins[label] = peak_in_window(signal, center - half, center + half)
-    early, _ = bins["delayed_early"]
-    late, _ = bins["delayed_late"]
-    ratio = abs(early) / abs(late)
-    phase = float(np.angle(late / early))
-    recalled = abs(early) ** 2 / reference
-    closed = first_echo_intensity(comb, medium)
-    checks = (
-        Check("delayed amplitude ratio", ratio, abs(qubit.c1) / abs(qubit.c2), 1.5e-3),
-        Check("delayed relative phase", phase, qubit.phi, 1e-3),
-        Check(
-            "delayed early-bin recall vs closed form (relative)",
-            recalled / closed - 1.0,
-            0.0,
-            0.01,
-        ),
+    probe = replace(
+        RunSpec(sigma=qubit.sigma, k_max=1, **_PIN_GRID).probe(),
+        pulses=qubit.pulses(),
     )
-    trace = ("", TRACE_HEADER, trace_columns(signal, reference, -0.5, 2.0))
+    half = 0.5 * qubit.tau
+    centers = {
+        "prompt_early": 0.0,
+        "prompt_late": qubit.tau,
+        "delayed_early": ECHO_DELAY,
+        "delayed_late": ECHO_DELAY + qubit.tau,
+    }
+    checks = []
+    outputs = {}
+    for passes in (1, 2):
+        signal = recall(
+            comb,
+            medium,
+            passes=passes,
+            probe=probe,
+            model=TransferModel.IDEAL,
+            harmonics=None,
+        ).signal
+        bins = {
+            label: peak_in_window(signal, center - half, center + half)
+            for label, center in centers.items()
+        }
+        outputs[passes] = signal, bins
+        early, _ = bins["delayed_early"]
+        late, _ = bins["delayed_late"]
+        closed = timebin_transform(qubit, comb, medium, passes=passes)
+        closed_recall = abs(closed.delayed[0]) ** 2 / abs(qubit.c1) ** 2
+        prefix = "two-pass " if passes == 2 else ""
+        checks += [
+            Check(
+                f"{prefix}delayed amplitude ratio",
+                abs(early) / abs(late),
+                closed.ratio,
+                1.5e-3,
+            ),
+            Check(
+                f"{prefix}delayed relative phase",
+                float(np.angle(late / early)),
+                closed.phase,
+                1e-3,
+            ),
+            Check(
+                f"{prefix}delayed early-bin recall vs closed form (relative)",
+                abs(early) ** 2 / probe.reference / closed_recall - 1.0,
+                0.0,
+                0.01,
+            ),
+        ]
+    signal, bins = outputs[1]
+    trace = ("", TRACE_HEADER, trace_columns(signal, probe.reference, -0.5, 2.0))
     bins_table = (
         "-bins",
         ("bin", "re_amplitude", "im_amplitude", "arrival_over_T"),
@@ -471,7 +488,8 @@ TARGETS: dict[str, tuple[str, Callable[[], _Result]]] = {
         _depth_scan_closed,
     ),
     "timebin-pair": (
-        "two-bin state stored and recalled, phase and ratio preserved",
+        "two-bin state stored and recalled at one and two passes, "
+        "phase and ratio preserved",
         _timebin_pair,
     ),
     "efficiency-017": (

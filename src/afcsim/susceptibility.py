@@ -72,7 +72,7 @@ def chi_square_series(
     to the nearest half, is then exactly 0 or 1 (a sample on a tooth
     edge reads 0, 1/2 or 1, as the rounding of its phase falls) and the
     dispersion is the exact logarithmic profile, divergent at edges; for
-    ``q < 1`` both are smooth and finite.
+    ``q < 1`` both are smooth and finite, the absorption clipped at 0.
 
     A 1-d, ascending ``nu`` that is uniform to rounding is summed as a
     chirp-z transform, in O(L log L) time for L = N + harmonics; it
@@ -117,7 +117,9 @@ def _square_resummed(nu: np.ndarray, inv_finesse: float, q: float) -> np.ndarray
         # -0.0 into 0.0.
         packed.real = np.round(2.0 * onesided.real) / 2.0 + 0.0
     else:
-        packed.real = onesided.real
+        # Below gamma of about 1e-15 rounding leaves the absorption
+        # between teeth as low as -7e-17; clipped, it never amplifies.
+        packed.real = np.maximum(onesided.real, 0.0)
     packed.imag = -onesided.imag
     return packed
 

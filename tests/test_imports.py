@@ -1,5 +1,6 @@
 """Importing the package: no scipy at start-up, every public name resolves,
-and the test-only references stay out of the package.
+the test-only references stay out of the package, and input enters the
+simulation one way.
 
 scipy.integrate is imported only inside the one quadrature,
 ``train.broadened_A_coefficients``, and ``afcsim.reproduce`` only by
@@ -103,3 +104,46 @@ def test_closed_forms_do_not_import_the_simulator():
             sources.update(alias.name for alias in node.names)
     assert ".susceptibility" in sources
     assert not {".propagation", "afcsim.propagation"} & sources, sources
+
+
+def _callers(tree: ast.AST, callee: str) -> set[str]:
+    """Dotted names of the functions and methods in ``tree`` that call ``callee``.
+
+    A call at module level is attributed to ``""``.
+    """
+    found = set()
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+                if name == callee:
+                    found.add(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_probe_is_the_only_input_path():
+    # every input spectrum and input peak comes from a Probe; reproduce
+    # simulates through recall alone
+    package = Path(afcsim.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+
+    def sites(callee: str) -> set[tuple[str, str]]:
+        return {
+            (module, scope)
+            for module, tree in trees.items()
+            for scope in _callers(tree, callee)
+        }
+
+    assert {module for module, _ in sites("gaussian_spectrum")} == {"propagation"}
+    inverse = {site for site in sites("spectrum_to_signal") if site[0] != "propagation"}
+    assert inverse == {("protocols", "_second_pass")}
+    for callee in ("build_transfer", "propagate"):
+        assert "reproduce" not in {module for module, _ in sites(callee)}, callee

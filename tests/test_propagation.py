@@ -389,18 +389,18 @@ class TestProbe:
     GRID = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**10)
 
     def test_window_is_echo_window_of_k_max(self):
-        assert Probe(self.PULSE, self.GRID, 16, 5).window == echo_window(5)
+        assert Probe((self.PULSE,), self.GRID, 16, 5).window == echo_window(5)
 
     def test_builds_nothing_until_read(self, transforms):
         # a bad oversample is reported by the first transform, not here
-        probe = Probe(self.PULSE, self.GRID, oversample=3, k_max=5)
+        probe = Probe((self.PULSE,), self.GRID, oversample=3, k_max=5)
         assert "spectrum" not in vars(probe) and "reference" not in vars(probe)
         with pytest.raises(ValueError, match="oversample must be a power of two"):
             probe.reference
         assert transforms["spectrum_to_signal"] == 1
 
     def test_spectrum_is_read_only_and_kept(self):
-        probe = Probe(self.PULSE, self.GRID, 16, 5)
+        probe = Probe((self.PULSE,), self.GRID, 16, 5)
         np.testing.assert_array_equal(
             probe.spectrum, gaussian_spectrum(self.PULSE, self.GRID)
         )
@@ -408,7 +408,7 @@ class TestProbe:
         assert probe.spectrum is probe.spectrum
 
     def test_reference_is_windowed_peak_read_once(self, transforms):
-        probe = Probe(self.PULSE, self.GRID, oversample=4, k_max=3)
+        probe = Probe((self.PULSE,), self.GRID, oversample=4, k_max=3)
         for _ in range(2):
             reference = probe.reference
         assert transforms["spectrum_to_signal"] == 1
@@ -417,6 +417,25 @@ class TestProbe:
         )
         amplitude, _ = peak_in_window(incoming, *echo_window(3))
         assert reference == abs(amplitude) ** 2
+
+    @pytest.mark.parametrize(
+        "centers, bin_",
+        [((0.0, 1.2), (-0.6, 0.6)), ((0.4, 1.6, -0.4), (0.0, 0.8))],
+        ids=["two", "nearest-of-three"],
+    )
+    def test_reference_of_several_pulses_is_first_peak_within_half_the_gap(
+        self, centers, bin_
+    ):
+        # the later pulses are the larger, so only the bin keeps them out
+        pulses = tuple(
+            PulseSpec(amplitude=0.5 if i == 0 else 1.0, sigma=5.0, center=c)
+            for i, c in enumerate(centers)
+        )
+        probe = Probe(pulses, self.GRID, oversample=4, k_max=3)
+        incoming = spectrum_to_signal(probe.spectrum, self.GRID, 4, echo_window(3))
+        amplitude, _ = peak_in_window(incoming, *bin_)
+        assert probe.reference == abs(amplitude) ** 2
+        assert probe.reference == pytest.approx(0.25, abs=1e-3)
 
 
 # Exactly evaluated models: (shape, model, broadened).  The

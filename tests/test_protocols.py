@@ -25,7 +25,6 @@ from afcsim.protocols import (
     RunSpec,
     TimeBinQubit,
     recall,
-    timebin_spectrum,
     timebin_transform,
 )
 from afcsim.sweeps import golden_section_max
@@ -37,7 +36,7 @@ COMB = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005, pair_count=
 MEDIUM = MediumSpec(d_p=10.0)
 PULSE = PulseSpec(sigma=5.0)
 GRID = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**13)
-PROBE = Probe(PULSE, GRID, oversample=8, k_max=5)
+PROBE = Probe((PULSE,), GRID, oversample=8, k_max=5)
 INPUT_ENERGY = full_transform(gaussian_spectrum(PULSE, GRID), GRID, 8).energy()
 
 
@@ -76,7 +75,7 @@ class TestSinglePass:
         assert result.train.intensity(0) == pytest.approx(c0**2, rel=1e-3)
 
     def test_train_and_energy_bookkeeping(self):
-        result = recall(COMB, MEDIUM, probe=Probe(PULSE, GRID, 8, k_max=3))
+        result = recall(COMB, MEDIUM, probe=Probe((PULSE,), GRID, 8, k_max=3))
         assert [e.index for e in result.train.entries] == [0, 1, 2, 3]
         # The signal holds only the echo window.  The output energy of
         # the whole time window is Parseval's sum over the spectrum,
@@ -106,7 +105,7 @@ class TestEnergyBalance:
             comb = CombSpec(shape, pair_count=40, gamma=gamma)
         else:
             comb = CombSpec.from_finesse(shape, finesse, pair_count=40, gamma=gamma)
-        probe = Probe(PULSE, grid, oversample=4, k_max=5)
+        probe = Probe((PULSE,), grid, oversample=4, k_max=5)
         result = recall(comb, MediumSpec(d_p), passes=1, probe=probe)
         spectrum = gaussian_spectrum(PULSE, grid)
         incoming = grid.spacing / (2.0 * math.pi) * float(np.sum(np.abs(spectrum) ** 2))
@@ -141,7 +140,7 @@ def test_first_echo_at_run_defaults_matches_closed_form(model, shape, gamma):
 class TestRecallChecks:
     @pytest.mark.parametrize("passes", [1, 2])
     def test_simulation_needs_first_echo(self, passes):
-        probe = Probe(PULSE, GRID, 8, k_max=0)
+        probe = Probe((PULSE,), GRID, 8, k_max=0)
         with pytest.raises(ValueError, match="k_max must be >= 1 .* got 0"):
             recall(COMB, MEDIUM, passes=passes, probe=probe)
         # the closed form reads no train
@@ -154,7 +153,7 @@ class TestRecallChecks:
         # inside the prompt window the second pass recycles
         grid = FrequencyGrid.for_pulse(PULSE, span_factor=4.0, samples=64)
         with pytest.raises(ValueError, match="ends at 1.6 T, too short for echo"):
-            recall(COMB, MEDIUM, passes=passes, probe=Probe(PULSE, grid, 16, k_max=8))
+            recall(COMB, MEDIUM, passes=passes, probe=Probe((PULSE,), grid, 16, k_max=8))
 
 
 @functools.lru_cache(maxsize=None)
@@ -165,7 +164,7 @@ def _unit_recall(passes):
 def _linear_recall(passes, pulse):
     grid = FrequencyGrid.for_pulse(pulse, span_factor=6.0, samples=2**12)
     return recall(
-        COMB, MEDIUM, passes=passes, probe=Probe(pulse, grid, oversample=4, k_max=3)
+        COMB, MEDIUM, passes=passes, probe=Probe((pulse,), grid, oversample=4, k_max=3)
     ).train
 
 
@@ -220,7 +219,7 @@ class TestTwoPass:
         )
         grid = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**15)
         result = recall(
-            comb, MediumSpec(d_p), passes=2, probe=Probe(PULSE, grid, 16, k_max=5)
+            comb, MediumSpec(d_p), passes=2, probe=Probe((PULSE,), grid, 16, k_max=5)
         )
         incoming = full_transform(gaussian_spectrum(PULSE, grid), grid, 16).energy()
         half = 0.5 * ECHO_DELAY
@@ -251,7 +250,7 @@ class TestTwoPass:
             MediumSpec(d_p=0.0),
             passes=2,
             probe=Probe(
-                pulse,
+                (pulse,),
                 FrequencyGrid.for_pulse(pulse, span_factor=4.0, samples=4096),
                 oversample=8,
                 k_max=5,
@@ -447,12 +446,13 @@ class TestTimeBinSpectrum:
         nu = grid.points()
         base = (math.sqrt(math.pi) / 7.0) * np.exp(-(nu**2) / (4.0 * 49.0))
         expected = 0.8 * base + 0.6 * base * np.exp(1j * (0.7 + nu * 1.2))
-        np.testing.assert_allclose(timebin_spectrum(qubit, grid), expected, atol=1e-14)
+        spectrum = Probe(qubit.pulses(), grid, 4, k_max=1).spectrum
+        np.testing.assert_allclose(spectrum, expected, atol=1e-14)
 
     def test_bins_appear_at_their_delays(self):
         qubit = TimeBinQubit(c1=0.8, c2=0.6, tau=1.2, phi=0.7, sigma=7.0)
         grid = FrequencyGrid(half_span=70.0, samples=2**12)
-        spectrum = timebin_spectrum(qubit, grid)
+        spectrum = Probe(qubit.pulses(), grid, 4, k_max=1).spectrum
         signal = spectrum_to_signal(spectrum, grid, 4, (-0.5, 1.7))
         early, t_early = peak_in_window(signal, -0.5, 0.5)
         late, t_late = peak_in_window(signal, 0.7, 1.7)
@@ -472,4 +472,5 @@ class TestTimeBinSpectrum:
         expected = 0.8 * base * np.exp(0.2j) + 0.6 * base * np.exp(
             1j * (0.5 - 0.1 + nu * 1.0)
         )
-        np.testing.assert_allclose(timebin_spectrum(qubit, grid), expected, atol=1e-14)
+        spectrum = Probe(qubit.pulses(), grid, 4, k_max=1).spectrum
+        np.testing.assert_allclose(spectrum, expected, atol=1e-14)

@@ -77,6 +77,17 @@ class TestSquareSeries:
         assert set(np.unique(packed.real)) <= {0.0, 0.5, 1.0}
         assert not np.signbit(packed.real).any()
 
+    @pytest.mark.parametrize("finesse", [1.5, 2.0, 5.0, 9.89, 50.0])
+    @pytest.mark.parametrize("gamma", [1e-16, 5e-16, 1e-15])
+    def test_barely_broadened_resummed_absorption_is_not_negative(
+        self, gamma, finesse
+    ):
+        # q rounds below 1 here but the teeth are still sharp to
+        # rounding: unclipped, the absorption dips to about -7e-17
+        nu = RunSpec().probe().grid.points()
+        packed = chi_square_series(nu, 1.0 / finesse, harmonics=None, gamma=gamma)
+        assert packed.real.min() >= 0.0
+
     def test_resummed_window_centre_is_transparent(self):
         packed = chi_square_series(np.array([0.0, 2.0]), 0.2, harmonics=None)
         assert np.abs(packed.real).max() < 1e-12

@@ -276,7 +276,7 @@ class TestSimulatedSweep:
                 comb,
                 MediumSpec(row.value),
                 # the sweep reads echoes up to min(k_max, 3)
-                probe=Probe(pulse, grid, request.oversample, result.request.k_max),
+                probe=Probe((pulse,), grid, request.oversample, result.request.k_max),
             )
             assert row.status == "ok"
             assert row.efficiency == fresh.simulated_efficiency
@@ -323,7 +323,7 @@ class TestSweepProbe:
                 MediumSpec(params["d_p"]),
                 passes=2 if kind is SweepKind.TWO_PASS else 1,
                 # the sweep reads echoes up to min(k_max, 3)
-                probe=Probe(pulse, grid, request.oversample, result.request.k_max),
+                probe=Probe((pulse,), grid, request.oversample, result.request.k_max),
                 model=request.model,
                 harmonics=request.harmonics,
             )
