@@ -41,9 +41,7 @@ from .protocols import (
     ProtocolResult,
     RunSpec,
     TimeBinQubit,
-    TimeBinResult,
     recall,
-    timebin_transform,
 )
 from .susceptibility import (
     chi_square_exact,
@@ -98,7 +96,6 @@ __all__ = [
     "SweepResult",
     "SweepRow",
     "TimeBinQubit",
-    "TimeBinResult",
     "TimeSignal",
     "TrainCoefficients",
     "TransferFunction",
@@ -133,6 +130,5 @@ __all__ = [
     "signal_to_spectrum",
     "spectrum_to_signal",
     "sweep",
-    "timebin_transform",
     "square_harmonic_weights",
 ]

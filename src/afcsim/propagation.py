@@ -164,8 +164,10 @@ class PulseSpec:
     phase: float = 0.0
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.sigma):
-            raise ValueError(f"sigma must be finite, got {self.sigma}")
+        for name in ("amplitude", "sigma", "center", "phase"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.sigma <= 0.0:
             raise ValueError(f"sigma must be positive, got {self.sigma}")
         if not 1.0 / _SQUARE_SAFE <= self.sigma <= _SQUARE_SAFE:
@@ -530,8 +532,9 @@ class Probe:
     One probe serves every transfer on its grid, such as the points of a
     sweep.  ``spectrum`` and ``reference`` are computed on first access
     and then kept, so a run that fails before its first transform
-    computes neither.  Nothing is validated here beyond what
-    :class:`PulseSpec` and :class:`FrequencyGrid` check: a bad
+    computes neither.  Only ``pulses`` is checked here, so that
+    ``reference`` is a peak: there is at least one pulse, the first has
+    a nonzero amplitude and no later one shares its centre.  A bad
     ``oversample`` or ``k_max`` is reported by the first transform or
     train that reads it.
     """
@@ -540,6 +543,21 @@ class Probe:
     grid: FrequencyGrid
     oversample: int
     k_max: int
+
+    def __post_init__(self) -> None:
+        if not self.pulses:
+            raise ValueError("pulses must hold at least one pulse")
+        first, *rest = self.pulses
+        if first.amplitude == 0.0:
+            raise ValueError(
+                "pulses: the first pulse's amplitude must be nonzero, "
+                "its peak is the reference"
+            )
+        if any(pulse.center == first.center for pulse in rest):
+            raise ValueError(
+                f"pulses: a later pulse shares the first pulse's centre "
+                f"{first.center}, leaving the reference no bin"
+            )
 
     @property
     def window(self) -> tuple[float, float]:

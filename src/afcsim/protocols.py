@@ -35,9 +35,7 @@ __all__ = [
     "ProtocolResult",
     "RunSpec",
     "TimeBinQubit",
-    "TimeBinResult",
     "recall",
-    "timebin_transform",
 ]
 
 
@@ -146,7 +144,10 @@ def recall(
     window without an echo gives 0.  Intensities are relative to
     ``probe.reference``, the first pulse's input peak, which a probe
     computes once for every call it is passed to.  For a time-bin state
-    (see :meth:`TimeBinQubit.pulses`) ``signal`` holds every output bin.
+    (see :meth:`TimeBinQubit.pulses`) ``signal`` holds every output bin;
+    both bins see the same comb, so in closed form the delayed pair is
+    the input pair times one scalar of squared modulus
+    ``closed_efficiency``, keeping the input's ratio and relative phase.
 
     With ``passes = 2`` the transmitted prompt, the output in
     ``[-T/2, T/2)``, is sent through the comb once more.  The echo the
@@ -201,7 +202,7 @@ class TimeBinQubit:
     The state is ``c1 |early> + exp(1j phi) c2 |late>``; amplitudes must
     be normalised.  ``sigma`` is the temporal decay rate of each bin.
     :meth:`pulses` gives the state as a probe's input, so :func:`recall`
-    simulates its storage; :func:`timebin_transform` is its closed form.
+    stores it like any pulse and states its closed form.
     """
 
     c1: complex
@@ -220,20 +221,6 @@ class TimeBinQubit:
                 raise ValueError(f"{name} must be finite, got {value}")
             if value <= 0.0 and name != "phi":
                 raise ValueError(f"{name} must be positive, got {value}")
-
-    @classmethod
-    def normalized(
-        cls,
-        c1: complex,
-        c2: complex,
-        tau: float,
-        phi: float = 0.0,
-        sigma: float = 7.0,
-    ) -> "TimeBinQubit":
-        scale = math.sqrt(abs(c1) ** 2 + abs(c2) ** 2)
-        if scale == 0.0:
-            raise ValueError("bin amplitudes cannot both vanish")
-        return cls(c1 / scale, c2 / scale, tau, phi, sigma)
 
     def pulses(self) -> tuple[PulseSpec, PulseSpec]:
         """The early bin at ``t = 0`` and the late bin at ``tau``, as input pulses.
@@ -255,60 +242,3 @@ class TimeBinQubit:
             phase=late_phase,
         )
         return early, late
-
-
-@dataclass(frozen=True)
-class TimeBinResult:
-    """Amplitudes of the four output bins and delayed-pair diagnostics."""
-
-    prompt: tuple[complex, complex]
-    delayed: tuple[complex, complex]
-    phase: float
-    ratio: float
-    probabilities: tuple[float, float]
-    efficiency: float
-    passes: int
-
-
-def timebin_transform(
-    qubit: TimeBinQubit,
-    comb: CombSpec,
-    medium: MediumSpec,
-    *,
-    passes: int = 1,
-) -> TimeBinResult:
-    """Map a two-bin state through the storage protocol, in closed form.
-
-    Both bins see the same comb, so the delayed pair keeps the input
-    amplitude ratio and relative phase exactly; the protocol changes
-    only the overall recalled fraction (``C1^2``, or
-    ``C1^2 (1 + C0)^2`` when the prompt is recycled in a second pass;
-    like :func:`recall` with two passes, that factor exceeds 1 for square
-    teeth above ``F = 6.2561`` near the optimal depth).
-    """
-    if passes not in (1, 2):
-        raise ValueError(f"passes must be 1 or 2, got {passes}")
-    c0 = prompt_attenuation(comb, medium)
-    echo = math.sqrt(first_echo_intensity(comb, medium))
-    factor = echo if passes == 1 else echo * (1.0 + c0)
-    early = complex(qubit.c1)
-    late = complex(qubit.c2) * cmath.exp(1j * qubit.phi)
-    delayed = (early * factor, late * factor)
-    total = abs(delayed[0]) ** 2 + abs(delayed[1]) ** 2
-    phase = cmath.phase(delayed[1] / delayed[0]) if delayed[0] != 0 else qubit.phi
-    ratio = (
-        abs(delayed[0] / delayed[1]) if delayed[1] != 0 else math.inf
-    )
-    return TimeBinResult(
-        prompt=(early * c0**passes, late * c0**passes),
-        delayed=delayed,
-        phase=phase,
-        ratio=ratio,
-        probabilities=(
-            abs(delayed[0]) ** 2 / total,
-            abs(delayed[1]) ** 2 / total,
-        ),
-        efficiency=total,
-        passes=passes,
-    )
-

@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_ITERATIONS = 200
 
 
 def golden_section_max(
@@ -35,7 +36,6 @@ def golden_section_max(
     hi: float,
     *,
     tol: float = 1e-6,
-    max_iter: int = 200,
 ) -> tuple[float, float]:
     """Maximise a unimodal function on ``[lo, hi]``.
 
@@ -48,7 +48,7 @@ def golden_section_max(
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(max_iter):
+    for _ in range(_GOLDEN_ITERATIONS):
         if b - a <= tol * max(1.0, abs(a) + abs(b)):
             break
         if fc >= fd:

@@ -310,8 +310,9 @@ def test_criterion_8_physicality():
             float(np.abs(rotated - np.exp(0.7j) * base).max()) <= 1e-13,
         )
     )
-    # a two-bin state simulated at one and two passes keeps the ratio
-    # and phase of the closed form: the timebin-pair target's checks
+    # a two-bin state simulated at one and two passes keeps its input
+    # ratio and phase, as the closed form's one scalar factor does: the
+    # timebin-pair target's checks
     timebin, _ = TARGETS["timebin-pair"][1]()
     for name, label in (("ratio", "amplitude ratio"), ("phase", "relative phase")):
         found = [c for c in timebin if c.label.endswith(f"delayed {label}")]

@@ -1,6 +1,6 @@
 """Importing the package: no scipy at start-up, every public name resolves,
-the test-only references stay out of the package, and input enters the
-simulation one way.
+the test-only references stay out of the package, input enters the
+simulation one way, and the two-pass law has one closed form.
 
 scipy.integrate is imported only inside the one quadrature,
 ``train.broadened_A_coefficients``, and ``afcsim.reproduce`` only by
@@ -147,3 +147,16 @@ def test_probe_is_the_only_input_path():
     assert inverse == {("protocols", "_second_pass")}
     for callee in ("build_transfer", "propagate"):
         assert "reproduce" not in {module for module, _ in sites(callee)}, callee
+
+
+def test_two_pass_law_is_written_once():
+    # recall is the only closed form of the recycled prompt's (1 + C0);
+    # train.py defines C0 and builds its own closed forms on it
+    package = Path(afcsim.__file__).parent
+    callers = {
+        (path.stem, scope)
+        for path in package.glob("*.py")
+        if path.stem != "train"
+        for scope in _callers(ast.parse(path.read_text()), "prompt_attenuation")
+    }
+    assert callers == {("protocols", "recall")}

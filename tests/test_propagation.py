@@ -437,6 +437,35 @@ class TestProbe:
         assert probe.reference == abs(amplitude) ** 2
         assert probe.reference == pytest.approx(0.25, abs=1e-3)
 
+    @pytest.mark.parametrize("field", ["amplitude", "center", "phase"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_pulse_rejects_non_finite_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite, got {value}$"):
+            PulseSpec(sigma=5.0, **{field: value})
+
+    def test_rejects_no_pulses(self):
+        with pytest.raises(ValueError, match="^pulses must hold at least one pulse$"):
+            Probe((), self.GRID, 4, 3)
+
+    def test_rejects_silent_first_pulse(self):
+        # its peak would be ringing, the reference of every intensity
+        silent = PulseSpec(amplitude=0.0, sigma=5.0)
+        late = PulseSpec(sigma=5.0, center=1.2)
+        with pytest.raises(ValueError, match="^pulses: the first pulse's amplitude"):
+            Probe((silent, late), self.GRID, 4, 3)
+
+    def test_rejects_later_pulse_at_first_centre(self):
+        # the first pulse's bin would be empty
+        pulses = (
+            PulseSpec(sigma=5.0, center=0.4),
+            PulseSpec(sigma=5.0, center=1.2),
+            PulseSpec(amplitude=0.5, sigma=5.0, center=0.4),
+        )
+        with pytest.raises(ValueError, match="^pulses: a later pulse shares"):
+            Probe(pulses, self.GRID, 4, 3)
+        with pytest.raises(ValueError, match="^pulses: a later pulse shares"):
+            replace(Probe(pulses[:2], self.GRID, 4, 3), pulses=pulses)
+
 
 # Exactly evaluated models: (shape, model, broadened).  The
 # truncated series is left out: its Gibbs undershoot is a negative

@@ -21,12 +21,7 @@ from afcsim.propagation import (
     peak_in_window,
     spectrum_to_signal,
 )
-from afcsim.protocols import (
-    RunSpec,
-    TimeBinQubit,
-    recall,
-    timebin_transform,
-)
+from afcsim.protocols import RunSpec, TimeBinQubit, recall
 from afcsim.sweeps import golden_section_max
 from afcsim.train import first_echo_intensity, optimal_depth, prompt_attenuation
 from oracles import full_transform
@@ -187,6 +182,58 @@ class TestLinearity:
             assert (entry.arrival is None) == (ref.arrival is None)
             if ref.arrival is not None:
                 assert entry.arrival == pytest.approx(ref.arrival, rel=0, abs=1e-12)
+
+    # (shape, model, broadened): gamma > 0 keeps the finite square's
+    # sharp edges off the samples
+    SUPERPOSED = {
+        "finite square": (CombShape.SQUARE, TransferModel.BROADENED, True),
+        "resummed square": (CombShape.SQUARE, TransferModel.IDEAL, False),
+        "lorentzian": (CombShape.LORENTZIAN, TransferModel.BROADENED, True),
+        "harmonic": (CombShape.HARMONIC, TransferModel.BROADENED, True),
+    }
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(SUPERPOSED)),
+        finesse=st.floats(1.5, 20.0),
+        gamma=st.floats(1e-3, 0.05),
+        d_p=st.floats(0.5, 30.0),
+        passes=st.sampled_from([1, 2]),
+        a1=st.floats(0.1, 10.0),
+        a2=st.floats(0.1, 10.0),
+        center=st.floats(0.3, 2.0),
+        phase=st.floats(-math.pi, math.pi),
+    )
+    def test_different_pulses_superpose(
+        self, name, finesse, gamma, d_p, passes, a1, a2, center, phase
+    ):
+        # the mirror-symmetric pulse alone takes one chirp-z zoom, the
+        # other pulse and the pair take two
+        shape, model, broadened = self.SUPERPOSED[name]
+        comb = CombSpec(
+            shape=shape,
+            half_width=1.0 / finesse,
+            pair_count=40,
+            gamma=gamma if broadened else 0.0,
+        )
+        grid = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**12)
+        symmetric = PulseSpec(amplitude=a1, sigma=5.0)
+        shifted = PulseSpec(amplitude=a2, sigma=5.0, center=center, phase=phase)
+
+        def output(*pulses):
+            probe = Probe(pulses, grid, oversample=4, k_max=3)
+            return recall(
+                comb,
+                MediumSpec(d_p),
+                passes=passes,
+                probe=probe,
+                model=model,
+                harmonics=None,
+            ).signal.values
+
+        pair = output(symmetric, shifted)
+        alone = output(symmetric) + output(shifted)
+        assert np.abs(pair - alone).max() <= 1e-12 * np.abs(pair).max()
 
 
 class TestTwoPass:
@@ -380,63 +427,6 @@ class TestTimeBinQubit:
     @pytest.mark.parametrize("phi", [-math.pi, 0.0, 7.0])
     def test_accepts_any_finite_phi(self, phi):
         assert TimeBinQubit(c1=1.0, c2=0.0, tau=0.5, phi=phi).phi == phi
-
-    def test_normalized_scales_amplitudes(self):
-        qubit = TimeBinQubit.normalized(3.0, 4.0, tau=0.5)
-        assert abs(qubit.c1) == pytest.approx(0.6)
-        assert abs(qubit.c2) == pytest.approx(0.8)
-
-    def test_normalized_rejects_null_state(self):
-        with pytest.raises(ValueError):
-            TimeBinQubit.normalized(0.0, 0.0, tau=0.5)
-
-
-class TestTimeBinTransform:
-    QUBIT = TimeBinQubit(c1=0.8, c2=0.6, tau=0.4 * math.pi, phi=0.7)
-
-    def test_single_pass_preserves_state(self):
-        result = timebin_transform(self.QUBIT, COMB, MEDIUM, passes=1)
-        assert result.ratio == pytest.approx(0.8 / 0.6, rel=1e-15)
-        assert result.phase == pytest.approx(0.7, abs=1e-15)
-        assert result.probabilities[0] == pytest.approx(0.64, rel=1e-15)
-        assert result.probabilities[1] == pytest.approx(0.36, rel=1e-15)
-        assert result.efficiency == pytest.approx(
-            first_echo_intensity(COMB, MEDIUM), rel=1e-15
-        )
-        assert result.passes == 1
-
-    def test_prompt_carries_leakage(self):
-        c0 = prompt_attenuation(COMB, MEDIUM)
-        one = timebin_transform(self.QUBIT, COMB, MEDIUM, passes=1)
-        two = timebin_transform(self.QUBIT, COMB, MEDIUM, passes=2)
-        assert one.prompt[0] == pytest.approx(0.8 * c0)
-        assert two.prompt[0] == pytest.approx(0.8 * c0**2)
-        assert one.prompt[1] == pytest.approx(0.6 * cmath.exp(0.7j) * c0)
-
-    def test_second_pass_boosts_efficiency(self):
-        c0 = prompt_attenuation(COMB, MEDIUM)
-        one = timebin_transform(self.QUBIT, COMB, MEDIUM, passes=1)
-        two = timebin_transform(self.QUBIT, COMB, MEDIUM, passes=2)
-        assert two.efficiency == pytest.approx(
-            one.efficiency * (1.0 + c0) ** 2, rel=1e-14
-        )
-        assert two.phase == pytest.approx(one.phase, abs=1e-15)
-        assert two.ratio == pytest.approx(one.ratio, rel=1e-15)
-
-    def test_degenerate_bins(self):
-        early_only = timebin_transform(
-            TimeBinQubit(c1=1.0, c2=0.0, tau=0.5), COMB, MEDIUM
-        )
-        assert early_only.ratio == math.inf
-        late_only = timebin_transform(
-            TimeBinQubit(c1=0.0, c2=1.0, tau=0.5, phi=0.3), COMB, MEDIUM
-        )
-        assert late_only.ratio == 0.0
-        assert late_only.phase == pytest.approx(0.3)
-
-    def test_rejects_bad_pass_count(self):
-        with pytest.raises(ValueError):
-            timebin_transform(self.QUBIT, COMB, MEDIUM, passes=3)
 
 
 class TestTimeBinSpectrum:
