@@ -9,6 +9,10 @@ its pinned checks.
 Configuration is a flat ``key = value`` file; ``afcsim config`` prints
 the canonical form of the resolved configuration (defaults merged with
 the ``--config`` file), which parses back to the same settings.
+
+``train``, ``propagate`` and ``protocol`` each read one
+:func:`afcsim.protocols.recall` of the resolved configuration, and a
+simulated ``sweep`` one at each point.
 """
 
 from __future__ import annotations
@@ -25,16 +29,7 @@ import numpy as np
 
 from .combs import ECHO_DELAY, CombShape, MediumSpec, UnitScale
 from .output import TRACE_HEADER, format_value, trace_columns, write_csv
-from .propagation import (
-    Probe,
-    TransferFunction,
-    TransferModel,
-    build_transfer,
-    check_time_window,
-    comb_response,
-    extract_train,
-    propagate,
-)
+from .propagation import TransferModel, build_transfer, check_time_window, comb_response
 from .protocols import RunSpec, recall
 from .sweeps import SweepAxis, SweepKind, SweepRequest, sweep
 from .train import closed_train
@@ -231,40 +226,29 @@ def cmd_spectrum(
     return 0
 
 
-def _transfer(config: RunConfig) -> tuple[TransferFunction, Probe]:
-    """The run's transfer on its probe's grid; a bad setting is named here."""
-    comb, medium, probe = config.comb(), MediumSpec(config.d_p), config.probe()
-    transfer = build_transfer(comb, medium, probe.grid, config.model, config.harmonics)
-    return transfer, probe
-
-
 def cmd_transfer(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
-    transfer, _ = _transfer(config)
+    comb, medium, grid = config.comb(), MediumSpec(config.d_p), config.probe().grid
+    transfer = build_transfer(comb, medium, grid, config.model, config.harmonics)
     values = transfer.values
     _write(
         out_dir / "transfer.csv",
         ("nu_over_nu0", "re", "im", "magnitude"),
-        (transfer.grid.points(), values.real, values.imag, np.abs(values)),
+        (grid.points(), values.real, values.imag, np.abs(values)),
         scale,
     )
     return 0
 
 
-def _propagated(config: RunConfig):
-    transfer, probe = _transfer(config)
-    reference = probe.reference
-    signal = propagate(probe.spectrum, transfer, probe.oversample, probe.window)
-    return signal, reference
-
-
 def cmd_propagate(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
-    signal, reference = _propagated(config)
-    check_time_window(signal, config.k_max, trace=True)
-    columns = trace_columns(signal, reference, -1.0, config.k_max + 1.0)
+    result = recall(config)
+    check_time_window(result.signal, config.k_max, trace=True)
+    columns = trace_columns(
+        result.signal, result.train.reference_intensity, -1.0, config.k_max + 1.0
+    )
     _write(out_dir / "trace.csv", TRACE_HEADER, columns, scale)
     return 0
 
@@ -292,8 +276,7 @@ def _warn_above_unity(efficiency: float) -> None:
 
 
 def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
-    signal, reference = _propagated(config)
-    train = extract_train(signal, config.k_max, reference_intensity=reference)
+    train = recall(config).train
     closed = closed_train(config.comb(), MediumSpec(config.d_p), config.k_max)
     header = ("k", "intensity", "closed_intensity", "rel_error", "arrival_over_T")
     rows = []
@@ -315,12 +298,8 @@ def cmd_protocol(
     config: RunConfig, out_dir: Path, scale: UnitScale | None
 ) -> int:
     result = recall(
-        config.comb(),
-        MediumSpec(config.d_p),
+        config,
         passes=config.passes,
-        probe=config.probe(),
-        model=config.model,
-        harmonics=config.harmonics,
         mismatch_time=config.mismatch_time,
         mismatch_phase=config.mismatch_phase,
         simulate=config.simulate,

@@ -22,7 +22,6 @@ from .propagation import (
     PulseTrain,
     TimeSignal,
     TransferFunction,
-    TransferModel,
     build_transfer,
     extract_train,
     propagate,
@@ -43,9 +42,11 @@ __all__ = [
 class RunSpec:
     """One run's comb, depth, probe and response model.
 
-    Defaults describe the reference setup: a square comb of finesse 5
-    at depth 10, probed by a Gaussian pulse of spectral scale five
-    tooth spacings on a 2^14-point grid spanning four of those scales.
+    :func:`recall` takes it: every simulated run of the CLI, the sweeps
+    and the reproduce targets is one call.  Defaults describe the
+    reference setup: a square comb of finesse 5 at depth 10, probed by
+    a Gaussian pulse of spectral scale five tooth spacings on a
+    2^14-point grid spanning four of those scales.
     ``shape`` and ``model`` take a :class:`CombShape` or
     :class:`TransferModel` or their string values.  Nothing is checked
     here: :meth:`comb` and :meth:`probe` name a bad setting.
@@ -122,29 +123,30 @@ def _second_pass(
 
 
 def recall(
-    comb: CombSpec,
-    medium: MediumSpec,
+    spec: RunSpec,
     *,
     passes: int = 1,
     probe: Probe | None = None,
-    model: TransferModel = TransferModel.BROADENED,
-    harmonics: int | None = 2000,
     mismatch_time: float = 0.0,
     mismatch_phase: float = 0.0,
     simulate: bool = True,
 ) -> ProtocolResult:
-    """Store the probe's input and report the first-echo recall efficiency.
+    """Store the run's input and report the first-echo recall efficiency.
 
-    The closed form is the first-echo intensity ``I1`` of the periodic
-    comb.  The simulation sends the ``probe``'s pulses
-    (``RunSpec().probe()`` by default: one pulse) through the requested
-    transfer model on the probe's grid, computes the output only on the
-    echo window of ``probe.k_max``, reads echoes ``0 .. k_max`` with
+    ``spec`` gives the comb, the depth ``d_p``, the transfer model and
+    its harmonic count.  The closed form is the first-echo intensity
+    ``I1`` of the periodic comb.  The simulation sends the ``probe``'s
+    pulses (``spec.probe()`` by default) through the transfer on the
+    probe's grid, computes the output only on the echo window of
+    ``probe.k_max``, reads echoes ``0 .. k_max`` with
     :func:`afcsim.propagation.extract_train` and quotes echo 1, so a
-    window without an echo gives 0.  Intensities are relative to
-    ``probe.reference``, the first pulse's input peak, which a probe
-    computes once for every call it is passed to.  For a time-bin state
-    (see :meth:`TimeBinQubit.pulses`) ``signal`` holds every output bin;
+    window without an echo gives 0.  Pass a ``probe`` only to share one
+    across the points of a sweep or to carry a time-bin state's pulses.
+    Intensities are relative to ``probe.reference``, the peak input
+    intensity inside the first pulse's bin (for overlapping pulses, the
+    peak of their sum there), which a probe computes once for every
+    call it is passed to.  For a time-bin state (see
+    :meth:`TimeBinQubit.pulses`) ``signal`` holds every output bin;
     both bins see the same comb, so in closed form the delayed pair is
     the input pair times one scalar of squared modulus
     ``closed_efficiency``, keeping the input's ratio and relative phase.
@@ -166,17 +168,19 @@ def recall(
     """
     if passes not in (1, 2):
         raise ValueError(f"passes must be 1 or 2, got {passes}")
+    comb, medium = spec.comb(), MediumSpec(spec.d_p)
     closed = first_echo_intensity(comb, medium)
     if passes == 2:
         closed *= (1.0 + prompt_attenuation(comb, medium)) ** 2
     if not simulate:
         return ProtocolResult(closed, None, None, None)
-    probe = probe or RunSpec().probe()
+    if probe is None:
+        probe = spec.probe()
     if probe.k_max < 1:
         raise ValueError(
             f"k_max must be >= 1 to read the first echo, got {probe.k_max}"
         )
-    transfer = build_transfer(comb, medium, probe.grid, model, harmonics)
+    transfer = build_transfer(comb, medium, probe.grid, spec.model, spec.harmonics)
     reference = probe.reference
     signal = propagate(probe.spectrum, transfer, probe.oversample, probe.window)
     if passes == 2:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, population_difference
 from .output import TRACE_HEADER, trace_columns, write_csv
-from .propagation import TransferModel, peak_in_window
+from .propagation import peak_in_window
 from .protocols import RunSpec, TimeBinQubit, recall
 from .susceptibility import (
     chi_square_series,
@@ -209,24 +209,15 @@ def _echo_train(
 ) -> _Result:
     """Simulated trace plus train, checked against the closed form."""
     if gamma == 0.0:
-        comb = CombSpec.from_finesse(CombShape.SQUARE, finesse)
-        model, harmonics = TransferModel.IDEAL, None
+        settings = dict(model="ideal", harmonics=None)
     else:
         # Teeth must cover the simulation grid or the pulse wings
         # see bare line edges and the totals drift.
-        comb = CombSpec.from_finesse(
-            CombShape.SQUARE, finesse, pair_count=40, gamma=gamma
-        )
-        model, harmonics = TransferModel.BROADENED, None
-    result = recall(
-        comb,
-        MediumSpec(d_p),
-        probe=RunSpec(k_max=3, **_PIN_GRID).probe(),
-        model=model,
-        harmonics=harmonics,
-    )
+        settings = dict(pair_count=40, gamma=gamma)
+    run = RunSpec(finesse=finesse, d_p=d_p, k_max=3, **settings, **_PIN_GRID)
+    result = recall(run)
     signal, train = result.signal, result.train
-    closed = closed_train(comb, MediumSpec(d_p), 3)
+    closed = closed_train(run.comb(), MediumSpec(d_p), 3)
     checks = [
         Check(
             f"echo {k} intensity vs closed form (relative)",
@@ -290,15 +281,13 @@ def _timebin_pair() -> _Result:
     recall against the closed efficiency of the same :func:`recall`
     call.  The tables hold the single pass.
     """
-    comb = CombSpec.from_finesse(CombShape.SQUARE, 5.0)
-    medium = MediumSpec(10.0)
     qubit = TimeBinQubit(c1=0.8, c2=0.6, tau=0.4 * ECHO_DELAY, phi=0.7)
+    run = RunSpec(
+        sigma=qubit.sigma, k_max=1, model="ideal", harmonics=None, **_PIN_GRID
+    )
     # The early input bin's peak is the reference, so c1 cancels and
     # the normalised recall compares directly with the closed efficiency.
-    probe = replace(
-        RunSpec(sigma=qubit.sigma, k_max=1, **_PIN_GRID).probe(),
-        pulses=qubit.pulses(),
-    )
+    probe = replace(run.probe(), pulses=qubit.pulses())
     half = 0.5 * qubit.tau
     ratio = abs(qubit.c1) / abs(qubit.c2)
     phase = cmath.phase(qubit.c2 * cmath.exp(1j * qubit.phi) / qubit.c1)
@@ -311,14 +300,7 @@ def _timebin_pair() -> _Result:
     checks = []
     outputs = {}
     for passes in (1, 2):
-        result = recall(
-            comb,
-            medium,
-            passes=passes,
-            probe=probe,
-            model=TransferModel.IDEAL,
-            harmonics=None,
-        )
+        result = recall(run, passes=passes, probe=probe)
         signal = result.signal
         bins = {
             label: peak_in_window(signal, center - half, center + half)
@@ -367,11 +349,10 @@ def _efficiency_point(
     finesse: float, d_p: float, expected: float, tol: float, passes: int
 ) -> _Result:
     """Closed-form efficiency pin plus simulation agreement."""
-    comb = CombSpec.from_finesse(
-        CombShape.SQUARE, finesse, pair_count=40, gamma=0.005
+    run = RunSpec(
+        finesse=finesse, d_p=d_p, gamma=0.005, pair_count=40, k_max=5, **_PIN_GRID
     )
-    probe = RunSpec(k_max=5, **_PIN_GRID).probe()
-    result = recall(comb, MediumSpec(d_p), passes=passes, probe=probe)
+    result = recall(run, passes=passes)
     assert result.simulated_efficiency is not None
     checks = (
         Check("closed-form efficiency", result.closed_efficiency, expected, tol),

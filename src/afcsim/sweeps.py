@@ -89,14 +89,20 @@ class SweepAxis:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.steps < 2:
-            raise ValueError(f"steps must be >= 2, got {self.steps}")
+            raise ValueError(f"sweep_steps must be >= 2, got {self.steps}")
         if self.scale not in self.SCALES:
             choices = " or ".join(self.SCALES)
             raise ValueError(f"scale must be {choices}, got {self.scale!r}")
         if self.scale == "log" and (self.start <= 0.0 or self.stop <= 0.0):
-            raise ValueError("log scale needs positive endpoints")
+            raise ValueError(
+                "sweep_scale = log needs positive sweep_start and sweep_stop, "
+                f"got {self.start} and {self.stop}"
+            )
         if self.stop <= self.start:
-            raise ValueError("stop must exceed start")
+            raise ValueError(
+                "sweep_stop must exceed sweep_start, got "
+                f"sweep_start = {self.start} and sweep_stop = {self.stop}"
+            )
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
@@ -144,18 +150,10 @@ def _efficiency(point: SweepRequest, probe: Callable[[], Probe] | None) -> float
     for the closed form, so a closed sweep accepts any ``samples`` and
     ``span_factor``.
     """
-    comb, medium = point.comb(), MediumSpec(point.d_p)
     passes = 2 if point.kind is SweepKind.TWO_PASS else 1
     if probe is None:
-        return recall(comb, medium, passes=passes, simulate=False).closed_efficiency
-    result = recall(
-        comb,
-        medium,
-        passes=passes,
-        probe=probe(),
-        model=point.model,
-        harmonics=point.harmonics,
-    )
+        return recall(point, passes=passes, simulate=False).closed_efficiency
+    result = recall(point, passes=passes, probe=probe())
     assert result.simulated_efficiency is not None
     return result.simulated_efficiency
 

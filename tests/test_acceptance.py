@@ -6,6 +6,7 @@ line before asserting, so a red run still reports every criterion.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from afcsim.propagation import (
     spectrum_to_signal,
     transfer_exponent,
 )
-from afcsim.protocols import recall
+from afcsim.protocols import RunSpec, recall
 from afcsim.reproduce import TARGETS
 from afcsim.susceptibility import (
     chi_square_series,
@@ -141,14 +142,15 @@ def test_criterion_4_broadened_response_levels():
 def test_criterion_5_physical_units_storage():
     """A 2 MHz comb with 5 kHz linewidth stores at the pinned efficiencies."""
     scale = UnitScale(1e6)
-    comb = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005, pair_count=40)
+    run = RunSpec(gamma=0.005, pair_count=40)
     checks = [
         ("tooth period is 2 MHz", scale.frequency_hz(2.0) == 2e6),
-        ("linewidth is 5 kHz", scale.frequency_hz(comb.gamma) == 5e3),
+        ("linewidth is 5 kHz", scale.frequency_hz(run.gamma) == 5e3),
         ("echo delay is 0.5 us", scale.time_s(1.0) == 5e-7),
     ]
     for d_p, pin in ((3.0, 0.17), (10.0, 0.46)):
-        result = recall(comb, MediumSpec(d_p), probe=Probe((PULSE,), GRID, 16, k_max=5))
+        probe = Probe((PULSE,), GRID, 16, k_max=5)
+        result = recall(replace(run, d_p=d_p), probe=probe)
         checks.append(
             (
                 f"closed recall {pin} +- 0.005 at d_p={d_p:g}",
@@ -167,13 +169,11 @@ def test_criterion_5_physical_units_storage():
 def test_criterion_6_two_pass_recovery():
     """Recycling the prompt boosts recall to I1 (1 + C0)^2 at the pinned levels."""
     checks = []
-    for half_width, d_p, pin in ((0.2, 10.0, 0.86), (0.1, 20.0, 0.95)):
-        comb = CombSpec(
-            shape=CombShape.SQUARE, half_width=half_width, gamma=0.005, pair_count=40
-        )
+    for finesse, d_p, pin in ((5.0, 10.0, 0.86), (10.0, 20.0, 0.95)):
+        run = RunSpec(finesse=finesse, d_p=d_p, gamma=0.005, pair_count=40)
         probe = Probe((PULSE,), GRID, 16, k_max=5)
-        result = recall(comb, MediumSpec(d_p), passes=2, probe=probe)
-        label = f"F={comb.finesse:g} d_p={d_p:g}"
+        result = recall(run, passes=2, probe=probe)
+        label = f"F={finesse:g} d_p={d_p:g}"
         checks.append(
             (
                 f"closed efficiency {pin} +- 0.01 at {label}",
@@ -199,15 +199,9 @@ def test_criterion_7_multi_echo_trains():
         (5.0, 25.0, 2),
         (5.0, 42.0, 3),
     ):
-        comb = CombSpec(shape=CombShape.SQUARE, half_width=1.0 / finesse)
-        result = recall(
-            comb,
-            MediumSpec(d_p),
-            probe=Probe((PULSE,), GRID, 16, k_max=3),
-            model=TransferModel.IDEAL,
-            harmonics=None,
-        )
-        closed = closed_train(comb, MediumSpec(d_p), 3)
+        run = RunSpec(finesse=finesse, d_p=d_p, model="ideal", harmonics=None)
+        result = recall(run, probe=Probe((PULSE,), GRID, 16, k_max=3))
+        closed = closed_train(run.comb(), MediumSpec(d_p), 3)
         worst = max(
             abs(result.train.intensity(k) / closed.intensity(k) - 1.0)
             for k in range(4)

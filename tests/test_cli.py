@@ -357,11 +357,15 @@ class TestSubcommands:
         assert main(["--config", str(path), "--out", str(tmp_path), "protocol"]) == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("passes", [1, 2])
-    def test_protocol_needs_first_echo(self, tmp_path, capsys, passes):
+    @pytest.mark.parametrize(
+        ("command", "passes"),
+        [("protocol", 1), ("protocol", 2), ("train", 1), ("propagate", 1)],
+    )
+    def test_protocol_needs_first_echo(self, tmp_path, capsys, command, passes):
+        # train and propagate read echo 1 through the same recall
         text = FAST_SIM.replace("k_max = 3", "k_max = 0") + f"passes = {passes}\n"
         path = _write_config(tmp_path, text)
-        assert main(["--config", str(path), "--out", str(tmp_path), "protocol"]) == 1
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
         err = capsys.readouterr().err
         assert err == "error: k_max must be >= 1 to read the first echo, got 0\n"
         assert not list(tmp_path.glob("*.csv"))
@@ -579,13 +583,15 @@ class TestErrorPaths:
             assert setting in err
         assert not list(tmp_path.glob("*.csv"))
 
-    @pytest.mark.parametrize("k_max", [-1, -3])
+    @pytest.mark.parametrize("k_max", [-1, -3, 0])
     def test_negative_k_max_exits_one(self, tmp_path, capsys, k_max):
         path = _write_config(tmp_path, f"k_max = {k_max}\n")
         for command in ("propagate", "train"):
             assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
             err = capsys.readouterr().err
-            assert err == f"error: k_max must be >= 0, got {k_max}\n"
+            assert err == (
+                f"error: k_max must be >= 1 to read the first echo, got {k_max}\n"
+            )
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("k_max", [-1, 0])
@@ -596,6 +602,43 @@ class TestErrorPaths:
             f"error: k_max must be >= 1 to read the first echo, got {k_max}\n"
         )
         assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            pytest.param(
+                "sweep_steps = 1\n", "sweep_steps must be >= 2, got 1", id="steps"
+            ),
+            pytest.param(
+                "sweep_start = 5\nsweep_stop = 1\n",
+                "sweep_stop must exceed sweep_start, "
+                "got sweep_start = 5.0 and sweep_stop = 1.0",
+                id="reversed",
+            ),
+            pytest.param(
+                "sweep_scale = log\nsweep_start = 0\n",
+                "sweep_scale = log needs positive sweep_start and sweep_stop, "
+                "got 0.0 and 40.0",
+                id="log-zero",
+            ),
+        ],
+    )
+    def test_bad_sweep_axis_names_its_keys(self, tmp_path, capsys, text, message):
+        path = _write_config(tmp_path, text)
+        assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["spectrum", "protocol", "train"])
+    def test_ideal_square_comb_needs_finesse_above_one(self, tmp_path, capsys, command):
+        # teeth as wide as the period leave no comb for the ideal series
+        path = _write_config(tmp_path, "finesse = 1\nmodel = ideal\n")
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
+        assert capsys.readouterr().err == (
+            "error: finesse must exceed 1 for the ideal square comb, got 1.0; "
+            "raise finesse or use model = broadened\n"
+        )
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("command", ["train", "protocol"])
     def test_gamma_whose_square_overflows_exits_one(self, tmp_path, capsys, command):

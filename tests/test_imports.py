@@ -130,8 +130,8 @@ def _callers(tree: ast.AST, callee: str) -> set[str]:
 
 
 def test_probe_is_the_only_input_path():
-    # every input spectrum and input peak comes from a Probe; reproduce
-    # simulates through recall alone
+    # every input spectrum and input peak comes from a Probe, and recall
+    # is the one simulation pipeline: only it propagates and reads trains
     package = Path(afcsim.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
 
@@ -145,8 +145,9 @@ def test_probe_is_the_only_input_path():
     assert {module for module, _ in sites("gaussian_spectrum")} == {"propagation"}
     inverse = {site for site in sites("spectrum_to_signal") if site[0] != "propagation"}
     assert inverse == {("protocols", "_second_pass")}
-    for callee in ("build_transfer", "propagate"):
-        assert "reproduce" not in {module for module, _ in sites(callee)}, callee
+    assert sites("propagate") == sites("extract_train") == {("protocols", "recall")}
+    transfers = {("protocols", "recall"), ("cli", "cmd_transfer")}
+    assert sites("build_transfer") == transfers
 
 
 def test_two_pass_law_is_written_once():

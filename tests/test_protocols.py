@@ -4,13 +4,14 @@ import cmath
 import functools
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from afcsim.combs import ECHO_DELAY, HARMONIC_FINESSE, CombSpec, CombShape, MediumSpec
+from afcsim.combs import ECHO_DELAY, HARMONIC_FINESSE, CombShape, MediumSpec
 from afcsim.propagation import (
     FrequencyGrid,
     Probe,
@@ -27,8 +28,9 @@ from afcsim.train import first_echo_intensity, optimal_depth, prompt_attenuation
 from oracles import full_transform
 
 # forty tooth pairs cover the six-sigma grid of the default pulse
-COMB = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005, pair_count=40)
-MEDIUM = MediumSpec(d_p=10.0)
+RUN = RunSpec(gamma=0.005, pair_count=40)
+COMB = RUN.comb()
+MEDIUM = MediumSpec(RUN.d_p)
 PULSE = PulseSpec(sigma=5.0)
 GRID = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**13)
 PROBE = Probe((PULSE,), GRID, oversample=8, k_max=5)
@@ -36,11 +38,11 @@ INPUT_ENERGY = full_transform(gaussian_spectrum(PULSE, GRID), GRID, 8).energy()
 
 
 def _run_single(**kwargs):
-    return recall(COMB, MEDIUM, probe=PROBE, **kwargs)
+    return recall(RUN, probe=PROBE, **kwargs)
 
 
 def _run_two_pass(**kwargs):
-    return recall(COMB, MEDIUM, passes=2, probe=PROBE, **kwargs)
+    return recall(RUN, passes=2, probe=PROBE, **kwargs)
 
 
 def _assert_inside(signal, lo, hi):
@@ -50,7 +52,7 @@ def _assert_inside(signal, lo, hi):
 
 class TestSinglePass:
     def test_closed_form_only(self):
-        result = recall(COMB, MEDIUM, simulate=False)
+        result = recall(RUN, simulate=False)
         assert result.closed_efficiency == pytest.approx(
             first_echo_intensity(COMB, MEDIUM), rel=1e-15
         )
@@ -70,7 +72,7 @@ class TestSinglePass:
         assert result.train.intensity(0) == pytest.approx(c0**2, rel=1e-3)
 
     def test_train_and_energy_bookkeeping(self):
-        result = recall(COMB, MEDIUM, probe=Probe((PULSE,), GRID, 8, k_max=3))
+        result = recall(RUN, probe=Probe((PULSE,), GRID, 8, k_max=3))
         assert [e.index for e in result.train.entries] == [0, 1, 2, 3]
         # The signal holds only the echo window.  The output energy of
         # the whole time window is Parseval's sum over the spectrum,
@@ -97,11 +99,12 @@ class TestEnergyBalance:
         # of the output holds more than the whole input energy.
         grid = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**12)
         if shape is CombShape.HARMONIC:
-            comb = CombSpec(shape, pair_count=40, gamma=gamma)
-        else:
-            comb = CombSpec.from_finesse(shape, finesse, pair_count=40, gamma=gamma)
+            finesse = HARMONIC_FINESSE
+        run = RunSpec(
+            shape=shape.value, finesse=finesse, d_p=d_p, gamma=gamma, pair_count=40
+        )
         probe = Probe((PULSE,), grid, oversample=4, k_max=5)
-        result = recall(comb, MediumSpec(d_p), passes=1, probe=probe)
+        result = recall(run, passes=1, probe=probe)
         spectrum = gaussian_spectrum(PULSE, grid)
         incoming = grid.spacing / (2.0 * math.pi) * float(np.sum(np.abs(spectrum) ** 2))
         assert result.signal.energy() <= incoming * (1.0 + 1e-9)
@@ -122,13 +125,7 @@ def test_first_echo_at_run_defaults_matches_closed_form(model, shape, gamma):
     # each model simulates the comb that the closed form describes
     finesse = HARMONIC_FINESSE if shape is CombShape.HARMONIC else 5.0
     run = RunSpec(shape=shape.value, finesse=finesse, gamma=gamma, model=model.value)
-    result = recall(
-        run.comb(),
-        MediumSpec(run.d_p),
-        probe=run.probe(),
-        model=run.model,
-        harmonics=run.harmonics,
-    )
+    result = recall(run)
     assert abs(result.simulated_efficiency / result.closed_efficiency - 1.0) <= 0.01
 
 
@@ -137,9 +134,9 @@ class TestRecallChecks:
     def test_simulation_needs_first_echo(self, passes):
         probe = Probe((PULSE,), GRID, 8, k_max=0)
         with pytest.raises(ValueError, match="k_max must be >= 1 .* got 0"):
-            recall(COMB, MEDIUM, passes=passes, probe=probe)
+            recall(RUN, passes=passes, probe=probe)
         # the closed form reads no train
-        closed = recall(COMB, MEDIUM, passes=passes, probe=probe, simulate=False)
+        closed = recall(RUN, passes=passes, probe=probe, simulate=False)
         assert closed.closed_efficiency > 0.0
 
     @pytest.mark.parametrize("passes", [1, 2])
@@ -148,7 +145,7 @@ class TestRecallChecks:
         # inside the prompt window the second pass recycles
         grid = FrequencyGrid.for_pulse(PULSE, span_factor=4.0, samples=64)
         with pytest.raises(ValueError, match="ends at 1.6 T, too short for echo"):
-            recall(COMB, MEDIUM, passes=passes, probe=Probe((PULSE,), grid, 16, k_max=8))
+            recall(RUN, passes=passes, probe=Probe((PULSE,), grid, 16, k_max=8))
 
 
 @functools.lru_cache(maxsize=None)
@@ -159,7 +156,7 @@ def _unit_recall(passes):
 def _linear_recall(passes, pulse):
     grid = FrequencyGrid.for_pulse(pulse, span_factor=6.0, samples=2**12)
     return recall(
-        COMB, MEDIUM, passes=passes, probe=Probe((pulse,), grid, oversample=4, k_max=3)
+        RUN, passes=passes, probe=Probe((pulse,), grid, oversample=4, k_max=3)
     ).train
 
 
@@ -210,11 +207,14 @@ class TestLinearity:
         # the mirror-symmetric pulse alone takes one chirp-z zoom, the
         # other pulse and the pair take two
         shape, model, broadened = self.SUPERPOSED[name]
-        comb = CombSpec(
-            shape=shape,
-            half_width=1.0 / finesse,
-            pair_count=40,
+        run = RunSpec(
+            shape=shape.value,
+            finesse=HARMONIC_FINESSE if shape is CombShape.HARMONIC else finesse,
+            d_p=d_p,
             gamma=gamma if broadened else 0.0,
+            pair_count=40,
+            model=model.value,
+            harmonics=None,
         )
         grid = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**12)
         symmetric = PulseSpec(amplitude=a1, sigma=5.0)
@@ -222,14 +222,7 @@ class TestLinearity:
 
         def output(*pulses):
             probe = Probe(pulses, grid, oversample=4, k_max=3)
-            return recall(
-                comb,
-                MediumSpec(d_p),
-                passes=passes,
-                probe=probe,
-                model=model,
-                harmonics=None,
-            ).signal.values
+            return recall(run, passes=passes, probe=probe).signal.values
 
         pair = output(symmetric, shifted)
         alone = output(symmetric) + output(shifted)
@@ -238,7 +231,7 @@ class TestLinearity:
 
 class TestTwoPass:
     def test_closed_form_identity(self):
-        result = recall(COMB, MEDIUM, passes=2, simulate=False)
+        result = recall(RUN, passes=2, simulate=False)
         i1 = first_echo_intensity(COMB, MEDIUM)
         c0 = prompt_attenuation(COMB, MEDIUM)
         assert result.closed_efficiency == pytest.approx(i1 * (1.0 + c0) ** 2, rel=1e-15)
@@ -261,13 +254,9 @@ class TestTwoPass:
     def test_echo_window_energy_follows_closed_form(self, finesse, d_p):
         # the unit-weight sum is not passive: at finesse 20 the echo
         # window holds 1.018 times the input energy
-        comb = CombSpec.from_finesse(
-            CombShape.SQUARE, finesse, pair_count=40, gamma=0.005
-        )
+        run = replace(RUN, finesse=finesse, d_p=d_p)
         grid = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**15)
-        result = recall(
-            comb, MediumSpec(d_p), passes=2, probe=Probe((PULSE,), grid, 16, k_max=5)
-        )
+        result = recall(run, passes=2, probe=Probe((PULSE,), grid, 16, k_max=5))
         incoming = full_transform(gaussian_spectrum(PULSE, grid), grid, 16).energy()
         half = 0.5 * ECHO_DELAY
         _assert_inside(result.signal, half, 3.0 * half)
@@ -291,18 +280,8 @@ class TestTwoPass:
     def test_zero_depth_reports_no_echo(self):
         # Without a comb the recycled probe rings about 4e-6 into the
         # echo window; like extract_train, that window holds no echo.
-        pulse = PulseSpec(sigma=5.0)
-        result = recall(
-            CombSpec(shape=CombShape.SQUARE, half_width=0.2),
-            MediumSpec(d_p=0.0),
-            passes=2,
-            probe=Probe(
-                (pulse,),
-                FrequencyGrid.for_pulse(pulse, span_factor=4.0, samples=4096),
-                oversample=8,
-                k_max=5,
-            ),
-        )
+        run = RunSpec(d_p=0.0, samples=4096, oversample=8, k_max=5)
+        result = recall(run, passes=2)
         assert result.closed_efficiency == 0.0
         assert result.simulated_efficiency == 0.0
 
@@ -323,15 +302,10 @@ class TestBroadenedPeriodicComb:
     ):
         # worst gap on these draws: -6.1e-4, two-pass; the 9-pair finite
         # comb is off by up to 2.7e-2 on the same runs
-        comb = RunSpec(finesse=finesse, gamma=gamma).comb()
-        result = recall(
-            comb,
-            MediumSpec(d_p),
-            passes=passes,
-            probe=self.PROBE,
-            model=TransferModel.IDEAL,
-            harmonics=harmonics,
+        run = RunSpec(
+            finesse=finesse, d_p=d_p, gamma=gamma, model="ideal", harmonics=harmonics
         )
+        result = recall(run, passes=passes, probe=self.PROBE)
         assert result.simulated_efficiency == pytest.approx(
             result.closed_efficiency, rel=1e-3
         )
@@ -342,12 +316,9 @@ class TestTwoPassAboveUnity:
 
     @staticmethod
     def _best(finesse):
-        comb = CombSpec.from_finesse(CombShape.SQUARE, finesse)
-
         def two_pass(d_p):
-            return recall(
-                comb, MediumSpec(d_p), passes=2, simulate=False
-            ).closed_efficiency
+            run = RunSpec(finesse=finesse, d_p=d_p)
+            return recall(run, passes=2, simulate=False).closed_efficiency
 
         return golden_section_max(two_pass, 0.5 * finesse, 3.0 * finesse, tol=1e-10)
 
@@ -395,7 +366,7 @@ class TestTwoPassRouting:
         # the coupler matched to the two echoes reaches the bound
         matched = echoes / np.linalg.norm(echoes)
         assert abs(matched @ echoes) ** 2 == pytest.approx(bound, rel=1e-12)
-        two_pass = recall(COMB, medium, passes=2, simulate=False)
+        two_pass = recall(replace(RUN, d_p=d_p), passes=2, simulate=False)
         assert bound < two_pass.closed_efficiency
         assert two_pass.closed_efficiency == pytest.approx(i1 * (1.0 + c0) ** 2)
 

@@ -9,7 +9,7 @@ import pytest
 from afcsim import propagation
 from afcsim.combs import CombShape, CombSpec, MediumSpec
 from afcsim.propagation import FrequencyGrid, Probe, PulseSpec
-from afcsim.protocols import recall
+from afcsim.protocols import RunSpec, recall
 from afcsim.sweeps import (
     SweepAxis,
     SweepKind,
@@ -267,14 +267,10 @@ class TestSimulatedSweep:
         # each point on its own, from a fresh response, gives the same bits
         pulse = PulseSpec(sigma=request.sigma)
         grid = FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples)
-        comb = CombSpec.from_finesse(
-            request.shape, request.finesse, pair_count=40, gamma=0.005
-        )
         for row in rows:
             propagation._grid_response.cache_clear()
             fresh = recall(
-                comb,
-                MediumSpec(row.value),
+                RunSpec(d_p=row.value, gamma=0.005, pair_count=40),
                 # the sweep reads echoes up to min(k_max, 3)
                 probe=Probe((pulse,), grid, request.oversample, result.request.k_max),
             )
@@ -312,20 +308,11 @@ class TestSweepProbe:
         params = {"finesse": request.finesse, "gamma": request.gamma, "d_p": request.d_p}
         for row in rows:
             params[axis.name] = row.value
-            comb = CombSpec.from_finesse(
-                request.shape,
-                params["finesse"],
-                pair_count=request.pair_count,
-                gamma=params["gamma"],
-            )
             alone = recall(
-                comb,
-                MediumSpec(params["d_p"]),
+                RunSpec(pair_count=request.pair_count, **params),
                 passes=2 if kind is SweepKind.TWO_PASS else 1,
                 # the sweep reads echoes up to min(k_max, 3)
                 probe=Probe((pulse,), grid, request.oversample, result.request.k_max),
-                model=request.model,
-                harmonics=request.harmonics,
             )
             assert row.status == "ok"
             assert row.efficiency == alone.simulated_efficiency
