@@ -63,7 +63,8 @@ class RunConfig(RunSpec):
     """Resolved settings shared by all subcommands.
 
     The :class:`RunSpec` fields come first, then the protocol and sweep
-    settings; the config file lists them in that order.
+    settings; the config file lists them in that order.  ``passes`` must
+    be 1 or 2 whichever subcommand runs.
     """
 
     passes: int = 1
@@ -78,6 +79,12 @@ class RunConfig(RunSpec):
     sweep_protocol: str = "first-echo"
     sweep_refine: bool = True
     sweep_simulate: bool = False
+
+    def __post_init__(self) -> None:
+        # checked here, not where protocol reads it, so that every
+        # subcommand refuses the same file before it does any work
+        if self.passes not in (1, 2):
+            raise ValueError(f"passes must be 1 or 2, got {self.passes}")
 
 
 def _cast_bool(raw: str) -> bool:

@@ -19,7 +19,6 @@ units.
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from dataclasses import dataclass
 
@@ -182,17 +181,9 @@ class UnitScale:
         return t_over_T / (2.0 * self.nu0_hz)
 
 
-@functools.lru_cache(maxsize=8)
 def odd_peak_centers(pair_count: int) -> np.ndarray:
-    """Tooth centres ``2k + 1`` for ``k = -pair_count - 1 .. pair_count``.
-
-    The array is cached per ``pair_count`` and shared by every caller,
-    so it is read-only.
-    """
-    k = np.arange(-pair_count - 1, pair_count + 1, dtype=float)
-    centers = 2 * k + 1
-    centers.flags.writeable = False
-    return centers
+    """Tooth centres ``2k + 1`` for ``k = -pair_count - 1 .. pair_count``."""
+    return np.arange(-2 * pair_count - 1, 2 * pair_count + 2, 2, dtype=float)
 
 
 def population_difference(comb: CombSpec, delta: np.ndarray | float) -> np.ndarray:

@@ -227,18 +227,13 @@ def transfer_exponent(packed: np.ndarray, d_p: float) -> np.ndarray:
     return np.exp(_exponent(packed, d_p))
 
 
-@functools.lru_cache(maxsize=1)
 def _grid_response(
     comb: CombSpec,
     grid: FrequencyGrid,
     model: TransferModel,
     harmonics: int | None,
 ) -> np.ndarray:
-    """Packed response of a comb on a grid, read-only and cached.
-
-    One entry covers consecutive calls, such as the depths of a sweep;
-    more would keep large arrays alive that a run seldom asks for again.
-    """
+    """Packed response of a comb on a grid, read-only so callers can share it."""
     with np.errstate(invalid="ignore"):
         packed = comb_response(comb, grid.points(), model, harmonics)
     packed.flags.writeable = False
@@ -251,14 +246,17 @@ def build_transfer(
     grid: FrequencyGrid,
     model: TransferModel = TransferModel.BROADENED,
     harmonics: int | None = 2000,
+    *,
+    response: np.ndarray | None = None,
 ) -> TransferFunction:
     """Sample the transfer of a comb on a grid.
 
-    The comb response is computed once per comb, grid, model and
-    harmonic count and reused by the next call with the same four, so
-    consecutive depths of one comb cost only the exponent.  Only the
-    ideal square series reads the harmonic count; every other response
-    is keyed without it.
+    ``response`` is the comb's packed response on ``grid`` under
+    ``model`` and ``harmonics``, as :meth:`afcsim.protocols.RunSpec.response`
+    gives it; when None it is computed afresh.  Pass one only to share
+    it between calls that differ in ``medium`` alone, such as the depths
+    of a sweep: nothing but its shape is checked against the other
+    arguments.  Nothing is kept between calls.
 
     The values are :func:`transfer_exponent` of that response, bit for
     bit.  When the exponent's halves mirror each other (see
@@ -269,20 +267,22 @@ def build_transfer(
     lower half of a grid with the conjugate of the upper, and the
     Lorentzian and harmonic combs are mirrored on every grid.
 
-    Raises ``ValueError`` if any sample is non-finite: one such sample
+    Raises ``ValueError`` if ``response`` does not have one sample per
+    grid point; if any sample is non-finite: one such sample
     would spread through every FFT that follows; or if any gains more
     than ``_MAX_GAIN``.  A passive comb never amplifies, but the
     truncated ideal series dips up to 9 % below zero absorption near
     tooth edges, a gain of up to ``exp(0.045 d_p)`` that swamps the
     output of a deep comb.
     """
-    model = TransferModel(model)
-    if comb.shape is not CombShape.SQUARE or model is not TransferModel.IDEAL:
-        harmonics = None
-    with np.errstate(invalid="ignore"):
-        exponent = _exponent(
-            _grid_response(comb, grid, model, harmonics), medium.d_p
+    if response is None:
+        response = _grid_response(comb, grid, model, harmonics)
+    elif response.shape != (grid.samples,):
+        raise ValueError(
+            f"response has shape {response.shape}, the grid needs ({grid.samples},)"
         )
+    with np.errstate(invalid="ignore"):
+        exponent = _exponent(response, medium.d_p)
         gain = exponent.real > math.log(_MAX_GAIN)
         if gain.any():
             raise ValueError(

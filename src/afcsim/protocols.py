@@ -22,6 +22,7 @@ from .propagation import (
     PulseTrain,
     TimeSignal,
     TransferFunction,
+    _grid_response,
     build_transfer,
     extract_train,
     propagate,
@@ -76,6 +77,14 @@ class RunSpec:
         grid = FrequencyGrid.for_pulse(pulse, self.span_factor, self.samples)
         return Probe((pulse,), grid, self.oversample, self.k_max)
 
+    def response(self, grid: FrequencyGrid) -> np.ndarray:
+        """The comb's packed response on ``grid`` under the run's model, read-only.
+
+        It does not depend on ``d_p``: runs that differ only in depth can
+        share it through :func:`recall`'s ``response``.
+        """
+        return _grid_response(self.comb(), grid, self.model, self.harmonics)
+
 
 @dataclass(frozen=True)
 class ProtocolResult:
@@ -127,6 +136,7 @@ def recall(
     *,
     passes: int = 1,
     probe: Probe | None = None,
+    response: np.ndarray | None = None,
     mismatch_time: float = 0.0,
     mismatch_phase: float = 0.0,
     simulate: bool = True,
@@ -142,6 +152,10 @@ def recall(
     :func:`afcsim.propagation.extract_train` and quotes echo 1, so a
     window without an echo gives 0.  Pass a ``probe`` only to share one
     across the points of a sweep or to carry a time-bin state's pulses.
+    The comb's response on the probe's grid is computed afresh for each
+    call unless ``response`` gives it, as ``spec.response(probe.grid)``,
+    to share between calls on one comb and grid, such as the depths of
+    a sweep or the pass counts of one state.
     Intensities are relative to ``probe.reference``, the peak input
     intensity inside the first pulse's bin (for overlapping pulses, the
     peak of their sum there), which a probe computes once for every
@@ -180,7 +194,9 @@ def recall(
         raise ValueError(
             f"k_max must be >= 1 to read the first echo, got {probe.k_max}"
         )
-    transfer = build_transfer(comb, medium, probe.grid, spec.model, spec.harmonics)
+    transfer = build_transfer(
+        comb, medium, probe.grid, spec.model, spec.harmonics, response=response
+    )
     reference = probe.reference
     signal = propagate(probe.spectrum, transfer, probe.oversample, probe.window)
     if passes == 2:

@@ -288,6 +288,8 @@ def _timebin_pair() -> _Result:
     # The early input bin's peak is the reference, so c1 cancels and
     # the normalised recall compares directly with the closed efficiency.
     probe = replace(run.probe(), pulses=qubit.pulses())
+    # both passes store the state in the same comb on the same grid
+    response = run.response(probe.grid)
     half = 0.5 * qubit.tau
     ratio = abs(qubit.c1) / abs(qubit.c2)
     phase = cmath.phase(qubit.c2 * cmath.exp(1j * qubit.phi) / qubit.c1)
@@ -300,7 +302,7 @@ def _timebin_pair() -> _Result:
     checks = []
     outputs = {}
     for passes in (1, 2):
-        result = recall(run, passes=passes, probe=probe)
+        result = recall(run, passes=passes, probe=probe, response=response)
         signal = result.signal
         bins = {
             label: peak_in_window(signal, center - half, center + half)

@@ -143,17 +143,22 @@ def _point(request: SweepRequest, value: float) -> SweepRequest:
     return replace(request, **{request.axis.name: value})
 
 
-def _efficiency(point: SweepRequest, probe: Callable[[], Probe] | None) -> float:
+def _efficiency(
+    point: SweepRequest,
+    simulation: Callable[[], tuple[Probe, np.ndarray | None]] | None,
+) -> float:
     """Recall efficiency at one sweep point, simulated or in closed form.
 
-    ``probe`` returns the sweep's probe for a simulation and is None
+    ``simulation`` returns the sweep's probe and shared comb response
+    (None if the points do not share one) for a simulation, and is None
     for the closed form, so a closed sweep accepts any ``samples`` and
     ``span_factor``.
     """
     passes = 2 if point.kind is SweepKind.TWO_PASS else 1
-    if probe is None:
+    if simulation is None:
         return recall(point, passes=passes, simulate=False).closed_efficiency
-    result = recall(point, passes=passes, probe=probe())
+    probe, response = simulation()
+    result = recall(point, passes=passes, probe=probe, response=response)
     assert result.simulated_efficiency is not None
     return result.simulated_efficiency
 
@@ -164,6 +169,35 @@ def _echo_intensities(point: SweepRequest) -> tuple[float, ...]:
     return tuple(float(coeffs.intensity(k)) for k in range(1, point.k_max + 1))
 
 
+def _rows(request: SweepRequest) -> list[SweepRow]:
+    """One row per axis value, a failed point recording its error.
+
+    The probe and shared response are locals here, so they are freed
+    when the rows are done: the error :func:`sweep` raises when every
+    point failed does not keep them alive in its traceback.
+    """
+    simulation = None
+    if request.simulate:
+
+        @functools.cache
+        def simulation() -> tuple[Probe, np.ndarray | None]:
+            probe = request.probe()
+            # along d_p every point has the same comb on the same grid
+            shared = request.axis.name == "d_p"
+            return probe, request.response(probe.grid) if shared else None
+
+    rows = []
+    for value in request.axis.values():
+        point = _point(request, float(value))
+        try:
+            efficiency = _efficiency(point, simulation)
+            intensities = _echo_intensities(point)
+            rows.append(SweepRow(float(value), efficiency, intensities, "ok"))
+        except (ValueError, ZeroDivisionError) as exc:
+            rows.append(SweepRow(float(value), math.nan, (), f"failed: {exc}"))
+    return rows
+
+
 def sweep(request: SweepRequest) -> SweepResult:
     """Evaluate the efficiency along the axis, then refine the optimum.
 
@@ -172,7 +206,10 @@ def sweep(request: SweepRequest) -> SweepResult:
     closed form or by simulation per ``request.simulate``; failures are
     recorded per row rather than aborting the sweep.  A simulated sweep
     builds one :class:`Probe`, at its first point, and every point reads
-    that probe's spectrum and input peak; a probe that cannot be built
+    that probe's spectrum and input peak.  A sweep over ``d_p`` also
+    builds the comb's response on the probe's grid there, once, and
+    every point passes it to :func:`recall`; along any other axis each
+    point computes its own.  A probe or response that cannot be built
     fails each row with the same message.  Refinement brackets the best
     grid point and runs a golden-section search on the closed form
     (simulation values are too expensive to bracket tightly and follow
@@ -183,16 +220,7 @@ def sweep(request: SweepRequest) -> SweepResult:
             f"k_max must be >= 1 to read the first echo, got {request.k_max}"
         )
     request = replace(request, k_max=min(request.k_max, 3))
-    probe = functools.cache(request.probe) if request.simulate else None
-    rows = []
-    for value in request.axis.values():
-        point = _point(request, float(value))
-        try:
-            efficiency = _efficiency(point, probe)
-            intensities = _echo_intensities(point)
-            rows.append(SweepRow(float(value), efficiency, intensities, "ok"))
-        except (ValueError, ZeroDivisionError) as exc:
-            rows.append(SweepRow(float(value), math.nan, (), f"failed: {exc}"))
+    rows = _rows(request)
     ok = [r for r in rows if r.status == "ok"]
     if not ok:
         first = rows[0]

@@ -9,12 +9,11 @@ from afcsim import propagation, protocols
 
 @pytest.fixture
 def response_calls(monkeypatch):
-    """Empty the comb-response cache, then record each response computed.
+    """Record each comb response computed on a grid.
 
     Yields the list of argument tuples passed to ``comb_response`` by
-    ``build_transfer``, which looks it up as a module global.
+    ``propagation._grid_response``, which looks it up as a module global.
     """
-    propagation._grid_response.cache_clear()
     calls = []
     original = propagation.comb_response
 
@@ -24,7 +23,6 @@ def response_calls(monkeypatch):
 
     monkeypatch.setattr(propagation, "comb_response", counted)
     yield calls
-    propagation._grid_response.cache_clear()
 
 
 @pytest.fixture

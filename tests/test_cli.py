@@ -107,12 +107,13 @@ _CHOICES = {
     "sweep_parameter": ["d_p", "finesse", "gamma"],
     "sweep_scale": ["linear", "log"],
     "sweep_protocol": [k.value for k in SweepKind],
+    "passes": [1, 2],
 }
 _FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
 
 
 def _field_strategy(field):
-    if field.type == "str":
+    if field.name in _CHOICES:
         return st.sampled_from(_CHOICES[field.name])
     return _FIELD_VALUES[field.type]
 
@@ -352,10 +353,17 @@ class TestSubcommands:
             assert "simulated=0.000000" in out
             assert rows[0]["simulated_efficiency"] == "0.0"
 
-    def test_protocol_rejects_bad_passes(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["train", "propagate", "sweep", "protocol"])
+    def test_protocol_rejects_bad_passes(self, tmp_path, capsys, command):
+        # every subcommand refuses the setting before any work, not only
+        # the one that reads it
         path = _write_config(tmp_path, "passes = 3\nsimulate = false\n")
-        assert main(["--config", str(path), "--out", str(tmp_path), "protocol"]) == 1
-        assert "error:" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), command]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: passes must be 1 or 2, got 3\n"
+        assert captured.out == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         ("command", "passes"),

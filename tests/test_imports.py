@@ -1,6 +1,7 @@
 """Importing the package: no scipy at start-up, every public name resolves,
 the test-only references stay out of the package, input enters the
-simulation one way, and the two-pass law has one closed form.
+simulation one way, the two-pass law has one closed form, and no
+module-level cache holds a comb response.
 
 scipy.integrate is imported only inside the one quadrature,
 ``train.broadened_A_coefficients``, and ``afcsim.reproduce`` only by
@@ -148,6 +149,9 @@ def test_probe_is_the_only_input_path():
     assert sites("propagate") == sites("extract_train") == {("protocols", "recall")}
     transfers = {("protocols", "recall"), ("cli", "cmd_transfer")}
     assert sites("build_transfer") == transfers
+    # one function evaluates a comb on a grid; RunSpec.response hands it out
+    responses = {("propagation", "build_transfer"), ("protocols", "RunSpec.response")}
+    assert sites("_grid_response") == responses
 
 
 def test_two_pass_law_is_written_once():
@@ -161,3 +165,42 @@ def test_two_pass_law_is_written_once():
         for scope in _callers(ast.parse(path.read_text()), "prompt_attenuation")
     }
     assert callers == {("protocols", "recall")}
+
+
+def _module_caches(tree: ast.Module) -> set[str]:
+    """Module-level functions and methods decorated with a functools cache.
+
+    Such a cache lives as long as the process, so a later call's work
+    depends on what ran before it.
+    """
+
+    def is_cache(node: ast.expr) -> bool:
+        if isinstance(node, ast.Call):
+            return is_cache(node.func)
+        name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", "")
+        return name in ("lru_cache", "cache")
+
+    found = set()
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            scoped = [(f"{node.name}.", item) for item in node.body]
+        else:
+            scoped = [("", node)]
+        for prefix, item in scoped:
+            if isinstance(item, ast.FunctionDef) and any(
+                map(is_cache, item.decorator_list)
+            ):
+                found.add(prefix + item.name)
+    return found
+
+
+def test_no_module_level_cache_holds_a_response():
+    # a caller that repeats a comb response holds it and passes it on;
+    # the two caches left are keyed by grid sizes and by cell text
+    package = Path(afcsim.__file__).parent
+    caches = {
+        (path.stem, name)
+        for path in package.glob("*.py")
+        for name in _module_caches(ast.parse(path.read_text()))
+    }
+    assert caches == {("propagation", "_chirp_plan"), ("output", "_quoted")}

@@ -29,6 +29,7 @@ from afcsim.propagation import (
     spectrum_to_signal,
     transfer_exponent,
 )
+from afcsim.protocols import RunSpec
 from afcsim.susceptibility import (
     chi_square_exact,
     chi_square_series,
@@ -481,60 +482,50 @@ PASSIVE_MODELS = {
 }
 
 
-class TestResponseCache:
-    """build_transfer reuses the last comb response for the same key."""
+class TestSharedResponse:
+    """A caller that repeats a comb response passes it; nothing else keeps one."""
 
     COMB = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005)
     GRID = FrequencyGrid(half_span=4.0, samples=256)
 
-    def test_depths_share_one_response_bit_for_bit(self, response_calls):
-        for d_p in (5.0, 12.0):
-            transfer = build_transfer(self.COMB, MediumSpec(d_p), self.GRID)
-            fresh = transfer_exponent(comb_response(self.COMB, self.GRID.points()), d_p)
-            np.testing.assert_array_equal(transfer.values, fresh)
-        assert len(response_calls) == 1
+    def response(self, grid=GRID):
+        return propagation._grid_response(
+            self.COMB, grid, TransferModel.BROADENED, None
+        )
 
-    def test_cached_response_is_read_only(self, response_calls):
-        response = propagation._grid_response(
-            self.COMB, self.GRID, TransferModel.BROADENED, None
+    def test_depths_share_one_response_bit_for_bit(self, response_calls):
+        response = self.response()
+        for d_p in (5.0, 12.0):
+            medium = MediumSpec(d_p)
+            shared = build_transfer(self.COMB, medium, self.GRID, response=response)
+            fresh = build_transfer(self.COMB, medium, self.GRID)
+            np.testing.assert_array_equal(shared.values, fresh.values)
+            fresh = transfer_exponent(comb_response(self.COMB, self.GRID.points()), d_p)
+            np.testing.assert_array_equal(shared.values, fresh)
+        # the shared response, then one for each call without it
+        assert len(response_calls) == 3
+
+    def test_each_call_computes_its_own(self, response_calls):
+        for _ in range(2):
+            build_transfer(self.COMB, MediumSpec(10.0), self.GRID)
+        assert len(response_calls) == 2
+
+    def test_run_response_is_the_read_only_comb_response(self):
+        spec = RunSpec(gamma=0.005, samples=256)
+        grid = spec.probe().grid
+        response = spec.response(grid)
+        np.testing.assert_array_equal(
+            response, comb_response(spec.comb(), grid.points())
         )
         with pytest.raises(ValueError, match="read-only"):
             response[0] = 0.0
-        build_transfer(self.COMB, MediumSpec(10.0), self.GRID)
-        assert len(response_calls) == 1
 
-    def test_harmonics_is_ignored_where_unread(self, response_calls):
-        # only the ideal square series reads the harmonic count
-        for harmonics in (None, 2000, 1000):
-            build_transfer(
-                self.COMB, MediumSpec(10.0), self.GRID, "broadened", harmonics
-            )
-        assert len(response_calls) == 1
-        assert response_calls[0][3] is None
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            dict(comb=replace(COMB, half_width=0.25)),
-            dict(comb=replace(COMB, gamma=0.01)),
-            dict(comb=replace(COMB, pair_count=12)),
-            dict(grid=FrequencyGrid(half_span=4.0, samples=512)),
-            dict(grid=FrequencyGrid(half_span=5.0, samples=256)),
-            dict(harmonics=1000),
-        ],
-        ids=[
-            "half_width", "gamma", "pair_count", "samples", "span", "harmonics"
-        ],
-    )
-    def test_any_key_change_is_a_miss(self, response_calls, change):
-        base = dict(comb=self.COMB, grid=self.GRID, model="broadened", harmonics=2000)
-        if "harmonics" in change:
-            # only the ideal model reads harmonics
-            base.update(model="ideal")
-        changed = {**base, **change}
-        for key in (base, changed, changed):
-            build_transfer(medium=MediumSpec(10.0), **key)
-        assert len(response_calls) == 2
+    @pytest.mark.parametrize("samples", [128, 512])
+    def test_rejects_a_response_of_another_grid_size(self, samples):
+        response = self.response(FrequencyGrid(half_span=4.0, samples=samples))
+        message = rf"response has shape \({samples},\), the grid needs \(256,\)"
+        with pytest.raises(ValueError, match=message):
+            build_transfer(self.COMB, MediumSpec(10.0), self.GRID, response=response)
 
 
 class TestPassivity:

@@ -42,3 +42,25 @@ class TestFastTargets:
             assert path.parent == tmp_path
             assert path.stem == name or path.stem.startswith(f"{name}-")
         assert sorted(tmp_path.iterdir()) == sorted(report.files)
+
+
+class TestResponses:
+    """Each target computes its own comb responses, whatever ran before it."""
+
+    @pytest.mark.parametrize("before", [None, "efficiency-017", "echo-train-f5"])
+    def test_efficiency_target_computes_one_response(
+        self, response_calls, tmp_path, before
+    ):
+        # both earlier targets read the same comb on the same grid
+        if before is not None:
+            run_target(before, tmp_path)
+            assert len(response_calls) == 1
+            response_calls.clear()
+        assert run_target("efficiency-046", tmp_path).ok
+        assert len(response_calls) == 1
+
+    def test_timebin_pair_shares_one_response_between_passes(
+        self, response_calls, tmp_path
+    ):
+        assert run_target("timebin-pair", tmp_path).ok
+        assert len(response_calls) == 1

@@ -6,7 +6,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from afcsim import propagation
 from afcsim.combs import CombShape, CombSpec, MediumSpec
 from afcsim.propagation import FrequencyGrid, Probe, PulseSpec
 from afcsim.protocols import RunSpec, recall
@@ -268,7 +267,6 @@ class TestSimulatedSweep:
         pulse = PulseSpec(sigma=request.sigma)
         grid = FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples)
         for row in rows:
-            propagation._grid_response.cache_clear()
             fresh = recall(
                 RunSpec(d_p=row.value, gamma=0.005, pair_count=40),
                 # the sweep reads echoes up to min(k_max, 3)
@@ -299,10 +297,12 @@ class TestSweepProbe:
         ],
         ids=lambda a: a.name,
     )
-    def test_rows_equal_standalone_recalls(self, axis, kind):
+    def test_rows_equal_standalone_recalls(self, response_calls, axis, kind):
         request = SweepRequest(axis=axis, kind=kind, refine=False, **PROBED)
         result = sweep(request)
         rows = result.rows
+        # only a depth sweep shares one comb response among its points
+        assert len(response_calls) == (1 if axis.name == "d_p" else len(rows))
         pulse = PulseSpec(sigma=request.sigma)
         grid = FrequencyGrid.for_pulse(pulse, request.span_factor, request.samples)
         params = {"finesse": request.finesse, "gamma": request.gamma, "d_p": request.d_p}
