@@ -64,7 +64,9 @@ class RunConfig(RunSpec):
 
     The :class:`RunSpec` fields come first, then the protocol and sweep
     settings; the config file lists them in that order.  ``passes`` must
-    be 1 or 2 whichever subcommand runs.
+    be 1 or 2 whichever subcommand runs.  Only ``protocol`` reads
+    ``passes``, ``mismatch_time``, ``mismatch_phase`` and ``simulate``;
+    the other run subcommands refuse them away from their defaults.
     """
 
     passes: int = 1
@@ -85,6 +87,23 @@ class RunConfig(RunSpec):
         # subcommand refuses the same file before it does any work
         if self.passes not in (1, 2):
             raise ValueError(f"passes must be 1 or 2, got {self.passes}")
+
+
+# Keys that protocol alone reads; config prints them, and the other run
+# subcommands refuse a value that they would ignore.
+_PROTOCOL_KEYS = ("passes", "mismatch_time", "mismatch_phase", "simulate")
+
+
+def _refuse_protocol_keys(config: RunConfig, command: str) -> None:
+    """Raise ``ConfigError`` naming a protocol-only key ``command`` would ignore."""
+    defaults = RunConfig()
+    for name in _PROTOCOL_KEYS:
+        value = getattr(config, name)
+        if value != getattr(defaults, name):
+            raise ConfigError(
+                f"{name} = {format_value(value)} is read only by protocol; "
+                f"{command} would ignore it"
+            )
 
 
 def _cast_bool(raw: str) -> bool:
@@ -504,6 +523,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "--physical takes nu0 in Hz, a positive finite number; "
                 f"got {args.physical}"
             ) from None
+        if args.command not in ("protocol", "config", "reproduce"):
+            _refuse_protocol_keys(config, args.command)
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "reproduce":

@@ -192,8 +192,9 @@ def chi_square_exact(
 
 # Detunings per block of the finite comb, and detuning-tooth pairs per
 # block: the (block, teeth) broadcast stays in cache and its memory is
-# bounded whatever the tooth count, while each row is summed exactly as
-# a single broadcast would sum it.
+# bounded whatever the tooth count.  Up to _COMB_PAIRS teeth each row is
+# summed exactly as a single broadcast would sum it; beyond, the teeth
+# are summed in tiles of _COMB_PAIRS, one detuning at a time.
 _COMB_BLOCK = 1024
 _COMB_PAIRS = 2**15
 
@@ -217,11 +218,16 @@ def epsilon_broadened(
     are finite for every ``gamma``.
 
     Detunings are evaluated in blocks of at most 1024, and of at most
-    ``2**15 // teeth`` once there are more than 32 teeth, so memory does
-    not grow with the tooth count.  A mirrored run of detunings, such as
-    a ``FrequencyGrid``'s, is evaluated on its upper half only (see
-    :func:`_mirrored`); the unpaired sample before it is evaluated
-    directly.
+    ``2**15 // teeth`` once there are more than 32 teeth.  Beyond
+    ``2**15`` teeth each detuning sums its teeth in tiles of ``2**15``,
+    adding the tiles' packed sums in order, so the temporaries never
+    exceed ``2**15`` detuning-tooth pairs: memory grows with the tooth
+    count only through the ``2 pair_count + 2`` tooth centres.  Up to
+    ``2**15`` teeth the values are bit-identical to one broadcast over
+    all teeth; beyond, they agree with it to rounding.  A mirrored run
+    of detunings, such as a ``FrequencyGrid``'s, is evaluated on its
+    upper half only (see :func:`_mirrored`); the unpaired sample before
+    it is evaluated directly.
 
     Returns ``absorption + 1j * dispersion``.
     """
@@ -235,15 +241,26 @@ def epsilon_broadened(
         # each shared edge would add +inf - inf for a sharp tooth
         delta, centers = float(centers.size), np.zeros(1)
     rows = min(_COMB_BLOCK, max(1, _COMB_PAIRS // centers.size))
+    tiles = [
+        centers[start : start + _COMB_PAIRS]
+        for start in range(0, centers.size, _COMB_PAIRS)
+    ]
+
+    def comb(x: np.ndarray) -> np.ndarray:
+        packed = _finite_comb(x, delta, gamma, tiles[0])
+        for tile in tiles[1:]:
+            packed += _finite_comb(x, delta, gamma, tile)
+        return packed
+
     if nu.size <= rows:
-        return _finite_comb(nu, delta, gamma, centers)
+        return comb(nu)
 
     def blocks(x: np.ndarray) -> np.ndarray:
         flat = x.ravel()
         packed = np.empty(flat.size, dtype=complex)
         for start in range(0, flat.size, rows):
             stop = start + rows
-            packed[start:stop] = _finite_comb(flat[start:stop], delta, gamma, centers)
+            packed[start:stop] = comb(flat[start:stop])
         return packed.reshape(x.shape)
 
     return _mirrored(nu, blocks, reflect_head=False)

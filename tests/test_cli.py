@@ -366,6 +366,35 @@ class TestSubcommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("passes", "2"),
+            ("mismatch_time", "0.1"),
+            ("mismatch_phase", "-0.5"),
+            ("simulate", "false"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command", ["spectrum", "transfer", "propagate", "train", "sweep"]
+    )
+    def test_protocol_keys_are_refused_where_ignored(
+        self, tmp_path, capsys, command, key, value
+    ):
+        path = _write_config(tmp_path, f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), command]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {key} = {value} is read only by protocol; "
+            f"{command} would ignore it\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+        # config prints the setting back
+        assert main(["--config", str(path), "--out", str(out), "config"]) == 0
+        assert f"{key} = {value}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
         ("command", "passes"),
         [("protocol", 1), ("protocol", 2), ("train", 1), ("propagate", 1)],
     )

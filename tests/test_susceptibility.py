@@ -311,6 +311,26 @@ class TestBroadened:
         assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
+    def test_many_teeth_tiles_bound_memory(self, nu, gamma):
+        # 200002 teeth: one broadcast takes about 6 MiB at one detuning,
+        # tiles of 2**15 teeth about 1 MiB on top of the 1.5 MiB of centres
+        tracemalloc.start()
+        try:
+            tiled = epsilon_broadened(nu, 0.2, gamma=gamma, pair_count=100000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
+        with np.errstate(divide="ignore"):
+            whole = _finite_comb(np.asarray(nu), 0.2, gamma, odd_peak_centers(100000))
+        # the tiles' sums add in another order: the absorption agrees to
+        # rounding relative to itself; the dispersion sums log ratios of
+        # order one that cancel, so it agrees to rounding in absolute terms
+        assert abs(tiled.real - whole.real) <= 1e-15 * whole.real
+        assert abs(tiled.imag - whole.imag) <= 1e-15
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.01])
     def test_many_teeth_blocks_match_one_broadcast(self, gamma):
         # 402 teeth give blocks of 81 detunings; the edges sit on samples
         nu = (np.arange(1000) - 500) / 256.0

@@ -1,5 +1,6 @@
 """Echo-train coefficients: closed forms, recursion, numeric projection."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -30,6 +31,47 @@ HARMONIC = CombSpec(shape=CombShape.HARMONIC)
 LORENTZIAN_F5 = CombSpec(shape=CombShape.LORENTZIAN, half_width=0.2)
 DEPTH_10 = MediumSpec(d_p=10.0)
 DEPTH_4 = MediumSpec(d_p=4.0)
+
+
+def quad_fields(points, packed):
+    """``(a0, a1_absorption, a1_full)`` by ``quad`` with ``points`` as breaks.
+
+    ``packed(nu)`` is the comb's complex response at one detuning.
+    """
+    from scipy.integrate import quad
+
+    def integrate(f):
+        return 2.0 * quad(
+            f, 0.0, 1.0, points=points, limit=200, epsabs=5e-14, epsrel=1e-12
+        )[0]
+
+    a0 = integrate(lambda nu: packed(nu).real) / 2.0
+    a1_absorption = -integrate(lambda nu: packed(nu).real * math.cos(math.pi * nu))
+    a1_full = -integrate(
+        lambda nu: (
+            packed(nu).real * math.cos(math.pi * nu)
+            - packed(nu).imag * math.sin(math.pi * nu)
+        )
+    ) / 2.0
+    return a0, a1_absorption, a1_full
+
+
+@pytest.fixture
+def comb_nodes(monkeypatch):
+    """Detunings at which ``broadened_A_coefficients`` evaluates the comb."""
+    nodes = []
+
+    def counted(nu, *args, **kwargs):
+        nodes.append(nu)
+        return epsilon_broadened(nu, *args, **kwargs)
+
+    monkeypatch.setattr(train, "epsilon_broadened", counted)
+    return nodes
+
+
+def comb_at(delta, gamma):
+    """The nine-pair comb's packed response at one detuning, evaluated afresh."""
+    return lambda nu: complex(epsilon_broadened(nu, delta, gamma=gamma, pair_count=9))
 
 
 class TestClosedForms:
@@ -317,51 +359,70 @@ class TestBroadenedCoefficients:
         coeffs = broadened_A_coefficients(0.2, gamma=0.01, pair_count=9)
         assert abs(coeffs.a1_full - coeffs.a1_absorption) < 3e-3
 
-    def test_comb_evaluated_once_per_node(self, monkeypatch):
-        nodes = []
-
-        def counted(nu, *args, **kwargs):
-            nodes.append(nu)
-            return epsilon_broadened(nu, *args, **kwargs)
-
-        monkeypatch.setattr(train, "epsilon_broadened", counted)
+    def test_comb_evaluated_once_per_node(self, comb_nodes):
         coeffs = broadened_A_coefficients(0.2, gamma=0.01, pair_count=9)
-        assert len(nodes) == len(set(nodes))
+        assert len(comb_nodes) == len(set(comb_nodes))
         # the reference evaluates the comb afresh inside every integrand,
-        # with the same half-range integrals in the same order, so quad
-        # sees the same values at the same nodes
-        from scipy.integrate import quad
-
-        def packed(nu):
-            return complex(epsilon_broadened(nu, 0.2, gamma=0.01, pair_count=9))
-
-        def integrate(f):
-            return 2.0 * quad(
-                f,
-                0.0,
-                1.0,
-                points=[1.0 - 0.2],
-                limit=200,
-                epsabs=5e-14,
-                epsrel=1e-12,
-            )[0]
-
-        a0 = integrate(lambda nu: packed(nu).real) / 2.0
-        a1_absorption = -integrate(lambda nu: packed(nu).real * math.cos(math.pi * nu))
-        a1_full = -integrate(
-            lambda nu: (
-                packed(nu).real * math.cos(math.pi * nu)
-                - packed(nu).imag * math.sin(math.pi * nu)
-            )
-        ) / 2.0
-        assert (coeffs.a0, coeffs.a1_absorption, coeffs.a1_full) == (
-            a0,
-            a1_absorption,
-            a1_full,
-        )
+        # with the same breaks and half-range integrals in the same order,
+        # so quad sees the same values at the same nodes
+        edge = 1.0 - 0.2
+        points = [edge + k * 0.01 for k in (-64, -16, -4, -1, 0, 1, 4, 16)]
+        fields = quad_fields(points, comb_at(0.2, 0.01))
+        assert (coeffs.a0, coeffs.a1_absorption, coeffs.a1_full) == fields
         assert coeffs.a1_closed == (2.0 / math.pi) * math.sin(math.pi * 0.2) * math.exp(
             -math.pi * 0.01
         )
+
+    def test_edge_breaks_match_the_edge_alone_at_half_the_cost(self, comb_nodes):
+        # the old rule, the tooth edge as the only break, at the
+        # harmonic-weights deltas; that target runs gamma 0.01
+        new_total = old_total = 0
+        for gamma in (0.001, 0.01, 0.05):
+            new_count = old_count = 0
+            for delta in np.arange(0.05, 0.451, 0.05):
+                delta = float(delta)
+                start = len(comb_nodes)
+                coeffs = broadened_A_coefficients(delta, gamma=gamma, pair_count=9)
+                new_count += len(comb_nodes) - start
+                packed = functools.lru_cache(maxsize=None)(comb_at(delta, gamma))
+                fields = quad_fields([1.0 - delta], packed)
+                old_count += packed.cache_info().misses
+                new = (coeffs.a0, coeffs.a1_absorption, coeffs.a1_full)
+                assert np.abs(np.subtract(new, fields)).max() <= 1e-14
+            if gamma == 0.01:
+                assert 2 * new_count <= old_count
+            new_total += new_count
+            old_total += old_count
+        assert 2 * new_total <= old_total
+
+    @pytest.mark.parametrize("delta", [0.2, 1.0])
+    def test_sharp_comb_keeps_the_edge_as_its_one_break(self, delta):
+        coeffs = broadened_A_coefficients(delta, gamma=0.0, pair_count=9)
+        packed = functools.lru_cache(maxsize=None)(comb_at(delta, 0.0))
+        fields = quad_fields([1.0 - delta], packed)
+        assert (coeffs.a0, coeffs.a1_absorption, coeffs.a1_full) == fields
+
+    def test_narrow_step_is_resolved(self):
+        # With the edge as its only break, quad misses the step of width
+        # 1e-6 by 9e-7 in a0 while its error estimate reads 4e-14.  The
+        # reference integrates panels that double in width away from the
+        # edge, to a tighter tolerance.
+        from scipy.integrate import quad
+
+        delta, gamma = 0.05, 1e-6
+        edge = 1.0 - delta
+        near = {edge + s * gamma * 2.0**j for j in range(40) for s in (-1.0, 1.0)}
+        breaks = [0.0, *sorted({edge} | {p for p in near if 0.0 < p < 1.0}), 1.0]
+
+        def absorption(nu):
+            return float(epsilon_broadened(nu, delta, gamma=gamma, pair_count=9).real)
+
+        reference = sum(
+            quad(absorption, a, b, epsabs=1e-16, epsrel=1e-13)[0]
+            for a, b in zip(breaks[:-1], breaks[1:])
+        )
+        coeffs = broadened_A_coefficients(delta, gamma=gamma, pair_count=9)
+        assert abs(coeffs.a0 - reference) <= 1e-14
 
     def test_closed_harmonic_is_the_tables_first_coefficient(self):
         # b_1 = -(d_p / 2) c_1 q, so d_p = 2 gives the response harmonic
