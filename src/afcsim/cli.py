@@ -94,16 +94,14 @@ class RunConfig(RunSpec):
 _PROTOCOL_KEYS = ("passes", "mismatch_time", "mismatch_phase", "simulate")
 
 
-def _refuse_protocol_keys(config: RunConfig, command: str) -> None:
-    """Raise ``ConfigError`` naming a protocol-only key ``command`` would ignore."""
+def _refuse_keys(config: RunConfig, names: Sequence[str], reason: str) -> None:
+    """Raise ``ConfigError`` naming the first of ``names`` off its default."""
     defaults = RunConfig()
-    for name in _PROTOCOL_KEYS:
+    for name in names:
         value = getattr(config, name)
         if value != getattr(defaults, name):
-            raise ConfigError(
-                f"{name} = {format_value(value)} is read only by protocol; "
-                f"{command} would ignore it"
-            )
+            rendered = "none" if value is None else format_value(value)
+            raise ConfigError(f"{name} = {rendered} {reason}")
 
 
 def _cast_bool(raw: str) -> bool:
@@ -523,8 +521,17 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "--physical takes nu0 in Hz, a positive finite number; "
                 f"got {args.physical}"
             ) from None
-        if args.command not in ("protocol", "config", "reproduce"):
-            _refuse_protocol_keys(config, args.command)
+        if args.command == "reproduce":
+            unread = "is not read: reproduce targets take no configuration"
+            _refuse_keys(config, [field.name for field in fields(RunConfig)], unread)
+            if scale is not None:
+                raise ConfigError(f"--physical {format_value(args.physical)} {unread}")
+        elif args.command not in ("protocol", "config"):
+            _refuse_keys(
+                config,
+                _PROTOCOL_KEYS,
+                f"is read only by protocol; {args.command} would ignore it",
+            )
         out_dir = args.out
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "reproduce":

@@ -317,6 +317,10 @@ def gaussian_spectrum(pulse: PulseSpec, grid: FrequencyGrid) -> np.ndarray:
     envelope = (math.sqrt(math.pi) / pulse.sigma) * np.exp(
         -(nu**2) / (4.0 * pulse.sigma**2)
     )
+    if pulse.center == 0.0 and pulse.phase == 0.0:
+        # the carrier is exp(0j) = 1 exactly, so the product would only
+        # convert: same bits, zero imaginary parts positive
+        return (pulse.amplitude * envelope).astype(complex)
     carrier = np.exp(1j * (pulse.phase + nu * pulse.center))
     return pulse.amplitude * envelope * carrier
 

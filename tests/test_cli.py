@@ -490,6 +490,34 @@ class TestReproduceCommand:
         assert "[  ok]" in out
         assert "FAIL" not in out
 
+    @pytest.mark.parametrize(
+        ("options", "named"),
+        [
+            (["--config", "{cfg}"], "d_p = 7.0"),
+            (["--physical", "3.7e6"], "--physical 3700000.0"),
+            (["--physical", "3.7e6", "--config", "{cfg}"], "d_p = 7.0"),
+        ],
+    )
+    @pytest.mark.parametrize("target", [[], ["shallow-depth"]])
+    def test_settings_are_refused(self, tmp_path, capsys, options, named, target):
+        # the targets pin their own settings; a config or --physical would
+        # be ignored, so the first setting off its default is named
+        path = _write_config(tmp_path, "d_p = 7\npasses = 2\n")
+        out = tmp_path / "out"
+        argv = [arg.format(cfg=path) for arg in options]
+        assert main([*argv, "--out", str(out), "reproduce", *target]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {named} is not read: reproduce targets take no configuration\n"
+        )
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_config_at_defaults_is_accepted(self, tmp_path, capsys):
+        path = _write_config(tmp_path, "d_p = 10\nshape = square\n")
+        assert main(["--config", str(path), "reproduce"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(TARGETS)
+
     def test_failing_target_exits_two(self, tmp_path, capsys, monkeypatch):
         def broken():
             return (Check("level", value=1.0, expected=2.0, tol=1e-6),), ()

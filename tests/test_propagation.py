@@ -100,6 +100,27 @@ class TestPulseSpec:
             shifted, base * np.exp(1j * grid.points() * 0.3), atol=1e-14
         )
 
+    @pytest.mark.parametrize("samples", [2**14, 2**16])
+    @pytest.mark.parametrize("amplitude", [1.0, -0.7])
+    def test_spectrum_without_carrier_keeps_the_carrier_formulas_bits(
+        self, amplitude, samples
+    ):
+        # a pulse at centre 0 and phase 0 skips its carrier exp(0j) = 1;
+        # the bits agree, down to the sign of every zero, and the wide
+        # span takes the envelope down to zero at the grid's edges
+        pulse = PulseSpec(amplitude=amplitude, sigma=5.0)
+        grid = FrequencyGrid.for_pulse(pulse, span_factor=80.0, samples=samples)
+        nu = grid.points()
+        envelope = (math.sqrt(math.pi) / pulse.sigma) * np.exp(
+            -(nu**2) / (4.0 * pulse.sigma**2)
+        )
+        carrier = np.exp(1j * (pulse.phase + nu * pulse.center))
+        expected = pulse.amplitude * envelope * carrier
+        spec = gaussian_spectrum(pulse, grid)
+        assert spec.dtype == expected.dtype
+        np.testing.assert_array_equal(spec.view(np.int64), expected.view(np.int64))
+        assert (spec.real == 0.0).any()
+
 
 class TestTransforms:
     def test_inverts_gaussian_analytically(self):

@@ -58,11 +58,14 @@ def quad_fields(points, packed):
 
 @pytest.fixture
 def comb_nodes(monkeypatch):
-    """Detunings at which ``broadened_A_coefficients`` evaluates the comb."""
+    """Detunings at which ``broadened_A_coefficients`` evaluates the comb.
+
+    A call on an array of detunings records each of them.
+    """
     nodes = []
 
     def counted(nu, *args, **kwargs):
-        nodes.append(nu)
+        nodes.extend(np.ravel(nu).tolist())
         return epsilon_broadened(nu, *args, **kwargs)
 
     monkeypatch.setattr(train, "epsilon_broadened", counted)
@@ -394,6 +397,74 @@ class TestBroadenedCoefficients:
             new_total += new_count
             old_total += old_count
         assert 2 * new_total <= old_total
+
+    def test_prefetch_leaves_harmonic_weights_unchanged(self):
+        # the reference evaluates the comb afresh at every node quad asks
+        # for; quad sees the same values, so all three fields agree bit
+        # for bit at the harmonic-weights deltas
+        for delta in np.arange(0.05, 0.451, 0.05):
+            delta = float(delta)
+            coeffs = broadened_A_coefficients(delta, gamma=0.01, pair_count=9)
+            edge = 1.0 - delta
+            near = {edge + s * k * 0.01 for k in (1, 4, 16, 64, 256) for s in (-1, 1)}
+            points = sorted({edge} | {p for p in near if 0.0 < p < 1.0})
+            fields = quad_fields(points, comb_at(delta, 0.01))
+            assert (coeffs.a0, coeffs.a1_absorption, coeffs.a1_full) == fields
+
+    def test_first_pass_nodes_are_evaluated_in_one_call(self, monkeypatch):
+        # quad's first pass applies the 21-point Kronrod rule to every
+        # panel; those nodes come from one vector call, and only the
+        # nodes its bisections add are evaluated one at a time
+        sizes = []
+
+        def counted(nu, *args, **kwargs):
+            sizes.append(np.size(nu))
+            return epsilon_broadened(nu, *args, **kwargs)
+
+        monkeypatch.setattr(train, "epsilon_broadened", counted)
+        vector = total = 0
+        for delta in np.arange(0.05, 0.451, 0.05):
+            sizes.clear()
+            broadened_A_coefficients(float(delta), gamma=0.01, pair_count=9)
+            assert sizes[0] > 1 and set(sizes[1:]) <= {1}
+            vector += sizes[0]
+            total += sum(sizes)
+        # 1596 of 1764 with scipy 1.17
+        assert vector >= 0.85 * total
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    @pytest.mark.parametrize("pair_count", [9, 20000])
+    def test_prefetched_values_match_scalar_calls(
+        self, monkeypatch, pair_count, gamma
+    ):
+        # 20000 pairs are two tiles of teeth; the quadrature stops at the
+        # first scalar node, after the prefetch it checks
+        class Prefetched(Exception):
+            pass
+
+        calls = []
+
+        def first_call(nu, *args, **kwargs):
+            if calls:
+                raise Prefetched
+            values = epsilon_broadened(nu, *args, **kwargs)
+            calls.append((np.array(nu), values))
+            return values
+
+        monkeypatch.setattr(train, "epsilon_broadened", first_call)
+        try:
+            broadened_A_coefficients(0.2, gamma=gamma, pair_count=pair_count)
+        except Prefetched:
+            pass
+        ((nodes, values),) = calls
+        scalar = np.array(
+            [
+                complex(epsilon_broadened(nu, 0.2, gamma=gamma, pair_count=pair_count))
+                for nu in nodes.tolist()
+            ]
+        )
+        assert nodes.size > 1
+        assert np.array_equal(values.view(np.int64), scalar.view(np.int64))
 
     @pytest.mark.parametrize("delta", [0.2, 1.0])
     def test_sharp_comb_keeps_the_edge_as_its_one_break(self, delta):
