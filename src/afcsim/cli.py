@@ -17,10 +17,10 @@ simulated ``sweep`` one at each point.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
+from argparse import ArgumentParser, Namespace
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
@@ -64,9 +64,7 @@ class RunConfig(RunSpec):
 
     The :class:`RunSpec` fields come first, then the protocol and sweep
     settings; the config file lists them in that order.  ``passes`` must
-    be 1 or 2 whichever subcommand runs.  Only ``protocol`` reads
-    ``passes``, ``mismatch_time``, ``mismatch_phase`` and ``simulate``;
-    the other run subcommands refuse them away from their defaults.
+    be 1 or 2 whichever subcommand runs.
     """
 
     passes: int = 1
@@ -89,19 +87,7 @@ class RunConfig(RunSpec):
             raise ValueError(f"passes must be 1 or 2, got {self.passes}")
 
 
-# Keys that protocol alone reads; config prints them, and the other run
-# subcommands refuse a value that they would ignore.
-_PROTOCOL_KEYS = ("passes", "mismatch_time", "mismatch_phase", "simulate")
-
-
-def _refuse_keys(config: RunConfig, names: Sequence[str], reason: str) -> None:
-    """Raise ``ConfigError`` naming the first of ``names`` off its default."""
-    defaults = RunConfig()
-    for name in names:
-        value = getattr(config, name)
-        if value != getattr(defaults, name):
-            rendered = "none" if value is None else format_value(value)
-            raise ConfigError(f"{name} = {rendered} {reason}")
+_CONFIG_KEYS = [field.name for field in fields(RunConfig)]
 
 
 def _cast_bool(raw: str) -> bool:
@@ -193,17 +179,14 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(**values)
 
 
+def _render(value: object) -> str:
+    """A setting's value as the config file spells it."""
+    return "none" if value is None else format_value(value)
+
+
 def canonical_config(config: RunConfig) -> str:
     """Emit every setting in declaration order; parses back unchanged."""
-    lines = []
-    for field in fields(RunConfig):
-        value = getattr(config, field.name)
-        if value is None:
-            rendered = "none"
-        else:
-            rendered = format_value(value)
-        lines.append(f"{field.name} = {rendered}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{key} = {_render(getattr(config, key))}\n" for key in _CONFIG_KEYS)
 
 
 # Under ``--physical``, each dimensionless column named here gains a
@@ -238,26 +221,22 @@ def _write(
     _say(f"wrote {path} ({count} rows)")
 
 
-def cmd_spectrum(
-    config: RunConfig, out_dir: Path, scale: UnitScale | None
-) -> int:
+def cmd_spectrum(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
     # Midpoint sampling keeps sharp-tooth models off their edge
     # singularities.
     nu = -2.5 + (np.arange(2000) + 0.5) * (5.0 / 2000)
     packed = comb_response(config.comb(), nu, config.model, config.harmonics)
     header = ("nu_over_nu0", "absorption", "dispersion")
-    _write(out_dir / "spectrum.csv", header, (nu, packed.real, packed.imag), scale)
+    _write(args.out / "spectrum.csv", header, (nu, packed.real, packed.imag), scale)
     return 0
 
 
-def cmd_transfer(
-    config: RunConfig, out_dir: Path, scale: UnitScale | None
-) -> int:
+def cmd_transfer(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
     comb, medium, grid = config.comb(), MediumSpec(config.d_p), config.probe().grid
     transfer = build_transfer(comb, medium, grid, config.model, config.harmonics)
     values = transfer.values
     _write(
-        out_dir / "transfer.csv",
+        args.out / "transfer.csv",
         ("nu_over_nu0", "re", "im", "magnitude"),
         (grid.points(), values.real, values.imag, np.abs(values)),
         scale,
@@ -265,15 +244,13 @@ def cmd_transfer(
     return 0
 
 
-def cmd_propagate(
-    config: RunConfig, out_dir: Path, scale: UnitScale | None
-) -> int:
+def cmd_propagate(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
     result = recall(config)
     check_time_window(result.signal, config.k_max, trace=True)
     columns = trace_columns(
         result.signal, result.train.reference_intensity, -1.0, config.k_max + 1.0
     )
-    _write(out_dir / "trace.csv", TRACE_HEADER, columns, scale)
+    _write(args.out / "trace.csv", TRACE_HEADER, columns, scale)
     return 0
 
 
@@ -299,7 +276,7 @@ def _warn_above_unity(efficiency: float) -> None:
         )
 
 
-def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
+def cmd_train(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
     train = recall(config).train
     closed = closed_train(config.comb(), MediumSpec(config.d_p), config.k_max)
     header = ("k", "intensity", "closed_intensity", "rel_error", "arrival_over_T")
@@ -314,13 +291,11 @@ def cmd_train(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
             f"k={entry.index} intensity={entry.intensity:.6f} "
             f"closed={reference_value:.6f} rel={rel_text}"
         )
-    _write(out_dir / "train.csv", header, list(zip(*rows)), scale)
+    _write(args.out / "train.csv", header, list(zip(*rows)), scale)
     return 0
 
 
-def cmd_protocol(
-    config: RunConfig, out_dir: Path, scale: UnitScale | None
-) -> int:
+def cmd_protocol(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
     result = recall(
         config,
         passes=config.passes,
@@ -343,7 +318,7 @@ def cmd_protocol(
             f"simulated={simulated:.6f} rel={rel_text}"
         )
     _write(
-        out_dir / "protocol.csv",
+        args.out / "protocol.csv",
         (
             "protocol",
             "shape",
@@ -370,7 +345,7 @@ def cmd_protocol(
     return 0
 
 
-def cmd_sweep(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
+def cmd_sweep(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
     result = sweep(
         SweepRequest(
             axis=SweepAxis(
@@ -406,37 +381,26 @@ def cmd_sweep(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
         f"best {config.sweep_parameter}={result.best_value:.6g} "
         f"efficiency={result.best_efficiency:.6f}{note}"
     )
-    _write(out_dir / "sweep.csv", header, list(zip(*rows)), scale)
+    _write(args.out / "sweep.csv", header, list(zip(*rows)), scale)
     _warn_above_unity(result.best_efficiency)
     return 0
 
 
-def cmd_config(config: RunConfig, out_dir: Path, scale: UnitScale | None) -> int:
+def cmd_config(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
     _say(canonical_config(config), end="")
     return 0
 
 
-_COMMANDS: dict[str, Callable[[RunConfig, Path, UnitScale | None], int]] = {
-    "spectrum": cmd_spectrum,
-    "transfer": cmd_transfer,
-    "propagate": cmd_propagate,
-    "train": cmd_train,
-    "protocol": cmd_protocol,
-    "sweep": cmd_sweep,
-    "config": cmd_config,
-}
-
-
-def cmd_reproduce(target: str | None, out_dir: Path) -> int:
+def cmd_reproduce(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
     # Imported here: no other subcommand needs the reproduction targets.
     from .reproduce import TARGETS, run_target
 
-    if target is None:
+    if args.target is None:
         for name in sorted(TARGETS):
             _say(f"{name}: {TARGETS[name][0]}")
         return 0
     try:
-        report = run_target(target, out_dir)
+        report = run_target(args.target, args.out)
     except KeyError as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 1
@@ -452,7 +416,56 @@ def cmd_reproduce(target: str | None, out_dir: Path) -> int:
     return 0 if report.ok else 2
 
 
-class _Parser(argparse.ArgumentParser):
+# Settings that more than one subcommand reads.
+_SPECTRUM = {"shape", "finesse", "gamma", "pair_count", "model", "harmonics"}
+_TRANSFER = _SPECTRUM | {"d_p", "sigma", "samples", "span_factor"}
+_RUN = {field.name for field in fields(RunSpec)}
+_PHYSICAL = {"--physical"}
+
+# Each subcommand: the function it runs, its help line and the settings it
+# reads.  main refuses any other setting off its default, so that no
+# setting is silently ignored.  A function takes the configuration, the
+# parsed arguments (for --out and reproduce's target) and the unit scale.
+_Run = Callable[[RunConfig, Namespace, UnitScale | None], int]
+_COMMANDS: dict[str, tuple[_Run, str, set[str]]] = {
+    "spectrum": (
+        cmd_spectrum, "comb response over the central periods", _SPECTRUM | _PHYSICAL
+    ),
+    "transfer": (
+        cmd_transfer, "complex transfer function on the grid", _TRANSFER | _PHYSICAL
+    ),
+    "propagate": (
+        cmd_propagate, "time trace of the propagated pulse", _RUN | _PHYSICAL
+    ),
+    "train": (cmd_train, "echo train against the closed form", _RUN | _PHYSICAL),
+    "protocol": (
+        cmd_protocol,
+        "single- or two-pass efficiency",
+        _RUN | {"passes", "mismatch_time", "mismatch_phase", "simulate"},
+    ),
+    "sweep": (
+        cmd_sweep,
+        "efficiency along a parameter axis",
+        _RUN | {key for key in _CONFIG_KEYS if key.startswith("sweep_")},
+    ),
+    "config": (cmd_config, "print the resolved configuration", set(_CONFIG_KEYS)),
+    "reproduce": (cmd_reproduce, "rerun a pinned reference result", set()),
+}
+
+
+def _refuse_unread(command: str, config: RunConfig, physical: float | None) -> None:
+    """Refuse the first setting off its default that ``command`` does not read.
+
+    Config keys go in file order, then ``--physical``.
+    """
+    reads, defaults = _COMMANDS[command][2], RunConfig()
+    settings = [(k, getattr(config, k), getattr(defaults, k)) for k in _CONFIG_KEYS]
+    for key, value, default in [*settings, ("--physical", physical, None)]:
+        if key not in reads and value != default:
+            raise ConfigError(f"{key} = {_render(value)} is not read by {command}")
+
+
+class _Parser(ArgumentParser):
     # Usage problems are configuration problems: exit 1, reserve 2 for
     # failed reproduction checks.
     def error(self, message: str):  # noqa: D102
@@ -487,17 +500,9 @@ def _build_parser() -> _Parser:
     commands = parser.add_subparsers(
         dest="command", required=True, parser_class=_Parser
     )
-    commands.add_parser("spectrum", help="comb response over the central periods")
-    commands.add_parser("transfer", help="complex transfer function on the grid")
-    commands.add_parser("propagate", help="time trace of the propagated pulse")
-    commands.add_parser("train", help="echo train against the closed form")
-    commands.add_parser("protocol", help="single- or two-pass efficiency")
-    commands.add_parser("sweep", help="efficiency along a parameter axis")
-    commands.add_parser("config", help="print the resolved configuration")
-    reproduce = commands.add_parser(
-        "reproduce", help="rerun a pinned reference result"
-    )
-    reproduce.add_argument(
+    for name, (_, help_line, _) in _COMMANDS.items():
+        commands.add_parser(name, help=help_line)
+    commands.choices["reproduce"].add_argument(
         "target", nargs="?", help="target name; omit to list targets"
     )
     return parser
@@ -521,22 +526,9 @@ def main(argv: Sequence[str] | None = None) -> int:
                 "--physical takes nu0 in Hz, a positive finite number; "
                 f"got {args.physical}"
             ) from None
-        if args.command == "reproduce":
-            unread = "is not read: reproduce targets take no configuration"
-            _refuse_keys(config, [field.name for field in fields(RunConfig)], unread)
-            if scale is not None:
-                raise ConfigError(f"--physical {format_value(args.physical)} {unread}")
-        elif args.command not in ("protocol", "config"):
-            _refuse_keys(
-                config,
-                _PROTOCOL_KEYS,
-                f"is read only by protocol; {args.command} would ignore it",
-            )
-        out_dir = args.out
-        out_dir.mkdir(parents=True, exist_ok=True)
-        if args.command == "reproduce":
-            return cmd_reproduce(args.target, out_dir)
-        return _COMMANDS[args.command](config, out_dir, scale)
+        _refuse_unread(args.command, config, args.physical)
+        args.out.mkdir(parents=True, exist_ok=True)
+        return _COMMANDS[args.command][0](config, args, scale)
     except (ConfigError, ValueError, _StdoutFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

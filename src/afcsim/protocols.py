@@ -172,7 +172,8 @@ def recall(
     ``I1 (1 + C0)^2``.  The closed form is quoted for matched paths;
     ``mismatch_time`` (a delay on the recycled path) and
     ``mismatch_phase`` act only on the simulated second pass, letting
-    the interference be detuned on purpose.
+    the interference be detuned on purpose.  Either one away from 0
+    without both ``passes = 2`` and ``simulate`` raises ``ValueError``.
 
     The two fields add at unit weight, so the recall can exceed 1: for
     unbroadened square teeth the optimum over ``d_p`` of
@@ -182,6 +183,17 @@ def recall(
     """
     if passes not in (1, 2):
         raise ValueError(f"passes must be 1 or 2, got {passes}")
+    mismatch = (("mismatch_time", mismatch_time), ("mismatch_phase", mismatch_phase))
+    for name, value in mismatch:
+        if value != 0.0 and passes == 1:
+            raise ValueError(
+                f"{name} = {value} needs passes = 2: a single pass has no recycled path"
+            )
+        if value != 0.0 and not simulate:
+            raise ValueError(
+                f"{name} = {value} needs simulate = true: the closed form covers "
+                "matched paths only"
+            )
     comb, medium = spec.comb(), MediumSpec(spec.d_p)
     closed = first_echo_intensity(comb, medium)
     if passes == 2:

@@ -4,6 +4,7 @@ import csv
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -15,7 +16,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import afcsim
-from afcsim.cli import ConfigError, RunConfig, canonical_config, main, parse_config
+from afcsim.cli import (
+    _COMMANDS,
+    ConfigError,
+    RunConfig,
+    canonical_config,
+    main,
+    parse_config,
+)
 from afcsim.combs import CombShape
 from afcsim.propagation import TransferModel
 from afcsim.reproduce import TARGETS, Check, TargetReport
@@ -210,8 +218,20 @@ class TestSubcommands:
     def test_physical_adds_one_converted_column(
         self, tmp_path, capsys, command, name, unit
     ):
-        # finesse 4.1 at depth 100 leaves echo window 0 without an arrival
-        path = _write_config(tmp_path, "finesse = 4.1\nd_p = 100\n")
+        # finesse 4.1 at depth 100 leaves echo window 0 without an arrival;
+        # spectrum reads no depth
+        depth = "" if command == "spectrum" else "d_p = 100\n"
+        path = _write_config(tmp_path, "finesse = 4.1\n" + depth)
+        if unit is None:
+            # a table without a dimensionless column does not read --physical
+            out = tmp_path / "physical"
+            argv = ["--config", str(path), "--out", str(out), "--physical", "2e6"]
+            assert main([*argv, command]) == 1
+            assert capsys.readouterr().err == (
+                f"error: --physical = 2000000.0 is not read by {command}\n"
+            )
+            assert not out.exists()
+            return
         tables = {}
         for extra in ([], ["--physical", "2e6"]):
             out = tmp_path / ("physical" if extra else "plain")
@@ -221,9 +241,6 @@ class TestSubcommands:
                 header, *rows = csv.reader(handle)
             tables[bool(extra)] = header, rows
         (header, rows), (physical_header, physical_rows) = tables[False], tables[True]
-        if unit is None:
-            assert (physical_header, physical_rows) == (header, rows)
-            return
         source, added, convert = unit
         assert physical_header == header + [added]
         assert [row[:-1] for row in physical_rows] == rows
@@ -365,34 +382,14 @@ class TestSubcommands:
         assert captured.out == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        ("key", "value"),
-        [
-            ("passes", "2"),
-            ("mismatch_time", "0.1"),
-            ("mismatch_phase", "-0.5"),
-            ("simulate", "false"),
-        ],
-    )
-    @pytest.mark.parametrize(
-        "command", ["spectrum", "transfer", "propagate", "train", "sweep"]
-    )
-    def test_protocol_keys_are_refused_where_ignored(
-        self, tmp_path, capsys, command, key, value
-    ):
-        path = _write_config(tmp_path, f"{key} = {value}\n")
-        out = tmp_path / "out"
-        assert main(["--config", str(path), "--out", str(out), command]) == 1
+    def test_protocol_refuses_a_mismatch_it_would_ignore(self, tmp_path, capsys):
+        # a single pass has no recycled path to detune
+        path = _write_config(tmp_path, "mismatch_time = 0.3\n")
+        assert main(["--config", str(path), "--out", str(tmp_path), "protocol"]) == 1
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"error: {key} = {value} is read only by protocol; "
-            f"{command} would ignore it\n"
-        )
+        assert captured.err.startswith("error: mismatch_time ")
         assert captured.out == ""
-        assert not out.exists()
-        # config prints the setting back
-        assert main(["--config", str(path), "--out", str(out), "config"]) == 0
-        assert f"{key} = {value}\n" in capsys.readouterr().out
+        assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize(
         ("command", "passes"),
@@ -494,7 +491,7 @@ class TestReproduceCommand:
         ("options", "named"),
         [
             (["--config", "{cfg}"], "d_p = 7.0"),
-            (["--physical", "3.7e6"], "--physical 3700000.0"),
+            (["--physical", "3.7e6"], "--physical = 3700000.0"),
             (["--physical", "3.7e6", "--config", "{cfg}"], "d_p = 7.0"),
         ],
     )
@@ -507,9 +504,7 @@ class TestReproduceCommand:
         argv = [arg.format(cfg=path) for arg in options]
         assert main([*argv, "--out", str(out), "reproduce", *target]) == 1
         captured = capsys.readouterr()
-        assert captured.err == (
-            f"error: {named} is not read: reproduce targets take no configuration\n"
-        )
+        assert captured.err == f"error: {named} is not read by reproduce\n"
         assert captured.out == ""
         assert not out.exists()
 
@@ -525,6 +520,107 @@ class TestReproduceCommand:
         monkeypatch.setitem(TARGETS, "broken", ("synthetic failure", broken))
         assert main(["--out", str(tmp_path), "reproduce", "broken"]) == 2
         assert "[FAIL]" in capsys.readouterr().out
+
+
+# A non-default value for every config key, in canonical form.
+_PROBES = {
+    "shape": "lorentzian",
+    "finesse": "6.0",
+    "d_p": "12.0",
+    "gamma": "0.01",
+    "pair_count": "5",
+    "sigma": "4.0",
+    "samples": "8192",
+    "span_factor": "5.0",
+    "oversample": "8",
+    "model": "ideal",
+    "harmonics": "500",
+    "k_max": "2",
+    "passes": "2",
+    "mismatch_time": "0.3",
+    "mismatch_phase": "0.5",
+    "simulate": "false",
+    "sweep_parameter": "gamma",
+    "sweep_start": "2.0",
+    "sweep_stop": "30.0",
+    "sweep_steps": "5",
+    "sweep_scale": "log",
+    "sweep_protocol": "two-pass",
+    "sweep_refine": "false",
+    "sweep_simulate": "true",
+}
+# Keys that act only together with another setting.
+_NEEDS = {
+    "harmonics": {"model": "ideal"},
+    "mismatch_time": {"passes": "2"},
+    "mismatch_phase": {"passes": "2"},
+}
+
+
+def _context(command: str, key: str) -> dict[str, str]:
+    """The settings beside ``key`` under which its probe value can act."""
+    context = dict(_NEEDS.get(key, {}))
+    if command == "sweep":
+        # a closed-form sweep reads no grid, and the axis sets its own
+        # parameter; three points keep it short
+        context["sweep_steps"] = "3"
+        if not key.startswith("sweep_"):
+            context["sweep_simulate"] = "true"
+        if key == RunConfig.sweep_parameter:
+            context["sweep_parameter"] = "gamma"
+    return context
+
+
+class TestCommandTable:
+    """A subcommand reads a setting exactly when the setting changes its output."""
+
+    def test_probes_cover_the_config(self):
+        assert list(_PROBES) == [f.name for f in fields(RunConfig)]
+
+    @pytest.mark.parametrize("command", list(_COMMANDS))
+    def test_every_setting_is_read_or_refused(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        out = tmp_path / "out"
+
+        def run(settings: dict[str, str]):
+            """Exit code, stdout, stderr and the files written, by name."""
+            physical = settings.get("--physical")
+            extra = [] if physical is None else ["--physical", physical]
+            text = "".join(
+                f"{key} = {value}\n"
+                for key, value in settings.items()
+                if key != "--physical"
+            )
+            path = _write_config(tmp_path, text)
+            code = main(["--config", str(path), "--out", str(out), *extra, command])
+            captured = capsys.readouterr()
+            written = None
+            if out.exists():
+                written = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+                shutil.rmtree(out)
+            return code, captured.out, captured.err, written
+
+        probes = [*_PROBES.items(), ("--physical", "2000000.0")]
+        runs, help_line, reads = _COMMANDS[command]
+        for key, value in probes:
+            if key not in reads:
+                assert run({key: value}) == (
+                    1, "", f"error: {key} = {value} is not read by {command}\n", None
+                )
+        # Let every setting through: the ones read change the output, and
+        # the refused ones would have changed nothing.  A short grid keeps
+        # each run quick.
+        everything = {key for key, _ in probes}
+        monkeypatch.setitem(_COMMANDS, command, (runs, help_line, everything))
+        baselines = {}
+        for key, value in probes:
+            context = {"samples": "4096", **_context(command, key)}
+            baseline = baselines.get(tuple(context.items())) or run(context)
+            baselines[tuple(context.items())] = baseline
+            probe = run({**context, key: value})
+            assert baseline[0] == probe[0] == 0, (key, baseline[2], probe[2])
+            assert (probe[1:] != baseline[1:]) == (key in reads), key
 
 
 class TestErrorPaths:
@@ -809,15 +905,20 @@ class TestFiniteOutput:
             and column in ("simulated_efficiency", "rel_error"),
             "sweep.csv": lambda column, row: row["status"] != "ok",
         }
-        extra = ["--physical", "1e6"] if physical else []
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp)
-            config = _write_config(out, canonical_config(RunConfig(**overrides)))
             for command in (
                 "spectrum", "transfer", "propagate", "train", "protocol", "sweep"
             ):
+                # each subcommand gets the drawn settings that it reads
+                reads = _COMMANDS[command][2]
+                read = {k: v for k, v in overrides.items() if k in reads}
+                config = out / f"{command}.cfg"
+                config.write_text(canonical_config(RunConfig(**read)))
                 run_dir = out / command
-                args = ["--config", str(config), "--out", str(run_dir), *extra]
+                args = ["--config", str(config), "--out", str(run_dir)]
+                if physical and "--physical" in reads:
+                    args += ["--physical", "1e6"]
                 code = main([*args, command])
                 assert code in (0, 1)
                 if code == 0:

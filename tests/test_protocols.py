@@ -277,6 +277,18 @@ class TestTwoPass:
         detuned = _run_two_pass(mismatch_time=0.03)
         assert detuned.simulated_efficiency < matched.simulated_efficiency
 
+    @pytest.mark.parametrize("name", ["mismatch_time", "mismatch_phase"])
+    def test_single_pass_refuses_a_mismatch(self, name):
+        # one pass has no recycled path to detune
+        with pytest.raises(ValueError, match=f"^{name} = 0.3 needs passes = 2"):
+            recall(RUN, probe=PROBE, **{name: 0.3})
+
+    @pytest.mark.parametrize("name", ["mismatch_time", "mismatch_phase"])
+    def test_closed_form_refuses_a_mismatch(self, name):
+        # the closed form covers matched paths only
+        with pytest.raises(ValueError, match=f"^{name} = 0.3 needs simulate = true"):
+            recall(RUN, passes=2, simulate=False, **{name: 0.3})
+
     def test_zero_depth_reports_no_echo(self):
         # Without a comb the recycled probe rings about 4e-6 into the
         # echo window; like extract_train, that window holds no echo.
