@@ -382,6 +382,32 @@ class TestSubcommands:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [
+            ("passes", "2"),
+            ("mismatch_time", "0.1"),
+            ("mismatch_phase", "-0.5"),
+            ("simulate", "false"),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "command", ["spectrum", "transfer", "propagate", "train", "sweep"]
+    )
+    def test_protocol_keys_are_refused_where_ignored(
+        self, tmp_path, capsys, command, key, value
+    ):
+        path = _write_config(tmp_path, f"{key} = {value}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), command]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {key} = {value} is not read by {command}\n"
+        assert captured.out == ""
+        assert not out.exists()
+        # config prints the setting back
+        assert main(["--config", str(path), "--out", str(out), "config"]) == 0
+        assert f"{key} = {value}\n" in capsys.readouterr().out
+
     def test_protocol_refuses_a_mismatch_it_would_ignore(self, tmp_path, capsys):
         # a single pass has no recycled path to detune
         path = _write_config(tmp_path, "mismatch_time = 0.3\n")
