@@ -34,7 +34,9 @@ from .protocols import RunSpec, recall
 from .sweeps import SweepAxis, SweepKind, SweepRequest, sweep
 from .train import closed_train
 
-__all__ = ["ConfigError", "RunConfig", "canonical_config", "main", "parse_config"]
+__all__ = [
+    "ConfigError", "RunConfig", "canonical_config", "main", "parse_config", "reads"
+]
 
 
 class ConfigError(ValueError):
@@ -423,9 +425,9 @@ _RUN = {field.name for field in fields(RunSpec)}
 _PHYSICAL = {"--physical"}
 
 # Each subcommand: the function it runs, its help line and the settings it
-# reads.  main refuses any other setting off its default, so that no
-# setting is silently ignored.  A function takes the configuration, the
-# parsed arguments (for --out and reproduce's target) and the unit scale.
+# reads (see reads()).  main refuses any other setting off its default, so
+# that no setting is silently ignored.  A function takes the configuration,
+# the parsed arguments (for --out and reproduce's target) and the unit scale.
 _Run = Callable[[RunConfig, Namespace, UnitScale | None], int]
 _COMMANDS: dict[str, tuple[_Run, str, set[str]]] = {
     "spectrum": (
@@ -453,15 +455,25 @@ _COMMANDS: dict[str, tuple[_Run, str, set[str]]] = {
 }
 
 
+def reads(command: str, config: RunConfig) -> set[str]:
+    """The settings ``command`` reads under ``config``.
+
+    Its row's set in the command table, less the key that a sweep sets
+    at each of its points.
+    """
+    keys = _COMMANDS[command][2]
+    return keys - {config.sweep_parameter} if command == "sweep" else keys
+
+
 def _refuse_unread(command: str, config: RunConfig, physical: float | None) -> None:
     """Refuse the first setting off its default that ``command`` does not read.
 
     Config keys go in file order, then ``--physical``.
     """
-    reads, defaults = _COMMANDS[command][2], RunConfig()
+    read, defaults = reads(command, config), RunConfig()
     settings = [(k, getattr(config, k), getattr(defaults, k)) for k in _CONFIG_KEYS]
     for key, value, default in [*settings, ("--physical", physical, None)]:
-        if key not in reads and value != default:
+        if key not in read and value != default:
             raise ConfigError(f"{key} = {_render(value)} is not read by {command}")
 
 

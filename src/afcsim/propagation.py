@@ -233,9 +233,24 @@ def _grid_response(
     model: TransferModel,
     harmonics: int | None,
 ) -> np.ndarray:
-    """Packed response of a comb on a grid, read-only so callers can share it."""
+    """Packed response of a comb on a grid, read-only so callers can share it.
+
+    Every comb's response at ``-nu`` is the conjugate of that at ``nu``.
+    On a grid of more than 1024 samples the comb is evaluated once, on
+    ``0, spacing, ..., half_span``; the lower half and the unpaired edge
+    sample ``-half_span`` are their conjugates, so the halves mirror
+    each other bit for bit.  A smaller grid is evaluated whole.
+    """
     with np.errstate(invalid="ignore"):
-        packed = comb_response(comb, grid.points(), model, harmonics)
+        if grid.samples <= 1024:
+            packed = comb_response(comb, grid.points(), model, harmonics)
+        else:
+            h = grid.samples // 2
+            nu = np.arange(h + 1) * grid.spacing
+            upper = comb_response(comb, nu, model, harmonics)
+            packed = np.empty(grid.samples, dtype=complex)
+            packed[h:] = upper[:h]
+            np.conjugate(upper[:0:-1], out=packed[:h])
     packed.flags.writeable = False
     return packed
 
@@ -263,9 +278,7 @@ def build_transfer(
     :func:`_mirror_halves`), only the centre, the upper half and the
     edge sample are exponentiated, and the lower half is the conjugate
     of the upper.  At a positive depth every response does on grids of
-    more than 1024 samples: the square combs, finite and ideal, fill the
-    lower half of a grid with the conjugate of the upper, and the
-    Lorentzian and harmonic combs are mirrored on every grid.
+    more than 1024 samples, which :func:`_grid_response` mirrors.
 
     Raises ``ValueError`` if ``response`` does not have one sample per
     grid point; if any sample is non-finite: one such sample

@@ -17,9 +17,7 @@ for peak optical depth ``d_p``.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Callable
 
 import numpy as np
 
@@ -77,9 +75,8 @@ def chi_square_series(
     A 1-d, ascending ``nu`` that is uniform to rounding is summed as a
     chirp-z transform, in O(L log L) time for L = N + harmonics; it
     agrees with term-by-term summation to about 1e-11.  Scalars and
-    other grids are summed term by term.  A mirrored run of detunings,
-    such as a ``FrequencyGrid``'s, is evaluated on its upper half only
-    (see :func:`_mirrored`).
+    other grids are summed term by term.  Every detuning given is
+    evaluated (see :func:`afcsim.propagation._grid_response`).
 
     Returns ``absorption + 1j * dispersion``.
     """
@@ -92,12 +89,10 @@ def chi_square_series(
     nu = np.asarray(nu, dtype=float)
     q = math.exp(-math.pi * gamma)
     if harmonics is None:
-        evaluate = functools.partial(_square_resummed, inv_finesse=inv_finesse, q=q)
-    else:
-        damping = q ** np.arange(1, harmonics + 1)
-        weights = square_harmonic_weights(inv_finesse, harmonics) * damping
-        evaluate = functools.partial(_square_series, mean=inv_finesse, weights=weights)
-    return _mirrored(nu, evaluate, reflect_head=True)
+        return _square_resummed(nu, inv_finesse, q)
+    damping = q ** np.arange(1, harmonics + 1)
+    weights = square_harmonic_weights(inv_finesse, harmonics) * damping
+    return _square_series(nu, inv_finesse, weights)
 
 
 def _square_resummed(nu: np.ndarray, inv_finesse: float, q: float) -> np.ndarray:
@@ -224,10 +219,8 @@ def epsilon_broadened(
     exceed ``2**15`` detuning-tooth pairs: memory grows with the tooth
     count only through the ``2 pair_count + 2`` tooth centres.  Up to
     ``2**15`` teeth the values are bit-identical to one broadcast over
-    all teeth; beyond, they agree with it to rounding.  A mirrored run
-    of detunings, such as a ``FrequencyGrid``'s, is evaluated on its
-    upper half only (see :func:`_mirrored`); the unpaired sample before
-    it is evaluated directly.
+    all teeth; beyond, they agree with it to rounding.  Every detuning
+    given is evaluated (see :func:`afcsim.propagation._grid_response`).
 
     Returns ``absorption + 1j * dispersion``.
     """
@@ -254,71 +247,11 @@ def epsilon_broadened(
 
     if nu.size <= rows:
         return comb(nu)
-
-    def blocks(x: np.ndarray) -> np.ndarray:
-        flat = x.ravel()
-        packed = np.empty(flat.size, dtype=complex)
-        for start in range(0, flat.size, rows):
-            stop = start + rows
-            packed[start:stop] = comb(flat[start:stop])
-        return packed.reshape(x.shape)
-
-    return _mirrored(nu, blocks, reflect_head=False)
-
-
-def _mirrored(
-    nu: np.ndarray,
-    evaluate: Callable[[np.ndarray], np.ndarray],
-    *,
-    reflect_head: bool,
-) -> np.ndarray:
-    """A response symmetric about ``nu = 0`` from ``evaluate`` on half of ``nu``.
-
-    The response at ``-nu`` is the conjugate of that at ``nu``, and
-    ``evaluate`` returns it on an array of detunings.  If the
-    flattened samples of an array of more than 1024 detunings from
-    index ``s`` (0 or 1) on mirror each other,
-    ``nu[s + j] == -nu[n - 1 - j]``, as every ``FrequencyGrid.points()``
-    does with ``s = 1``, only the upper half of that run is evaluated
-    and the lower half is filled with its conjugate, so the two halves
-    mirror each other exactly.  The unpaired sample ``nu[0]`` of a run
-    from ``s = 1`` is evaluated directly, or, with ``reflect_head``, as
-    the conjugate of the response at ``-nu[0]``, appended to the upper
-    half: on a grid that extends the upper half by one step, so a
-    uniform half stays uniform.  Without a mirrored run ``evaluate``
-    gets ``nu`` as it is.
-    """
     flat = nu.ravel()
-    n = flat.size
-    first, mirrored = _mirrored_run(flat) if n > _COMB_BLOCK else (0, 0)
-    if not mirrored:
-        return evaluate(nu)
-    upper = first + mirrored
-    packed = np.empty(n, dtype=complex)
-    if reflect_head:
-        values = evaluate(np.concatenate((flat[upper:], -flat[:first])))
-        packed[upper:] = values[: n - upper]
-        np.conjugate(values[n - upper :], out=packed[:first])
-    else:
-        packed[:first] = evaluate(flat[:first])
-        packed[upper:] = evaluate(flat[upper:])
-    np.conjugate(packed[n - mirrored :][::-1], out=packed[first:upper])
+    packed = np.empty(flat.size, dtype=complex)
+    for start in range(0, flat.size, rows):
+        packed[start : start + rows] = comb(flat[start : start + rows])
     return packed.reshape(nu.shape)
-
-
-def _mirrored_run(nu: np.ndarray) -> tuple[int, int]:
-    """``(s, m)`` with ``nu[s + j] == -nu[n - 1 - j]`` for ``j < m``.
-
-    ``s`` is 0 or 1 and ``m`` is half the length of the run ``nu[s:]``,
-    rounded down, so the pairs cover the run but for an odd run's middle
-    sample; ``(0, 0)`` if neither run pairs up.
-    """
-    for first in (0, 1):
-        run = nu[first:]
-        half = run.size // 2
-        if run[0] == -run[-1] and np.array_equal(run[:half], -run[: -half - 1 : -1]):
-            return first, half
-    return 0, 0
 
 
 def _finite_comb(

@@ -23,6 +23,7 @@ from afcsim.cli import (
     canonical_config,
     main,
     parse_config,
+    reads,
 )
 from afcsim.combs import CombShape
 from afcsim.propagation import TransferModel
@@ -219,8 +220,8 @@ class TestSubcommands:
         self, tmp_path, capsys, command, name, unit
     ):
         # finesse 4.1 at depth 100 leaves echo window 0 without an arrival;
-        # spectrum reads no depth
-        depth = "" if command == "spectrum" else "d_p = 100\n"
+        # spectrum reads no depth, and a sweep sets its own
+        depth = "" if command in ("spectrum", "sweep") else "d_p = 100\n"
         path = _write_config(tmp_path, "finesse = 4.1\n" + depth)
         if unit is None:
             # a table without a dimensionless column does not read --physical
@@ -260,8 +261,8 @@ class TestSubcommands:
             ("spectrum", ""),
             (
                 "sweep",
-                "sweep_parameter = gamma\nsweep_start = 0.01\nsweep_stop = 0.02\n"
-                "sweep_steps = 3\nsweep_simulate = true\n",
+                "sweep_start = 8.0\nsweep_stop = 12.0\nsweep_steps = 3\n"
+                "sweep_simulate = true\n",
             ),
             ("transfer", ""),
             ("propagate", ""),
@@ -407,6 +408,22 @@ class TestSubcommands:
         # config prints the setting back
         assert main(["--config", str(path), "--out", str(out), "config"]) == 0
         assert f"{key} = {value}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "setting", ["d_p = 12.0", "finesse = 6.0", "gamma = 0.3"]
+    )
+    def test_sweep_refuses_the_key_it_sweeps(self, tmp_path, capsys, setting):
+        # each point of the sweep sets the swept key, so its value is unread
+        key = setting.split()[0]
+        path = _write_config(tmp_path, f"{setting}\nsweep_parameter = {key}\n")
+        out = tmp_path / "out"
+        assert main(["--config", str(path), "--out", str(out), "sweep"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {setting} is not read by sweep\n"
+        assert captured.out == ""
+        assert not out.exists()
+        assert main(["--config", str(path), "--out", str(out), "config"]) == 0
+        assert f"{setting}\n" in capsys.readouterr().out
 
     def test_protocol_refuses_a_mismatch_it_would_ignore(self, tmp_path, capsys):
         # a single pass has no recycled path to detune
@@ -627,26 +644,36 @@ class TestCommandTable:
                 shutil.rmtree(out)
             return code, captured.out, captured.err, written
 
+        def read(settings: dict[str, str]) -> set[str]:
+            config = parse_config(
+                "".join(f"{k} = {v}\n" for k, v in settings.items() if k in _PROBES)
+            )
+            return reads(command, config)
+
         probes = [*_PROBES.items(), ("--physical", "2000000.0")]
-        runs, help_line, reads = _COMMANDS[command]
         for key, value in probes:
-            if key not in reads:
+            if key not in read({key: value}):
                 assert run({key: value}) == (
                     1, "", f"error: {key} = {value} is not read by {command}\n", None
                 )
+        contexts = {
+            key: {"samples": "4096", **_context(command, key)} for key, _ in probes
+        }
+        expected = {key: key in read({**contexts[key], key: v}) for key, v in probes}
         # Let every setting through: the ones read change the output, and
         # the refused ones would have changed nothing.  A short grid keeps
         # each run quick.
+        runs, help_line, _ = _COMMANDS[command]
         everything = {key for key, _ in probes}
         monkeypatch.setitem(_COMMANDS, command, (runs, help_line, everything))
         baselines = {}
         for key, value in probes:
-            context = {"samples": "4096", **_context(command, key)}
+            context = contexts[key]
             baseline = baselines.get(tuple(context.items())) or run(context)
             baselines[tuple(context.items())] = baseline
             probe = run({**context, key: value})
             assert baseline[0] == probe[0] == 0, (key, baseline[2], probe[2])
-            assert (probe[1:] != baseline[1:]) == (key in reads), key
+            assert (probe[1:] != baseline[1:]) == expected[key], key
 
 
 class TestErrorPaths:
@@ -937,13 +964,13 @@ class TestFiniteOutput:
                 "spectrum", "transfer", "propagate", "train", "protocol", "sweep"
             ):
                 # each subcommand gets the drawn settings that it reads
-                reads = _COMMANDS[command][2]
-                read = {k: v for k, v in overrides.items() if k in reads}
+                keys = reads(command, RunConfig(**overrides))
+                read = {k: v for k, v in overrides.items() if k in keys}
                 config = out / f"{command}.cfg"
                 config.write_text(canonical_config(RunConfig(**read)))
                 run_dir = out / command
                 args = ["--config", str(config), "--out", str(run_dir)]
-                if physical and "--physical" in reads:
+                if physical and "--physical" in keys:
                     args += ["--physical", "1e6"]
                 code = main([*args, command])
                 assert code in (0, 1)

@@ -358,7 +358,7 @@ class TestTransfer:
                 for gamma, d_p in itertools.product((0.0, 0.005, 300.0), (0.0, 10.0)):
                     comb = CombSpec(shape=shape, half_width=0.2, gamma=gamma)
                     harmonics = 2000 if model is TransferModel.IDEAL else None
-                    packed = comb_response(comb, grid.points(), model, harmonics)
+                    packed = propagation._grid_response(comb, grid, model, harmonics)
                     transfer = build_transfer(comb, MediumSpec(d_p), grid, model)
                     expected = transfer_exponent(packed, d_p)
                     assert transfer.values.tobytes() == expected.tobytes()
@@ -593,9 +593,32 @@ class TestMirroredResponse:
         comb = CombSpec.from_finesse(
             shape, finesse, pair_count=pair_count, gamma=gamma
         )
-        nu = FrequencyGrid(half_span, samples).points()
-        packed = comb_response(comb, nu, model, harmonics)
+        grid = FrequencyGrid(half_span, samples)
+        packed = propagation._grid_response(comb, grid, model, harmonics)
         assert propagation._mirror_halves(packed)[1] is None
+        if shape is not CombShape.SQUARE:
+            # the closed forms mirror themselves: halving moves no bit
+            whole = comb_response(comb, grid.points(), model, harmonics)
+            assert packed.tobytes() == whole.tobytes()
+        elif model is TransferModel.BROADENED:
+            # the unpaired edge sample is the mirror of +half_span's
+            edge = comb_response(comb, grid.half_span, model, harmonics)
+            assert packed[:1].tobytes() == np.conj(edge).tobytes()
+
+    @pytest.mark.parametrize("samples", [2**10, 2**12])
+    def test_one_comb_call_on_the_grid_or_its_upper_half(
+        self, response_calls, samples
+    ):
+        grid = FrequencyGrid(half_span=4.0, samples=samples)
+        comb = CombSpec(shape=CombShape.SQUARE, half_width=0.2, gamma=0.005)
+        propagation._grid_response(comb, grid, TransferModel.BROADENED, None)
+        ((_, nu, _, _),) = response_calls
+        if samples <= 1024:
+            expected = grid.points()
+        else:
+            # 0, spacing, ..., half_span: 2049 ascending detunings at 2^12
+            expected = np.append(grid.points()[samples // 2 :], grid.half_span)
+        assert nu.tobytes() == expected.tobytes()
 
 
 class TestCombResponseDispatch:

@@ -298,6 +298,52 @@ class TestTwoPass:
         assert result.simulated_efficiency == 0.0
 
 
+class TestFiniteCombDelay:
+    """The teeth a finite comb lacks delay every pulse by one common delta.
+
+    Over a band well inside the comb, the dispersion of the missing
+    teeth ``k > pair_count`` is a linear phase: with tooth half-width
+    ``D``, a delay ``delta = -(d_p/2)(4 D/pi) sum_{k>pair_count}
+    1/((2k+1)^2 - D^2)``, where the sum over all ``k >= 0`` is
+    ``pi tan(pi D/2) / (4 D)``.
+    """
+
+    PIN = replace(RUN, span_factor=6.0, samples=2**15, k_max=3)
+
+    def delta(self) -> float:
+        d, pairs = self.PIN.comb().half_width, self.PIN.pair_count
+        head = sum(1.0 / ((2 * k + 1) ** 2 - d**2) for k in range(pairs + 1))
+        tail = math.pi * math.tan(0.5 * math.pi * d) / (4.0 * d) - head
+        return -0.5 * self.PIN.d_p * (4.0 * d / math.pi) * tail
+
+    def test_every_pulse_arrives_delta_early(self):
+        delta = self.delta()
+        assert delta == pytest.approx(-0.00776, abs=5e-6)
+        train = recall(self.PIN).train
+        # the prompt and echoes 1-3 arrive -0.00783 .. -0.00779 off k T
+        assert [entry.index for entry in train.entries] == [0, 1, 2, 3]
+        for entry in train.entries:
+            offset = entry.arrival - entry.index * ECHO_DELAY
+            assert offset == pytest.approx(delta, rel=2e-2), entry.index
+
+    def test_delaying_the_recycled_path_by_minus_delta_undoes_it(self):
+        # the recycled prompt carries delta once more, so its echo meets
+        # the first-pass echo delta apart
+        response = self.PIN.response(self.PIN.probe().grid)
+
+        def gap(mismatch_time: float) -> float:
+            result = recall(
+                self.PIN, passes=2, response=response, mismatch_time=mismatch_time
+            )
+            return result.simulated_efficiency / result.closed_efficiency - 1.0
+
+        delta = self.delta()
+        matched, undone, doubled = gap(0.0), gap(-delta), gap(delta)
+        # -5.06e-4, +9.6e-5 and -2.29e-3
+        assert abs(undone) <= abs(matched) / 3.0
+        assert abs(doubled) > abs(matched)
+
+
 class TestBroadenedPeriodicComb:
     """The ideal model is the comb the closed forms describe, at any gamma."""
 

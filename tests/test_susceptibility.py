@@ -20,7 +20,12 @@ from afcsim import (
     odd_peak_centers,
     square_harmonic_weights,
 )
-from afcsim.propagation import FrequencyGrid, comb_response
+from afcsim.propagation import (
+    FrequencyGrid,
+    TransferModel,
+    _grid_response,
+    comb_response,
+)
 from afcsim.protocols import RunSpec
 from afcsim.susceptibility import _COMB_BLOCK, _finite_comb
 from oracles import kramers_kronig, lorentzian_convolution
@@ -227,8 +232,12 @@ class TestBroadened:
     def test_grid_mirror_is_conjugate(
         self, samples, half_span, delta, gamma, pair_count
     ):
-        nu = FrequencyGrid(half_span, samples).points()
-        mirrored = epsilon_broadened(nu, delta, gamma=gamma, pair_count=pair_count)
+        grid = FrequencyGrid(half_span, samples)
+        comb = CombSpec(
+            CombShape.SQUARE, half_width=delta, pair_count=pair_count, gamma=gamma
+        )
+        mirrored = _grid_response(comb, grid, TransferModel.BROADENED, None)
+        nu = grid.points()
         # nu[1 + j] == -nu[samples - 1 - j]: below the middle sample, its
         # own partner, each is the conjugate of its partner bit for bit
         middle = samples // 2
@@ -241,8 +250,10 @@ class TestBroadened:
                 for i in range(0, nu.size, _COMB_BLOCK)
             ]
         )
-        # the unpaired first sample and the upper half are evaluated directly
-        assert mirrored[0] == direct[0]
+        # the upper half is evaluated directly, and the unpaired first
+        # sample is the conjugate of the response at +half_span
+        edge = epsilon_broadened(half_span, delta, gamma=gamma, pair_count=pair_count)
+        assert mirrored[0] == np.conj(edge)
         assert np.array_equal(mirrored[middle:], direct[middle:])
         assert np.abs(mirrored - direct).max() <= 1e-14
 
