@@ -27,7 +27,7 @@ from afcsim.propagation import (
     comb_response,
 )
 from afcsim.protocols import RunSpec
-from afcsim.susceptibility import _COMB_BLOCK, _finite_comb
+from afcsim.susceptibility import _COMB_BLOCK, _PRODUCT_TEETH, _finite_comb, _tooth_sum
 from oracles import kramers_kronig, lorentzian_convolution
 
 
@@ -281,6 +281,58 @@ class TestBroadened:
         )
         assert (packed.real >= 0.0).all()
 
+    # The product of tooth ratios against the sum over teeth, largest
+    # difference in absolute terms, relative where the sum exceeds 1 in
+    # magnitude (near a sharp edge the dispersion grows as the log of the
+    # distance, and both forms round it relative to its size); 200 draws
+    # of delta and gamma, each on 330 detunings over and beyond the comb:
+    #
+    #   pairs  teeth  absorption  dispersion
+    #       9     20     4.4e-16     6.8e-16
+    #      40     82     5.6e-16     1.4e-15
+    #     127    256     7.8e-16     3.3e-15
+    #     255    512     1.1e-15     6.3e-15
+    #    1000   2002     1.8e-15     1.7e-14
+    #
+    # so the product runs up to 256 teeth, the largest power of two that
+    # keeps the 5e-15 below.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        delta=st.one_of(
+            st.floats(1e-6, 1.0, exclude_max=True), st.sampled_from([0.125, 0.25, 0.5])
+        ),
+        gamma=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300]), st.floats(1e-4, 10.0)),
+        pair_count=st.integers(0, (_PRODUCT_TEETH - 2) // 2),
+        data=st.data(),
+    )
+    def test_product_matches_tooth_sum(self, delta, gamma, pair_count, data):
+        # tooth edges (2k + 1) +- delta, exact for the dyadic deltas
+        edges = st.builds(
+            lambda k, side: 2.0 * k + 1.0 + side * delta,
+            st.integers(-pair_count - 1, pair_count),
+            st.sampled_from([-1.0, 1.0]),
+        )
+        beyond = 2.0 * pair_count + 6.0
+        nu = np.array(
+            data.draw(
+                st.lists(
+                    st.one_of(st.floats(-beyond, beyond), edges), min_size=1, max_size=64
+                )
+            )
+        )
+        packed = epsilon_broadened(nu, delta, gamma=gamma, pair_count=pair_count)
+        summed = _tooth_sum(nu, delta, gamma, odd_peak_centers(pair_count))
+        for part in ("real", "imag"):
+            ours, sums = getattr(packed, part), getattr(summed, part)
+            finite = np.isfinite(sums)
+            assert np.array_equal(np.isfinite(ours), finite)
+            ours, sums = ours[finite], sums[finite]
+            error = np.abs(ours - sums) / np.maximum(1.0, np.abs(sums))
+            assert (error <= 5e-15).all(), (part, error.max())
+        if gamma == 0.0:
+            assert np.isin(packed.real, [0.0, 0.5, 1.0]).all()
+            assert np.array_equal(packed.real, summed.real)
+
     @pytest.mark.parametrize("gamma", [0.0, 1e-300, 0.01])
     @pytest.mark.parametrize("pair_count", [0, 9])
     def test_touching_teeth_are_finite_on_shared_edges(self, gamma, pair_count):
@@ -294,7 +346,7 @@ class TestBroadened:
         assert np.isfinite(packed).all()
         nu = midgrid(-outer - 3.0, outer + 3.0, 2000)
         with np.errstate(divide="ignore"):
-            per_tooth = _finite_comb(nu, 1.0, gamma, odd_peak_centers(pair_count))
+            per_tooth = _tooth_sum(nu, 1.0, gamma, odd_peak_centers(pair_count))
         tiled = epsilon_broadened(nu, 1.0, gamma=gamma, pair_count=pair_count)
         assert np.abs(tiled - per_tooth).max() <= 1e-13
 
@@ -333,8 +385,9 @@ class TestBroadened:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+        # above the product's tooth limit the teeth are summed one by one
         with np.errstate(divide="ignore"):
-            whole = _finite_comb(np.asarray(nu), 0.2, gamma, odd_peak_centers(100000))
+            whole = _tooth_sum(np.asarray(nu), 0.2, gamma, odd_peak_centers(100000))
         # the tiles' sums add in another order: the absorption agrees to
         # rounding relative to itself; the dispersion sums log ratios of
         # order one that cancel, so it agrees to rounding in absolute terms
@@ -342,13 +395,23 @@ class TestBroadened:
         assert abs(tiled.imag - whole.imag) <= 1e-15
 
     @pytest.mark.parametrize("gamma", [0.0, 0.01])
-    def test_many_teeth_blocks_match_one_broadcast(self, gamma):
-        # 402 teeth give blocks of 81 detunings; the edges sit on samples
+    @pytest.mark.parametrize(
+        "pair_count, kernel", [(127, _finite_comb), (200, _tooth_sum)]
+    )
+    def test_many_teeth_blocks_match_one_broadcast(self, gamma, pair_count, kernel):
+        # 256 teeth, the most the product takes, give it blocks of 32
+        # detunings; 402 teeth give the sum blocks of 81; the edges sit on
+        # samples
         nu = (np.arange(1000) - 500) / 256.0
-        blocked = epsilon_broadened(nu, 0.25, gamma=gamma, pair_count=200)
+        blocked = epsilon_broadened(nu, 0.25, gamma=gamma, pair_count=pair_count)
         with np.errstate(divide="ignore"):
-            whole = _finite_comb(nu, 0.25, gamma, odd_peak_centers(200))
+            whole = kernel(nu, 0.25, gamma, odd_peak_centers(pair_count))
         assert np.array_equal(blocked, whole)
+
+    def test_refuses_overlapping_teeth(self):
+        # overlapping teeth would absorb up to 2, past what one angle holds
+        with pytest.raises(ValueError, match=r"delta must lie in \(0, 1\], got 1.5"):
+            epsilon_broadened([0.0, 1.0, 2.0], 1.5, gamma=0.01, pair_count=9)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
