@@ -18,6 +18,7 @@ for peak optical depth ``d_p``.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 
@@ -185,18 +186,14 @@ def chi_square_exact(
     return epsilon_broadened(nu, inv_finesse, gamma=0.0, pair_count=pair_count)
 
 
-# The finite comb's blocks: at most _COMB_BLOCK detunings, and at most
-# _PRODUCT_PAIRS (teeth, detunings) pairs for the product of tooth ratios
-# or _COMB_PAIRS (detunings, teeth) pairs for the sum over teeth, so that
-# memory is bounded whatever the tooth count.  The product's temporaries
-# stay below 128 KiB, where malloc would map fresh pages for each block
-# and touching them costs more than the arithmetic.  Up to _PRODUCT_TEETH
-# teeth, and for gamma**2 well clear of underflow against delta**2 (at
-# least _PRODUCT_GAMMA * delta), the product runs; otherwise the sum, in
-# tiles of _COMB_PAIRS teeth when there are more.
+# The finite comb's blocks: at most _COMB_BLOCK detunings and _COMB_PAIRS
+# detunings times teeth, so that memory is bounded whatever the tooth
+# count.  Up to _PRODUCT_TEETH teeth, and for gamma**2 well clear of
+# underflow against delta**2 (gamma at least _PRODUCT_GAMMA * delta), the
+# product of tooth ratios runs; otherwise the sum over teeth, in tiles of
+# _COMB_PAIRS teeth when there are more.
 _COMB_BLOCK = 1024
 _COMB_PAIRS = 2**15
-_PRODUCT_PAIRS = 2**13
 _PRODUCT_TEETH = 256
 _PRODUCT_GAMMA = 1e-150
 
@@ -239,14 +236,14 @@ def epsilon_broadened(
     product's would not.
 
     Detunings are evaluated in blocks of at most 1024, and of at most
-    ``2**13 // teeth`` for the product or ``2**15 // teeth`` for the sum.
-    Each detuning's value is the same whatever block it falls in.
-    Beyond ``2**15`` teeth each detuning sums its teeth in tiles of
-    ``2**15``, adding the tiles' packed sums in order, so the temporaries
-    never exceed ``2**15`` detuning-tooth pairs: memory grows with the
-    tooth count only through the ``2 pair_count + 2`` tooth centres.
-    Every detuning given is evaluated (see
-    :func:`afcsim.propagation._grid_response`).
+    ``2**15 // teeth`` once there are more than 32 teeth; the product's
+    blocks share one workspace.  Each detuning's value is the same
+    whatever block it falls in.  Beyond ``2**15`` teeth each detuning
+    sums its teeth in tiles of ``2**15``, adding the tiles' packed sums
+    in order, so the temporaries never exceed ``2**15`` detuning-tooth
+    pairs: memory grows with the tooth count only through the
+    ``2 pair_count + 2`` tooth centres.  Every detuning given is
+    evaluated (see :func:`afcsim.propagation._grid_response`).
 
     Returns ``absorption + 1j * dispersion``.
     """
@@ -259,14 +256,17 @@ def epsilon_broadened(
     if delta == 1.0:
         # each shared edge would add +inf - inf for a sharp tooth
         delta, centers = float(centers.size), np.zeros(1)
+    flat = nu.ravel()
+    rows = min(_COMB_BLOCK, max(1, _COMB_PAIRS // centers.size))
     if centers.size <= _PRODUCT_TEETH and (
         gamma == 0.0 or gamma >= _PRODUCT_GAMMA * delta
     ):
         kernel, tiles = _finite_comb, [centers]
-        rows = min(_COMB_BLOCK, _PRODUCT_PAIRS // centers.size)
+        if flat.size > rows:
+            # the blocks share one workspace, whose pages are touched once
+            kernel = partial(_finite_comb, work=np.empty(4 * centers.size * rows))
     else:
         kernel = _tooth_sum
-        rows = min(_COMB_BLOCK, max(1, _COMB_PAIRS // centers.size))
         tiles = [
             centers[start : start + _COMB_PAIRS]
             for start in range(0, centers.size, _COMB_PAIRS)
@@ -278,7 +278,6 @@ def epsilon_broadened(
             packed += kernel(x, delta, gamma, tile)
         return packed
 
-    flat = nu.ravel()
     if flat.size <= rows:
         return comb(flat).reshape(nu.shape)
     packed = np.empty(flat.size, dtype=complex)
@@ -288,14 +287,25 @@ def epsilon_broadened(
 
 
 def _finite_comb(
-    nu: np.ndarray, delta: float, gamma: float, centers: np.ndarray
+    nu: np.ndarray,
+    delta: float,
+    gamma: float,
+    centers: np.ndarray,
+    work: np.ndarray | None = None,
 ) -> np.ndarray:
     """Packed response of the finite comb, one product of tooth ratios.
 
-    ``nu`` is 1-d; the ratios form a (teeth, detunings) block.
+    ``nu`` is 1-d; the ratios form a (teeth, detunings) block.  ``work``,
+    at least ``4 * teeth * detunings`` floats, holds the temporaries if
+    given.
     """
-    x = nu - centers[:, np.newaxis]
-    up = x + delta
+    shape, n = (centers.size, nu.size), centers.size * nu.size
+    if work is None:
+        x = nu - centers[:, np.newaxis]
+        up = x + delta
+    else:
+        x = np.subtract(nu, centers[:, np.newaxis], out=work[:n].reshape(shape))
+        up = np.add(x, delta, out=work[n : 2 * n].reshape(shape))
     lo = np.subtract(x, delta, out=x)
     if gamma == 0.0:
         packed = np.empty(nu.size, dtype=complex)
@@ -308,7 +318,10 @@ def _finite_comb(
         return packed
     # r = (up lo + gamma^2 - 2j delta gamma) / (lo^2 + gamma^2), assembled
     # in place of a complex division
-    ratios = np.empty(x.shape, dtype=complex)
+    if work is None:
+        ratios = np.empty(shape, dtype=complex)
+    else:
+        ratios = work[2 * n : 4 * n].view(complex).reshape(shape)
     np.multiply(up, lo, out=up)
     up += gamma**2
     np.square(lo, out=lo)
