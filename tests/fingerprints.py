@@ -170,9 +170,9 @@ def column_moves(
 
 
 def main() -> None:
-    with tempfile.TemporaryDirectory() as scratch:
-        run_all(Path(scratch))
-        fresh = fingerprints(Path(scratch))
+    with tempfile.TemporaryDirectory() as out:
+        run_all(Path(out))
+        fresh = fingerprints(Path(out))
     if RECORD.exists():
         recorded = json.loads(RECORD.read_text())["files"]
         moved = sorted(
