@@ -28,6 +28,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from afcsim.cli import main as afcsim
 from afcsim.reproduce import TARGETS
@@ -55,8 +56,6 @@ RUNS: list[tuple[str, str | None, list[str]]] = [
 
 def environment() -> dict[str, object]:
     """What the exact bytes of a float's decimal form depend on."""
-    import scipy
-
     try:
         from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
     except ImportError:  # numpy 1.x
