@@ -18,7 +18,6 @@ for peak optical depth ``d_p``.
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -235,10 +234,11 @@ def epsilon_broadened(
     ``gamma = 1e-154``), keeping the sharp comb's divergence, where the
     product's would not.
 
-    Detunings are evaluated in blocks of at most 1024, and of at most
-    ``2**15 // teeth`` once there are more than 32 teeth; the product's
-    blocks share one workspace.  Each detuning's value is the same
-    whatever block it falls in.  Beyond ``2**15`` teeth each detuning
+    Detunings are evaluated in blocks of one width, at most 1024, and at
+    most ``2**15 // teeth`` once there are more than 32 teeth; the last
+    block overlaps the one before, and the product's blocks share one
+    workspace.  Each detuning's value is the same whatever block it
+    falls in.  Beyond ``2**15`` teeth each detuning
     sums its teeth in tiles of ``2**15``, adding the tiles' packed sums
     in order, so the temporaries never exceed ``2**15`` detuning-tooth
     pairs: memory grows with the tooth count only through the
@@ -258,31 +258,36 @@ def epsilon_broadened(
         delta, centers = float(centers.size), np.zeros(1)
     flat = nu.ravel()
     rows = min(_COMB_BLOCK, max(1, _COMB_PAIRS // centers.size))
+    # blocks of one width, the last overlapping the one before
+    width = -(-flat.size // max(1, -(-flat.size // rows)))
     if centers.size <= _PRODUCT_TEETH and (
         gamma == 0.0 or gamma >= _PRODUCT_GAMMA * delta
     ):
-        kernel, tiles = _finite_comb, [centers]
-        if flat.size > rows:
-            # the blocks share one workspace, whose pages are touched once
-            kernel = partial(_finite_comb, work=np.empty(4 * centers.size * rows))
+        # the blocks share one workspace, whose pages are touched once
+        shape = (centers.size, width)
+        work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex))
+
+        def comb(x: np.ndarray) -> np.ndarray:
+            return _finite_comb(x, delta, gamma, centers, work)
+
     else:
-        kernel = _tooth_sum
         tiles = [
             centers[start : start + _COMB_PAIRS]
             for start in range(0, centers.size, _COMB_PAIRS)
         ]
 
-    def comb(x: np.ndarray) -> np.ndarray:
-        packed = kernel(x, delta, gamma, tiles[0])
-        for tile in tiles[1:]:
-            packed += kernel(x, delta, gamma, tile)
-        return packed
+        def comb(x: np.ndarray) -> np.ndarray:
+            packed = _tooth_sum(x, delta, gamma, tiles[0])
+            for tile in tiles[1:]:
+                packed += _tooth_sum(x, delta, gamma, tile)
+            return packed
 
     if flat.size <= rows:
         return comb(flat).reshape(nu.shape)
     packed = np.empty(flat.size, dtype=complex)
-    for start in range(0, flat.size, rows):
-        packed[start : start + rows] = comb(flat[start : start + rows])
+    for start in range(0, flat.size, width):
+        start = min(start, flat.size - width)
+        packed[start : start + width] = comb(flat[start : start + width])
     return packed.reshape(nu.shape)
 
 
@@ -291,21 +296,16 @@ def _finite_comb(
     delta: float,
     gamma: float,
     centers: np.ndarray,
-    work: np.ndarray | None = None,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """Packed response of the finite comb, one product of tooth ratios.
 
-    ``nu`` is 1-d; the ratios form a (teeth, detunings) block.  ``work``,
-    at least ``4 * teeth * detunings`` floats, holds the temporaries if
-    given.
+    ``nu`` is 1-d; the ratios form a (teeth, detunings) block.  ``work``
+    holds the temporaries: two real blocks and one complex block.
     """
-    shape, n = (centers.size, nu.size), centers.size * nu.size
-    if work is None:
-        x = nu - centers[:, np.newaxis]
-        up = x + delta
-    else:
-        x = np.subtract(nu, centers[:, np.newaxis], out=work[:n].reshape(shape))
-        up = np.add(x, delta, out=work[n : 2 * n].reshape(shape))
+    x, up, ratios = work
+    np.subtract(nu, centers[:, np.newaxis], out=x)
+    np.add(x, delta, out=up)
     lo = np.subtract(x, delta, out=x)
     if gamma == 0.0:
         packed = np.empty(nu.size, dtype=complex)
@@ -318,10 +318,6 @@ def _finite_comb(
         return packed
     # r = (up lo + gamma^2 - 2j delta gamma) / (lo^2 + gamma^2), assembled
     # in place of a complex division
-    if work is None:
-        ratios = np.empty(shape, dtype=complex)
-    else:
-        ratios = work[2 * n : 4 * n].view(complex).reshape(shape)
     np.multiply(up, lo, out=up)
     up += gamma**2
     np.square(lo, out=lo)

@@ -301,7 +301,12 @@ class TestBroadened:
         delta=st.one_of(
             st.floats(1e-6, 1.0, exclude_max=True), st.sampled_from([0.125, 0.25, 0.5])
         ),
-        gamma=st.one_of(st.sampled_from([0.0, 5e-324, 1e-300]), st.floats(1e-4, 10.0)),
+        # the sum alone runs below 1e-150 delta, the product from there up
+        gamma=st.one_of(
+            st.sampled_from([0.0, 5e-324, 1e-300, 1e-149, 1e-40, 1e-12, 1e-8]),
+            st.floats(-160.0, -4.0).map(lambda exponent: 10.0**exponent),
+            st.floats(1e-4, 10.0),
+        ),
         pair_count=st.integers(0, (_PRODUCT_TEETH - 2) // 2),
         data=st.data(),
     )
@@ -396,15 +401,18 @@ class TestBroadened:
 
     @pytest.mark.parametrize("gamma", [0.0, 0.01])
     def test_many_teeth_blocks_match_one_broadcast(self, gamma):
-        # 256 teeth, the most the product takes, give it blocks of 32
-        # detunings; 402 teeth give the sum blocks of 81; the edges sit on
-        # samples
+        # 256 teeth, the most the product takes, give it 8 blocks of 125
+        # detunings; 402 teeth give the sum 13 blocks of 77, the last
+        # overlapping the one before; the edges sit on samples
         nu = (np.arange(1000) - 500) / 256.0
-        for pair_count, kernel in ((127, _finite_comb), (200, _tooth_sum)):
+        shape = (256, nu.size)
+        work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex))
+        product = lambda *args: _finite_comb(*args, work)  # noqa: E731
+        for pair_count, kernel in ((127, product), (200, _tooth_sum)):
             blocked = epsilon_broadened(nu, 0.25, gamma=gamma, pair_count=pair_count)
             with np.errstate(divide="ignore"):
                 whole = kernel(nu, 0.25, gamma, odd_peak_centers(pair_count))
-            assert np.array_equal(blocked, whole), kernel.__name__
+            assert np.array_equal(blocked, whole), pair_count
 
     def test_refuses_overlapping_teeth(self):
         # overlapping teeth would absorb up to 2, past what one angle holds
