@@ -35,10 +35,16 @@ from afcsim.reproduce import TARGETS
 
 RECORD = Path(__file__).with_name("fingerprints.json")
 
-# Sums and norms match within this bound relative to the recorded L2
-# norm; a sum's bound is also scaled by the square root of the finite
-# count, the largest its magnitude can be for that norm.
+# Sums and norms match within REL_BOUND of a column's scale where the
+# numpy version and the platform equal the record's, and within
+# OTHER_BOUND elsewhere, where numpy may round its FFTs and its SIMD
+# maths otherwise.  A column's scale is its recorded L2 norm, or, for one
+# part of a complex pair (re_x and im_x), the pair's: the imaginary part
+# of a near-real field is rounding beside its real part.  A sum's bound
+# is also scaled by the square root of the finite count, the largest its
+# magnitude can be for that norm.
 REL_BOUND = 1e-12
+OTHER_BOUND = 1e-9
 
 # Each run: the directory its files go to, its config text (None for the
 # defaults) and its arguments after ``--out``.
@@ -68,6 +74,13 @@ def environment() -> dict[str, object]:
         # the SIMD kernels numpy picks for exp, log and friends on this CPU
         "simd": [target for target in __cpu_dispatch__ if __cpu_features__.get(target)],
     }
+
+
+def column_bound(recorded: dict[str, object]) -> float:
+    """The column bound for a record written in the ``recorded`` environment."""
+    here = environment()
+    same = all(here[key] == recorded.get(key) for key in ("numpy", "platform"))
+    return REL_BOUND if same else OTHER_BOUND
 
 
 def run_all(out: Path) -> None:
@@ -126,14 +139,24 @@ def fingerprints(out: Path) -> dict[str, dict[str, object]]:
     }
 
 
+def _scale(columns: dict[str, dict[str, float]], column: str) -> float:
+    """A column's recorded norm; for re_x or im_x, its complex pair's."""
+    head, sep, tail = column.partition("_")
+    if head in ("re", "im"):
+        partner = columns.get(("im" if head == "re" else "re") + sep + tail)
+        if partner is not None:
+            return math.hypot(columns[column]["norm"], partner["norm"])
+    return columns[column]["norm"]
+
+
 def column_moves(
     recorded: dict[str, dict[str, object]], fresh: dict[str, dict[str, object]]
 ) -> list[tuple[float, str]]:
     """Each structural change and each column move, largest first.
 
     A column's move is the larger of its sum's and its norm's change,
-    each over its scale: the recorded norm, times the square root of the
-    finite count for the sum.  Structural changes (a file, header, row
+    each over its scale (see ``REL_BOUND``), times the square root of
+    the finite count for the sum.  Structural changes (a file, header, row
     count or finite count that differs) rank first, as infinite moves.
     """
     moves = []
@@ -151,7 +174,7 @@ def column_moves(
             if now is None or now["finite"] != was["finite"]:
                 moves.append((math.inf, f"{name}: column {column}: {now} against {was}"))
                 continue
-            scale = was["norm"] or 1.0
+            scale = _scale(old["columns"], column) or 1.0
             move = max(
                 abs(now["sum"] - was["sum"]) / (scale * math.sqrt(was["finite"])),
                 abs(now["norm"] - was["norm"]) / scale,
