@@ -57,6 +57,40 @@ RUNS: list[tuple[str, str | None, list[str]]] = [
     ("two-pass", "passes = 2\n", ["protocol"]),
     # echo window 0 holds no arrival: its arrival cells stay empty
     ("no-arrival", "finesse = 4.1\nd_p = 100\n", ["--physical", "2e6", "train"]),
+    *[
+        ("physical", None, ["--physical", "3.7e6", command])
+        for command in "spectrum transfer propagate".split()
+    ],
+    # 82 broadened teeth: the finite comb as one product of tooth ratios
+    ("product", "pair_count = 40\ngamma = 0.005\npasses = 2\n", ["protocol"]),
+    # touching teeth (finesse 1) are one wide tooth
+    ("touching", "finesse = 1\ngamma = 0.01\n", ["train"]),
+    *[
+        (shape, config, [command])
+        for shape, config in (
+            ("lorentzian", "shape = lorentzian\n"),
+            ("harmonic", "shape = harmonic\nfinesse = 2\n"),
+        )
+        for command in ("transfer", "propagate")
+    ],
+    # finesse 4 fails on a tooth edge; its status cell holds commas
+    (
+        "finesse-sweep",
+        "sweep_parameter = finesse\nsweep_start = 3.5\nsweep_stop = 4.5\n"
+        "sweep_steps = 3\nsweep_simulate = true\n",
+        ["sweep"],
+    ),
+    ("two-pass-sweep", "sweep_simulate = true\nsweep_protocol = two-pass\n", ["sweep"]),
+    # C0 underflows to 0 at these depths: closed trains stay finite
+    ("deep-train", "d_p = 1e300\n", ["train"]),
+    ("deep-sweep", "sweep_stop = 1e300\nsweep_steps = 3\n", ["sweep"]),
+    ("deep-resummed", "model = ideal\nharmonics = none\nd_p = 1e300\n", ["protocol"]),
+    (
+        "deep-resummed-broadened",
+        "model = ideal\nharmonics = none\ngamma = 1e-16\nd_p = 1e300\n",
+        ["protocol"],
+    ),
+    ("ideal-broadened", "model = ideal\ngamma = 0.01\npasses = 2\n", ["protocol"]),
 ]
 
 
@@ -120,7 +154,9 @@ def fingerprint(path: Path) -> dict[str, object]:
         columns[name] = {
             "finite": int(finite.size),
             "sum": float(finite.sum()),
-            "norm": float(np.sqrt(np.sum(finite**2))),
+            # hypot scales its terms: a column of depths near 1e300
+            # has a finite norm
+            "norm": math.hypot(*finite.tolist()),
         }
     return {
         "sha256": hashlib.sha256(data).hexdigest(),
