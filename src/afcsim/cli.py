@@ -66,7 +66,8 @@ class RunConfig(RunSpec):
 
     The :class:`RunSpec` fields come first, then the protocol and sweep
     settings; the config file lists them in that order.  ``passes`` must
-    be 1 or 2 whichever subcommand runs.
+    be 1 or 2 whichever subcommand runs: ``protocol`` and ``sweep`` both
+    read it, ``passes = 2`` being the two-pass protocol.
     """
 
     passes: int = 1
@@ -78,7 +79,6 @@ class RunConfig(RunSpec):
     sweep_stop: float = 40.0
     sweep_steps: int = 40
     sweep_scale: str = "linear"
-    sweep_protocol: str = "first-echo"
     sweep_refine: bool = True
     sweep_simulate: bool = False
 
@@ -134,7 +134,6 @@ _CASTERS: dict[str, Callable[[str], object]] = {
     "sigma": _cast_float,
     "samples": int,
     "span_factor": _cast_float,
-    "oversample": int,
     "model": _cast_choice(tuple(m.value for m in TransferModel)),
     "harmonics": _cast_harmonics,
     "k_max": int,
@@ -147,7 +146,6 @@ _CASTERS: dict[str, Callable[[str], object]] = {
     "sweep_stop": _cast_float,
     "sweep_steps": int,
     "sweep_scale": _cast_choice(SweepAxis.SCALES),
-    "sweep_protocol": _cast_choice(tuple(k.value for k in SweepKind)),
     "sweep_refine": _cast_bool,
     "sweep_simulate": _cast_bool,
 }
@@ -357,7 +355,7 @@ def cmd_sweep(config: RunConfig, args: Namespace, scale: UnitScale | None) -> in
                 config.sweep_steps,
                 config.sweep_scale,
             ),
-            kind=SweepKind(config.sweep_protocol),
+            kind=SweepKind.TWO_PASS if config.passes == 2 else SweepKind.FIRST_ECHO,
             refine=config.sweep_refine,
             simulate=config.sweep_simulate,
             **{f.name: getattr(config, f.name) for f in fields(RunSpec)},
@@ -448,7 +446,7 @@ _COMMANDS: dict[str, tuple[_Run, str, set[str]]] = {
     "sweep": (
         cmd_sweep,
         "efficiency along a parameter axis",
-        _RUN | {key for key in _CONFIG_KEYS if key.startswith("sweep_")},
+        _RUN | {"passes"} | {key for key in _CONFIG_KEYS if key.startswith("sweep_")},
     ),
     "config": (cmd_config, "print the resolved configuration", set(_CONFIG_KEYS)),
     "reproduce": (cmd_reproduce, "rerun a pinned reference result", set()),

@@ -41,6 +41,10 @@ ECHO_DELAY = math.pi
 # A raised-cosine grating has fixed width-to-period ratio, hence fixed finesse.
 HARMONIC_FINESSE = 2.0
 
+# Least nonzero broadening: the broadened kernels square gamma, and
+# gamma**2 must stay clear of underflow (the floor of sigma, too).
+_GAMMA_FLOOR = 1e-150
+
 
 class CombShape(str, enum.Enum):
     """Peak profile of the periodic grating."""
@@ -69,8 +73,9 @@ class CombSpec:
         i.e. ``pair_count + 1`` peaks on each side.
     gamma:
         Homogeneous HWHM broadening each tooth by a Lorentzian of this
-        half-width.  Zero means an ideal (unbroadened) comb.  It must lie
-        below about 1.3e154, so that its square is finite.
+        half-width.  Zero means an ideal (unbroadened) comb.  Otherwise it
+        must lie between 1e-150 and about 1.3e154, so that its square is
+        finite and clear of underflow.
     """
 
     shape: CombShape
@@ -82,8 +87,10 @@ class CombSpec:
         object.__setattr__(self, "shape", CombShape(self.shape))
         if self.pair_count < 0:
             raise ValueError(f"pair_count must be >= 0, got {self.pair_count}")
-        if self.gamma < 0.0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma}")
+        if not (self.gamma == 0.0 or self.gamma >= _GAMMA_FLOOR):
+            raise ValueError(
+                f"gamma must be 0 or at least {_GAMMA_FLOOR:g}, got {self.gamma}"
+            )
         if not math.isfinite(self.gamma * self.gamma):
             # The broadened kernels square gamma; above about 1.3e154
             # that overflows.

@@ -19,11 +19,14 @@ delays on the usual grids, while a protocol reads only a few of them.
 Every transform therefore takes a time window and computes only its
 samples, by chirp-z transforms of the spectrum's positive and negative
 halves, each costing about ``samples / 2`` plus the window's sample
-count, not ``samples * oversample``; a large ``oversample`` is cheap.  A
-mirror-symmetric spectrum, ``X(-nu) = conj X(nu)`` as an even real pulse
-through a symmetric comb gives, needs only one of the two.  Windowed
-samples carry exactly the times of the zero-padded FFT, and an unbounded
-window ``(-inf, inf)`` yields all of them.
+count, not ``samples * oversample``, so a large ``oversample`` is cheap.
+The transforms take it as an argument; every run fixes it at 16
+(``_OVERSAMPLE``, see :class:`Probe`), a time step of
+``pi / (16 span_factor sigma)``.  A mirror-symmetric spectrum,
+``X(-nu) = conj X(nu)`` as an even real pulse through a symmetric comb
+gives, needs only one of the two.  Windowed samples carry exactly the
+times of the zero-padded FFT, and an unbounded window ``(-inf, inf)``
+yields all of them.
 """
 
 from __future__ import annotations
@@ -67,6 +70,9 @@ _MAX_GAIN = 1e10
 # smallest sigma: the Gaussian spectrum divides by sigma^2 and the sharp
 # comb squares detunings, so both squares must stay finite and nonzero.
 _SQUARE_SAFE = 1e150
+
+# Zero-padding factor of every run's time grid.
+_OVERSAMPLE = 16
 
 
 class TransferModel(str, enum.Enum):
@@ -315,12 +321,11 @@ def build_transfer(
             values = np.exp(exponent)
     bad = ~np.isfinite(values)
     if bad.any():
-        # below about 1e-154 gamma**2 underflows, so the teeth stay sharp
-        fix = "gamma above about 1e-154" if comb.gamma > 0.0 else "gamma > 0"
         raise ValueError(
             f"transfer is non-finite at {int(bad.sum())} grid samples, first at "
             f"detuning {grid.points()[np.argmax(bad)]:.6g}: a sample sits on a "
-            f"sharp tooth edge; change finesse, samples or span_factor, or use {fix}"
+            "sharp tooth edge; change finesse, samples or span_factor, or use "
+            "gamma > 0"
         )
     return TransferFunction(grid=grid, values=values)
 
@@ -463,7 +468,7 @@ def spectrum_to_signal(
     if stop - start < 2:
         raise ValueError(
             f"window [{lo}, {hi}) holds fewer than two time samples; "
-            "raise sigma, span_factor or oversample"
+            "raise sigma or span_factor"
         )
     pre, post, kernel, edge = _chirp_plan(m, oversample, start, stop - start)
 
@@ -547,6 +552,10 @@ def echo_window(k_max: int) -> tuple[float, float]:
 class Probe:
     """Gaussian input pulses on a grid, read on the echo window of ``k_max``.
 
+    Its time grid is its frequency grid zero-padded ``_OVERSAMPLE`` (16)
+    times, the one that :func:`afcsim.protocols.recall` transforms to and
+    from.
+
     The probe is the library's only input path: every simulated
     intensity is divided by its ``reference``.  ``pulses`` are added in
     order into one input field: a single pulse, or the bins of a
@@ -557,13 +566,11 @@ class Probe:
     computes neither.  Only ``pulses`` is checked here, so that
     ``reference`` is a peak: there is at least one pulse, the first has
     a nonzero amplitude and no later one shares its centre.  A bad
-    ``oversample`` or ``k_max`` is reported by the first transform or
-    train that reads it.
+    ``k_max`` is reported by the first transform or train that reads it.
     """
 
     pulses: tuple[PulseSpec, ...]
     grid: FrequencyGrid
-    oversample: int
     k_max: int
 
     def __post_init__(self) -> None:
@@ -613,7 +620,7 @@ class Probe:
         else:
             lo, hi = self.window
         incoming = spectrum_to_signal(
-            self.spectrum, self.grid, self.oversample, self.window
+            self.spectrum, self.grid, _OVERSAMPLE, self.window
         )
         amplitude, _ = peak_in_window(incoming, lo, hi)
         return abs(amplitude) ** 2

@@ -22,6 +22,7 @@ from .propagation import (
     PulseTrain,
     TimeSignal,
     TransferFunction,
+    _OVERSAMPLE,
     _grid_response,
     build_transfer,
     extract_train,
@@ -47,7 +48,9 @@ class RunSpec:
     and the reproduce targets is one call.  Defaults describe the
     reference setup: a square comb of finesse 5 at depth 10, probed by
     a Gaussian pulse of spectral scale five tooth spacings on a
-    2^14-point grid spanning four of those scales.
+    2^14-point grid spanning four of those scales.  Every run's time
+    grid is that grid zero-padded 16 times, a step of
+    ``pi / (16 span_factor sigma)``.
     ``shape`` and ``model`` take a :class:`CombShape` or
     :class:`TransferModel` or their string values.  Nothing is checked
     here: :meth:`comb` and :meth:`probe` name a bad setting.
@@ -61,7 +64,6 @@ class RunSpec:
     sigma: float = 5.0
     samples: int = 16384
     span_factor: float = 4.0
-    oversample: int = 16
     model: str = "broadened"
     harmonics: int | None = 2000
     k_max: int = 8
@@ -75,7 +77,7 @@ class RunSpec:
         """The run's input pulse and grid, read on the echo window of ``k_max``."""
         pulse = PulseSpec(sigma=self.sigma)
         grid = FrequencyGrid.for_pulse(pulse, self.span_factor, self.samples)
-        return Probe((pulse,), grid, self.oversample, self.k_max)
+        return Probe((pulse,), grid, self.k_max)
 
     def response(self, grid: FrequencyGrid) -> np.ndarray:
         """The comb's packed response on ``grid`` under the run's model, read-only.
@@ -107,7 +109,6 @@ class ProtocolResult:
 def _second_pass(
     first: TimeSignal,
     transfer: TransferFunction,
-    oversample: int,
     window: tuple[float, float],
     prompt: tuple[float, float],
     mismatch_time: float,
@@ -115,6 +116,7 @@ def _second_pass(
 ) -> TimeSignal:
     """Send the ``prompt`` part of a signal on ``window`` through the medium again.
 
+    ``first`` lies on the time grid of every run (see :class:`Probe`).
     The prompt samples go straight onto the transfer grid by the forward
     chirp-z transform: the second pass is band-limited to that band,
     and what the hard time window leaks beyond it is dropped.  The
@@ -125,10 +127,10 @@ def _second_pass(
     mask = (first.times >= lo) & (first.times < hi)
     grid = transfer.grid
     prompted = TimeSignal(times=first.times[mask], values=first.values[mask])
-    band = signal_to_spectrum(prompted, grid, oversample) * transfer.values
+    band = signal_to_spectrum(prompted, grid, _OVERSAMPLE) * transfer.values
     if mismatch_time != 0.0 or mismatch_phase != 0.0:
         band = band * np.exp(1j * (grid.points() * mismatch_time + mismatch_phase))
-    return spectrum_to_signal(band, grid, oversample, window)
+    return spectrum_to_signal(band, grid, _OVERSAMPLE, window)
 
 
 def recall(
@@ -148,10 +150,11 @@ def recall(
     ``I1`` of the periodic comb.  The simulation sends the ``probe``'s
     pulses (``spec.probe()`` by default) through the transfer on the
     probe's grid, computes the output only on the echo window of
-    ``probe.k_max``, reads echoes ``0 .. k_max`` with
-    :func:`afcsim.propagation.extract_train` and quotes echo 1, so a
-    window without an echo gives 0.  Pass a ``probe`` only to share one
-    across the points of a sweep or to carry a time-bin state's pulses.
+    ``probe.k_max``, on the grid zero-padded 16 times, reads echoes
+    ``0 .. k_max`` with :func:`afcsim.propagation.extract_train` and
+    quotes echo 1, so a window without an echo gives 0.  Pass a
+    ``probe`` only to share one across the points of a sweep or to carry
+    a time-bin state's pulses.
     The comb's response on the probe's grid is computed afresh for each
     call unless ``response`` gives it, as ``spec.response(probe.grid)``,
     to share between calls on one comb and grid, such as the depths of
@@ -210,17 +213,11 @@ def recall(
         comb, medium, probe.grid, spec.model, spec.harmonics, response=response
     )
     reference = probe.reference
-    signal = propagate(probe.spectrum, transfer, probe.oversample, probe.window)
+    signal = propagate(probe.spectrum, transfer, _OVERSAMPLE, probe.window)
     if passes == 2:
         half = 0.5 * ECHO_DELAY
         second = _second_pass(
-            signal,
-            transfer,
-            probe.oversample,
-            probe.window,
-            (-half, half),
-            mismatch_time,
-            mismatch_phase,
+            signal, transfer, probe.window, (-half, half), mismatch_time, mismatch_phase
         )
         signal = replace(signal, values=signal.values + second.values)
     train = extract_train(signal, probe.k_max, reference_intensity=reference)

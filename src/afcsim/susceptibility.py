@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .combs import odd_peak_centers
+from .combs import _GAMMA_FLOOR, odd_peak_centers
 
 __all__ = [
     "chi_square_series",
@@ -187,14 +187,12 @@ def chi_square_exact(
 
 # The finite comb's blocks: at most _COMB_BLOCK detunings and _COMB_PAIRS
 # detunings times teeth, so that memory is bounded whatever the tooth
-# count.  Up to _PRODUCT_TEETH teeth, and for gamma**2 well clear of
-# underflow against delta**2 (gamma at least _PRODUCT_GAMMA * delta), the
-# product of tooth ratios runs; otherwise the sum over teeth, in tiles of
-# _COMB_PAIRS teeth when there are more.
+# count.  Up to _PRODUCT_TEETH teeth the product of tooth ratios runs;
+# above, the sum over teeth, in tiles of _COMB_PAIRS teeth when there are
+# more.
 _COMB_BLOCK = 1024
 _COMB_PAIRS = 2**15
 _PRODUCT_TEETH = 256
-_PRODUCT_GAMMA = 1e-150
 
 
 def epsilon_broadened(
@@ -228,11 +226,10 @@ def epsilon_broadened(
     of arctan steps and log ratios tooth by tooth, it agrees to 7e-16 at
     20 teeth, 1.4e-15 at 82 and 3.3e-15 at 256, but 6.3e-15 at 512 (in
     absolute terms, and relative to the response where that exceeds 1).
-    So the teeth are summed one by one instead above 256 teeth, and for
-    ``0 < gamma < 1e-150 delta``, where ``gamma**2`` nears underflow:
-    there the sum's log ratio overflows on a tooth edge (below about
-    ``gamma = 1e-154``), keeping the sharp comb's divergence, where the
-    product's would not.
+    So the teeth are summed one by one instead above 256 teeth.
+    ``gamma`` must be 0 or at least 1e-150, as for
+    :class:`afcsim.combs.CombSpec`, so that ``gamma**2`` is clear of
+    underflow.
 
     Detunings are evaluated in blocks of one width, at most 1024, and at
     most ``2**15 // teeth`` once there are more than 32 teeth; the last
@@ -250,8 +247,8 @@ def epsilon_broadened(
     nu = np.asarray(nu, dtype=float)
     if not 0.0 < delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
+    if not (gamma == 0.0 or gamma >= _GAMMA_FLOOR):
+        raise ValueError(f"gamma must be 0 or at least {_GAMMA_FLOOR:g}, got {gamma}")
     centers = odd_peak_centers(pair_count)
     if delta == 1.0:
         # each shared edge would add +inf - inf for a sharp tooth
@@ -260,9 +257,7 @@ def epsilon_broadened(
     rows = min(_COMB_BLOCK, max(1, _COMB_PAIRS // centers.size))
     # blocks of one width, the last overlapping the one before
     width = -(-flat.size // max(1, -(-flat.size // rows)))
-    if centers.size <= _PRODUCT_TEETH and (
-        gamma == 0.0 or gamma >= _PRODUCT_GAMMA * delta
-    ):
+    if centers.size <= _PRODUCT_TEETH:
         # the blocks share one workspace, whose pages are touched once
         shape = (centers.size, width)
         work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex))
@@ -356,10 +351,9 @@ def _tooth_sum(
     else:
         # arctan(up / gamma) - arctan(lo / gamma) as one atan2: up > lo
         # puts the difference in (0, pi), the range of atan2 with a
-        # positive first argument, so every term is passive.  If
-        # 2 delta gamma underflows (subnormal gamma), each term is the
-        # sharp step 0 or pi.  The temporaries, each a block of detunings
-        # times teeth, are reused in place.
+        # positive first argument, so every term is passive.  The
+        # temporaries, each a block of detunings times teeth, are reused
+        # in place.
         steps = up * lo
         steps += gamma**2
         absorption = (
@@ -369,11 +363,8 @@ def _tooth_sum(
         up += gamma**2
         np.square(lo, out=lo)
         lo += gamma**2
-        # gamma**2 underflows for gamma below about 1e-154, leaving the
-        # sharp comb's divergence on a tooth edge
-        with np.errstate(divide="ignore", over="ignore"):
-            ratio = np.divide(up, lo, out=up)
-            dispersion = -(0.5 / np.pi) * np.log(ratio, out=ratio).sum(axis=-1)
+        ratio = np.divide(up, lo, out=up)
+        dispersion = -(0.5 / np.pi) * np.log(ratio, out=ratio).sum(axis=-1)
     # Assembling via 1j * inf would poison the real part with nan.
     packed = np.empty(np.shape(absorption), dtype=complex)
     packed.real = absorption

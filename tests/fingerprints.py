@@ -80,7 +80,7 @@ RUNS: list[tuple[str, str | None, list[str]]] = [
         "sweep_steps = 3\nsweep_simulate = true\n",
         ["sweep"],
     ),
-    ("two-pass-sweep", "sweep_simulate = true\nsweep_protocol = two-pass\n", ["sweep"]),
+    ("two-pass-sweep", "sweep_simulate = true\npasses = 2\n", ["sweep"]),
     # C0 underflows to 0 at these depths: closed trains stay finite
     ("deep-train", "d_p = 1e300\n", ["train"]),
     ("deep-sweep", "sweep_stop = 1e300\nsweep_steps = 3\n", ["sweep"]),

@@ -149,7 +149,7 @@ def test_criterion_5_physical_units_storage():
         ("echo delay is 0.5 us", scale.time_s(1.0) == 5e-7),
     ]
     for d_p, pin in ((3.0, 0.17), (10.0, 0.46)):
-        probe = Probe((PULSE,), GRID, 16, k_max=5)
+        probe = Probe((PULSE,), GRID, k_max=5)
         result = recall(replace(run, d_p=d_p), probe=probe)
         checks.append(
             (
@@ -171,7 +171,7 @@ def test_criterion_6_two_pass_recovery():
     checks = []
     for finesse, d_p, pin in ((5.0, 10.0, 0.86), (10.0, 20.0, 0.95)):
         run = RunSpec(finesse=finesse, d_p=d_p, gamma=0.005, pair_count=40)
-        probe = Probe((PULSE,), GRID, 16, k_max=5)
+        probe = Probe((PULSE,), GRID, k_max=5)
         result = recall(run, passes=2, probe=probe)
         label = f"F={finesse:g} d_p={d_p:g}"
         checks.append(
@@ -200,7 +200,7 @@ def test_criterion_7_multi_echo_trains():
         (5.0, 42.0, 3),
     ):
         run = RunSpec(finesse=finesse, d_p=d_p, model="ideal", harmonics=None)
-        result = recall(run, probe=Probe((PULSE,), GRID, 16, k_max=3))
+        result = recall(run, probe=Probe((PULSE,), GRID, k_max=3))
         closed = closed_train(run.comb(), MediumSpec(d_p), 3)
         worst = max(
             abs(result.train.intensity(k) / closed.intensity(k) - 1.0)

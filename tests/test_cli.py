@@ -28,7 +28,7 @@ from afcsim.cli import (
 from afcsim.combs import CombShape
 from afcsim.propagation import TransferModel
 from afcsim.reproduce import TARGETS, Check, TargetReport
-from afcsim.sweeps import SweepKind
+from afcsim.sweeps import SweepAxis
 
 FAST_SIM = """
 # small grid, broadened comb wide enough to cover it
@@ -36,7 +36,6 @@ gamma = 0.005
 pair_count = 40
 samples = 4096
 span_factor = 6.0
-oversample = 8
 k_max = 3
 """
 
@@ -115,7 +114,6 @@ _CHOICES = {
     "model": [m.value for m in TransferModel],
     "sweep_parameter": ["d_p", "finesse", "gamma"],
     "sweep_scale": ["linear", "log"],
-    "sweep_protocol": [k.value for k in SweepKind],
     "passes": [1, 2],
 }
 _FLOAT_KEYS = [f.name for f in fields(RunConfig) if f.type == "float"]
@@ -165,7 +163,6 @@ class TestConfigCommand:
             "sigma = 5.0\n"
             "samples = 16384\n"
             "span_factor = 4.0\n"
-            "oversample = 16\n"
             "model = broadened\n"
             "harmonics = 2000\n"
             "k_max = 8\n"
@@ -178,7 +175,6 @@ class TestConfigCommand:
             "sweep_stop = 40.0\n"
             "sweep_steps = 40\n"
             "sweep_scale = linear\n"
-            "sweep_protocol = first-echo\n"
             "sweep_refine = true\n"
             "sweep_simulate = false\n"
         )
@@ -356,7 +352,7 @@ class TestSubcommands:
         # holds an echo.
         path = _write_config(
             tmp_path,
-            "samples = 4096\noversample = 8\nk_max = 3\nd_p = 0.0\n" + extra,
+            "samples = 4096\nk_max = 3\nd_p = 0.0\n" + extra,
         )
         assert main(["--config", str(path), "--out", str(tmp_path), command]) == 0
         out = capsys.readouterr().out
@@ -384,16 +380,19 @@ class TestSubcommands:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        ("key", "value"),
+        ("command", "key", "value"),
         [
-            ("passes", "2"),
-            ("mismatch_time", "0.1"),
-            ("mismatch_phase", "-0.5"),
-            ("simulate", "false"),
+            (command, key, value)
+            for command in ["spectrum", "transfer", "propagate", "train", "sweep"]
+            for key, value in [
+                ("passes", "2"),
+                ("mismatch_time", "0.1"),
+                ("mismatch_phase", "-0.5"),
+                ("simulate", "false"),
+            ]
+            # a sweep reads passes: two passes at each point
+            if (command, key) != ("sweep", "passes")
         ],
-    )
-    @pytest.mark.parametrize(
-        "command", ["spectrum", "transfer", "propagate", "train", "sweep"]
     )
     def test_protocol_keys_are_refused_where_ignored(
         self, tmp_path, capsys, command, key, value
@@ -468,8 +467,7 @@ class TestSubcommands:
     def test_sweep_warns_above_unity(self, tmp_path, capsys):
         path = _write_config(
             tmp_path,
-            "finesse = 10.0\ngamma = 0.005\npair_count = 40\n"
-            "sweep_protocol = two-pass\n",
+            "finesse = 10.0\ngamma = 0.005\npair_count = 40\npasses = 2\n",
         )
         assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 0
         captured = capsys.readouterr()
@@ -575,7 +573,6 @@ _PROBES = {
     "sigma": "4.0",
     "samples": "8192",
     "span_factor": "5.0",
-    "oversample": "8",
     "model": "ideal",
     "harmonics": "500",
     "k_max": "2",
@@ -588,7 +585,6 @@ _PROBES = {
     "sweep_stop": "30.0",
     "sweep_steps": "5",
     "sweep_scale": "log",
-    "sweep_protocol": "two-pass",
     "sweep_refine": "false",
     "sweep_simulate": "true",
 }
@@ -600,18 +596,24 @@ _NEEDS = {
 }
 
 
-def _context(command: str, key: str) -> dict[str, str]:
-    """The settings beside ``key`` under which its probe value can act."""
+def _contexts(command: str, key: str) -> list[dict[str, str]]:
+    """The settings beside ``key`` under which its probe value is run.
+
+    In each the value can act, but for a sweep's axis: a parameter that a
+    sweep can vary is run both off the axis and as the axis, whose points
+    set it.
+    """
     context = dict(_NEEDS.get(key, {}))
-    if command == "sweep":
-        # a closed-form sweep reads no grid, and the axis sets its own
-        # parameter; three points keep it short
-        context["sweep_steps"] = "3"
-        if not key.startswith("sweep_"):
-            context["sweep_simulate"] = "true"
-        if key == RunConfig.sweep_parameter:
-            context["sweep_parameter"] = "gamma"
-    return context
+    if command != "sweep":
+        return [context]
+    # a closed-form sweep reads no grid; three points keep it short
+    context["sweep_steps"] = "3"
+    if not key.startswith("sweep_"):
+        context["sweep_simulate"] = "true"
+    if key not in SweepAxis.PARAMETERS:
+        return [context]
+    off = "gamma" if key == RunConfig.sweep_parameter else RunConfig.sweep_parameter
+    return [{**context, "sweep_parameter": axis} for axis in (off, key)]
 
 
 class TestCommandTable:
@@ -656,24 +658,24 @@ class TestCommandTable:
                 assert run({key: value}) == (
                     1, "", f"error: {key} = {value} is not read by {command}\n", None
                 )
-        contexts = {
-            key: {"samples": "4096", **_context(command, key)} for key, _ in probes
-        }
-        expected = {key: key in read({**contexts[key], key: v}) for key, v in probes}
+        # a short grid keeps each run quick
+        cases = [
+            (key, value, {"samples": "4096", **context})
+            for key, value in probes
+            for context in _contexts(command, key)
+        ]
+        expected = [key in read({**context, key: v}) for key, v, context in cases]
         # Let every setting through: the ones read change the output, and
-        # the refused ones would have changed nothing.  A short grid keeps
-        # each run quick.
-        runs, help_line, _ = _COMMANDS[command]
+        # the refused ones would have changed nothing.
         everything = {key for key, _ in probes}
-        monkeypatch.setitem(_COMMANDS, command, (runs, help_line, everything))
+        monkeypatch.setattr(afcsim.cli, "reads", lambda *_: everything)
         baselines = {}
-        for key, value in probes:
-            context = contexts[key]
+        for (key, value, context), is_read in zip(cases, expected):
             baseline = baselines.get(tuple(context.items())) or run(context)
             baselines[tuple(context.items())] = baseline
             probe = run({**context, key: value})
-            assert baseline[0] == probe[0] == 0, (key, baseline[2], probe[2])
-            assert (probe[1:] != baseline[1:]) == expected[key], key
+            assert baseline[0] == probe[0] == 0, (key, context, baseline[2], probe[2])
+            assert (probe[1:] != baseline[1:]) == is_read, (key, context)
 
 
 class TestErrorPaths:
@@ -697,6 +699,18 @@ class TestErrorPaths:
         assert main(["--config", str(path), "config"]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["oversample = 16", "sweep_protocol = two-pass"])
+    def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
+        # every run zero-pads its time grid 16 times, and passes = 2 is the
+        # two-pass protocol for sweep as for protocol
+        key = line.split()[0]
+        path = _write_config(tmp_path, f"{line}\n")
+        out = tmp_path / "out"
+        for command in ("transfer", "protocol", "sweep", "config"):
+            assert main(["--config", str(path), "--out", str(out), command]) == 1
+            assert capsys.readouterr().err == f"error: line 1: unknown key {key!r}\n"
+        assert not out.exists()
+
     def test_tooth_edge_sample_exits_one(self, tmp_path, capsys):
         # the default grid puts a sample on the finesse-4 edge at 1.25
         path = _write_config(tmp_path, "finesse = 4.0\n")
@@ -707,21 +721,13 @@ class TestErrorPaths:
             assert setting in err
         assert not (tmp_path / "train.csv").exists()
 
-    @pytest.mark.parametrize(
-        ("extra", "fix"),
-        [
-            pytest.param("", "or use gamma > 0", id="sharp"),
-            pytest.param(
-                "gamma = 1e-300\n", "or use gamma above about 1e-154", id="underflow"
-            ),
-        ],
-    )
-    def test_tooth_edge_message_names_the_fix(self, tmp_path, capsys, extra, fix):
-        path = _write_config(tmp_path, "finesse = 4.0\n" + extra)
+    def test_tooth_edge_message_names_the_fix(self, tmp_path, capsys):
+        path = _write_config(tmp_path, "finesse = 4.0\n")
         assert main(["--config", str(path), "--out", str(tmp_path), "train"]) == 1
         err = capsys.readouterr().err
         assert "a sample sits on a sharp tooth edge" in err
-        assert err.endswith(f"change finesse, samples or span_factor, {fix}\n")
+        fix = "change finesse, samples or span_factor, or use gamma > 0\n"
+        assert err.endswith(fix)
 
     @pytest.mark.parametrize(
         ("command", "extra"),
@@ -787,14 +793,14 @@ class TestErrorPaths:
         assert not list(tmp_path.glob("*.csv"))
 
     def test_window_without_two_time_samples_names_sigma(self, tmp_path, capsys):
-        # the time step pi / (oversample * span_factor * sigma) exceeds
-        # the whole echo window
+        # the time step pi / (16 span_factor sigma) exceeds the whole
+        # echo window; the message names only settings a file can change
         path = _write_config(tmp_path, "sigma = 0.001\n")
         assert main(["--config", str(path), "--out", str(tmp_path), "protocol"]) == 1
         err = capsys.readouterr().err
         assert "fewer than two time samples" in err
-        for setting in ("sigma", "span_factor", "oversample"):
-            assert setting in err
+        assert err.endswith("; raise sigma or span_factor\n")
+        assert "oversample" not in err
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("k_max", [-1, -3, 0])
@@ -860,6 +866,17 @@ class TestErrorPaths:
         assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: gamma must be below about 1.3e154")
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("command", ["train", "protocol", "transfer"])
+    def test_gamma_whose_square_underflows_exits_one(self, tmp_path, capsys, command):
+        # at finesse 4 a grid sample sits on a tooth edge, where a gamma
+        # this small would leave the teeth sharp
+        path = _write_config(tmp_path, "finesse = 4.0\ngamma = 1e-300\n")
+        assert main(["--config", str(path), "--out", str(tmp_path), command]) == 1
+        assert capsys.readouterr().err == (
+            "error: gamma must be 0 or at least 1e-150, got 1e-300\n"
+        )
         assert not list(tmp_path.glob("*.csv"))
 
     @pytest.mark.parametrize("nu0_hz", ["nan", "inf", "0", "-1"])

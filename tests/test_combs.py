@@ -56,6 +56,14 @@ class TestCombSpec:
         with pytest.raises(ValueError, match="gamma must be below about 1.3e154"):
             CombSpec(CombShape.SQUARE, gamma=1.4e154)
 
+    def test_gamma_has_a_floor(self):
+        assert CombSpec(CombShape.SQUARE, gamma=1e-150).gamma == 1e-150
+        for gamma in (5e-324, 1e-300, 9.99e-151, -0.1, math.nan):
+            with pytest.raises(
+                ValueError, match=f"^gamma must be 0 or at least 1e-150, got {gamma}$"
+            ):
+                CombSpec(CombShape.SQUARE, gamma=gamma)
+
 
 class TestMediumSpec:
     def test_rejects_negative_depth(self):

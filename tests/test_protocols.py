@@ -17,6 +17,7 @@ from afcsim.propagation import (
     Probe,
     PulseSpec,
     TransferModel,
+    _OVERSAMPLE,
     build_transfer,
     gaussian_spectrum,
     peak_in_window,
@@ -33,8 +34,10 @@ COMB = RUN.comb()
 MEDIUM = MediumSpec(RUN.d_p)
 PULSE = PulseSpec(sigma=5.0)
 GRID = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**13)
-PROBE = Probe((PULSE,), GRID, oversample=8, k_max=5)
-INPUT_ENERGY = full_transform(gaussian_spectrum(PULSE, GRID), GRID, 8).energy()
+PROBE = Probe((PULSE,), GRID, k_max=5)
+INPUT_ENERGY = full_transform(
+    gaussian_spectrum(PULSE, GRID), GRID, _OVERSAMPLE
+).energy()
 
 
 def _run_single(**kwargs):
@@ -72,7 +75,7 @@ class TestSinglePass:
         assert result.train.intensity(0) == pytest.approx(c0**2, rel=1e-3)
 
     def test_train_and_energy_bookkeeping(self):
-        result = recall(RUN, probe=Probe((PULSE,), GRID, 8, k_max=3))
+        result = recall(RUN, probe=Probe((PULSE,), GRID, k_max=3))
         assert [e.index for e in result.train.entries] == [0, 1, 2, 3]
         # The signal holds only the echo window.  The output energy of
         # the whole time window is Parseval's sum over the spectrum,
@@ -103,7 +106,7 @@ class TestEnergyBalance:
         run = RunSpec(
             shape=shape.value, finesse=finesse, d_p=d_p, gamma=gamma, pair_count=40
         )
-        probe = Probe((PULSE,), grid, oversample=4, k_max=5)
+        probe = Probe((PULSE,), grid, k_max=5)
         result = recall(run, passes=1, probe=probe)
         spectrum = gaussian_spectrum(PULSE, grid)
         incoming = grid.spacing / (2.0 * math.pi) * float(np.sum(np.abs(spectrum) ** 2))
@@ -132,7 +135,7 @@ def test_first_echo_at_run_defaults_matches_closed_form(model, shape, gamma):
 class TestRecallChecks:
     @pytest.mark.parametrize("passes", [1, 2])
     def test_simulation_needs_first_echo(self, passes):
-        probe = Probe((PULSE,), GRID, 8, k_max=0)
+        probe = Probe((PULSE,), GRID, k_max=0)
         with pytest.raises(ValueError, match="k_max must be >= 1 .* got 0"):
             recall(RUN, passes=passes, probe=probe)
         # the closed form reads no train
@@ -145,7 +148,7 @@ class TestRecallChecks:
         # inside the prompt window the second pass recycles
         grid = FrequencyGrid.for_pulse(PULSE, span_factor=4.0, samples=64)
         with pytest.raises(ValueError, match="ends at 1.6 T, too short for echo"):
-            recall(RUN, passes=passes, probe=Probe((PULSE,), grid, 16, k_max=8))
+            recall(RUN, passes=passes, probe=Probe((PULSE,), grid, k_max=8))
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,7 +159,7 @@ def _unit_recall(passes):
 def _linear_recall(passes, pulse):
     grid = FrequencyGrid.for_pulse(pulse, span_factor=6.0, samples=2**12)
     return recall(
-        RUN, passes=passes, probe=Probe((pulse,), grid, oversample=4, k_max=3)
+        RUN, passes=passes, probe=Probe((pulse,), grid, k_max=3)
     ).train
 
 
@@ -221,7 +224,7 @@ class TestLinearity:
         shifted = PulseSpec(amplitude=a2, sigma=5.0, center=center, phase=phase)
 
         def output(*pulses):
-            probe = Probe(pulses, grid, oversample=4, k_max=3)
+            probe = Probe(pulses, grid, k_max=3)
             return recall(run, passes=passes, probe=probe).signal.values
 
         pair = output(symmetric, shifted)
@@ -256,8 +259,9 @@ class TestTwoPass:
         # window holds 1.018 times the input energy
         run = replace(RUN, finesse=finesse, d_p=d_p)
         grid = FrequencyGrid.for_pulse(PULSE, span_factor=6.0, samples=2**15)
-        result = recall(run, passes=2, probe=Probe((PULSE,), grid, 16, k_max=5))
-        incoming = full_transform(gaussian_spectrum(PULSE, grid), grid, 16).energy()
+        result = recall(run, passes=2, probe=Probe((PULSE,), grid, k_max=5))
+        spectrum = gaussian_spectrum(PULSE, grid)
+        incoming = full_transform(spectrum, grid, _OVERSAMPLE).energy()
         half = 0.5 * ECHO_DELAY
         _assert_inside(result.signal, half, 3.0 * half)
         ratio = result.signal.energy(half, 3.0 * half) / incoming
@@ -292,7 +296,7 @@ class TestTwoPass:
     def test_zero_depth_reports_no_echo(self):
         # Without a comb the recycled probe rings about 4e-6 into the
         # echo window; like extract_train, that window holds no echo.
-        run = RunSpec(d_p=0.0, samples=4096, oversample=8, k_max=5)
+        run = RunSpec(d_p=0.0, samples=4096, k_max=5)
         result = recall(run, passes=2)
         assert result.closed_efficiency == 0.0
         assert result.simulated_efficiency == 0.0
@@ -465,13 +469,13 @@ class TestTimeBinSpectrum:
         nu = grid.points()
         base = (math.sqrt(math.pi) / 7.0) * np.exp(-(nu**2) / (4.0 * 49.0))
         expected = 0.8 * base + 0.6 * base * np.exp(1j * (0.7 + nu * 1.2))
-        spectrum = Probe(qubit.pulses(), grid, 4, k_max=1).spectrum
+        spectrum = Probe(qubit.pulses(), grid, k_max=1).spectrum
         np.testing.assert_allclose(spectrum, expected, atol=1e-14)
 
     def test_bins_appear_at_their_delays(self):
         qubit = TimeBinQubit(c1=0.8, c2=0.6, tau=1.2, phi=0.7, sigma=7.0)
         grid = FrequencyGrid(half_span=70.0, samples=2**12)
-        spectrum = Probe(qubit.pulses(), grid, 4, k_max=1).spectrum
+        spectrum = Probe(qubit.pulses(), grid, k_max=1).spectrum
         signal = spectrum_to_signal(spectrum, grid, 4, (-0.5, 1.7))
         early, t_early = peak_in_window(signal, -0.5, 0.5)
         late, t_late = peak_in_window(signal, 0.7, 1.7)
@@ -491,5 +495,5 @@ class TestTimeBinSpectrum:
         expected = 0.8 * base * np.exp(0.2j) + 0.6 * base * np.exp(
             1j * (0.5 - 0.1 + nu * 1.0)
         )
-        spectrum = Probe(qubit.pulses(), grid, 4, k_max=1).spectrum
+        spectrum = Probe(qubit.pulses(), grid, k_max=1).spectrum
         np.testing.assert_allclose(spectrum, expected, atol=1e-14)

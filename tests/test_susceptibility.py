@@ -260,7 +260,7 @@ class TestBroadened:
     @settings(max_examples=40, deadline=None)
     @given(
         delta=st.one_of(st.floats(1e-6, 1.0), st.sampled_from([0.125, 0.25, 0.5])),
-        gamma=st.one_of(st.sampled_from([1e-300, 5e-324]), st.floats(0.0, 10.0)),
+        gamma=st.one_of(st.sampled_from([0.0, 1e-150]), st.floats(1e-150, 10.0)),
         pair_count=st.integers(0, 1000),
         data=st.data(),
     )
@@ -301,10 +301,10 @@ class TestBroadened:
         delta=st.one_of(
             st.floats(1e-6, 1.0, exclude_max=True), st.sampled_from([0.125, 0.25, 0.5])
         ),
-        # the sum alone runs below 1e-150 delta, the product from there up
+        # from gamma's floor 1e-150 up
         gamma=st.one_of(
-            st.sampled_from([0.0, 5e-324, 1e-300, 1e-149, 1e-40, 1e-12, 1e-8]),
-            st.floats(-160.0, -4.0).map(lambda exponent: 10.0**exponent),
+            st.sampled_from([0.0, 1e-150, 1e-149, 1e-40, 1e-12, 1e-8]),
+            st.floats(-150.0, -4.0).map(lambda exponent: 10.0**exponent),
             st.floats(1e-4, 10.0),
         ),
         pair_count=st.integers(0, (_PRODUCT_TEETH - 2) // 2),
@@ -338,7 +338,7 @@ class TestBroadened:
             assert np.isin(packed.real, [0.0, 0.5, 1.0]).all()
             assert np.array_equal(packed.real, summed.real)
 
-    @pytest.mark.parametrize("gamma", [0.0, 1e-300, 0.01])
+    @pytest.mark.parametrize("gamma", [0.0, 1e-150, 0.01])
     @pytest.mark.parametrize("pair_count", [0, 9])
     def test_touching_teeth_are_finite_on_shared_edges(self, gamma, pair_count):
         # delta = 1 tiles [-outer, outer] edge to edge; at a shared edge a
@@ -424,6 +424,14 @@ class TestBroadened:
             epsilon_broadened(np.array([0.0]), -0.1, gamma=0.01, pair_count=9)
         with pytest.raises(ValueError):
             epsilon_broadened(np.array([0.0]), 0.1, gamma=-1.0, pair_count=9)
+
+    @pytest.mark.parametrize("gamma", [5e-324, 1e-300, 9.99e-151])
+    def test_refuses_gamma_below_its_floor(self, gamma):
+        # gamma**2 would near underflow, or reach it
+        with pytest.raises(
+            ValueError, match=f"^gamma must be 0 or at least 1e-150, got {gamma}$"
+        ):
+            epsilon_broadened(np.array([0.0]), 0.1, gamma=gamma, pair_count=9)
 
 
 class TestPeriodicShapes:

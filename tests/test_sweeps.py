@@ -242,7 +242,6 @@ class TestSimulatedSweep:
                 pair_count=40,
                 simulate=True,
                 samples=2**12,
-                oversample=8,
                 refine=False,
             )
         )
@@ -257,7 +256,6 @@ class TestSimulatedSweep:
             pair_count=40,
             simulate=True,
             samples=2**12,
-            oversample=8,
             refine=False,
         )
         result = sweep(request)
@@ -270,7 +268,7 @@ class TestSimulatedSweep:
             fresh = recall(
                 RunSpec(d_p=row.value, gamma=0.005, pair_count=40),
                 # the sweep reads echoes up to min(k_max, 3)
-                probe=Probe((pulse,), grid, request.oversample, result.request.k_max),
+                probe=Probe((pulse,), grid, result.request.k_max),
             )
             assert row.status == "ok"
             assert row.efficiency == fresh.simulated_efficiency
@@ -279,9 +277,7 @@ class TestSimulatedSweep:
 
 # Small grids on which every comb below is finite: broadened teeth
 # cover the grid, so no sample sits on a sharp edge.
-PROBED = dict(
-    gamma=0.005, pair_count=40, simulate=True, samples=2**12, oversample=8
-)
+PROBED = dict(gamma=0.005, pair_count=40, simulate=True, samples=2**12)
 
 
 class TestSweepProbe:
@@ -312,7 +308,7 @@ class TestSweepProbe:
                 RunSpec(pair_count=request.pair_count, **params),
                 passes=2 if kind is SweepKind.TWO_PASS else 1,
                 # the sweep reads echoes up to min(k_max, 3)
-                probe=Probe((pulse,), grid, request.oversample, result.request.k_max),
+                probe=Probe((pulse,), grid, result.request.k_max),
             )
             assert row.status == "ok"
             assert row.efficiency == alone.simulated_efficiency
@@ -374,19 +370,6 @@ class TestSweepProbe:
         ]
         # the input peak and the one output, both at finesse 5
         assert transforms["spectrum_to_signal"] == 2
-
-    def test_bad_oversample_fails_every_row(self, transforms):
-        request = SweepRequest(
-            axis=SweepAxis("d_p", 8.0, 12.0, 3), **dict(PROBED, oversample=3)
-        )
-        with pytest.raises(ValueError) as excinfo:
-            sweep(request)
-        assert str(excinfo.value) == (
-            "every sweep point failed; at d_p = 8: oversample must be a power of "
-            "two, got 3"
-        )
-        # each row asks for the input peak afresh and fails on it
-        assert transforms["spectrum_to_signal"] == 3
 
     def test_bad_grid_fails_every_row(self, transforms):
         request = SweepRequest(

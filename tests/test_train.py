@@ -319,7 +319,7 @@ class TestClosedTrainProperties:
         shape=st.sampled_from(list(CombShape)),
         finesse=st.floats(1.5, 50.0),
         d_p=st.floats(0.0, 40.0),
-        gamma=st.floats(0.0, 0.05),
+        gamma=st.one_of(st.just(0.0), st.floats(1e-150, 0.05)),
         k_max=st.integers(0, 6),
     )
     def test_matches_numeric_projection(self, shape, finesse, d_p, gamma, k_max):
