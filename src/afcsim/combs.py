@@ -41,8 +41,7 @@ ECHO_DELAY = math.pi
 # A raised-cosine grating has fixed width-to-period ratio, hence fixed finesse.
 HARMONIC_FINESSE = 2.0
 
-# Least nonzero broadening: the broadened kernels square gamma, and
-# gamma**2 must stay clear of underflow (the floor of sigma, too).
+# Least nonzero gamma, as for sigma: gamma**2 stays clear of underflow.
 _GAMMA_FLOOR = 1e-150
 
 

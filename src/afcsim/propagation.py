@@ -552,14 +552,12 @@ def echo_window(k_max: int) -> tuple[float, float]:
 class Probe:
     """Gaussian input pulses on a grid, read on the echo window of ``k_max``.
 
-    Its time grid is its frequency grid zero-padded ``_OVERSAMPLE`` (16)
-    times, the one that :func:`afcsim.protocols.recall` transforms to and
-    from.
-
     The probe is the library's only input path: every simulated
-    intensity is divided by its ``reference``.  ``pulses`` are added in
-    order into one input field: a single pulse, or the bins of a
-    time-bin state (see :meth:`afcsim.protocols.TimeBinQubit.pulses`).
+    intensity is divided by its ``reference``, read on the grid
+    zero-padded ``_OVERSAMPLE`` (16) times, as
+    :func:`afcsim.protocols.recall` reads every output.  ``pulses`` are
+    added in order into one input field: a single pulse, or the bins of
+    a time-bin state (see :meth:`afcsim.protocols.TimeBinQubit.pulses`).
     One probe serves every transfer on its grid, such as the points of a
     sweep.  ``spectrum`` and ``reference`` are computed on first access
     and then kept, so a run that fails before its first transform

@@ -716,18 +716,12 @@ class TestErrorPaths:
         path = _write_config(tmp_path, "finesse = 4.0\n")
         assert main(["--config", str(path), "--out", str(tmp_path), "train"]) == 1
         err = capsys.readouterr().err
-        assert "transfer is non-finite" in err
-        for setting in ("finesse", "samples", "span_factor", "gamma > 0"):
-            assert setting in err
+        assert err.startswith("error: transfer is non-finite")
+        assert err.endswith(
+            "a sample sits on a sharp tooth edge; change finesse, samples or "
+            "span_factor, or use gamma > 0\n"
+        )
         assert not (tmp_path / "train.csv").exists()
-
-    def test_tooth_edge_message_names_the_fix(self, tmp_path, capsys):
-        path = _write_config(tmp_path, "finesse = 4.0\n")
-        assert main(["--config", str(path), "--out", str(tmp_path), "train"]) == 1
-        err = capsys.readouterr().err
-        assert "a sample sits on a sharp tooth edge" in err
-        fix = "change finesse, samples or span_factor, or use gamma > 0\n"
-        assert err.endswith(fix)
 
     @pytest.mark.parametrize(
         ("command", "extra"),

@@ -371,6 +371,21 @@ class TestSweepProbe:
         # the input peak and the one output, both at finesse 5
         assert transforms["spectrum_to_signal"] == 2
 
+    def test_window_without_two_samples_fails_every_row(self, transforms):
+        # the input peak's transform is the first to see the time step
+        request = SweepRequest(
+            axis=SweepAxis("d_p", 8.0, 12.0, 3), **dict(PROBED, sigma=0.001)
+        )
+        with pytest.raises(ValueError) as excinfo:
+            sweep(request)
+        assert str(excinfo.value) == (
+            "every sweep point failed; at d_p = 8: window [-3.141592653589793, "
+            "15.707963267948966) holds fewer than two time samples; raise sigma "
+            "or span_factor"
+        )
+        # each row asks for the input peak afresh and fails on it
+        assert transforms["spectrum_to_signal"] == 3
+
     def test_bad_grid_fails_every_row(self, transforms):
         request = SweepRequest(
             axis=SweepAxis("d_p", 8.0, 12.0, 3), **dict(PROBED, samples=3)
