@@ -1,17 +1,18 @@
-"""Fingerprints of the CSV files that the CLI and the reproduce targets write.
+"""Fingerprints of the CSV files and stdout of the CLI and the reproduce targets.
 
 A fingerprint records, per file, its sha256, its row count and its
 header; per column, a digest of its cells; and per numeric column, the
 count of finite cells and their sum and L2 norm.
 ``tests/fingerprints.json`` holds the fingerprints of the runs in
-:data:`RUNS`, together with the environment that wrote them;
-``test_fingerprints.py`` reruns them and compares.
+:data:`RUNS` and each run's stdout, together with the environment that
+wrote them; ``test_fingerprints.py`` reruns them and compares.
 
 Rewrite the record from the repository root with::
 
     PYTHONPATH=src python tests/fingerprints.py
 
-which also prints every file whose fingerprint moved, and by how much.
+which also prints every file whose fingerprint moved, and by how much,
+and every run whose stdout moved.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import platform
@@ -47,12 +49,16 @@ REL_BOUND = 1e-12
 OTHER_BOUND = 1e-9
 
 # Each run: the directory its files go to, its config text (None for the
-# defaults) and its arguments after ``--out``.
+# defaults) and its arguments after ``--out``.  A run is named by its
+# directory and arguments, as in ``product protocol``.
 RUNS: list[tuple[str, str | None, list[str]]] = [
     *[("reproduce", None, ["reproduce", name]) for name in sorted(TARGETS)],
+    # config and reproduce without a target write no CSV, only stdout
     *[
         ("defaults", None, [command])
-        for command in "spectrum transfer propagate train protocol sweep".split()
+        for command in (
+            "spectrum transfer propagate train protocol sweep config reproduce"
+        ).split()
     ],
     ("two-pass", "passes = 2\n", ["protocol"]),
     # echo window 0 holds no arrival: its arrival cells stay empty
@@ -117,18 +123,25 @@ def column_bound(recorded: dict[str, object]) -> float:
     return REL_BOUND if same else OTHER_BOUND
 
 
-def run_all(out: Path) -> None:
-    """Write every run's CSV files under ``out``; a run that fails raises."""
+def run_all(out: Path) -> dict[str, str]:
+    """Write every run's CSV files under ``out``; a run that fails raises.
+
+    Returns each run's stdout by its name, the output root spelled ``OUT``.
+    """
+    stdout = {}
     for directory, config, argv in RUNS:
         options = ["--out", str(out / directory)]
         if config is not None:
             path = out / f"{directory}.cfg"
             path.write_text(config)
             options += ["--config", str(path)]
-        with contextlib.redirect_stdout(io.StringIO()):
+        name = " ".join([directory, *argv])
+        with contextlib.redirect_stdout(io.StringIO()) as printed:
             code = afcsim([*options, *argv])
         if code != 0:
-            raise RuntimeError(f"{directory}: afcsim {' '.join(argv)} exited {code}")
+            raise RuntimeError(f"{name}: exited {code}")
+        stdout[name] = printed.getvalue().replace(str(out), "OUT")
+    return stdout
 
 
 def _number(cell: str) -> float | None:
@@ -139,9 +152,18 @@ def _number(cell: str) -> float | None:
 
 
 def fingerprint(path: Path) -> dict[str, object]:
-    """sha256, rows and header of one CSV, its columns' digests and sums."""
+    """sha256, rows and header of one CSV, its columns' digests and sums.
+
+    Raises ``ValueError`` if a row is not as wide as the header, as one
+    whose text cell (a failed sweep point's status) lost its quotes.
+    """
     data = path.read_bytes()
     header, *rows = csv.reader(io.StringIO(data.decode()))
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: line {line} has {len(row)} cells, the header {len(header)}"
+            )
     columns, digests = {}, {}
     for name, cells in zip(header, zip(*rows)):
         text = "\n".join(cells).encode()
@@ -227,23 +249,49 @@ def column_moves(
     return sorted(moves, key=lambda move: -move[0])
 
 
+def stdout_moves(recorded: dict[str, str], fresh: dict[str, str]) -> list[str]:
+    """Each run whose stdout differs from the record, and its first differing line."""
+    moves = []
+    for name in sorted(recorded.keys() | fresh.keys()):
+        old, new = recorded.get(name), fresh.get(name)
+        if old is None or new is None:
+            moves.append(f"{name}: {'new' if old is None else 'missing'} run")
+        elif old != new:
+            pairs = itertools.zip_longest(new.splitlines(), old.splitlines())
+            line, (now, was) = next(
+                (line, pair) for line, pair in enumerate(pairs, 1) if pair[0] != pair[1]
+            )
+            moves.append(f"{name}: stdout line {line}: {now!r} against {was!r}")
+    return moves
+
+
+def fresh_record(out: Path) -> dict[str, dict[str, object]]:
+    """Every run under ``out``: each file's fingerprint and each run's stdout."""
+    stdout = run_all(out)
+    return {"files": fingerprints(out), "stdout": stdout}
+
+
 def main() -> None:
     with tempfile.TemporaryDirectory() as out:
-        run_all(Path(out))
-        fresh = fingerprints(Path(out))
+        fresh = fresh_record(Path(out))
     if RECORD.exists():
-        recorded = json.loads(RECORD.read_text())["files"]
+        recorded = json.loads(RECORD.read_text())
+        files = recorded["files"]
         moved = sorted(
-            {name for name in fresh if recorded.get(name) != fresh[name]}
-            | (recorded.keys() - fresh.keys())
+            {name for name in fresh["files"] if files.get(name) != fresh["files"][name]}
+            | (files.keys() - fresh["files"].keys())
         )
         for name in moved:
             print(f"moved: {name}")
-        for _, message in column_moves(recorded, fresh):
+        for _, message in column_moves(files, fresh["files"]):
             print(message)
-    record = {"environment": environment(), "files": fresh}
+        for message in stdout_moves(recorded["stdout"], fresh["stdout"]):
+            print(f"moved: {message}")
+    record = {"environment": environment(), **fresh}
     RECORD.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {RECORD} ({len(fresh)} files)")
+    print(
+        f"wrote {RECORD} ({len(fresh['files'])} files, {len(fresh['stdout'])} runs)"
+    )
 
 
 if __name__ == "__main__":
