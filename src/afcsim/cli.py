@@ -79,7 +79,6 @@ class RunConfig(RunSpec):
     sweep_stop: float = 40.0
     sweep_steps: int = 40
     sweep_scale: str = "linear"
-    sweep_refine: bool = True
     sweep_simulate: bool = False
 
     def __post_init__(self) -> None:
@@ -146,7 +145,6 @@ _CASTERS: dict[str, Callable[[str], object]] = {
     "sweep_stop": _cast_float,
     "sweep_steps": int,
     "sweep_scale": _cast_choice(SweepAxis.SCALES),
-    "sweep_refine": _cast_bool,
     "sweep_simulate": _cast_bool,
 }
 
@@ -356,7 +354,6 @@ def cmd_sweep(config: RunConfig, args: Namespace, scale: UnitScale | None) -> in
                 config.sweep_scale,
             ),
             kind=SweepKind.TWO_PASS if config.passes == 2 else SweepKind.FIRST_ECHO,
-            refine=config.sweep_refine,
             simulate=config.sweep_simulate,
             **{f.name: getattr(config, f.name) for f in fields(RunSpec)},
         )

@@ -116,7 +116,6 @@ class SweepRequest(RunSpec):
 
     axis: SweepAxis
     kind: SweepKind = SweepKind.FIRST_ECHO
-    refine: bool = True
     simulate: bool = False
 
 
@@ -210,10 +209,10 @@ def sweep(request: SweepRequest) -> SweepResult:
     builds the comb's response on the probe's grid there, once, and
     every point passes it to :func:`recall`; along any other axis each
     point computes its own.  A probe or response that cannot be built
-    fails each row with the same message.  Refinement brackets the best
-    grid point and runs a golden-section search on the closed form
-    (simulation values are too expensive to bracket tightly and follow
-    the same trend).
+    fails each row with the same message.  A best ok row that is neither
+    the first nor the last ok row is refined by a golden-section search
+    on the closed form between the ok rows beside it (simulation values
+    are too expensive to bracket tightly and follow the same trend).
     """
     if request.k_max < 1:
         raise ValueError(
@@ -230,16 +229,15 @@ def sweep(request: SweepRequest) -> SweepResult:
         )
     best = max(ok, key=lambda r: r.efficiency)
     best_value, best_efficiency = best.value, best.efficiency
-    refined = False
-    if request.refine:
-        values = [r.value for r in ok]
-        i = values.index(best.value)
-        if 0 < i < len(ok) - 1:
-            lo, hi = values[i - 1], values[i + 1]
-            best_value, best_efficiency = golden_section_max(
-                lambda v: _efficiency(_point(request, v), None), lo, hi
-            )
-            refined = True
+    values = [r.value for r in ok]
+    i = values.index(best.value)
+    refined = 0 < i < len(ok) - 1
+    if refined:
+        best_value, best_efficiency = golden_section_max(
+            lambda v: _efficiency(_point(request, v), None),
+            values[i - 1],
+            values[i + 1],
+        )
     return SweepResult(
         request=request,
         rows=tuple(rows),

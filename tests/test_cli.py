@@ -152,9 +152,18 @@ class TestConfigCommand:
         assert out == canonical_config(RunConfig())
         assert parse_config(out) == RunConfig()
 
-    def test_default_keys_in_file_order(self, capsys):
-        assert main(["config"]) == 0
-        assert capsys.readouterr().out == (
+    @pytest.mark.parametrize("source", ["config", "readme"])
+    def test_default_keys_in_file_order(self, capsys, source):
+        if source == "config":
+            assert main(["config"]) == 0
+            text = capsys.readouterr().out
+        else:
+            # README.md's config block, comments and blank lines stripped
+            readme = (Path(__file__).parents[1] / "README.md").read_text()
+            block = readme.split("```\n# comb and medium\n", 1)[1].split("```")[0]
+            lines = [line.split("#", 1)[0].strip() for line in block.splitlines()]
+            text = "".join(f"{line}\n" for line in lines if line)
+        assert text == (
             "shape = square\n"
             "finesse = 5.0\n"
             "d_p = 10.0\n"
@@ -175,7 +184,6 @@ class TestConfigCommand:
             "sweep_stop = 40.0\n"
             "sweep_steps = 40\n"
             "sweep_scale = linear\n"
-            "sweep_refine = true\n"
             "sweep_simulate = false\n"
         )
 
@@ -490,17 +498,21 @@ class TestSubcommands:
         assert lines[0] == "d_p,efficiency,i1,i2,i3,status"
 
     @pytest.mark.parametrize(
-        ("extra", "note"),
+        ("start", "extra", "note"),
         [
-            ("", " (refined)"),
-            ("sweep_refine = false\n", ""),
-            ("sweep_simulate = true\n", " (refined on the closed form)"),
-            ("sweep_simulate = true\nsweep_refine = false\n", " (simulated)"),
+            # the best of d_p = 8, 10, 12 is interior and refined; that of
+            # 12, 14, 16 is at the axis's edge and is not
+            (8.0, "", " (refined)"),
+            (12.0, "", ""),
+            (8.0, "sweep_simulate = true\n", " (refined on the closed form)"),
+            (12.0, "sweep_simulate = true\n", " (simulated)"),
         ],
         ids=["closed", "closed-unrefined", "simulated", "simulated-unrefined"],
     )
-    def test_sweep_summary_names_its_number(self, tmp_path, capsys, extra, note):
-        axis = "sweep_start = 8.0\nsweep_stop = 12.0\nsweep_steps = 3\n"
+    def test_sweep_summary_names_its_number(
+        self, tmp_path, capsys, start, extra, note
+    ):
+        axis = f"sweep_start = {start}\nsweep_stop = {start + 4}\nsweep_steps = 3\n"
         path = _write_config(tmp_path, FAST_SIM + axis + extra)
         assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 0
         best = capsys.readouterr().out.splitlines()[0]
@@ -585,7 +597,6 @@ _PROBES = {
     "sweep_stop": "30.0",
     "sweep_steps": "5",
     "sweep_scale": "log",
-    "sweep_refine": "false",
     "sweep_simulate": "true",
 }
 # Keys that act only together with another setting.
@@ -699,10 +710,13 @@ class TestErrorPaths:
         assert main(["--config", str(path), "config"]) == 1
         assert "line 2" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["oversample = 16", "sweep_protocol = two-pass"])
+    @pytest.mark.parametrize(
+        "line", ["oversample = 16", "sweep_protocol = two-pass", "sweep_refine = false"]
+    )
     def test_removed_keys_are_unknown(self, tmp_path, capsys, line):
-        # every run zero-pads its time grid 16 times, and passes = 2 is the
-        # two-pass protocol for sweep as for protocol
+        # every run zero-pads its time grid 16 times, passes = 2 is the
+        # two-pass protocol for sweep as for protocol, and a sweep refines
+        # whenever its best ok point is interior
         key = line.split()[0]
         path = _write_config(tmp_path, f"{line}\n")
         out = tmp_path / "out"

@@ -79,15 +79,6 @@ class TestDepthSweep:
         assert result.best_value == pytest.approx(4.0, abs=1e-4)
         assert result.best_efficiency == pytest.approx(0.21939729737767416, abs=1e-9)
 
-    def test_unrefined_keeps_grid_point(self):
-        result = sweep(
-            SweepRequest(
-                axis=SweepAxis("d_p", 1.0, 10.0, 10), finesse=2.0, refine=False
-            )
-        )
-        assert not result.refined
-        assert result.best_value == 4.0
-
     def test_boundary_best_is_not_refined(self):
         # past the optimum the efficiency decreases, so the edge wins
         result = sweep(SweepRequest(axis=SweepAxis("d_p", 5.0, 9.0, 5), finesse=2.0))
@@ -125,7 +116,6 @@ class TestDepthSweep:
                 shape=shape,
                 finesse=finesse,
                 k_max=3,
-                refine=False,
             )
         )
         row = result.rows[1]
@@ -168,9 +158,7 @@ class TestFinesseAndGammaSweeps:
             assert first_echo_intensity(comb, MediumSpec(10.0)) <= result.best_efficiency
 
     def test_gamma_monotonically_degrades_recall(self):
-        result = sweep(
-            SweepRequest(axis=SweepAxis("gamma", 0.001, 0.01, 5), refine=False)
-        )
+        result = sweep(SweepRequest(axis=SweepAxis("gamma", 0.001, 0.01, 5)))
         efficiencies = [r.efficiency for r in result.rows]
         assert all(hi > lo for hi, lo in zip(efficiencies, efficiencies[1:]))
 
@@ -214,11 +202,7 @@ class TestFinesseAndGammaSweeps:
 class TestTwoPassSweep:
     def test_rows_match_interference_identity(self):
         result = sweep(
-            SweepRequest(
-                axis=SweepAxis("d_p", 8.0, 12.0, 5),
-                kind=SweepKind.TWO_PASS,
-                refine=False,
-            )
+            SweepRequest(axis=SweepAxis("d_p", 8.0, 12.0, 5), kind=SweepKind.TWO_PASS)
         )
         row = next(r for r in result.rows if r.value == 10.0)
         assert row.efficiency == pytest.approx(0.8864297147112277, rel=1e-12)
@@ -226,7 +210,7 @@ class TestTwoPassSweep:
     def test_closed_sweep_builds_no_grid(self):
         # grid settings only matter when simulating
         request = SweepRequest(
-            axis=SweepAxis("d_p", 8.0, 12.0, 5), kind=SweepKind.TWO_PASS, refine=False
+            axis=SweepAxis("d_p", 8.0, 12.0, 5), kind=SweepKind.TWO_PASS
         )
         odd = replace(request, samples=3, span_factor=-1.0)
         assert sweep(odd).rows == sweep(request).rows
@@ -242,10 +226,9 @@ class TestSimulatedSweep:
                 pair_count=40,
                 simulate=True,
                 samples=2**12,
-                refine=False,
             )
         )
-        closed = sweep(SweepRequest(axis=axis, gamma=0.005, refine=False))
+        closed = sweep(SweepRequest(axis=axis, gamma=0.005))
         for sim_row, closed_row in zip(simulated.rows, closed.rows):
             assert sim_row.efficiency == pytest.approx(closed_row.efficiency, rel=1e-3)
 
@@ -256,7 +239,6 @@ class TestSimulatedSweep:
             pair_count=40,
             simulate=True,
             samples=2**12,
-            refine=False,
         )
         result = sweep(request)
         rows = result.rows
@@ -294,7 +276,7 @@ class TestSweepProbe:
         ids=lambda a: a.name,
     )
     def test_rows_equal_standalone_recalls(self, response_calls, axis, kind):
-        request = SweepRequest(axis=axis, kind=kind, refine=False, **PROBED)
+        request = SweepRequest(axis=axis, kind=kind, **PROBED)
         result = sweep(request)
         rows = result.rows
         # only a depth sweep shares one comb response among its points
@@ -325,11 +307,7 @@ class TestSweepProbe:
     )
     def test_input_is_transformed_once(self, transforms, kind, forward, backward):
         n = 4
-        sweep(
-            SweepRequest(
-                axis=SweepAxis("d_p", 6.0, 14.0, n), kind=kind, refine=False, **PROBED
-            )
-        )
+        sweep(SweepRequest(axis=SweepAxis("d_p", 6.0, 14.0, n), kind=kind, **PROBED))
         assert transforms["spectrum_to_signal"] == forward(n)
         assert transforms["signal_to_spectrum"] == backward(n)
 
