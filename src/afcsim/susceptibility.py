@@ -50,6 +50,10 @@ def square_harmonic_weights(inv_finesse: float, harmonics: int) -> np.ndarray:
     return (2.0 / np.pi) * (-1.0) ** k * np.sin(k * np.pi * inv_finesse) / k
 
 
+# The series needs about 230 bytes per harmonic, 30 MiB at this bound.
+_MAX_HARMONICS = 2**17
+
+
 def chi_square_series(
     nu: np.ndarray | float,
     inv_finesse: float,
@@ -61,8 +65,8 @@ def chi_square_series(
 
     Broadening each tooth by a Lorentzian of HWHM ``gamma`` damps
     harmonic ``k`` by ``q^k`` with ``q = exp(-pi gamma)``, as for the
-    Lorentzian and harmonic combs.  With ``harmonics`` a positive
-    integer the cosine series for the absorption and its conjugate sine
+    Lorentzian and harmonic combs.  With ``harmonics`` an integer from 1 to
+    2^17 the cosine series for the absorption and its conjugate sine
     series for the dispersion are summed to that order; truncation shows
     the usual ringing at tooth edges.  With ``harmonics=None`` the
     series is resummed in closed form.  For the sharp comb (``q == 1``,
@@ -84,8 +88,8 @@ def chi_square_series(
         raise ValueError(f"inv_finesse must lie in (0, 1), got {inv_finesse}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if harmonics is not None and harmonics < 1:
-        raise ValueError(f"harmonics must be >= 1 or None, got {harmonics}")
+    if harmonics is not None and not 1 <= harmonics <= _MAX_HARMONICS:
+        raise ValueError(f"harmonics must be in [1, {_MAX_HARMONICS}], got {harmonics}")
     nu = np.asarray(nu, dtype=float)
     q = math.exp(-math.pi * gamma)
     if harmonics is None:

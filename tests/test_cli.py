@@ -783,6 +783,11 @@ class TestErrorPaths:
                 "span_factor * sigma, the grid's half-span, must be at most 1e+150, "
                 "got 5e+300",
             ),
+            # the series' memory grows with its harmonics
+            (
+                "model = ideal\nharmonics = 131073\n",
+                "harmonics must be in [1, 131072], got 131073",
+            ),
         ],
         ids=[
             "sigma",
@@ -792,6 +797,7 @@ class TestErrorPaths:
             "sigma-1e-200",
             "sigma-1e-300",
             "span_factor-1e300",
+            "harmonics-131073",
         ],
     )
     def test_bad_grid_setting_is_named(self, tmp_path, capsys, command, text, message):

@@ -151,6 +151,13 @@ class TestSquareSeries:
         with pytest.raises(ValueError):
             chi_square_series(np.array([0.0]), 0.2, harmonics=0)
 
+    def test_refuses_harmonics_past_its_bound(self):
+        # the series would need about 230 bytes per harmonic; at 1e8 the
+        # process runs out of memory
+        message = "^harmonics must be in \\[1, 131072\\], got 131073$"
+        with pytest.raises(ValueError, match=message):
+            chi_square_series(midgrid(-2.0, 2.0, 16), 0.2, harmonics=2**17 + 1)
+
 
 class TestSquareExact:
     def test_indicator_values(self):
