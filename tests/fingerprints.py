@@ -257,9 +257,12 @@ def stdout_moves(recorded: dict[str, str], fresh: dict[str, str]) -> list[str]:
         if old is None or new is None:
             moves.append(f"{name}: {'new' if old is None else 'missing'} run")
         elif old != new:
-            pairs = itertools.zip_longest(new.splitlines(), old.splitlines())
-            line, (now, was) = next(
-                (line, pair) for line, pair in enumerate(pairs, 1) if pair[0] != pair[1]
+            # line ends kept, so that a lost final newline shows too
+            lines = itertools.zip_longest(
+                new.splitlines(keepends=True), old.splitlines(keepends=True)
+            )
+            line, now, was = next(
+                (n, now, was) for n, (now, was) in enumerate(lines, 1) if now != was
             )
             moves.append(f"{name}: stdout line {line}: {now!r} against {was!r}")
     return moves
