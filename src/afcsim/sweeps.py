@@ -233,10 +233,9 @@ def sweep(request: SweepRequest) -> SweepResult:
     i = values.index(best.value)
     refined = 0 < i < len(ok) - 1
     if refined:
+        lo, hi = values[i - 1], values[i + 1]
         best_value, best_efficiency = golden_section_max(
-            lambda v: _efficiency(_point(request, v), None),
-            values[i - 1],
-            values[i + 1],
+            lambda v: _efficiency(_point(request, v), None), lo, hi
         )
     return SweepResult(
         request=request,
