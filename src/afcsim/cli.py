@@ -31,6 +31,7 @@ from .combs import ECHO_DELAY, CombShape, MediumSpec, UnitScale
 from .output import TRACE_HEADER, format_value, trace_columns, write_csv
 from .propagation import TransferModel, build_transfer, check_time_window, comb_response
 from .protocols import RunSpec, recall
+from .susceptibility import _MAX_HARMONICS
 from .sweeps import SweepAxis, SweepKind, SweepRequest, sweep
 from .train import closed_train
 
@@ -116,11 +117,9 @@ def _cast_choice(options: tuple[str, ...]) -> Callable[[str], str]:
 
 
 def _cast_harmonics(raw: str) -> int | None:
-    if raw == "none":
-        return None
-    value = int(raw)
-    if value < 1:
-        raise ValueError("harmonics must be a positive integer or none")
+    value = None if raw == "none" else int(raw)
+    if value is not None and not 1 <= value <= _MAX_HARMONICS:
+        raise ValueError(f"harmonics must be in [1, {_MAX_HARMONICS}], got {value}")
     return value
 
 

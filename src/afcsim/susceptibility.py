@@ -190,13 +190,12 @@ def chi_square_exact(
 
 
 # The finite comb's blocks: at most _COMB_BLOCK detunings and _COMB_PAIRS
-# detunings times teeth, so that memory is bounded whatever the tooth
-# count.  Up to _PRODUCT_TEETH teeth the product of tooth ratios runs;
-# above, the sum over teeth, in tiles of _COMB_PAIRS teeth when there are
-# more.
+# detunings times teeth.  Up to _PRODUCT_TEETH teeth every tooth is
+# multiplied out; above, the _NEAR_TEETH teeth nearest each detuning.
 _COMB_BLOCK = 1024
 _COMB_PAIRS = 2**15
 _PRODUCT_TEETH = 256
+_NEAR_TEETH = 32
 
 
 def epsilon_broadened(
@@ -230,21 +229,19 @@ def epsilon_broadened(
     of arctan steps and log ratios tooth by tooth, it agrees to 7e-16 at
     20 teeth, 1.4e-15 at 82 and 3.3e-15 at 256, but 6.3e-15 at 512 (in
     absolute terms, and relative to the response where that exceeds 1).
-    So the teeth are summed one by one instead above 256 teeth.
-    ``gamma`` must be 0 or at least 1e-150, as for
+    So above 256 teeth only the 32 teeth nearest each detuning are
+    multiplied out and the rest are taken in closed form
+    (:func:`_many_teeth`), in time and memory that do not grow with the
+    tooth count.  ``gamma`` must be 0 or at least 1e-150, as for
     :class:`afcsim.combs.CombSpec`, so that ``gamma**2`` is clear of
     underflow.
 
-    Detunings are evaluated in blocks of one width, at most 1024, and at
-    most ``2**15 // teeth`` once there are more than 32 teeth; the last
-    block overlaps the one before, and the product's blocks share one
+    Detunings are evaluated in blocks of one width, at most 1024 and at
+    most ``2**15 // teeth`` once more than 32 teeth are multiplied out;
+    the last block overlaps the one before, and the blocks share one
     workspace.  Each detuning's value is the same whatever block it
-    falls in.  Beyond ``2**15`` teeth each detuning
-    sums its teeth in tiles of ``2**15``, adding the tiles' packed sums
-    in order, so the temporaries never exceed ``2**15`` detuning-tooth
-    pairs: memory grows with the tooth count only through the
-    ``2 pair_count + 2`` tooth centres.  Every detuning given is
-    evaluated (see :func:`afcsim.propagation._grid_response`).
+    falls in.  Every detuning given is evaluated (see
+    :func:`afcsim.propagation._grid_response`).
 
     Returns ``absorption + 1j * dispersion``.
     """
@@ -253,33 +250,25 @@ def epsilon_broadened(
         raise ValueError(f"delta must lie in (0, 1], got {delta}")
     if not (gamma == 0.0 or gamma >= _GAMMA_FLOOR):
         raise ValueError(f"gamma must be 0 or at least {_GAMMA_FLOOR:g}, got {gamma}")
-    centers = odd_peak_centers(pair_count)
+    teeth = 2 * pair_count + 2
     if delta == 1.0:
         # each shared edge would add +inf - inf for a sharp tooth
-        delta, centers = float(centers.size), np.zeros(1)
+        delta, teeth, centers = float(teeth), 1, np.zeros((1, 1))
+    elif teeth <= _PRODUCT_TEETH:
+        centers = odd_peak_centers(pair_count)[:, np.newaxis]
+    run = teeth if teeth <= _PRODUCT_TEETH else _NEAR_TEETH
     flat = nu.ravel()
-    rows = min(_COMB_BLOCK, max(1, _COMB_PAIRS // centers.size))
+    rows = min(_COMB_BLOCK, max(1, _COMB_PAIRS // run))
     # blocks of one width, the last overlapping the one before
     width = -(-flat.size // max(1, -(-flat.size // rows)))
-    if centers.size <= _PRODUCT_TEETH:
-        # the blocks share one workspace, whose pages are touched once
-        shape = (centers.size, width)
-        work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex))
+    # the blocks share one workspace, whose pages are touched once
+    shape = (run, width)
+    work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex))
 
-        def comb(x: np.ndarray) -> np.ndarray:
+    def comb(x: np.ndarray) -> np.ndarray:
+        if teeth <= _PRODUCT_TEETH:
             return _finite_comb(x, delta, gamma, centers, work)
-
-    else:
-        tiles = [
-            centers[start : start + _COMB_PAIRS]
-            for start in range(0, centers.size, _COMB_PAIRS)
-        ]
-
-        def comb(x: np.ndarray) -> np.ndarray:
-            packed = _tooth_sum(x, delta, gamma, tiles[0])
-            for tile in tiles[1:]:
-                packed += _tooth_sum(x, delta, gamma, tile)
-            return packed
+        return _many_teeth(x, delta, gamma, teeth // 2, work)
 
     if flat.size <= rows:
         return comb(flat).reshape(nu.shape)
@@ -299,11 +288,11 @@ def _finite_comb(
 ) -> np.ndarray:
     """Packed response of the finite comb, one product of tooth ratios.
 
-    ``nu`` is 1-d; the ratios form a (teeth, detunings) block.  ``work``
-    holds the temporaries: two real blocks and one complex block.
+    ``nu`` is 1-d; ``centers`` broadcast to the (teeth, detunings) block
+    of ratios.  ``work`` holds the temporaries: two real, one complex.
     """
     x, up, ratios = work
-    np.subtract(nu, centers[:, np.newaxis], out=x)
+    np.subtract(nu, centers, out=x)
     np.add(x, delta, out=up)
     lo = np.subtract(x, delta, out=x)
     if gamma == 0.0:
@@ -341,39 +330,50 @@ def _row_product(block: np.ndarray) -> np.ndarray:
     return np.multiply.reduce(block, axis=0)
 
 
-def _tooth_sum(
-    nu: np.ndarray, delta: float, gamma: float, centers: np.ndarray
+def _many_teeth(
+    nu: np.ndarray, delta: float, gamma: float, k: int, work: tuple
 ) -> np.ndarray:
-    """Packed response of the finite comb, summed tooth by tooth."""
-    x = nu[..., np.newaxis] - centers
-    up = x + delta
-    lo = np.subtract(x, delta, out=x)
-    if gamma == 0.0:
-        absorption = 0.5 * (np.sign(up) - np.sign(lo)).sum(axis=-1)
-        with np.errstate(divide="ignore"):
-            dispersion = -(0.5 / np.pi) * np.log(up**2 / lo**2).sum(axis=-1)
-    else:
-        # arctan(up / gamma) - arctan(lo / gamma) as one atan2: up > lo
-        # puts the difference in (0, pi), the range of atan2 with a
-        # positive first argument, so every term is passive.  The
-        # temporaries, each a block of detunings times teeth, are reused
-        # in place.
-        steps = up * lo
-        steps += gamma**2
-        absorption = (
-            np.arctan2(2.0 * delta * gamma, steps, out=steps).sum(axis=-1) / np.pi
+    """Packed response of ``2 k`` teeth, tooth ``j`` at ``2 j + 1``.
+
+    The 32 teeth ``j0 .. j0 + 31`` nearest each detuning are multiplied
+    out by :func:`_finite_comb`.  Past them, with ``m = (nu - 2 j0 - 1 +
+    1j gamma) / 2`` and ``h = delta / 2``, tooth ``j0 + p`` has ratio
+    ``(m - p + h) / (m - p - h)``.  So with ``L(z) = Gamma(z + h) /
+    Gamma(z - h)`` the ``b = j0 + k`` teeth below the run multiply to
+    ``L(m + b + 1) / L(m + 1)`` and the ``a = k - 32 - j0`` above it to
+    ``L(32 - m) / L(32 + a - m)``.  Every ``L`` taken has ``Re z >=
+    15.5``, where Stirling's series about ``w = z - 1/2``, ``log L =
+    delta log w - sum_n 2 B_n((1 + delta) / 2) / (n (n - 1) w^(n - 1))``
+    over odd ``n`` from 3 to 15, holds to 1e-17.  At ``gamma = 0`` the
+    far teeth multiply to a positive number, so the absorption stays 0,
+    1/2 or 1.
+    """
+    j0 = np.clip(np.round((nu - 1.0) / 2.0) - 16.0, -k, k - _NEAR_TEETH)
+    centers = 2.0 * (j0 + np.arange(_NEAR_TEETH)[:, np.newaxis]) + 1.0
+    packed = _finite_comb(nu, delta, gamma, centers, work)
+    # w for the four L; a run at an end of the comb has no teeth beyond
+    # it, and that side's two w are 15.5, whose L cancel exactly
+    m = (nu - centers[0] + 1j * gamma) / 2.0
+    below, above = j0 + k, k - _NEAR_TEETH - j0
+    low = np.where(below > 0, m + 0.5, 15.5)
+    high = np.where(above > 0, 31.5 - m, 15.5)
+    w = np.array([low + below, low, high, high + above])
+    # B_n(1/2 + h) from B_i(1/2) = (2^(1 - i) - 1) B_i: no cancellation as h -> 0
+    u, tail, h = (1.0 / w) ** 2, np.zeros_like(w), delta / 2.0
+    for n in range(15, 1, -2):
+        b_n = sum(
+            math.comb(n, i) * (2.0 ** (1 - i) - 1.0) * b * h ** (n - i)
+            for i, b in zip(range(0, n, 2), _BERNOULLI)
         )
-        np.square(up, out=up)
-        up += gamma**2
-        np.square(lo, out=lo)
-        lo += gamma**2
-        ratio = np.divide(up, lo, out=up)
-        dispersion = -(0.5 / np.pi) * np.log(ratio, out=ratio).sum(axis=-1)
-    # Assembling via 1j * inf would poison the real part with nan.
-    packed = np.empty(np.shape(absorption), dtype=complex)
-    packed.real = absorption
-    packed.imag = dispersion
-    return packed
+        tail = (tail + 2.0 * b_n / (n * (n - 1))) * u
+    # one log of the four w's ratio, not four logs that cancel
+    log_far = delta * np.log(w[0] / w[1] * (w[2] / w[3]))
+    log_far -= tail[0] - tail[1] + tail[2] - tail[3]
+    return packed - 1j * np.conj(log_far) / np.pi
+
+
+# The even Bernoulli numbers B_0, B_2, ..., B_14
+_BERNOULLI = (1.0, 1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 
 def epsilon_window_center(delta: float, *, gamma: float, pair_count: int) -> float:

@@ -8,7 +8,12 @@ direct route to a number the package computes another way.
 * :func:`lorentzian_convolution`: the broadened comb by quadrature;
 * :func:`kramers_kronig`: the dispersion from the absorption;
 * :func:`coefficients_numeric`: the echo train by Fourier projection of
-  one period of the transfer.
+  one period of the transfer;
+* :func:`tooth_sum`: the finite square comb summed tooth by tooth, in
+  float64, against which the product of tooth ratios is compared;
+* :func:`tooth_sum_longdouble`: the same sum in ``np.longdouble``, one
+  detuning at a time, against which both of the package's kernels are
+  held to a stated bound.
 """
 
 from __future__ import annotations
@@ -18,7 +23,13 @@ from typing import Callable
 
 import numpy as np
 
-from afcsim.combs import CombShape, CombSpec, MediumSpec, population_difference
+from afcsim.combs import (
+    CombShape,
+    CombSpec,
+    MediumSpec,
+    odd_peak_centers,
+    population_difference,
+)
 from afcsim.propagation import (
     FrequencyGrid,
     TimeSignal,
@@ -213,3 +224,72 @@ def coefficients_numeric(
     scaled = (-1.0) ** m * np.exp(-1j * m * math.pi / p) * spectrum
     prompt = scaled[0]
     return TrainCoefficients(prompt_factor=complex(prompt), values=scaled / prompt)
+
+
+def tooth_sum(
+    nu: np.ndarray, delta: float, gamma: float, centers: np.ndarray
+) -> np.ndarray:
+    """Packed response of the finite comb, summed tooth by tooth."""
+    x = nu[..., np.newaxis] - centers
+    up = x + delta
+    lo = np.subtract(x, delta, out=x)
+    if gamma == 0.0:
+        absorption = 0.5 * (np.sign(up) - np.sign(lo)).sum(axis=-1)
+        with np.errstate(divide="ignore"):
+            dispersion = -(0.5 / np.pi) * np.log(up**2 / lo**2).sum(axis=-1)
+    else:
+        # arctan(up / gamma) - arctan(lo / gamma) as one atan2: up > lo
+        # puts the difference in (0, pi), the range of atan2 with a
+        # positive first argument, so every term is passive.  The
+        # temporaries, each a block of detunings times teeth, are reused
+        # in place.
+        steps = up * lo
+        steps += gamma**2
+        absorption = (
+            np.arctan2(2.0 * delta * gamma, steps, out=steps).sum(axis=-1) / np.pi
+        )
+        np.square(up, out=up)
+        up += gamma**2
+        np.square(lo, out=lo)
+        lo += gamma**2
+        ratio = np.divide(up, lo, out=up)
+        dispersion = -(0.5 / np.pi) * np.log(ratio, out=ratio).sum(axis=-1)
+    # Assembling via 1j * inf would poison the real part with nan.
+    packed = np.empty(np.shape(absorption), dtype=complex)
+    packed.real = absorption
+    packed.imag = dispersion
+    return packed
+
+
+def tooth_sum_longdouble(
+    nu: np.ndarray | float, delta: float, gamma: float, pair_count: int
+) -> np.ndarray:
+    """:func:`tooth_sum` over all ``2 pair_count + 2`` teeth in long double.
+
+    One detuning at a time, in runs of ``2**16`` teeth, so that memory
+    does not grow with the tooth count.  Each distance ``nu - c`` is
+    exact, so a sample reads as on a tooth edge exactly where it is one.
+    Returns a ``np.clongdouble`` array of the shape of ``nu``.
+    """
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    first, stop = -2 * pair_count - 1, 2 * pair_count + 2
+    nu = np.asarray(nu, dtype=float)
+    packed = np.empty(nu.shape, dtype=np.clongdouble)
+    for index, value in np.ndenumerate(nu):
+        absorption = dispersion = ld(0)
+        for start in range(first, stop, 2**17):
+            x = ld(value) - np.arange(start, min(start + 2**17, stop), 2, dtype=ld)
+            up, lo = x + ld(delta), x - ld(delta)
+            if gamma == 0.0:
+                absorption += (np.sign(up) - np.sign(lo)).sum() / 2
+                with np.errstate(divide="ignore"):
+                    dispersion -= np.log(np.abs(up / lo)).sum() / pi
+            else:
+                g = ld(gamma)
+                absorption += np.arctan2(2 * ld(delta) * g, up * lo + g * g).sum() / pi
+                ratio = (up * up + g * g) / (lo * lo + g * g)
+                dispersion -= np.log(ratio).sum() / (2 * pi)
+        packed.real[index] = absorption
+        packed.imag[index] = dispersion
+    return packed

@@ -27,12 +27,37 @@ from afcsim.propagation import (
     comb_response,
 )
 from afcsim.protocols import RunSpec
-from afcsim.susceptibility import _COMB_BLOCK, _PRODUCT_TEETH, _finite_comb, _tooth_sum
-from oracles import kramers_kronig, lorentzian_convolution
+from afcsim.susceptibility import (
+    _COMB_BLOCK,
+    _NEAR_TEETH,
+    _PRODUCT_TEETH,
+    _finite_comb,
+    _many_teeth,
+)
+from oracles import (
+    kramers_kronig,
+    lorentzian_convolution,
+    tooth_sum,
+    tooth_sum_longdouble,
+)
 
 
 def midgrid(lo, hi, n):
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
+def assert_matches_sum(packed, summed, bound):
+    """The same non-finite samples, and the rest within ``bound``.
+
+    In absolute terms, relative where the sum exceeds 1 in magnitude.
+    """
+    for part in ("real", "imag"):
+        ours, sums = getattr(packed, part), getattr(summed, part)
+        finite = np.isfinite(sums)
+        assert np.array_equal(np.isfinite(ours), finite), part
+        ours, sums = ours[finite], sums[finite]
+        error = np.abs(ours - sums) / np.maximum(1.0, np.abs(sums))
+        assert (error <= bound).all(), (part, float(error.max()))
 
 
 def loop_series(nu, inv_finesse, harmonics):
@@ -331,17 +356,46 @@ class TestBroadened:
             )
         )
         packed = epsilon_broadened(nu, delta, gamma=gamma, pair_count=pair_count)
-        summed = _tooth_sum(nu, delta, gamma, odd_peak_centers(pair_count))
-        for part in ("real", "imag"):
-            ours, sums = getattr(packed, part), getattr(summed, part)
-            finite = np.isfinite(sums)
-            assert np.array_equal(np.isfinite(ours), finite)
-            ours, sums = ours[finite], sums[finite]
-            error = np.abs(ours - sums) / np.maximum(1.0, np.abs(sums))
-            assert (error <= 5e-15).all(), (part, error.max())
+        summed = tooth_sum(nu, delta, gamma, odd_peak_centers(pair_count))
+        assert_matches_sum(packed, summed, 5e-15)
         if gamma == 0.0:
             assert np.isin(packed.real, [0.0, 0.5, 1.0]).all()
             assert np.array_equal(packed.real, summed.real)
+
+    # Both kernels against the tooth sum in long double, with the same
+    # measure: the product up to 256 teeth, the closed form past the 32
+    # nearest teeth above.  The worst seen over 258 to 200 002 teeth,
+    # 1.4e-14 in the dispersion and 7e-15 in the absorption, was at the
+    # tooth edge 1 - delta for delta 0.999 and gamma 0.001, and the
+    # product reads the same there at 20 teeth: it is the rounding of
+    # nu - c, which both kernels share.
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18,
+        reason="np.longdouble is no wider than float64 here, so no oracle",
+    )
+    @pytest.mark.parametrize("gamma", [0.0, 1e-150, 0.01, 10.0])
+    @pytest.mark.parametrize("delta", [0.25, 0.999])
+    @pytest.mark.parametrize("pair_count", [9, 127, 128, 999, 100000])
+    def test_kernels_match_longdouble_sum(self, pair_count, delta, gamma):
+        outer = 2.0 * pair_count + 2.0
+        # tooth edges near the carrier and at both ends of the comb, exact
+        # for the dyadic delta; detunings inside the comb and beyond it
+        centers = np.array([1.0, outer - 1.0, -1.0, 3.0, 1.0 - outer])
+        edges = np.concatenate([centers - delta, centers + delta])
+        # +-outer put a Stirling argument of an empty side at w = 0
+        nu = np.concatenate(
+            [edges, midgrid(-outer - 6.0, outer + 6.0, 64), [0.0, outer, -outer]]
+        )
+        if pair_count >= 10**4:
+            # the long-double sum takes about 40 ms a detuning here
+            nu = np.array([edges[0], edges[6], 0.3 * outer, -outer])
+        packed = epsilon_broadened(nu, delta, gamma=gamma, pair_count=pair_count)
+        exact = tooth_sum_longdouble(nu, delta, gamma, pair_count)
+        assert_matches_sum(packed, exact, 2e-14)
+        if gamma == 0.0:
+            assert np.isin(packed.real, [0.0, 0.5, 1.0]).all()
+            # some of the edges are samples, so the pattern above is tested
+            assert np.isinf(packed.imag).any()
 
     @pytest.mark.parametrize("gamma", [0.0, 1e-150, 0.01])
     @pytest.mark.parametrize("pair_count", [0, 9])
@@ -356,7 +410,7 @@ class TestBroadened:
         assert np.isfinite(packed).all()
         nu = midgrid(-outer - 3.0, outer + 3.0, 2000)
         with np.errstate(divide="ignore"):
-            per_tooth = _tooth_sum(nu, 1.0, gamma, odd_peak_centers(pair_count))
+            per_tooth = tooth_sum(nu, 1.0, gamma, odd_peak_centers(pair_count))
         tiled = epsilon_broadened(nu, 1.0, gamma=gamma, pair_count=pair_count)
         assert np.abs(tiled - per_tooth).max() <= 1e-13
 
@@ -384,40 +438,38 @@ class TestBroadened:
         assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("gamma", [0.0, 0.01])
-    @pytest.mark.parametrize("nu", [0.0, 1.0])
-    def test_many_teeth_tiles_bound_memory(self, nu, gamma):
-        # 200002 teeth: one broadcast takes about 6 MiB at one detuning,
-        # tiles of 2**15 teeth about 1 MiB on top of the 1.5 MiB of centres
+    @pytest.mark.parametrize("pair_count", [10**5, 10**6])
+    def test_many_teeth_memory_does_not_grow(self, pair_count, gamma):
+        # 32 teeth multiplied out and the rest in closed form: a few kB at
+        # one detuning, where the 2 pair_count + 2 tooth centres alone
+        # would take 1.5 MiB at 1e5 pairs and 15 MiB at 1e6
         tracemalloc.start()
         try:
-            tiled = epsilon_broadened(nu, 0.2, gamma=gamma, pair_count=100000)
+            packed = epsilon_broadened(1.0, 0.2, gamma=gamma, pair_count=pair_count)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * 2**20
-        # above the product's tooth limit the teeth are summed one by one
-        with np.errstate(divide="ignore"):
-            whole = _tooth_sum(np.asarray(nu), 0.2, gamma, odd_peak_centers(100000))
-        # the tiles' sums add in another order: the absorption agrees to
-        # rounding relative to itself; the dispersion sums log ratios of
-        # order one that cancel, so it agrees to rounding in absolute terms
-        assert abs(tiled.real - whole.real) <= 1e-15 * whole.real
-        assert abs(tiled.imag - whole.imag) <= 1e-15
+        assert peak < 2**16
+        exact = tooth_sum_longdouble(1.0, 0.2, gamma, pair_count)
+        # the bound of test_kernels_match_longdouble_sum
+        assert_matches_sum(packed, exact, 2e-14)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.01])
     def test_many_teeth_blocks_match_one_broadcast(self, gamma):
-        # 256 teeth, the most the product takes, give it 8 blocks of 125
-        # detunings; 402 teeth give the sum 13 blocks of 77, the last
-        # overlapping the one before; the edges sit on samples
-        nu = (np.arange(1000) - 500) / 256.0
+        # 256 teeth, the most the product takes, give it 20 blocks of 125
+        # detunings; 402 teeth give the closed form 3 blocks of 834, the
+        # last overlapping the one before; the edges sit on samples
+        nu = (np.arange(2500) - 1250) / 256.0
         shape = (256, nu.size)
         work = (np.empty(shape), np.empty(shape), np.empty(shape, dtype=complex))
-        product = lambda *args: _finite_comb(*args, work)  # noqa: E731
-        for pair_count, kernel in ((127, product), (200, _tooth_sum)):
-            blocked = epsilon_broadened(nu, 0.25, gamma=gamma, pair_count=pair_count)
-            with np.errstate(divide="ignore"):
-                whole = kernel(nu, 0.25, gamma, odd_peak_centers(pair_count))
-            assert np.array_equal(blocked, whole), pair_count
+        centers = odd_peak_centers(127)[:, np.newaxis]
+        whole = _finite_comb(nu, 0.25, gamma, centers, work)
+        blocked = epsilon_broadened(nu, 0.25, gamma=gamma, pair_count=127)
+        assert np.array_equal(blocked, whole)
+        work = tuple(block[:_NEAR_TEETH] for block in work)
+        whole = _many_teeth(nu, 0.25, gamma, 201, work)
+        blocked = epsilon_broadened(nu, 0.25, gamma=gamma, pair_count=200)
+        assert np.array_equal(blocked, whole)
 
     def test_refuses_overlapping_teeth(self):
         # overlapping teeth would absorb up to 2, past what one angle holds

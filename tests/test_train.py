@@ -437,8 +437,9 @@ class TestBroadenedCoefficients:
     def test_prefetched_values_match_scalar_calls(
         self, monkeypatch, pair_count, gamma
     ):
-        # 20000 pairs are two tiles of teeth; the quadrature stops at the
-        # first scalar node, after the prefetch it checks
+        # 20000 pairs take the closed form past the 32 nearest teeth; the
+        # quadrature stops at the first scalar node, after the prefetch it
+        # checks
         class Prefetched(Exception):
             pass
 
