@@ -388,7 +388,7 @@ class TestBroadened:
         )
         if pair_count >= 10**4:
             # the long-double sum takes about 40 ms a detuning here
-            nu = np.array([edges[0], edges[6], 0.3 * outer, -outer])
+            nu = np.array([edges[0], edges[6], 0.0, 0.3 * outer, -outer])
         packed = epsilon_broadened(nu, delta, gamma=gamma, pair_count=pair_count)
         exact = tooth_sum_longdouble(nu, delta, gamma, pair_count)
         assert_matches_sum(packed, exact, 2e-14)
