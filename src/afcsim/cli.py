@@ -31,7 +31,7 @@ from .combs import ECHO_DELAY, CombShape, MediumSpec, UnitScale
 from .output import TRACE_HEADER, format_value, trace_columns, write_csv
 from .propagation import TransferModel, build_transfer, check_time_window, comb_response
 from .protocols import RunSpec, recall
-from .susceptibility import _MAX_HARMONICS
+from .susceptibility import check_harmonics
 from .sweeps import SweepAxis, SweepKind, SweepRequest, sweep
 from .train import closed_train
 
@@ -117,10 +117,7 @@ def _cast_choice(options: tuple[str, ...]) -> Callable[[str], str]:
 
 
 def _cast_harmonics(raw: str) -> int | None:
-    value = None if raw == "none" else int(raw)
-    if value is not None and not 1 <= value <= _MAX_HARMONICS:
-        raise ValueError(f"harmonics must be in [1, {_MAX_HARMONICS}], got {value}")
-    return value
+    return check_harmonics(None if raw == "none" else int(raw))
 
 
 _CASTERS: dict[str, Callable[[str], object]] = {

@@ -24,6 +24,7 @@ import numpy as np
 from .combs import _GAMMA_FLOOR, odd_peak_centers
 
 __all__ = [
+    "check_harmonics",
     "chi_square_series",
     "chi_square_exact",
     "epsilon_broadened",
@@ -52,6 +53,13 @@ def square_harmonic_weights(inv_finesse: float, harmonics: int) -> np.ndarray:
 
 # The series needs about 230 bytes per harmonic, 30 MiB at this bound.
 _MAX_HARMONICS = 2**17
+
+
+def check_harmonics(harmonics: int | None) -> int | None:
+    """``harmonics`` if it is None or in [1, 2^17], else ValueError."""
+    if harmonics is not None and not 1 <= harmonics <= _MAX_HARMONICS:
+        raise ValueError(f"harmonics must be in [1, {_MAX_HARMONICS}], got {harmonics}")
+    return harmonics
 
 
 def chi_square_series(
@@ -88,8 +96,7 @@ def chi_square_series(
         raise ValueError(f"inv_finesse must lie in (0, 1), got {inv_finesse}")
     if gamma < 0.0:
         raise ValueError(f"gamma must be >= 0, got {gamma}")
-    if harmonics is not None and not 1 <= harmonics <= _MAX_HARMONICS:
-        raise ValueError(f"harmonics must be in [1, {_MAX_HARMONICS}], got {harmonics}")
+    check_harmonics(harmonics)
     nu = np.asarray(nu, dtype=float)
     q = math.exp(-math.pi * gamma)
     if harmonics is None:
@@ -189,9 +196,7 @@ def chi_square_exact(
     return epsilon_broadened(nu, inv_finesse, gamma=0.0, pair_count=pair_count)
 
 
-# The finite comb's blocks: at most _COMB_BLOCK detunings and _COMB_PAIRS
-# detunings times teeth.  Up to _PRODUCT_TEETH teeth every tooth is
-# multiplied out; above, the _NEAR_TEETH teeth nearest each detuning.
+# Blocks of at most _COMB_BLOCK detunings and _COMB_PAIRS detunings x teeth
 _COMB_BLOCK = 1024
 _COMB_PAIRS = 2**15
 _PRODUCT_TEETH = 256
@@ -223,24 +228,18 @@ def epsilon_broadened(
     ``delta = 1`` touch, tiling ``[-(2 pair_count + 2), 2 pair_count +
     2]``; their product telescopes to that one wide tooth, which is
     evaluated instead, so the shared edges are finite for every
-    ``gamma``.
-
-    The product's rounding grows with the tooth count: against the sum
-    of arctan steps and log ratios tooth by tooth, it agrees to 7e-16 at
-    20 teeth, 1.4e-15 at 82 and 3.3e-15 at 256, but 6.3e-15 at 512 (in
-    absolute terms, and relative to the response where that exceeds 1).
-    So above 256 teeth only the 32 teeth nearest each detuning are
-    multiplied out and the rest are taken in closed form
-    (:func:`_many_teeth`), in time and memory that do not grow with the
-    tooth count.  ``gamma`` must be 0 or at least 1e-150, as for
+    ``gamma``.  ``gamma`` must be 0 or at least 1e-150, as for
     :class:`afcsim.combs.CombSpec`, so that ``gamma**2`` is clear of
     underflow.
 
-    Detunings are evaluated in blocks of one width, at most 1024 and at
-    most ``2**15 // teeth`` once more than 32 teeth are multiplied out;
-    the last block overlaps the one before, and the blocks share one
-    workspace.  Each detuning's value is the same whatever block it
-    falls in.  Every detuning given is evaluated (see
+    Against the sum tooth by tooth, the product's rounding grows from
+    7e-16 at 20 teeth to 3.3e-15 at 256 and 6.3e-15 at 512; so above 256
+    teeth only the 32 nearest each detuning are multiplied out and the
+    rest taken in closed form (:func:`_many_teeth`), in time and memory
+    that do not grow with the tooth count.  Detunings go in blocks of one
+    width, at most 1024 and at most ``2**15 // teeth`` multiplied out,
+    the last overlapping the one before: a detuning's value does not
+    depend on its block.  Every detuning given is evaluated (see
     :func:`afcsim.propagation._grid_response`).
 
     Returns ``absorption + 1j * dispersion``.
@@ -256,6 +255,7 @@ def epsilon_broadened(
         delta, teeth, centers = float(teeth), 1, np.zeros((1, 1))
     elif teeth <= _PRODUCT_TEETH:
         centers = odd_peak_centers(pair_count)[:, np.newaxis]
+    terms = _stirling_terms(delta) if teeth > _PRODUCT_TEETH else ()
     run = teeth if teeth <= _PRODUCT_TEETH else _NEAR_TEETH
     flat = nu.ravel()
     rows = min(_COMB_BLOCK, max(1, _COMB_PAIRS // run))
@@ -268,7 +268,7 @@ def epsilon_broadened(
     def comb(x: np.ndarray) -> np.ndarray:
         if teeth <= _PRODUCT_TEETH:
             return _finite_comb(x, delta, gamma, centers, work)
-        return _many_teeth(x, delta, gamma, teeth // 2, work)
+        return _many_teeth(x, delta, gamma, teeth // 2, work, terms)
 
     if flat.size <= rows:
         return comb(flat).reshape(nu.shape)
@@ -280,11 +280,7 @@ def epsilon_broadened(
 
 
 def _finite_comb(
-    nu: np.ndarray,
-    delta: float,
-    gamma: float,
-    centers: np.ndarray,
-    work: tuple[np.ndarray, np.ndarray, np.ndarray],
+    nu: np.ndarray, delta: float, gamma: float, centers: np.ndarray, work: tuple
 ) -> np.ndarray:
     """Packed response of the finite comb, one product of tooth ratios.
 
@@ -331,45 +327,53 @@ def _row_product(block: np.ndarray) -> np.ndarray:
 
 
 def _many_teeth(
-    nu: np.ndarray, delta: float, gamma: float, k: int, work: tuple
+    nu: np.ndarray, delta: float, gamma: float, k: int, work: tuple, terms: tuple
 ) -> np.ndarray:
     """Packed response of ``2 k`` teeth, tooth ``j`` at ``2 j + 1``.
 
-    The 32 teeth ``j0 .. j0 + 31`` nearest each detuning are multiplied
-    out by :func:`_finite_comb`.  Past them, with ``m = (nu - 2 j0 - 1 +
-    1j gamma) / 2`` and ``h = delta / 2``, tooth ``j0 + p`` has ratio
-    ``(m - p + h) / (m - p - h)``.  So with ``L(z) = Gamma(z + h) /
+    The ``r = 32`` teeth ``j0 .. j0 + r - 1`` centred on each detuning are
+    multiplied out by :func:`_finite_comb`.  Past them, with ``h = delta /
+    2`` and ``m = (nu - 2 j0 - 1 + 1j gamma) / 2``, tooth ``j0 + p`` has
+    ratio ``(m - p + h) / (m - p - h)``.  With ``L(z) = Gamma(z + h) /
     Gamma(z - h)`` the ``b = j0 + k`` teeth below the run multiply to
-    ``L(m + b + 1) / L(m + 1)`` and the ``a = k - 32 - j0`` above it to
-    ``L(32 - m) / L(32 + a - m)``.  Every ``L`` taken has ``Re z >=
-    15.5``, where Stirling's series about ``w = z - 1/2``, ``log L =
-    delta log w - sum_n 2 B_n((1 + delta) / 2) / (n (n - 1) w^(n - 1))``
-    over odd ``n`` from 3 to 15, holds to 1e-17.  At ``gamma = 0`` the
-    far teeth multiply to a positive number, so the absorption stays 0,
-    1/2 or 1.
+    ``L(m + b + 1) / L(m + 1)``, the ``a = k - r - j0`` above it to
+    ``L(r - m) / L(r + a - m)``.  Each ``L`` has ``Re z >= (r - 1) / 2``,
+    where Stirling's series about ``w = z - 1/2`` with ``terms`` (see
+    :func:`_stirling_terms`) holds to 1e-17.  At ``gamma = 0`` the far
+    teeth multiply to a positive number: the absorption stays 0, 1/2 or 1.
     """
-    j0 = np.clip(np.round((nu - 1.0) / 2.0) - 16.0, -k, k - _NEAR_TEETH)
-    centers = 2.0 * (j0 + np.arange(_NEAR_TEETH)[:, np.newaxis]) + 1.0
+    r = _NEAR_TEETH
+    j0 = np.clip(np.round((nu - 1.0) / 2.0) - r / 2, -k, k - r)
+    centers = 2.0 * (j0 + np.arange(r)[:, np.newaxis]) + 1.0
     packed = _finite_comb(nu, delta, gamma, centers, work)
     # w for the four L; a run at an end of the comb has no teeth beyond
-    # it, and that side's two w are 15.5, whose L cancel exactly
+    # it, and that side's two w are the same stand-in, whose L cancel
     m = (nu - centers[0] + 1j * gamma) / 2.0
-    below, above = j0 + k, k - _NEAR_TEETH - j0
-    low = np.where(below > 0, m + 0.5, 15.5)
-    high = np.where(above > 0, 31.5 - m, 15.5)
+    below, above, empty = j0 + k, k - r - j0, (r - 1) / 2
+    low = np.where(below > 0, m + 0.5, empty)
+    high = np.where(above > 0, r - 0.5 - m, empty)
     w = np.array([low + below, low, high, high + above])
-    # B_n(1/2 + h) from B_i(1/2) = (2^(1 - i) - 1) B_i: no cancellation as h -> 0
-    u, tail, h = (1.0 / w) ** 2, np.zeros_like(w), delta / 2.0
+    u, tail = (1.0 / w) ** 2, np.zeros_like(w)
+    for term in terms:
+        tail = (tail + term) * u
+    # one log of the four w's ratio, not four logs that cancel
+    log_far = delta * np.log(w[0] / w[1] * (w[2] / w[3]))
+    log_far -= tail[0] - tail[1] + tail[2] - tail[3]
+    return packed - 1j * np.conj(log_far) / np.pi
+
+
+def _stirling_terms(delta: float) -> tuple[float, ...]:
+    """``c_n`` of ``log L = delta log w - sum_n c_n / w^(n - 1)``, odd n, 15 to 3."""
+    # c_n = 2 B_n(1/2 + h) / (n (n - 1)), with B_n(1/2 + h) summed from
+    # B_i(1/2) = (2^(1 - i) - 1) B_i: no cancellation as h -> 0
+    terms, h = [], delta / 2.0
     for n in range(15, 1, -2):
         b_n = sum(
             math.comb(n, i) * (2.0 ** (1 - i) - 1.0) * b * h ** (n - i)
             for i, b in zip(range(0, n, 2), _BERNOULLI)
         )
-        tail = (tail + 2.0 * b_n / (n * (n - 1))) * u
-    # one log of the four w's ratio, not four logs that cancel
-    log_far = delta * np.log(w[0] / w[1] * (w[2] / w[3]))
-    log_far -= tail[0] - tail[1] + tail[2] - tail[3]
-    return packed - 1j * np.conj(log_far) / np.pi
+        terms.append(2.0 * b_n / (n * (n - 1)))
+    return tuple(terms)
 
 
 # The even Bernoulli numbers B_0, B_2, ..., B_14
@@ -378,16 +382,12 @@ _BERNOULLI = (1.0, 1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 def epsilon_window_center(delta: float, *, gamma: float, pair_count: int) -> float:
     """Residual absorption at the centre of a transparency window."""
-    return float(
-        epsilon_broadened(0.0, delta, gamma=gamma, pair_count=pair_count).real
-    )
+    return float(epsilon_broadened(0.0, delta, gamma=gamma, pair_count=pair_count).real)
 
 
 def epsilon_peak_center(delta: float, *, gamma: float, pair_count: int) -> float:
     """Absorption at the centre of the first tooth."""
-    return float(
-        epsilon_broadened(1.0, delta, gamma=gamma, pair_count=pair_count).real
-    )
+    return float(epsilon_broadened(1.0, delta, gamma=gamma, pair_count=pair_count).real)
 
 
 def harmonic_comb_response(

@@ -33,6 +33,7 @@ from afcsim.susceptibility import (
     _PRODUCT_TEETH,
     _finite_comb,
     _many_teeth,
+    _stirling_terms,
 )
 from oracles import (
     kramers_kronig,
@@ -44,6 +45,12 @@ from oracles import (
 
 def midgrid(lo, hi, n):
     return lo + (np.arange(n) + 0.5) * (hi - lo) / n
+
+
+needs_longdouble = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps > 1e-18,
+    reason="np.longdouble is no wider than float64 here, so no oracle",
+)
 
 
 def assert_matches_sum(packed, summed, bound):
@@ -369,10 +376,7 @@ class TestBroadened:
     # tooth edge 1 - delta for delta 0.999 and gamma 0.001, and the
     # product reads the same there at 20 teeth: it is the rounding of
     # nu - c, which both kernels share.
-    @pytest.mark.skipif(
-        np.finfo(np.longdouble).eps > 1e-18,
-        reason="np.longdouble is no wider than float64 here, so no oracle",
-    )
+    @needs_longdouble
     @pytest.mark.parametrize("gamma", [0.0, 1e-150, 0.01, 10.0])
     @pytest.mark.parametrize("delta", [0.25, 0.999])
     @pytest.mark.parametrize("pair_count", [9, 127, 128, 999, 100000])
@@ -437,22 +441,26 @@ class TestBroadened:
         # blocks of 1024 detunings by 6002 teeth would take about 140 MiB
         assert peak < 16 * 2**20
 
+    @needs_longdouble
     @pytest.mark.parametrize("gamma", [0.0, 0.01])
+    @pytest.mark.parametrize("nu", [0.0, 1.0])
     @pytest.mark.parametrize("pair_count", [10**5, 10**6])
-    def test_many_teeth_memory_does_not_grow(self, pair_count, gamma):
+    def test_many_teeth_memory_does_not_grow(self, pair_count, nu, gamma):
         # 32 teeth multiplied out and the rest in closed form: a few kB at
         # one detuning, where the 2 pair_count + 2 tooth centres alone
         # would take 1.5 MiB at 1e5 pairs and 15 MiB at 1e6
         tracemalloc.start()
         try:
-            packed = epsilon_broadened(1.0, 0.2, gamma=gamma, pair_count=pair_count)
+            packed = epsilon_broadened(nu, 0.2, gamma=gamma, pair_count=pair_count)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**16
-        exact = tooth_sum_longdouble(1.0, 0.2, gamma, pair_count)
-        # the bound of test_kernels_match_longdouble_sum
-        assert_matches_sum(packed, exact, 2e-14)
+        exact = tooth_sum_longdouble(nu, 0.2, gamma, pair_count)
+        # to rounding: the absorption relative to itself, the dispersion,
+        # of order one, in absolute terms (worst seen 2.0e-16 and 1.5e-16)
+        assert abs(packed.real - exact.real) <= 1e-15 * exact.real
+        assert abs(packed.imag - exact.imag) <= 1e-15
 
     @pytest.mark.parametrize("gamma", [0.0, 0.01])
     def test_many_teeth_blocks_match_one_broadcast(self, gamma):
@@ -467,7 +475,7 @@ class TestBroadened:
         blocked = epsilon_broadened(nu, 0.25, gamma=gamma, pair_count=127)
         assert np.array_equal(blocked, whole)
         work = tuple(block[:_NEAR_TEETH] for block in work)
-        whole = _many_teeth(nu, 0.25, gamma, 201, work)
+        whole = _many_teeth(nu, 0.25, gamma, 201, work, _stirling_terms(0.25))
         blocked = epsilon_broadened(nu, 0.25, gamma=gamma, pair_count=200)
         assert np.array_equal(blocked, whole)
 
