@@ -382,12 +382,16 @@ _BERNOULLI = (1.0, 1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6)
 
 def epsilon_window_center(delta: float, *, gamma: float, pair_count: int) -> float:
     """Residual absorption at the centre of a transparency window."""
-    return float(epsilon_broadened(0.0, delta, gamma=gamma, pair_count=pair_count).real)
+    return float(
+        epsilon_broadened(0.0, delta, gamma=gamma, pair_count=pair_count).real
+    )
 
 
 def epsilon_peak_center(delta: float, *, gamma: float, pair_count: int) -> float:
     """Absorption at the centre of the first tooth."""
-    return float(epsilon_broadened(1.0, delta, gamma=gamma, pair_count=pair_count).real)
+    return float(
+        epsilon_broadened(1.0, delta, gamma=gamma, pair_count=pair_count).real
+    )
 
 
 def harmonic_comb_response(

@@ -443,12 +443,14 @@ class TestBroadened:
 
     @needs_longdouble
     @pytest.mark.parametrize("gamma", [0.0, 0.01])
-    @pytest.mark.parametrize("nu", [0.0, 1.0])
-    @pytest.mark.parametrize("pair_count", [10**5, 10**6])
+    @pytest.mark.parametrize(
+        ("pair_count", "nu"), [(10**5, 0.0), (10**5, 1.0), (10**6, 1.0)]
+    )
     def test_many_teeth_memory_does_not_grow(self, pair_count, nu, gamma):
         # 32 teeth multiplied out and the rest in closed form: a few kB at
         # one detuning, where the 2 pair_count + 2 tooth centres alone
-        # would take 1.5 MiB at 1e5 pairs and 15 MiB at 1e6
+        # would take 1.5 MiB at 1e5 pairs and 15 MiB at 1e6; the
+        # long-double sum takes 0.2 to 0.4 s a detuning at 1e6 pairs
         tracemalloc.start()
         try:
             packed = epsilon_broadened(nu, 0.2, gamma=gamma, pair_count=pair_count)
