@@ -227,8 +227,7 @@ def cmd_spectrum(config: RunConfig, args: Namespace, scale: UnitScale | None) ->
 
 def cmd_transfer(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
     comb, medium, grid = config.comb(), MediumSpec(config.d_p), config.probe().grid
-    transfer = build_transfer(comb, medium, grid, config.model, config.harmonics)
-    values = transfer.values
+    values = build_transfer(comb, medium, grid, config.model, config.harmonics)
     _write(
         args.out / "transfer.csv",
         ("nu_over_nu0", "re", "im", "magnitude"),
@@ -411,7 +410,8 @@ def cmd_reproduce(config: RunConfig, args: Namespace, scale: UnitScale | None) -
 
 # Settings that more than one subcommand reads.
 _SPECTRUM = {"shape", "finesse", "gamma", "pair_count", "model", "harmonics"}
-_TRANSFER = _SPECTRUM | {"d_p", "sigma", "samples", "span_factor"}
+_GRID = {"sigma", "samples", "span_factor"}
+_TRANSFER = _SPECTRUM | {"d_p"} | _GRID
 _RUN = {field.name for field in fields(RunSpec)}
 _PHYSICAL = {"--physical"}
 
@@ -449,11 +449,19 @@ _COMMANDS: dict[str, tuple[_Run, str, set[str]]] = {
 def reads(command: str, config: RunConfig) -> set[str]:
     """The settings ``command`` reads under ``config``.
 
-    Its row's set in the command table, less the key that a sweep sets
-    at each of its points.
+    Its row's set in the command table, less what the values leave
+    unread: the key that a sweep sets at each of its points, and the
+    grid keys where nothing is simulated.  A closed ``protocol`` reads
+    no ``k_max`` either; a closed sweep does, capped at 3.
     """
     keys = _COMMANDS[command][2]
-    return keys - {config.sweep_parameter} if command == "sweep" else keys
+    if command == "protocol" and not config.simulate:
+        keys = keys - _GRID - {"k_max"}
+    if command == "sweep":
+        keys = keys - {config.sweep_parameter}
+        if not config.sweep_simulate:
+            keys = keys - _GRID
+    return keys
 
 
 def _refuse_unread(command: str, config: RunConfig, physical: float | None) -> None:

@@ -47,7 +47,6 @@ __all__ = [
     "PulseSpec",
     "Probe",
     "TimeSignal",
-    "TransferFunction",
     "TrainEntry",
     "PulseTrain",
     "comb_response",
@@ -55,7 +54,6 @@ __all__ = [
     "gaussian_spectrum",
     "spectrum_to_signal",
     "signal_to_spectrum",
-    "propagate",
     "echo_window",
     "peak_in_window",
     "check_time_window",
@@ -215,14 +213,6 @@ class TimeSignal:
         return float(np.sum(np.abs(self.values[mask]) ** 2) * self.dt)
 
 
-@dataclass
-class TransferFunction:
-    """Transfer samples ``H(nu)`` on a detuning grid."""
-
-    grid: FrequencyGrid
-    values: np.ndarray
-
-
 def _exponent(packed: np.ndarray, d_p: float) -> np.ndarray:
     """The exponent ``-(d_p/2)(chi'' - 1j chi')`` of the transfer."""
     return -0.5 * d_p * (packed.real - 1j * packed.imag)
@@ -269,8 +259,11 @@ def build_transfer(
     harmonics: int | None = 2000,
     *,
     response: np.ndarray | None = None,
-) -> TransferFunction:
-    """Sample the transfer of a comb on a grid.
+) -> np.ndarray:
+    """The transfer samples ``H`` of a comb on ``grid.points()``, as an array.
+
+    An output spectrum is an input spectrum on the same grid times
+    ``H``, sent to the time domain by :func:`spectrum_to_signal`.
 
     ``response`` is the comb's packed response on ``grid`` under
     ``model`` and ``harmonics``, as :meth:`afcsim.protocols.RunSpec.response`
@@ -279,7 +272,7 @@ def build_transfer(
     of a sweep: nothing but its shape is checked against the other
     arguments.  Nothing is kept between calls.
 
-    The values are :func:`transfer_exponent` of that response, bit for
+    ``H`` is :func:`transfer_exponent` of that response, bit for
     bit.  When the exponent's halves mirror each other (see
     :func:`_mirror_halves`), only the centre, the upper half and the
     edge sample are exponentiated, and the lower half is the conjugate
@@ -327,7 +320,7 @@ def build_transfer(
             "sharp tooth edge; change finesse, samples or span_factor, or use "
             "gamma > 0"
         )
-    return TransferFunction(grid=grid, values=values)
+    return values
 
 
 def gaussian_spectrum(pulse: PulseSpec, grid: FrequencyGrid) -> np.ndarray:
@@ -523,18 +516,6 @@ def signal_to_spectrum(
     spectrum[h] = signal.values.sum()
     spectrum[0] = (np.conj(edge) * signal.values).sum()
     return dt * spectrum
-
-
-def propagate(
-    spectrum: np.ndarray,
-    transfer: TransferFunction,
-    oversample: int,
-    window: tuple[float, float],
-) -> TimeSignal:
-    """Apply the transfer on its grid and return the output signal."""
-    return spectrum_to_signal(
-        spectrum * transfer.values, transfer.grid, oversample, window
-    )
 
 
 def echo_window(k_max: int) -> tuple[float, float]:

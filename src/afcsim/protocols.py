@@ -21,12 +21,10 @@ from .propagation import (
     PulseSpec,
     PulseTrain,
     TimeSignal,
-    TransferFunction,
     _OVERSAMPLE,
     _grid_response,
     build_transfer,
     extract_train,
-    propagate,
     signal_to_spectrum,
     spectrum_to_signal,
 )
@@ -108,26 +106,25 @@ class ProtocolResult:
 
 def _second_pass(
     first: TimeSignal,
-    transfer: TransferFunction,
+    transfer: np.ndarray,
+    grid: FrequencyGrid,
     window: tuple[float, float],
-    prompt: tuple[float, float],
     mismatch_time: float,
     mismatch_phase: float,
 ) -> TimeSignal:
-    """Send the ``prompt`` part of a signal on ``window`` through the medium again.
+    """Send a signal's prompt, its part in ``[-T/2, T/2)``, through the medium again.
 
-    ``first`` lies on the time grid of every run (see :class:`Probe`).
-    The prompt samples go straight onto the transfer grid by the forward
-    chirp-z transform: the second pass is band-limited to that band,
-    and what the hard time window leaks beyond it is dropped.  The
-    output lands on ``window`` again, the identical time axis, so fields
-    can be superposed sample by sample.
+    ``first`` lies on the time grid of every run (see :class:`Probe`), and
+    ``transfer`` is the medium's ``H`` on ``grid``.  The prompt samples go
+    straight onto ``grid`` by the forward chirp-z transform: the second
+    pass is band-limited to that band, and what the hard time window
+    leaks beyond it is dropped.  The output lands on ``window`` again,
+    the identical time axis, so fields can be superposed sample by sample.
     """
-    lo, hi = prompt
-    mask = (first.times >= lo) & (first.times < hi)
-    grid = transfer.grid
+    half = 0.5 * ECHO_DELAY
+    mask = (first.times >= -half) & (first.times < half)
     prompted = TimeSignal(times=first.times[mask], values=first.values[mask])
-    band = signal_to_spectrum(prompted, grid, _OVERSAMPLE) * transfer.values
+    band = signal_to_spectrum(prompted, grid, _OVERSAMPLE) * transfer
     if mismatch_time != 0.0 or mismatch_phase != 0.0:
         band = band * np.exp(1j * (grid.points() * mismatch_time + mismatch_phase))
     return spectrum_to_signal(band, grid, _OVERSAMPLE, window)
@@ -213,11 +210,12 @@ def recall(
         comb, medium, probe.grid, spec.model, spec.harmonics, response=response
     )
     reference = probe.reference
-    signal = propagate(probe.spectrum, transfer, _OVERSAMPLE, probe.window)
+    signal = spectrum_to_signal(
+        probe.spectrum * transfer, probe.grid, _OVERSAMPLE, probe.window
+    )
     if passes == 2:
-        half = 0.5 * ECHO_DELAY
         second = _second_pass(
-            signal, transfer, probe.window, (-half, half), mismatch_time, mismatch_phase
+            signal, transfer, probe.grid, probe.window, mismatch_time, mismatch_phase
         )
         signal = replace(signal, values=signal.values + second.values)
     train = extract_train(signal, probe.k_max, reference_intensity=reference)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from argparse import Namespace
 from dataclasses import fields
 from pathlib import Path
 
@@ -30,14 +31,9 @@ from afcsim.propagation import TransferModel
 from afcsim.reproduce import TARGETS, Check, TargetReport
 from afcsim.sweeps import SweepAxis
 
-FAST_SIM = """
-# small grid, broadened comb wide enough to cover it
-gamma = 0.005
-pair_count = 40
-samples = 4096
-span_factor = 6.0
-k_max = 3
-"""
+# a broadened comb wide enough to cover the grid below
+FAST_COMB = "gamma = 0.005\npair_count = 40\n"
+FAST_SIM = FAST_COMB + "samples = 4096\nspan_factor = 6.0\nk_max = 3\n"
 
 
 def _write_config(tmp_path: Path, text: str) -> Path:
@@ -423,16 +419,27 @@ class TestSubcommands:
         assert f"{key} = {value}\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "setting", ["d_p = 12.0", "finesse = 6.0", "gamma = 0.3"]
+        ("command", "context", "setting"),
+        [
+            # each point of the sweep sets the swept key, so its value is unread
+            *(
+                ("sweep", f"sweep_parameter = {setting.split()[0]}\n", setting)
+                for setting in ("d_p = 12.0", "finesse = 6.0", "gamma = 0.3")
+            ),
+            # a run that simulates nothing builds no grid
+            ("protocol", "simulate = false\n", "samples = 100"),
+            ("sweep", "", "samples = 100"),
+        ],
+        ids=["d_p = 12.0", "finesse = 6.0", "gamma = 0.3", "protocol", "sweep"],
     )
-    def test_sweep_refuses_the_key_it_sweeps(self, tmp_path, capsys, setting):
-        # each point of the sweep sets the swept key, so its value is unread
-        key = setting.split()[0]
-        path = _write_config(tmp_path, f"{setting}\nsweep_parameter = {key}\n")
+    def test_refuses_a_key_its_values_leave_unread(
+        self, tmp_path, capsys, command, context, setting
+    ):
+        path = _write_config(tmp_path, f"{setting}\n{context}")
         out = tmp_path / "out"
-        assert main(["--config", str(path), "--out", str(out), "sweep"]) == 1
+        assert main(["--config", str(path), "--out", str(out), command]) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: {setting} is not read by sweep\n"
+        assert captured.err == f"error: {setting} is not read by {command}\n"
         assert captured.out == ""
         assert not out.exists()
         assert main(["--config", str(path), "--out", str(out), "config"]) == 0
@@ -504,22 +511,21 @@ class TestSubcommands:
         assert lines[0] == "d_p,efficiency,i1,i2,i3,status"
 
     @pytest.mark.parametrize(
-        ("start", "extra", "note"),
+        ("start", "run", "note"),
         [
             # the best of d_p = 8, 10, 12 is interior and refined; that of
-            # 12, 14, 16 is at the axis's edge and is not
-            (8.0, "", " (refined)"),
-            (12.0, "", ""),
-            (8.0, "sweep_simulate = true\n", " (refined on the closed form)"),
-            (12.0, "sweep_simulate = true\n", " (simulated)"),
+            # 12, 14, 16 is at the axis's edge and is not.  A closed sweep
+            # reads the comb's keys and no grid.
+            (8.0, FAST_COMB, " (refined)"),
+            (12.0, FAST_COMB, ""),
+            (8.0, FAST_SIM + "sweep_simulate = true\n", " (refined on the closed form)"),
+            (12.0, FAST_SIM + "sweep_simulate = true\n", " (simulated)"),
         ],
         ids=["closed", "closed-unrefined", "simulated", "simulated-unrefined"],
     )
-    def test_sweep_summary_names_its_number(
-        self, tmp_path, capsys, start, extra, note
-    ):
+    def test_sweep_summary_names_its_number(self, tmp_path, capsys, start, run, note):
         axis = f"sweep_start = {start}\nsweep_stop = {start + 4}\nsweep_steps = 3\n"
-        path = _write_config(tmp_path, FAST_SIM + axis + extra)
+        path = _write_config(tmp_path, run + axis)
         assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 0
         best = capsys.readouterr().out.splitlines()[0]
         pattern = r"best d_p=\S+ efficiency=\d\.\d{6}" + re.escape(note)
@@ -693,6 +699,27 @@ class TestCommandTable:
             probe = run({**context, key: value})
             assert baseline[0] == probe[0] == 0, (key, context, baseline[2], probe[2])
             assert (probe[1:] != baseline[1:]) == is_read, (key, context)
+
+
+    @pytest.mark.parametrize(
+        ("command", "key"),
+        [("protocol", key) for key in ("sigma", "samples", "span_factor", "k_max")]
+        + [("sweep", key) for key in ("sigma", "samples", "span_factor")],
+    )
+    def test_closed_runs_ignore_the_grid(self, tmp_path, capsys, command, key):
+        # reads drops these keys when nothing is simulated; run past the
+        # refusal, the key changes neither the CSV nor stdout
+        run = _COMMANDS[command][0]
+        closed = "simulate = false\n" if command == "protocol" else "sweep_steps = 3\n"
+        args = Namespace(out=tmp_path)
+        outputs = []
+        for extra in ("", f"{key} = {_PROBES[key]}\n"):
+            config = parse_config(closed + extra)
+            assert key not in reads(command, config)
+            assert run(config, args, None) == 0
+            csv_text = (tmp_path / f"{command}.csv").read_bytes()
+            outputs.append((capsys.readouterr().out, csv_text))
+        assert outputs[0] == outputs[1]
 
 
 class TestErrorPaths:

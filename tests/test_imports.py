@@ -71,15 +71,25 @@ def test_cli_runs_without_scipy(tmp_path):
     assert states["after_quadrature"] is True
 
 
+# The modules whose public names the package re-exports, in import order.
+PUBLIC_MODULES = ("combs", "propagation", "protocols", "susceptibility", "sweeps", "train")
+
+
 def test_public_names_resolve_once():
+    # each public name is declared once, in its module's __all__; the
+    # package's list is the modules' lists, end to end
+    modules = [importlib.import_module(f"afcsim.{m}") for m in PUBLIC_MODULES]
     names = afcsim.__all__
-    assert len(set(names)) == len(names)
-    for name in names:
-        getattr(afcsim, name)
-    # Probe is the only input path
-    assert "transmit" not in names
-    with pytest.raises(AttributeError):
-        afcsim.transmit
+    assert names == [name for module in modules for name in module.__all__]
+    assert len(set(names)) == len(names) == 54
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(afcsim, name) is getattr(module, name), name
+    # Probe is the only input path, and the transfer is a plain array
+    for gone in ("transmit", "propagate", "TransferFunction"):
+        assert gone not in names
+        with pytest.raises(AttributeError):
+            getattr(afcsim, gone)
 
 
 def test_oracles_are_not_in_the_package():
@@ -132,7 +142,8 @@ def _callers(tree: ast.AST, callee: str) -> set[str]:
 
 def test_probe_is_the_only_input_path():
     # every input spectrum and input peak comes from a Probe, and recall
-    # is the one simulation pipeline: only it propagates and reads trains
+    # is the one simulation pipeline: only it and its second pass send a
+    # spectrum to the time domain, and only it reads trains
     package = Path(afcsim.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
 
@@ -145,8 +156,8 @@ def test_probe_is_the_only_input_path():
 
     assert {module for module, _ in sites("gaussian_spectrum")} == {"propagation"}
     inverse = {site for site in sites("spectrum_to_signal") if site[0] != "propagation"}
-    assert inverse == {("protocols", "_second_pass")}
-    assert sites("propagate") == sites("extract_train") == {("protocols", "recall")}
+    assert inverse == {("protocols", "recall"), ("protocols", "_second_pass")}
+    assert sites("extract_train") == {("protocols", "recall")}
     transfers = {("protocols", "recall"), ("cli", "cmd_transfer")}
     assert sites("build_transfer") == transfers
     # one function evaluates a comb on a grid; RunSpec.response hands it out

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from afcsim import propagation
@@ -17,6 +17,7 @@ from afcsim.propagation import (
     PulseSpec,
     TimeSignal,
     TransferModel,
+    _OVERSAMPLE,
     build_transfer,
     check_time_window,
     comb_response,
@@ -24,7 +25,6 @@ from afcsim.propagation import (
     extract_train,
     gaussian_spectrum,
     peak_in_window,
-    propagate,
     signal_to_spectrum,
     spectrum_to_signal,
     transfer_exponent,
@@ -361,7 +361,7 @@ class TestTransfer:
                     packed = propagation._grid_response(comb, grid, model, harmonics)
                     transfer = build_transfer(comb, MediumSpec(d_p), grid, model)
                     expected = transfer_exponent(packed, d_p)
-                    assert transfer.values.tobytes() == expected.tobytes()
+                    assert transfer.tobytes() == expected.tobytes()
                     upper, lower = propagation._mirror_halves(
                         propagation._exponent(packed, d_p)
                     )
@@ -392,16 +392,17 @@ class TestTransfer:
             build_transfer(comb, MediumSpec(d_p), grid, TransferModel.IDEAL)
         build_transfer(comb, MediumSpec(60.0), grid, TransferModel.IDEAL)
 
-    def test_propagate_applies_transfer(self):
+    def test_zero_depth_transfer_is_the_identity(self):
         pulse = PulseSpec(sigma=5.0)
         grid = FrequencyGrid.for_pulse(pulse, span_factor=6.0, samples=2**10)
         comb = CombSpec(shape=CombShape.SQUARE, half_width=0.2)
         transfer = build_transfer(comb, MediumSpec(d_p=0.0), grid)
+        assert isinstance(transfer, np.ndarray) and transfer.shape == (grid.samples,)
+        np.testing.assert_array_equal(transfer, 1.0)
         spec = gaussian_spectrum(pulse, grid)
         window = echo_window(3)
-        out = propagate(spec, transfer, 4, window)
+        out = spectrum_to_signal(spec * transfer, grid, 4, window)
         ref = spectrum_to_signal(spec, grid, 4, window)
-        # zero depth is the identity channel
         np.testing.assert_allclose(out.values, ref.values, atol=1e-14)
 
 
@@ -525,9 +526,9 @@ class TestSharedResponse:
             medium = MediumSpec(d_p)
             shared = build_transfer(self.COMB, medium, self.GRID, response=response)
             fresh = build_transfer(self.COMB, medium, self.GRID)
-            np.testing.assert_array_equal(shared.values, fresh.values)
+            np.testing.assert_array_equal(shared, fresh)
             fresh = transfer_exponent(comb_response(self.COMB, self.GRID.points()), d_p)
-            np.testing.assert_array_equal(shared.values, fresh)
+            np.testing.assert_array_equal(shared, fresh)
         # the shared response, then one for each call without it
         assert len(response_calls) == 3
 
@@ -575,6 +576,51 @@ class TestPassivity:
         nu = -3.0 + (np.arange(1001) + 0.5) * 6.0 / 1001
         h = transfer_exponent(comb_response(comb, nu, model, None), d_p)
         assert np.abs(h).max() <= 1.0 + 1e-9
+
+
+class TestEnergyBalance:
+    """Parseval on the zero-padded time grid: what goes in comes out or is absorbed."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(list(CombShape)),
+        model=st.sampled_from(list(TransferModel)),
+        harmonics=st.sampled_from([2000, None]),
+        finesse=st.floats(1.5, 30.0),
+        gamma=st.one_of(st.just(0.0), st.floats(1e-4, 0.05)),
+        pair_count=st.integers(0, 40),
+        d_p=st.floats(0.0, 40.0),
+        span=st.floats(3.0, 8.0),
+        samples=st.sampled_from([2**10, 2**11, 2**12]),
+    )
+    def test_input_is_output_plus_absorbed(
+        self, shape, model, harmonics, finesse, gamma, pair_count, d_p, span, samples
+    ):
+        pulse = PulseSpec(sigma=5.0)
+        grid = FrequencyGrid.for_pulse(pulse, span, samples)
+        comb = CombSpec(
+            shape=shape, half_width=1.0 / finesse, pair_count=pair_count, gamma=gamma
+        )
+        try:
+            h = build_transfer(comb, MediumSpec(d_p), grid, model, harmonics)
+        except ValueError as exc:
+            # a sample on a sharp tooth edge is refused, not propagated
+            assert "sharp tooth edge" in str(exc)
+            reject()
+        x = gaussian_spectrum(pulse, grid)
+        y = x * h
+
+        def energy(spectrum, window=(-math.inf, math.inf)):
+            return spectrum_to_signal(spectrum, grid, _OVERSAMPLE, window).energy()
+
+        weight = grid.spacing / (2.0 * math.pi)
+        e_in, e_out = energy(x), energy(y)
+        # the whole padded window holds the discrete transform's Parseval sum
+        assert e_out == pytest.approx(weight * np.sum(np.abs(y) ** 2), rel=1e-13)
+        absorbed = weight * np.sum(np.abs(x) ** 2 * (1.0 - np.abs(h) ** 2))
+        assert abs(e_in - e_out - absorbed) <= 1e-13 * e_in
+        # the echo window holds part of the output, never more than all of it
+        assert energy(y, echo_window(8)) <= e_out * (1.0 + 1e-13)
 
 
 class TestMirroredResponse:

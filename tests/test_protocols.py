@@ -80,7 +80,7 @@ class TestSinglePass:
         # The signal holds only the echo window.  The output energy of
         # the whole time window is Parseval's sum over the spectrum,
         # exact for the zero-padded transform.
-        output = gaussian_spectrum(PULSE, GRID) * build_transfer(COMB, MEDIUM, GRID).values
+        output = gaussian_spectrum(PULSE, GRID) * build_transfer(COMB, MEDIUM, GRID)
         whole = float(np.sum(np.abs(output) ** 2) * GRID.spacing / (2.0 * math.pi))
         assert whole < INPUT_ENERGY
         assert result.signal.energy() <= whole * (1.0 + 1e-12)
@@ -404,8 +404,8 @@ class TestTwoPassRouting:
     """Physical routings of the two-pass fields stay below ``I1 (1 + C0)^2``."""
 
     def test_whole_output_through_again_is_the_comb_at_twice_the_depth(self):
-        once = build_transfer(COMB, MEDIUM, GRID).values
-        twice = build_transfer(COMB, MediumSpec(2.0 * MEDIUM.d_p), GRID).values
+        once = build_transfer(COMB, MEDIUM, GRID)
+        twice = build_transfer(COMB, MediumSpec(2.0 * MEDIUM.d_p), GRID)
         np.testing.assert_allclose(once**2, twice, rtol=1e-12, atol=1e-300)
         best = first_echo_intensity(COMB, MediumSpec(optimal_depth(COMB)))
         for d_p in np.linspace(0.0, 40.0, 81):
