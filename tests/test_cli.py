@@ -700,7 +700,6 @@ class TestCommandTable:
             assert baseline[0] == probe[0] == 0, (key, context, baseline[2], probe[2])
             assert (probe[1:] != baseline[1:]) == is_read, (key, context)
 
-
     @pytest.mark.parametrize(
         ("command", "key"),
         [("protocol", key) for key in ("sigma", "samples", "span_factor", "k_max")]
