@@ -13,6 +13,11 @@ the ``--config`` file), which parses back to the same settings.
 ``train``, ``propagate`` and ``protocol`` each read one
 :func:`afcsim.protocols.recall` of the resolved configuration, and a
 simulated ``sweep`` one at each point.
+
+At module level only the standard library, :mod:`afcsim.combs` and
+:mod:`afcsim.output` are imported, none of which imports numpy; each
+subcommand imports the numerics it runs.  So ``config``, ``--help`` and
+a refused configuration start no array library.
 """
 
 from __future__ import annotations
@@ -25,15 +30,18 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .combs import ECHO_DELAY, CombShape, MediumSpec, UnitScale
+from .combs import (
+    _SWEEP_PARAMETERS,
+    _SWEEP_SCALES,
+    ECHO_DELAY,
+    CombShape,
+    MediumSpec,
+    RunSpec,
+    TransferModel,
+    UnitScale,
+    check_harmonics,
+)
 from .output import TRACE_HEADER, format_value, trace_columns, write_csv
-from .propagation import TransferModel, build_transfer, check_time_window, comb_response
-from .protocols import RunSpec, recall
-from .susceptibility import check_harmonics
-from .sweeps import SweepAxis, SweepKind, SweepRequest, sweep
-from .train import closed_train
 
 __all__ = [
     "ConfigError", "RunConfig", "canonical_config", "main", "parse_config", "reads"
@@ -136,11 +144,11 @@ _CASTERS: dict[str, Callable[[str], object]] = {
     "mismatch_time": _cast_float,
     "mismatch_phase": _cast_float,
     "simulate": _cast_bool,
-    "sweep_parameter": _cast_choice(SweepAxis.PARAMETERS),
+    "sweep_parameter": _cast_choice(_SWEEP_PARAMETERS),
     "sweep_start": _cast_float,
     "sweep_stop": _cast_float,
     "sweep_steps": int,
-    "sweep_scale": _cast_choice(SweepAxis.SCALES),
+    "sweep_scale": _cast_choice(_SWEEP_SCALES),
     "sweep_simulate": _cast_bool,
 }
 
@@ -205,10 +213,11 @@ def _write(
             if name in _PHYSICAL_COLUMNS:
                 unit_name, convert = _PHYSICAL_COLUMNS[name]
                 header += (unit_name,)
-                # an empty cell (no arrival) stays empty
+                # an array converts whole; an empty cell (no arrival)
+                # stays empty
                 columns.append(
                     convert(scale, column)
-                    if isinstance(column, np.ndarray)
+                    if hasattr(column, "dtype")
                     else ["" if cell == "" else convert(scale, cell) for cell in column]
                 )
     count = write_csv(path, header, columns)
@@ -216,6 +225,10 @@ def _write(
 
 
 def cmd_spectrum(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
+    import numpy as np
+
+    from .propagation import comb_response
+
     # Midpoint sampling keeps sharp-tooth models off their edge
     # singularities.
     nu = -2.5 + (np.arange(2000) + 0.5) * (5.0 / 2000)
@@ -226,6 +239,10 @@ def cmd_spectrum(config: RunConfig, args: Namespace, scale: UnitScale | None) ->
 
 
 def cmd_transfer(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
+    import numpy as np
+
+    from .propagation import build_transfer
+
     comb, medium, grid = config.comb(), MediumSpec(config.d_p), config.probe().grid
     values = build_transfer(comb, medium, grid, config.model, config.harmonics)
     _write(
@@ -238,6 +255,9 @@ def cmd_transfer(config: RunConfig, args: Namespace, scale: UnitScale | None) ->
 
 
 def cmd_propagate(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
+    from .propagation import check_time_window
+    from .protocols import recall
+
     result = recall(config)
     check_time_window(result.signal, config.k_max, trace=True)
     columns = trace_columns(
@@ -270,6 +290,9 @@ def _warn_above_unity(efficiency: float) -> None:
 
 
 def cmd_train(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
+    from .protocols import recall
+    from .train import closed_train
+
     train = recall(config).train
     closed = closed_train(config.comb(), MediumSpec(config.d_p), config.k_max)
     header = ("k", "intensity", "closed_intensity", "rel_error", "arrival_over_T")
@@ -289,6 +312,8 @@ def cmd_train(config: RunConfig, args: Namespace, scale: UnitScale | None) -> in
 
 
 def cmd_protocol(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
+    from .protocols import recall
+
     result = recall(
         config,
         passes=config.passes,
@@ -339,6 +364,8 @@ def cmd_protocol(config: RunConfig, args: Namespace, scale: UnitScale | None) ->
 
 
 def cmd_sweep(config: RunConfig, args: Namespace, scale: UnitScale | None) -> int:
+    from .sweeps import SweepAxis, SweepKind, SweepRequest, sweep
+
     result = sweep(
         SweepRequest(
             axis=SweepAxis(
@@ -412,6 +439,9 @@ def cmd_reproduce(config: RunConfig, args: Namespace, scale: UnitScale | None) -
 _SPECTRUM = {"shape", "finesse", "gamma", "pair_count", "model", "harmonics"}
 _GRID = {"sigma", "samples", "span_factor"}
 _TRANSFER = _SPECTRUM | {"d_p"} | _GRID
+# What only a simulation reads: the grid, and the finite comb's extent and
+# response model.  The periodic closed form reads none of them.
+_SIMULATED = _GRID | {"pair_count", "model", "harmonics"}
 _RUN = {field.name for field in fields(RunSpec)}
 _PHYSICAL = {"--physical"}
 
@@ -450,17 +480,18 @@ def reads(command: str, config: RunConfig) -> set[str]:
     """The settings ``command`` reads under ``config``.
 
     Its row's set in the command table, less what the values leave
-    unread: the key that a sweep sets at each of its points, and the
-    grid keys where nothing is simulated.  A closed ``protocol`` reads
-    no ``k_max`` either; a closed sweep does, capped at 3.
+    unread: the key that a sweep sets at each of its points, and, where
+    nothing is simulated, what only a simulation reads.  A closed
+    ``protocol`` reads no ``k_max`` either; a closed sweep does, capped
+    at 3.
     """
     keys = _COMMANDS[command][2]
     if command == "protocol" and not config.simulate:
-        keys = keys - _GRID - {"k_max"}
+        keys = keys - _SIMULATED - {"k_max"}
     if command == "sweep":
         keys = keys - {config.sweep_parameter}
         if not config.sweep_simulate:
-            keys = keys - _GRID
+            keys = keys - _SIMULATED
     return keys
 
 

@@ -14,6 +14,13 @@ fixed here once and for all:
 units of ``nu0``, so the period is 2 and ``T = pi`` is the constant
 :data:`ECHO_DELAY`.  Only :class:`UnitScale` converts to laboratory
 units.
+
+The module also holds the run description that the command line reads
+and checks before any numerics: :class:`RunSpec`, the response models
+(:class:`TransferModel`), the bound on the harmonic count and the
+domains of a sweep's axis.  It imports no numpy, so reading and
+refusing a configuration starts no array library; :meth:`RunSpec.probe`
+and :meth:`RunSpec.response` import the propagation layer when called.
 """
 
 from __future__ import annotations
@@ -21,18 +28,23 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .propagation import FrequencyGrid, Probe
 
 __all__ = [
     "ECHO_DELAY",
     "HARMONIC_FINESSE",
     "CombShape",
+    "TransferModel",
     "CombSpec",
     "MediumSpec",
     "UnitScale",
-    "odd_peak_centers",
-    "population_difference",
+    "RunSpec",
+    "check_harmonics",
 ]
 
 # Echo spacing ``T = pi / nu0`` in units where ``nu0 = 1``, for every comb.
@@ -51,6 +63,40 @@ class CombShape(str, enum.Enum):
     SQUARE = "square"
     LORENTZIAN = "lorentzian"
     HARMONIC = "harmonic"
+
+
+class TransferModel(str, enum.Enum):
+    """Which response model feeds the transfer function.
+
+    IDEAL is the infinite periodic comb of the run's tooth shape,
+    broadened by the run's ``gamma``: the closed forms describe it, and
+    broadening damps its harmonic ``k`` by ``exp(-pi gamma k)``.  For
+    square teeth it is a series, resummed when the harmonic count is
+    ``None``.  BROADENED is the finite comb, with Lorentzian-broadened
+    teeth, sharp at ``gamma = 0``.  Harmonic and Lorentzian teeth have
+    exact periodic forms, so for them the two models coincide.
+    """
+
+    IDEAL = "ideal"
+    BROADENED = "broadened"
+
+
+# The square series needs about 230 bytes per harmonic, 30 MiB at this
+# bound.
+_MAX_HARMONICS = 2**17
+
+
+def check_harmonics(harmonics: int | None) -> int | None:
+    """``harmonics`` if it is None or in [1, 2^17], else ValueError."""
+    if harmonics is not None and not 1 <= harmonics <= _MAX_HARMONICS:
+        raise ValueError(f"harmonics must be in [1, {_MAX_HARMONICS}], got {harmonics}")
+    return harmonics
+
+
+# The parameters a sweep can vary, and the spacings of its points (see
+# :class:`afcsim.sweeps.SweepAxis`).
+_SWEEP_PARAMETERS = ("d_p", "finesse", "gamma")
+_SWEEP_SCALES = ("linear", "log")
 
 
 @dataclass(frozen=True)
@@ -187,30 +233,53 @@ class UnitScale:
         return t_over_T / (2.0 * self.nu0_hz)
 
 
-def odd_peak_centers(pair_count: int) -> np.ndarray:
-    """Tooth centres ``2k + 1`` for ``k = -pair_count - 1 .. pair_count``."""
-    return np.arange(-2 * pair_count - 1, 2 * pair_count + 2, 2, dtype=float)
+@dataclass(frozen=True, kw_only=True)
+class RunSpec:
+    """One run's comb, depth, probe and response model.
 
-
-def population_difference(comb: CombSpec, delta: np.ndarray | float) -> np.ndarray:
-    """Normalised population profile ``n(delta)`` of the bare comb.
-
-    The profile is the sum of single-tooth profiles over all teeth,
-    normalised to unit peak height.  Square teeth are indicator
-    functions of ``[c - half_width, c + half_width]`` (edges included);
-    Lorentzian teeth are ``1 / (1 + ((delta - c) / half_width)^2)``;
-    harmonic teeth add up to the raised cosine
-    ``(1 - cos(pi * delta)) / 2`` exactly, which is what this returns
-    for that shape (its window centres fall at even detunings, matching
-    the layout convention).
+    :func:`afcsim.protocols.recall` takes it: every simulated run of the
+    CLI, the sweeps and the reproduce targets is one call.  Defaults
+    describe the reference setup: a square comb of finesse 5 at depth
+    10, probed by a Gaussian pulse of spectral scale five tooth spacings
+    on a 2^14-point grid spanning four of those scales.  Every run's
+    time grid is that grid zero-padded 16 times, a step of
+    ``pi / (16 span_factor sigma)``.
+    ``shape`` and ``model`` take a :class:`CombShape` or
+    :class:`TransferModel` or their string values.  Nothing is checked
+    here: :meth:`comb` and :meth:`probe` name a bad setting.
     """
-    delta = np.asarray(delta, dtype=float)
-    if comb.shape is CombShape.HARMONIC:
-        return 0.5 * (1.0 - np.cos(np.pi * delta))
-    centers = odd_peak_centers(comb.pair_count)
-    offsets = delta[..., np.newaxis] - centers
-    if comb.shape is CombShape.SQUARE:
-        inside = np.abs(offsets) <= comb.half_width
-        return inside.any(axis=-1).astype(float)
-    profile = 1.0 / (1.0 + (offsets / comb.half_width) ** 2)
-    return profile.sum(axis=-1)
+
+    shape: str = "square"
+    finesse: float = 5.0
+    d_p: float = 10.0
+    gamma: float = 0.0
+    pair_count: int = 9
+    sigma: float = 5.0
+    samples: int = 16384
+    span_factor: float = 4.0
+    model: str = "broadened"
+    harmonics: int | None = 2000
+    k_max: int = 8
+
+    def comb(self) -> CombSpec:
+        return CombSpec.from_finesse(
+            self.shape, self.finesse, pair_count=self.pair_count, gamma=self.gamma
+        )
+
+    def probe(self) -> Probe:
+        """The run's input pulse and grid, read on the echo window of ``k_max``."""
+        from .propagation import FrequencyGrid, Probe, PulseSpec
+
+        pulse = PulseSpec(sigma=self.sigma)
+        grid = FrequencyGrid.for_pulse(pulse, self.span_factor, self.samples)
+        return Probe((pulse,), grid, self.k_max)
+
+    def response(self, grid: FrequencyGrid) -> np.ndarray:
+        """The comb's packed response on ``grid`` under the run's model, read-only.
+
+        It does not depend on ``d_p``: runs that differ only in depth can
+        share it through :func:`afcsim.protocols.recall`'s ``response``.
+        """
+        from .propagation import _grid_response
+
+        return _grid_response(self.comb(), grid, self.model, self.harmonics)

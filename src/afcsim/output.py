@@ -5,7 +5,8 @@ with the shortest round-trip ``repr`` of its values, every other cell
 through :func:`format_value`, and the lines are joined and written in
 blocks of a fixed number of rows, so memory stays bounded whatever the
 table length.  Text cells are quoted as ``csv.writer`` quotes them
-(minimal quoting, ``"\\n"`` line ends).
+(minimal quoting, ``"\\n"`` line ends).  Only :func:`trace_columns`
+imports numpy, so importing this module loads none.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import io
 from pathlib import Path
 from typing import TYPE_CHECKING, Sequence, TextIO
 
-import numpy as np
-
 from .combs import ECHO_DELAY
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from .propagation import TimeSignal
 
 __all__ = ["TRACE_HEADER", "format_value", "trace_columns", "write_csv"]
@@ -49,7 +50,8 @@ def _quoted(text: str) -> str:
 
 def _cells(column: Sequence[object], start: int, stop: int) -> list[str]:
     part = column[start:stop]
-    if isinstance(part, np.ndarray) and part.dtype == np.float64:
+    # a float64 array, recognised by its dtype so that no numpy is imported
+    if getattr(part, "dtype", None) == "float64":
         # ``tolist`` yields Python floats, whose ``repr`` is the text
         # ``format_value`` gives each element.
         return list(map(repr, part.tolist()))
@@ -102,6 +104,8 @@ def trace_columns(
     rounds as the scalar ``abs(v) ** 2`` does; ``np.abs(v) ** 2`` can
     differ in the last place.
     """
+    import numpy as np
+
     mask = (signal.times >= lo * ECHO_DELAY) & (signal.times < hi * ECHO_DELAY)
     values = signal.values[mask]
     magnitude = np.hypot(values.real, values.imag)

@@ -31,18 +31,16 @@ yields all of them.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec
+from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, TransferModel
 from . import susceptibility as sus
 
 __all__ = [
-    "TransferModel",
     "FrequencyGrid",
     "PulseSpec",
     "Probe",
@@ -71,22 +69,6 @@ _SQUARE_SAFE = 1e150
 
 # Zero-padding factor of every run's time grid.
 _OVERSAMPLE = 16
-
-
-class TransferModel(str, enum.Enum):
-    """Which response model feeds the transfer function.
-
-    IDEAL is the infinite periodic comb of the run's tooth shape,
-    broadened by the run's ``gamma``: the closed forms describe it, and
-    broadening damps its harmonic ``k`` by ``exp(-pi gamma k)``.  For
-    square teeth it is a series, resummed when the harmonic count is
-    ``None``.  BROADENED is the finite comb, with Lorentzian-broadened
-    teeth, sharp at ``gamma = 0``.  Harmonic and Lorentzian teeth have
-    exact periodic forms, so for them the two models coincide.
-    """
-
-    IDEAL = "ideal"
-    BROADENED = "broadened"
 
 
 def comb_response(
@@ -266,7 +248,7 @@ def build_transfer(
     ``H``, sent to the time domain by :func:`spectrum_to_signal`.
 
     ``response`` is the comb's packed response on ``grid`` under
-    ``model`` and ``harmonics``, as :meth:`afcsim.protocols.RunSpec.response`
+    ``model`` and ``harmonics``, as :meth:`afcsim.combs.RunSpec.response`
     gives it; when None it is computed afresh.  Pass one only to share
     it between calls that differ in ``medium`` alone, such as the depths
     of a sweep: nothing but its shape is checked against the other

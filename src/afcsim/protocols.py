@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .combs import ECHO_DELAY, CombSpec, MediumSpec
+from .combs import ECHO_DELAY, MediumSpec, RunSpec
 from .propagation import (
     FrequencyGrid,
     Probe,
@@ -22,7 +22,6 @@ from .propagation import (
     PulseTrain,
     TimeSignal,
     _OVERSAMPLE,
-    _grid_response,
     build_transfer,
     extract_train,
     signal_to_spectrum,
@@ -32,58 +31,9 @@ from .train import first_echo_intensity, prompt_attenuation
 
 __all__ = [
     "ProtocolResult",
-    "RunSpec",
     "TimeBinQubit",
     "recall",
 ]
-
-
-@dataclass(frozen=True, kw_only=True)
-class RunSpec:
-    """One run's comb, depth, probe and response model.
-
-    :func:`recall` takes it: every simulated run of the CLI, the sweeps
-    and the reproduce targets is one call.  Defaults describe the
-    reference setup: a square comb of finesse 5 at depth 10, probed by
-    a Gaussian pulse of spectral scale five tooth spacings on a
-    2^14-point grid spanning four of those scales.  Every run's time
-    grid is that grid zero-padded 16 times, a step of
-    ``pi / (16 span_factor sigma)``.
-    ``shape`` and ``model`` take a :class:`CombShape` or
-    :class:`TransferModel` or their string values.  Nothing is checked
-    here: :meth:`comb` and :meth:`probe` name a bad setting.
-    """
-
-    shape: str = "square"
-    finesse: float = 5.0
-    d_p: float = 10.0
-    gamma: float = 0.0
-    pair_count: int = 9
-    sigma: float = 5.0
-    samples: int = 16384
-    span_factor: float = 4.0
-    model: str = "broadened"
-    harmonics: int | None = 2000
-    k_max: int = 8
-
-    def comb(self) -> CombSpec:
-        return CombSpec.from_finesse(
-            self.shape, self.finesse, pair_count=self.pair_count, gamma=self.gamma
-        )
-
-    def probe(self) -> Probe:
-        """The run's input pulse and grid, read on the echo window of ``k_max``."""
-        pulse = PulseSpec(sigma=self.sigma)
-        grid = FrequencyGrid.for_pulse(pulse, self.span_factor, self.samples)
-        return Probe((pulse,), grid, self.k_max)
-
-    def response(self, grid: FrequencyGrid) -> np.ndarray:
-        """The comb's packed response on ``grid`` under the run's model, read-only.
-
-        It does not depend on ``d_p``: runs that differ only in depth can
-        share it through :func:`recall`'s ``response``.
-        """
-        return _grid_response(self.comb(), grid, self.model, self.harmonics)
 
 
 @dataclass(frozen=True)

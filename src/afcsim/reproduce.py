@@ -21,15 +21,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, population_difference
+from .combs import ECHO_DELAY, CombShape, CombSpec, MediumSpec, RunSpec
 from .output import TRACE_HEADER, trace_columns, write_csv
 from .propagation import peak_in_window
-from .protocols import RunSpec, TimeBinQubit, recall
+from .protocols import TimeBinQubit, recall
 from .susceptibility import (
     chi_square_series,
     epsilon_broadened,
     epsilon_peak_center,
     epsilon_window_center,
+    population_difference,
 )
 from .sweeps import optimal_curve
 from .train import broadened_A_coefficients, closed_train, first_echo_intensity

@@ -13,6 +13,10 @@ odd integers (window-centred layout, see :mod:`afcsim.combs`).
 Absorption is normalised to unit tooth height: a monochromatic field at
 a tooth centre of an ideal comb decays as ``exp(-d_p / 2)`` in field
 for peak optical depth ``d_p``.
+
+The tooth centres and the bare comb's population profile, the array half
+of the comb geometry, live here too, so that :mod:`afcsim.combs` needs
+no numpy.
 """
 
 from __future__ import annotations
@@ -21,10 +25,11 @@ import math
 
 import numpy as np
 
-from .combs import _GAMMA_FLOOR, odd_peak_centers
+from .combs import _GAMMA_FLOOR, CombShape, CombSpec, check_harmonics
 
 __all__ = [
-    "check_harmonics",
+    "odd_peak_centers",
+    "population_difference",
     "chi_square_series",
     "chi_square_exact",
     "epsilon_broadened",
@@ -34,6 +39,35 @@ __all__ = [
     "lorentzian_comb_response",
     "square_harmonic_weights",
 ]
+
+
+def odd_peak_centers(pair_count: int) -> np.ndarray:
+    """Tooth centres ``2k + 1`` for ``k = -pair_count - 1 .. pair_count``."""
+    return np.arange(-2 * pair_count - 1, 2 * pair_count + 2, 2, dtype=float)
+
+
+def population_difference(comb: CombSpec, delta: np.ndarray | float) -> np.ndarray:
+    """Normalised population profile ``n(delta)`` of the bare comb.
+
+    The profile is the sum of single-tooth profiles over all teeth,
+    normalised to unit peak height.  Square teeth are indicator
+    functions of ``[c - half_width, c + half_width]`` (edges included);
+    Lorentzian teeth are ``1 / (1 + ((delta - c) / half_width)^2)``;
+    harmonic teeth add up to the raised cosine
+    ``(1 - cos(pi * delta)) / 2`` exactly, which is what this returns
+    for that shape (its window centres fall at even detunings, matching
+    the layout convention).
+    """
+    delta = np.asarray(delta, dtype=float)
+    if comb.shape is CombShape.HARMONIC:
+        return 0.5 * (1.0 - np.cos(np.pi * delta))
+    centers = odd_peak_centers(comb.pair_count)
+    offsets = delta[..., np.newaxis] - centers
+    if comb.shape is CombShape.SQUARE:
+        inside = np.abs(offsets) <= comb.half_width
+        return inside.any(axis=-1).astype(float)
+    profile = 1.0 / (1.0 + (offsets / comb.half_width) ** 2)
+    return profile.sum(axis=-1)
 
 
 def square_harmonic_weights(inv_finesse: float, harmonics: int) -> np.ndarray:
@@ -49,17 +83,6 @@ def square_harmonic_weights(inv_finesse: float, harmonics: int) -> np.ndarray:
     """
     k = np.arange(1, harmonics + 1)
     return (2.0 / np.pi) * (-1.0) ** k * np.sin(k * np.pi * inv_finesse) / k
-
-
-# The series needs about 230 bytes per harmonic, 30 MiB at this bound.
-_MAX_HARMONICS = 2**17
-
-
-def check_harmonics(harmonics: int | None) -> int | None:
-    """``harmonics`` if it is None or in [1, 2^17], else ValueError."""
-    if harmonics is not None and not 1 <= harmonics <= _MAX_HARMONICS:
-        raise ValueError(f"harmonics must be in [1, {_MAX_HARMONICS}], got {harmonics}")
-    return harmonics
 
 
 def chi_square_series(
@@ -168,6 +191,8 @@ def _series_chirp_z(
     so its rounding error no longer grows as ``m^2`` (about 1e-9 rad at
     2^16 points).  The rounding of the period itself only shifts
     ``step`` by about 1e-16 relative, the same for every chirp factor.
+    The FFTs run in place and the kernel is dropped before the inverse,
+    so at most two padded arrays are held at once.
     """
     coeffs = np.concatenate(([mean], weights))
     terms = coeffs.size
@@ -179,8 +204,11 @@ def _series_chirp_z(
     kernel = np.zeros(size, dtype=complex)
     kernel[:points] = np.conj(chirp[:points])
     kernel[size - terms + 1 :] = np.conj(chirp[terms - 1 : 0 : -1])
-    convolved = np.fft.ifft(np.fft.fft(series) * np.fft.fft(kernel))
-    return chirp[:points] * convolved[:points]
+    np.fft.fft(series, out=series)
+    series *= np.fft.fft(kernel, out=kernel)
+    del kernel
+    np.fft.ifft(series, out=series)
+    return chirp[:points] * series[:points]
 
 
 def chi_square_exact(

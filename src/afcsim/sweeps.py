@@ -10,9 +10,9 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .combs import MediumSpec
+from .combs import _SWEEP_PARAMETERS, _SWEEP_SCALES, MediumSpec, RunSpec
 from .propagation import Probe
-from .protocols import RunSpec, recall
+from .protocols import recall
 from .train import closed_train, ideal_limit_intensity, optimal_depth
 
 __all__ = [
@@ -73,8 +73,8 @@ class SweepAxis:
     """Swept parameter: one of ``d_p``, ``finesse``, ``gamma``."""
 
     # The parameters a sweep can vary, and the spacings of its points.
-    PARAMETERS: ClassVar[tuple[str, ...]] = ("d_p", "finesse", "gamma")
-    SCALES: ClassVar[tuple[str, ...]] = ("linear", "log")
+    PARAMETERS: ClassVar[tuple[str, ...]] = _SWEEP_PARAMETERS
+    SCALES: ClassVar[tuple[str, ...]] = _SWEEP_SCALES
 
     name: str
     start: float

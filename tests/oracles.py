@@ -23,13 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from afcsim.combs import (
-    CombShape,
-    CombSpec,
-    MediumSpec,
-    odd_peak_centers,
-    population_difference,
-)
+from afcsim.combs import CombShape, CombSpec, MediumSpec
 from afcsim.propagation import (
     FrequencyGrid,
     TimeSignal,
@@ -37,6 +31,7 @@ from afcsim.propagation import (
     comb_response,
     transfer_exponent,
 )
+from afcsim.susceptibility import odd_peak_centers, population_difference
 from afcsim.train import TrainCoefficients
 
 

@@ -273,22 +273,13 @@ class TestSubcommands:
             ("transfer", ""),
             ("propagate", ""),
             ("train", ""),
-            ("protocol", "simulate = false\n"),
-            ("sweep", ""),
         ],
-        ids=[
-            "protocol",
-            "spectrum",
-            "sweep",
-            "transfer",
-            "propagate",
-            "train",
-            "protocol-closed",
-            "sweep-closed",
-        ],
+        ids=["protocol", "spectrum", "sweep", "transfer", "propagate", "train"],
     )
     def test_ideal_model_takes_broadening(self, tmp_path, capsys, command, extra):
-        # the ideal model is the periodic comb at the run's gamma
+        # the ideal model is the periodic comb at the run's gamma; a run
+        # that simulates nothing reads no model (see
+        # test_refuses_a_key_its_values_leave_unread)
         path = _write_config(tmp_path, "model = ideal\ngamma = 0.01\n" + extra)
         assert main(["--config", str(path), "--out", str(tmp_path), command]) == 0
         assert capsys.readouterr().err == ""
@@ -426,11 +417,35 @@ class TestSubcommands:
                 ("sweep", f"sweep_parameter = {setting.split()[0]}\n", setting)
                 for setting in ("d_p = 12.0", "finesse = 6.0", "gamma = 0.3")
             ),
-            # a run that simulates nothing builds no grid
-            ("protocol", "simulate = false\n", "samples = 100"),
-            ("sweep", "", "samples = 100"),
+            # a run that simulates nothing builds no grid, and the periodic
+            # closed form reads neither the comb's extent nor its model
+            *(
+                (command, context, setting)
+                for command, context in (
+                    ("protocol", "simulate = false\n"),
+                    ("sweep", ""),
+                )
+                for setting in (
+                    "samples = 100",
+                    "pair_count = 3",
+                    "model = ideal",
+                    "harmonics = 10",
+                )
+            ),
         ],
-        ids=["d_p = 12.0", "finesse = 6.0", "gamma = 0.3", "protocol", "sweep"],
+        ids=[
+            "d_p = 12.0",
+            "finesse = 6.0",
+            "gamma = 0.3",
+            "protocol",
+            "protocol-pair_count",
+            "protocol-model",
+            "protocol-harmonics",
+            "sweep",
+            "sweep-pair_count",
+            "sweep-model",
+            "sweep-harmonics",
+        ],
     )
     def test_refuses_a_key_its_values_leave_unread(
         self, tmp_path, capsys, command, context, setting
@@ -486,10 +501,7 @@ class TestSubcommands:
             assert lines == []
 
     def test_sweep_warns_above_unity(self, tmp_path, capsys):
-        path = _write_config(
-            tmp_path,
-            "finesse = 10.0\ngamma = 0.005\npair_count = 40\npasses = 2\n",
-        )
+        path = _write_config(tmp_path, "finesse = 10.0\ngamma = 0.005\npasses = 2\n")
         assert main(["--config", str(path), "--out", str(tmp_path), "sweep"]) == 0
         captured = capsys.readouterr()
         assert "best d_p=15.16" in captured.out
@@ -515,9 +527,9 @@ class TestSubcommands:
         [
             # the best of d_p = 8, 10, 12 is interior and refined; that of
             # 12, 14, 16 is at the axis's edge and is not.  A closed sweep
-            # reads the comb's keys and no grid.
-            (8.0, FAST_COMB, " (refined)"),
-            (12.0, FAST_COMB, ""),
+            # reads the periodic comb's keys, not its extent nor any grid.
+            (8.0, "gamma = 0.005\n", " (refined)"),
+            (12.0, "gamma = 0.005\n", ""),
             (8.0, FAST_SIM + "sweep_simulate = true\n", " (refined on the closed form)"),
             (12.0, FAST_SIM + "sweep_simulate = true\n", " (simulated)"),
         ],
@@ -703,13 +715,19 @@ class TestCommandTable:
     @pytest.mark.parametrize(
         ("command", "key"),
         [("protocol", key) for key in ("sigma", "samples", "span_factor", "k_max")]
-        + [("sweep", key) for key in ("sigma", "samples", "span_factor")],
+        + [("sweep", key) for key in ("sigma", "samples", "span_factor")]
+        + [
+            (command, key)
+            for command in ("protocol", "sweep")
+            for key in ("pair_count", "model", "harmonics")
+        ],
     )
     def test_closed_runs_ignore_the_grid(self, tmp_path, capsys, command, key):
         # reads drops these keys when nothing is simulated; run past the
         # refusal, the key changes neither the CSV nor stdout
         run = _COMMANDS[command][0]
         closed = "simulate = false\n" if command == "protocol" else "sweep_steps = 3\n"
+        closed += "".join(f"{k} = {v}\n" for k, v in _NEEDS.get(key, {}).items())
         args = Namespace(out=tmp_path)
         outputs = []
         for extra in ("", f"{key} = {_PROBES[key]}\n"):

@@ -1,12 +1,14 @@
-"""Importing the package: no scipy at start-up, every public name resolves,
-the test-only references stay out of the package, input enters the
-simulation one way, the two-pass law has one closed form, and no
-module-level cache holds a comb response.
+"""Importing the package: no scipy at start-up, each subcommand loads only
+the modules it runs, every public name resolves, the test-only
+references stay out of the package, input enters the simulation one
+way, the two-pass law has one closed form, and no module-level cache
+holds a comb response.
 
 scipy.integrate is imported only inside the one quadrature,
 ``train.broadened_A_coefficients``, and ``afcsim.reproduce`` only by
-the ``reproduce`` subcommand.  The scipy checks run in a fresh
-interpreter, since the test process itself may have imported both.
+the ``reproduce`` subcommand.  Reading a configuration imports no numpy.
+The import checks run in a fresh interpreter, since the test process
+itself has imported everything.
 """
 
 import ast
@@ -47,18 +49,20 @@ print(json.dumps(states))
 """
 
 
-def test_cli_runs_without_scipy(tmp_path):
-    config = tmp_path / "run.cfg"
-    config.write_text("samples = 2048\n")
+def _fresh(script: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``script`` in a fresh interpreter that imports this afcsim."""
     src = str(Path(afcsim.__file__).resolve().parent.parent)
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    done = subprocess.run(
-        [sys.executable, "-c", CHILD, str(config), str(tmp_path)],
-        capture_output=True,
-        text=True,
-        env=env,
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True, env=env
     )
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    config = tmp_path / "run.cfg"
+    config.write_text("samples = 2048\n")
+    done = _fresh(CHILD, str(config), str(tmp_path))
     assert done.returncode == 0, done.stderr
     states = json.loads(done.stdout.splitlines()[-1])
     assert states["after_import"] is False
@@ -69,6 +73,101 @@ def test_cli_runs_without_scipy(tmp_path):
     # the quadrature path still imports scipy on first use and works
     assert states["finite"] is True
     assert states["after_quadrature"] is True
+
+
+# One command-line run: what ``import afcsim`` loads, then the run's exit
+# code and what it loaded, written as JSON to the first argument.
+RUN_CHILD = """
+import json, sys
+
+result, *argv = sys.argv[1:]
+import afcsim
+
+package = sorted(name for name in sys.modules if name.startswith("afcsim"))
+package_numpy = "numpy" in sys.modules
+from afcsim.cli import main
+
+try:
+    code = main(argv)
+except SystemExit as exc:
+    code = exc.code
+with open(result, "w") as handle:
+    json.dump(
+        {
+            "package": package,
+            "package_numpy": package_numpy,
+            "code": code,
+            "modules": sorted(
+                name.removeprefix("afcsim.")
+                for name in sys.modules
+                if name.startswith("afcsim.")
+            ),
+            "numpy": "numpy" in sys.modules,
+            "scipy": "scipy" in sys.modules,
+        },
+        handle,
+    )
+"""
+
+# The modules each kind of run loads, beyond the package itself.
+CONFIG = {"cli", "combs", "output"}
+SPECTRAL = CONFIG | {"propagation", "susceptibility"}
+RECALL = SPECTRAL | {"protocols", "train"}
+SWEEP = RECALL | {"sweeps"}
+# A grid small enough to keep each simulated run short.
+SMALL = "samples = 2048\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "config", "code", "modules"),
+    [
+        (["config"], None, 0, CONFIG),
+        (["config"], "d_p = 12.0\n", 0, CONFIG),
+        (["--help"], None, 0, CONFIG),
+        # refused: a key that spectrum does not read, then a malformed value
+        (["spectrum"], "samples = 100\n", 1, CONFIG),
+        (["train"], "finesse = five\n", 1, CONFIG),
+        (["spectrum"], None, 0, SPECTRAL),
+        (["transfer"], SMALL, 0, SPECTRAL),
+        (["propagate"], SMALL, 0, RECALL),
+        (["train"], SMALL, 0, RECALL),
+        (["protocol"], SMALL, 0, RECALL),
+        (["sweep"], None, 0, SWEEP),
+        (["reproduce"], None, 0, SWEEP | {"reproduce"}),
+    ],
+    ids=[
+        "config",
+        "config-file",
+        "help",
+        "refused-unread",
+        "refused-value",
+        "spectrum",
+        "transfer",
+        "propagate",
+        "train",
+        "protocol",
+        "sweep",
+        "reproduce",
+    ],
+)
+def test_each_run_loads_only_its_modules(tmp_path, argv, config, code, modules):
+    options = ["--out", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        options += ["--config", str(path)]
+    result = tmp_path / "loaded.json"
+    done = _fresh(RUN_CHILD, str(result), *options, *argv)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(result.read_text())
+    # the package imports none of its modules until a name is read
+    assert loaded["package"] == ["afcsim"]
+    assert loaded["package_numpy"] is False
+    assert loaded["code"] == code, done.stderr
+    assert set(loaded["modules"]) == modules
+    # reading and refusing a configuration starts no numerics
+    assert loaded["numpy"] is (modules != CONFIG)
+    assert loaded["scipy"] is False
 
 
 # The modules whose public names the package re-exports, in import order.
@@ -161,7 +260,7 @@ def test_probe_is_the_only_input_path():
     transfers = {("protocols", "recall"), ("cli", "cmd_transfer")}
     assert sites("build_transfer") == transfers
     # one function evaluates a comb on a grid; RunSpec.response hands it out
-    responses = {("propagation", "build_transfer"), ("protocols", "RunSpec.response")}
+    responses = {("propagation", "build_transfer"), ("combs", "RunSpec.response")}
     assert sites("_grid_response") == responses
 
 
